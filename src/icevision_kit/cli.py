@@ -176,7 +176,10 @@ def _cmd_interp(args, parser: _Parser) -> int:
         manifest = datastore.read_manifest(_require(args.manifest))
         pattern = BayerPattern(args.pattern) if args.pattern else None
         source = datastore.ManifestFrameSource(manifest, root=args.root, pattern=pattern)
-        dense = [tracking.densify_ncc(t, source, margin=args.margin) for t in tracks]
+        try:
+            dense = [tracking.densify_ncc(t, source, margin=args.margin) for t in tracks]
+        except KeyError as exc:
+            raise _MissingInput(f"frame {exc.args[0]} in manifest {args.manifest}") from None
     else:
         dense = [tracking.densify_linear(t) for t in tracks]
     if args.out_format == "detections":
@@ -239,6 +242,9 @@ def _cmd_convert(args, parser: _Parser) -> int:
         data = _require(input_path).read_bytes()
         try:
             cfa = frames.read_pnm(data, pattern)
+            if crop_keep is not None and 0 < crop_keep < cfa.height:
+                # the band's last row interpolates from one row below it, no further
+                cfa = frames.crop_rows(cfa, crop_keep + 1)
             rgb = frames.demosaic_bilinear(cfa)
             if crop_keep is not None:
                 rgb = frames.crop_rows(rgb, crop_keep)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .taxonomy import ClassCode
@@ -68,6 +69,11 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = iw * ih
     union = area(a) + area(b) - inter
+    if inter < sys.float_info.min or union < sys.float_info.min:
+        # the products underflowed; the ratio is invariant under per-axis scaling
+        sx, sy = max(a.width, b.width), max(a.height, b.height)
+        inter = (iw / sx) * (ih / sy)
+        union = (a.width / sx) * (a.height / sy) + (b.width / sx) * (b.height / sy) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

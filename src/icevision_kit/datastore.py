@@ -490,7 +490,7 @@ class ManifestFrameSource:
     """Lazy frame loader indexed by frame number, for NCC interpolation.
 
     Decodes each PGM on first access and keeps a bounded cache.  Bayer
-    inputs (``pattern`` given) are demosaiced and reduced to grayscale.
+    inputs (``pattern`` given) are reduced to their green plane.
     """
 
     def __init__(
@@ -514,8 +514,11 @@ class ManifestFrameSource:
             return self._cache[frame_index]
         if frame_index not in self._paths:
             raise KeyError(frame_index)
-        data = (self._root / self._paths[frame_index]).read_bytes()
-        image = read_pnm(data, self._pattern)
+        path = self._root / self._paths[frame_index]
+        try:
+            image = read_pnm(path.read_bytes(), self._pattern)
+        except ValueError as exc:
+            raise DatastoreError(path, None, str(exc)) from None
         gray = gray_from_cfa(image) if self._pattern is not None else image
         if len(self._cache) >= self._cache_size:
             self._cache.pop(next(iter(self._cache)))

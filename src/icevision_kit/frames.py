@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-
 _VARIANCE_EPS = 1e-12
 
 
@@ -202,18 +200,52 @@ def write_ppm(image: RgbImage) -> bytes:
 # Demosaicing and intensity transforms
 
 
-def _round_half_up(values: np.ndarray, max_value: int) -> np.ndarray:
-    out = np.floor(values + 0.5)
-    np.clip(out, 0, max_value, out=out)
-    return out.astype(np.uint16 if max_value > 255 else np.uint8)
+def _interpolate_channel(padded: np.ndarray, pattern: BayerPattern, name: str,
+                         plane: np.ndarray) -> None:
+    """Fill ``plane`` with channel ``name`` of the bilinear demosaic.
+
+    ``padded`` is the mosaic edge-padded by one pixel, in an unsigned type
+    that holds ``4 * max_value + 2``.  Each pixel averages its nearest
+    same-channel neighbors, rounded half-up in exact integers: 2 taps give
+    ``(a + b + 1) >> 1`` and 4 taps ``(s + 2) >> 2``, both equal to
+    ``floor(mean + 0.5)``.  A mean of in-range samples stays in range.
+    """
+    h, w = plane.shape
+    sites = [divmod(k, 2) for k, ch in enumerate(pattern.value) if ch == name]
+    (si, sj) = sites[0]
+
+    def tap(i: int, j: int, dy: int, dx: int) -> np.ndarray:
+        # neighbor (dy, dx) of every output pixel at phase (i, j)
+        return padded[1 + i + dy : 1 + h + dy : 2, 1 + j + dx : 1 + w + dx : 2]
+
+    for i in range(min(h, 2)):
+        for j in range(min(w, 2)):
+            if (i, j) in sites:
+                plane[i::2, j::2] = tap(i, j, 0, 0)
+                continue
+            if name == "G":
+                offsets = ((-1, 0), (1, 0), (0, -1), (0, 1))
+            elif i == si:  # same row parity: horizontal neighbors
+                offsets = ((0, -1), (0, 1))
+            elif j == sj:  # same column parity: vertical neighbors
+                offsets = ((-1, 0), (1, 0))
+            else:  # diagonal sites
+                offsets = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+            total = tap(i, j, *offsets[0]) + tap(i, j, *offsets[1])
+            for dy, dx in offsets[2:]:
+                total += tap(i, j, dy, dx)
+            total += len(offsets) // 2  # n taps: (sum + n/2) >> log2(n)
+            total >>= len(offsets).bit_length() - 1
+            plane[i::2, j::2] = total
 
 
-def _pattern_grid(pattern: BayerPattern) -> dict[str, list[tuple[int, int]]]:
-    chars = pattern.value  # 2x2 tile in reading order
-    grid: dict[str, list[tuple[int, int]]] = {"R": [], "G": [], "B": []}
-    for idx, ch in enumerate(chars):
-        grid[ch].append((idx // 2, idx % 2))
-    return grid
+def _padded_mosaic(cfa: CfaImage) -> np.ndarray:
+    work = np.min_scalar_type(4 * cfa.max_value + 2)
+    return np.pad(cfa.samples, 1, mode="edge").astype(work, copy=False)
+
+
+def _sample_dtype(max_value: int) -> type:
+    return np.uint16 if max_value > 255 else np.uint8
 
 
 def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
@@ -224,47 +256,11 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
     pixels mix color sites exactly as replicate padding dictates.
     Channel values are rounded half-up.
     """
-    h, w = cfa.samples.shape
-    x = cfa.samples.astype(np.float64)
-    p = np.pad(x, 1, mode="edge")
-    grid = _pattern_grid(cfa.pattern)
-    out = np.empty((h, w, 3), dtype=np.float64)
-
-    def phase(arr: np.ndarray, i: int, j: int, dy: int, dx: int) -> np.ndarray:
-        # neighbor (dy, dx) of every output pixel at phase (i, j); arr is the
-        # edge-padded plane, so index (r+1+dy, c+1+dx)
-        return arr[1 + i + dy : 1 + h + dy : 2, 1 + j + dx : 1 + w + dx : 2]
-
+    padded = _padded_mosaic(cfa)
+    out = np.empty(cfa.samples.shape + (3,), dtype=_sample_dtype(cfa.max_value))
     for channel, name in enumerate("RGB"):
-        sites = grid[name]
-        site_set = set(sites)
-        plane = np.empty((h, w), dtype=np.float64)
-        for i in (0, 1):
-            for j in (0, 1):
-                if i >= h or j >= w:
-                    continue
-                target = plane[i::2, j::2]
-                if (i, j) in site_set:
-                    target[...] = x[i::2, j::2]
-                elif name == "G":
-                    target[...] = (
-                        phase(p, i, j, -1, 0) + phase(p, i, j, 1, 0)
-                        + phase(p, i, j, 0, -1) + phase(p, i, j, 0, 1)
-                    ) / 4.0
-                else:
-                    (si, sj) = sites[0]
-                    if i == si:  # same row parity: horizontal neighbors
-                        target[...] = (phase(p, i, j, 0, -1) + phase(p, i, j, 0, 1)) / 2.0
-                    elif j == sj:  # same column parity: vertical neighbors
-                        target[...] = (phase(p, i, j, -1, 0) + phase(p, i, j, 1, 0)) / 2.0
-                    else:  # diagonal sites
-                        target[...] = (
-                            phase(p, i, j, -1, -1) + phase(p, i, j, -1, 1)
-                            + phase(p, i, j, 1, -1) + phase(p, i, j, 1, 1)
-                        ) / 4.0
-        out[:, :, channel] = plane
-
-    return RgbImage(samples=_round_half_up(out, cfa.max_value), max_value=cfa.max_value)
+        _interpolate_channel(padded, cfa.pattern, name, out[:, :, channel])
+    return RgbImage(samples=out, max_value=cfa.max_value)
 
 
 def equalize_histogram(image: GrayImage) -> GrayImage:
@@ -286,19 +282,17 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
         return image
     diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
     lut = -((-diff * image.max_value) // (n - cdf_min))
-    lut = lut.astype(np.uint16 if image.max_value > 255 else np.uint8)
-    return GrayImage(samples=lut[image.samples], max_value=image.max_value)
+    lut = lut.astype(_sample_dtype(image.max_value))
+    return GrayImage(samples=np.take(lut, image.samples), max_value=image.max_value)
 
 
 def equalize_rgb(image: RgbImage) -> RgbImage:
     """Histogram-equalize each channel independently."""
-    channels = [
-        equalize_histogram(
-            GrayImage(samples=image.samples[:, :, c], max_value=image.max_value)
-        ).samples
-        for c in range(3)
-    ]
-    return RgbImage(samples=np.stack(channels, axis=2), max_value=image.max_value)
+    out = np.empty(image.samples.shape, dtype=_sample_dtype(image.max_value))
+    for c in range(3):
+        plane = GrayImage(np.ascontiguousarray(image.samples[:, :, c]), image.max_value)
+        out[:, :, c] = equalize_histogram(plane).samples
+    return RgbImage(samples=out, max_value=image.max_value)
 
 
 def crop_rows(image, keep_top: int):
@@ -321,21 +315,11 @@ def crop(image: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
     return GrayImage(samples=image.samples[y0:y1, x0:x1], max_value=image.max_value)
 
 
-def luma(image: RgbImage) -> GrayImage:
-    """Green-weighted luma (0.299 R + 0.587 G + 0.114 B), rounded half-up."""
-    rw, gw, bw = LUMA_WEIGHTS
-    values = (
-        rw * image.samples[:, :, 0]
-        + gw * image.samples[:, :, 1]
-        + bw * image.samples[:, :, 2]
-    )
-    return GrayImage(samples=_round_half_up(values, image.max_value), max_value=image.max_value)
-
-
 def gray_from_cfa(cfa: CfaImage) -> GrayImage:
     """Grayscale straight from the mosaic: the interpolated green plane."""
-    rgb = demosaic_bilinear(cfa)
-    return GrayImage(samples=rgb.samples[:, :, 1].copy(), max_value=cfa.max_value)
+    plane = np.empty(cfa.samples.shape, dtype=_sample_dtype(cfa.max_value))
+    _interpolate_channel(_padded_mosaic(cfa), cfa.pattern, "G", plane)
+    return GrayImage(samples=plane, max_value=cfa.max_value)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""Float64 reference implementations of the Bayer-path image operations.
+
+The library computes these in exact integer arithmetic; the versions here
+follow the textbook formulas in float64 and serve as differential-test
+oracles only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from icevision_kit.frames import BayerPattern, CfaImage, GrayImage, RgbImage
+
+LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+
+
+def round_half_up(values: np.ndarray, max_value: int) -> np.ndarray:
+    out = np.floor(values + 0.5)
+    np.clip(out, 0, max_value, out=out)
+    return out.astype(np.uint16 if max_value > 255 else np.uint8)
+
+
+def _pattern_grid(pattern: BayerPattern) -> dict[str, list[tuple[int, int]]]:
+    chars = pattern.value  # 2x2 tile in reading order
+    grid: dict[str, list[tuple[int, int]]] = {"R": [], "G": [], "B": []}
+    for idx, ch in enumerate(chars):
+        grid[ch].append((idx // 2, idx % 2))
+    return grid
+
+
+def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
+    """Bilinear demosaic in float64: each pixel is the mean of its nearest
+    same-channel neighbors under replicate padding, rounded half-up."""
+    h, w = cfa.samples.shape
+    x = cfa.samples.astype(np.float64)
+    p = np.pad(x, 1, mode="edge")
+    grid = _pattern_grid(cfa.pattern)
+    out = np.empty((h, w, 3), dtype=np.float64)
+
+    def phase(arr: np.ndarray, i: int, j: int, dy: int, dx: int) -> np.ndarray:
+        # neighbor (dy, dx) of every output pixel at phase (i, j); arr is the
+        # edge-padded plane, so index (r+1+dy, c+1+dx)
+        return arr[1 + i + dy : 1 + h + dy : 2, 1 + j + dx : 1 + w + dx : 2]
+
+    for channel, name in enumerate("RGB"):
+        sites = grid[name]
+        site_set = set(sites)
+        plane = np.empty((h, w), dtype=np.float64)
+        for i in (0, 1):
+            for j in (0, 1):
+                if i >= h or j >= w:
+                    continue
+                target = plane[i::2, j::2]
+                if (i, j) in site_set:
+                    target[...] = x[i::2, j::2]
+                elif name == "G":
+                    target[...] = (
+                        phase(p, i, j, -1, 0) + phase(p, i, j, 1, 0)
+                        + phase(p, i, j, 0, -1) + phase(p, i, j, 0, 1)
+                    ) / 4.0
+                else:
+                    (si, sj) = sites[0]
+                    if i == si:  # same row parity: horizontal neighbors
+                        target[...] = (phase(p, i, j, 0, -1) + phase(p, i, j, 0, 1)) / 2.0
+                    elif j == sj:  # same column parity: vertical neighbors
+                        target[...] = (phase(p, i, j, -1, 0) + phase(p, i, j, 1, 0)) / 2.0
+                    else:  # diagonal sites
+                        target[...] = (
+                            phase(p, i, j, -1, -1) + phase(p, i, j, -1, 1)
+                            + phase(p, i, j, 1, -1) + phase(p, i, j, 1, 1)
+                        ) / 4.0
+        out[:, :, channel] = plane
+
+    return RgbImage(samples=round_half_up(out, cfa.max_value), max_value=cfa.max_value)
+
+
+def luma(image: RgbImage) -> GrayImage:
+    """Green-weighted luma (0.299 R + 0.587 G + 0.114 B), rounded half-up."""
+    rw, gw, bw = LUMA_WEIGHTS
+    values = (
+        rw * image.samples[:, :, 0]
+        + gw * image.samples[:, :, 1]
+        + bw * image.samples[:, :, 2]
+    )
+    return GrayImage(samples=round_half_up(values, image.max_value), max_value=image.max_value)

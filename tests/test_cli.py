@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes and parity with library calls."""
 
+import frame_oracles
 import numpy as np
 import pytest
 
@@ -163,6 +164,39 @@ class TestTrackInterpRefine:
                      "--output", str(tmp_path / "x.txt"), "--method", "ncc"])
         assert code == EX_USAGE
 
+    @staticmethod
+    def ncc_fixture(tmp_path, frame_indices, pgm):
+        """Tracks over keyframes 0/3/6 plus a manifest naming ``frame_indices``,
+        each frame written as the PGM bytes ``pgm``."""
+        det_path = tmp_path / "dets.txt"
+        datastore.write_detections(keyframe_detections(), det_path)
+        tracks_path = tmp_path / "tracks.txt"
+        main(["track", "--detections", str(det_path), "--output", str(tracks_path)])
+        entries = []
+        for frame in frame_indices:
+            (tmp_path / f"f{frame}.pgm").write_bytes(pgm)
+            entries.append((frame, f"f{frame}.pgm"))
+        manifest_path = tmp_path / "manifest.txt"
+        datastore.write_manifest(
+            datastore.SequenceManifest(sequence_id="s", frames=tuple(entries)), manifest_path
+        )
+        return ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "out.txt"),
+                "--method", "ncc", "--manifest", str(manifest_path), "--root", str(tmp_path)]
+
+    def test_interp_ncc_sample_above_maxval_is_malformed(self, tmp_path, capsys):
+        pgm = b"P5\n200 160\n100\n" + bytes([200]) * (200 * 160)
+        argv = self.ncc_fixture(tmp_path, range(7), pgm)
+        assert main(argv + ["--pattern", "RGGB"]) == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert "f0.pgm" in err and "Traceback" not in err
+
+    def test_interp_ncc_frame_missing_from_manifest(self, tmp_path, capsys):
+        pgm = b"P5\n200 160\n255\n" + bytes(200 * 160)
+        argv = self.ncc_fixture(tmp_path, (0, 1, 2, 4, 5, 6), pgm)
+        assert main(argv) == EX_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert "frame 3" in err and "manifest.txt" in err
+
     def test_refine_wrong_kind_is_malformed(self, tmp_path, capsys):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)
@@ -242,6 +276,21 @@ class TestConvert:
             )
         )
         assert (out_dir / "noisy.ppm").read_bytes() == manual
+
+    @pytest.mark.parametrize("keep", [4, 5, 7])
+    def test_crop_keep_matches_float_oracle(self, tmp_path, capsys, keep):
+        # convert demosaics only the kept rows plus one; the bytes must equal
+        # the float64 demosaic of the whole frame, cropped afterwards
+        rng = np.random.default_rng(keep)
+        cfa = frames.CfaImage(samples=rng.integers(0, 4096, size=(7, 6)).astype(np.uint16),
+                              pattern=frames.BayerPattern.GBRG, max_value=4095)
+        src = tmp_path / "raw.pgm"
+        src.write_bytes(frames.write_pnm(cfa))
+        out_dir = tmp_path / "out"
+        assert main(["convert", str(src), "--output-dir", str(out_dir),
+                     "--pattern", "GBRG", "--crop-keep", str(keep)]) == EX_OK
+        oracle = frames.write_ppm(frames.crop_rows(frame_oracles.demosaic_bilinear(cfa), keep))
+        assert (out_dir / "raw.ppm").read_bytes() == oracle
 
     def test_sidecar_settings(self, tmp_path, capsys):
         rng = np.random.default_rng(22)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icevision_kit.core import (
@@ -105,6 +105,8 @@ class TestIou:
         assert 0.0 <= ab <= 1.0
 
     @given(boxes(), boxes())
+    @example(BoundingBox(0, 0, 1e-170, 1e-170), BoundingBox(0, 0, 1e-170, 1e-170))
+    @example(BoundingBox(0, 0, 2e-170, 1e-170), BoundingBox(1e-170, 0, 3e-170, 1e-170))
     def test_matches_exact_rational_oracle(self, a, b):
         expected = float(exact_iou(a, b))
         assert iou(a, b) == pytest.approx(expected, abs=1e-9)

@@ -1,7 +1,10 @@
 """Raw-frame ingestion: PNM codec, demosaic, equalization, NCC."""
 
+import frame_oracles
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icevision_kit.core import BoundingBox
 from icevision_kit.frames import (
@@ -20,7 +23,6 @@ from icevision_kit.frames import (
     equalize_histogram,
     equalize_rgb,
     gray_from_cfa,
-    luma,
     ncc,
     ncc_match,
     ncc_scores,
@@ -146,6 +148,38 @@ class TestDemosaic:
         assert rgb.samples.min() >= 0 and rgb.samples.max() <= 255
 
 
+# 255/256 switches the sample type, 16383/16384 the working type
+# (4 * max_value + 2 no longer fits 16 bits)
+DIFF_MAX_VALUES = (1, 255, 256, 4095, 16383, 16384, 65535)
+
+
+@st.composite
+def mosaics(draw):
+    max_value = draw(st.sampled_from(DIFF_MAX_VALUES))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    sample = st.one_of(st.sampled_from([0, max_value]), st.integers(0, max_value))
+    values = draw(st.lists(sample, min_size=h * w, max_size=h * w))
+    pattern = draw(st.sampled_from(list(BayerPattern)))
+    return cfa(np.array(values).reshape(h, w), pattern, max_value)
+
+
+class TestDemosaicMatchesFloatOracle:
+    @given(mosaics())
+    def test_demosaic_and_green_plane(self, mosaic):
+        want = frame_oracles.demosaic_bilinear(mosaic).samples
+        got = demosaic_bilinear(mosaic).samples
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        green = gray_from_cfa(mosaic).samples
+        assert green.dtype == want.dtype and np.array_equal(green, want[:, :, 1])
+
+    @pytest.mark.parametrize("max_value", DIFF_MAX_VALUES)
+    @pytest.mark.parametrize("pattern", list(BayerPattern))
+    def test_full_scale_sums_do_not_wrap(self, max_value, pattern):
+        mosaic = cfa(np.full((5, 6), max_value), pattern, max_value)
+        assert np.all(demosaic_bilinear(mosaic).samples == max_value)
+        assert np.all(gray_from_cfa(mosaic).samples == max_value)
+
+
 class TestEqualize:
     def test_two_level_unchanged(self):
         img = gray(np.repeat([0, 255], 8).reshape(4, 4))
@@ -241,7 +275,7 @@ class TestLuma:
         samples[0, 0] = (255, 0, 0)
         samples[0, 1] = (0, 255, 0)
         samples[0, 2] = (0, 0, 255)
-        out = luma(RgbImage(samples=samples, max_value=255))
+        out = frame_oracles.luma(RgbImage(samples=samples, max_value=255))
         assert out.samples.tolist() == [[76, 150, 29]]
 
     def test_gray_from_cfa_is_green_plane(self):
