@@ -60,6 +60,15 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     raise AssertionError("unreachable")
 
 
+def _add_noise_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stride", type=int, default=3)
+    p.add_argument("--drop", type=float, default=0.0)
+    p.add_argument("--fp-per-frame", type=float, default=0.0)
+    p.add_argument("--jitter", type=float, default=0.0)
+    p.add_argument("--confusion", type=float, default=0.0)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="icevision-kit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -117,24 +126,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic scenario on disk")
     p.add_argument("--spec", required=True, help="key=value scenario spec file")
-    p.add_argument("--seed", type=int, default=0)
+    _add_noise_flags(p)
     p.add_argument("--annotations", required=True, help="output annotations path")
     p.add_argument("--detections", help="output mock-detector detections path")
-    p.add_argument("--stride", type=int, default=3)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--fp-per-frame", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--confusion", type=float, default=0.0)
     p.add_argument("--render-dir", help="also render frames as PGM plus a manifest")
 
     p = sub.add_parser("bench", help="run the end-to-end synthetic benchmark")
     p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=3)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--fp-per-frame", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--confusion", type=float, default=0.0)
+    _add_noise_flags(p)
     p.add_argument("--stage", choices=("online", "offline"), default="offline")
     p.add_argument("--budget-fps", type=float, default=100000.0 / (5 * 3600.0))
     p.add_argument("--records", help="write machine-readable results here")
@@ -226,12 +225,9 @@ def _cmd_tune(args, parser: _Parser) -> int:
 
 
 def _cmd_convert(args, parser: _Parser) -> int:
-    sidecar = frames.SidecarConfig()
+    sidecar = datastore.SidecarConfig()
     if args.sidecar:
-        try:
-            sidecar = frames.parse_sidecar(_require(args.sidecar).read_text())
-        except ValueError as exc:
-            raise DatastoreError(args.sidecar, None, str(exc)) from None
+        sidecar = datastore.parse_sidecar(datastore.read_text(_require(args.sidecar)), args.sidecar)
     pattern = BayerPattern(args.pattern) if args.pattern else sidecar.pattern
     equalize = args.equalize or sidecar.equalize
     crop_keep = args.crop_keep if args.crop_keep is not None else sidecar.crop_keep
@@ -269,10 +265,7 @@ def _noise_from_args(args) -> harness.NoiseModel:
 
 
 def _load_spec(path) -> harness.ScenarioSpec:
-    try:
-        return harness.parse_scenario(_require(path).read_text())
-    except ValueError as exc:
-        raise DatastoreError(path, None, str(exc)) from None
+    return harness.parse_scenario(datastore.read_text(_require(path)), path)
 
 
 def _cmd_synth(args) -> int:

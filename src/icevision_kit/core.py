@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .taxonomy import ClassCode
 
 PROB_SUM_SLACK = 1e-9
+_TINY, _INF = sys.float_info.min, math.inf
 
 ClassDistribution = dict[ClassCode, float]
 
@@ -69,8 +70,8 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     inter = iw * ih
     union = area(a) + area(b) - inter
-    if inter < sys.float_info.min or union < sys.float_info.min:
-        # the products underflowed; the ratio is invariant under per-axis scaling
+    if not (_TINY <= inter and _TINY <= union < _INF):
+        # the products under- or overflowed; the ratio is invariant under per-axis scaling
         sx, sy = max(a.width, b.width), max(a.height, b.height)
         inter = (iw / sx) * (ih / sy)
         union = (a.width / sx) * (a.height / sy) + (b.width / sx) * (b.height / sy) - inter
@@ -143,6 +144,14 @@ class Detection:
     def code(self) -> ClassCode:
         """The predicted class: argmax of the distribution."""
         return best_class(self.class_distribution)[0]
+
+
+def group_by_frame(detections: list[Detection]) -> dict[int, list[Detection]]:
+    """Bucket detections by frame index, keeping their order within a frame."""
+    grouped: dict[int, list[Detection]] = {}
+    for det in detections:
+        grouped.setdefault(det.frame_index, []).append(det)
+    return grouped
 
 
 @dataclass(frozen=True)

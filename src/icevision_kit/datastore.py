@@ -1,18 +1,21 @@
-"""On-disk formats for annotations, detections, tracks, and manifests.
+"""On-disk formats for annotations, detections, tracks, manifests, and the
+``key = value`` settings files (scenario specs, conversion sidecars).
 
-Everything is whitespace-separated text with a one-line versioned header
-(``icevision-kit/v1 <kind>``).  Readers are strict: malformed input is
-rejected with the file and line number, never repaired.  Writers are
-atomic (temp file + rename) and byte-deterministic, and every writer's
-output re-reads to the value that was written.
+Record files are whitespace-separated text with a one-line versioned
+header (``icevision-kit/v1 <kind>``).  Readers are strict: malformed input
+is rejected with the file and line number, never repaired.  Writers are
+atomic (unique temp file, then rename) and byte-deterministic, and every
+writer's output re-reads to the value that was written.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
     BoundingBox,
@@ -20,14 +23,13 @@ from .core import (
     Detection,
     FrameAnnotations,
     GroundTruthSign,
+    _validate_distribution,
 )
 from .frames import BayerPattern, GrayImage, gray_from_cfa, read_pnm
 from .taxonomy import ClassCode, MalformedCode
 from .tracking import Source, Track, TrackEntry, TrackState
 
 FORMAT_VERSION = "icevision-kit/v1"
-
-_KINDS = ("annotations", "detections", "tracks", "manifest", "score")
 
 
 class DatastoreError(ValueError):
@@ -126,41 +128,60 @@ def _flag_text(value: bool) -> str:
     return "true" if value else "false"
 
 
+def read_text(path) -> str:
+    """A file's contents as UTF-8 text; undecodable bytes are a
+    :class:`MalformedRecord` naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRecord(path, lineno, f"not UTF-8 text: {exc.reason}") from None
+
+
+def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
+    """(lineno, stripped line) for the non-blank lines of a record file
+    after validating its ``icevision-kit/v1 <kind>`` header."""
+    # the same universal-newline split as iterating a file opened as text
+    lines = io.StringIO(read_text(path), newline=None).readlines()
+    if not lines:
+        raise MalformedRecord(path, 1, "empty file, expected header")
+    if lines[0].split() != [FORMAT_VERSION, kind]:
+        raise MalformedRecord(
+            path, 1, f"expected header '{FORMAT_VERSION} {kind}', got {lines[0].strip()!r}"
+        )
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
 def _open_records(path, kind: str) -> Iterator[tuple[int, list[str]]]:
-    """Generator over (lineno, fields) of a record file after validating
-    its ``icevision-kit/v1 <kind>`` header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise MalformedRecord(path, 1, "empty file, expected header")
-        header = first.split()
-        if len(header) != 2 or header[0] != FORMAT_VERSION or header[1] != kind:
-            raise MalformedRecord(
-                path, 1, f"expected header '{FORMAT_VERSION} {kind}', got {first.strip()!r}"
-            )
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    """Generator over (lineno, fields) of a record file's data lines."""
+    for lineno, line in _body_lines(path, kind):
+        if not line.startswith("#"):
             yield lineno, line.split()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text so readers never observe a half-written file."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write bytes so readers never observe a half-written file: a uniquely
+    named temp file beside the target (mode as a plain ``open`` gives) is
+    renamed over it, so concurrent writers each land a complete file.  On
+    any failure the temp file is removed and the target is left as it was."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-_atomic_write = atomic_write_text
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # --------------------------------------------------------------------------
@@ -237,32 +258,11 @@ def write_annotations(annotations: list[FrameAnnotations], path) -> None:
                 )
                 + "\n"
             )
-    _atomic_write(path, "".join(lines))
+    atomic_write_text(path, "".join(lines))
 
 
 # --------------------------------------------------------------------------
 # Detections
-
-
-def _validated_detection(
-    frame: int,
-    dist: ClassDistribution,
-    box: BoundingBox,
-    data: str | None,
-    temporary: bool | None,
-    path,
-    lineno: int,
-) -> Detection:
-    try:
-        return Detection(
-            frame_index=frame,
-            box=box,
-            class_distribution=dist,
-            associated_data=data,
-            temporary=temporary,
-        )
-    except ValueError as exc:
-        raise InvalidDistribution(path, lineno, str(exc)) from None
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
@@ -294,9 +294,12 @@ def read_detections(path) -> dict[int, list[Detection]]:
         if key in seen:
             raise MalformedRecord(path, lineno, f"duplicate detection record on frame {frame}")
         seen.add(key)
-        out.setdefault(frame, []).append(
-            _validated_detection(frame, dist, box, data, temporary, path, lineno)
-        )
+        try:
+            det = Detection(frame_index=frame, box=box, class_distribution=dist,
+                            associated_data=data, temporary=temporary)
+        except ValueError as exc:
+            raise InvalidDistribution(path, lineno, str(exc)) from None
+        out.setdefault(frame, []).append(det)
     return out
 
 
@@ -317,7 +320,7 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
             if det.temporary is not None:
                 fields.append(_flag_text(det.temporary))
             lines.append(" ".join(fields) + "\n")
-    _atomic_write(path, "".join(lines))
+    atomic_write_text(path, "".join(lines))
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +359,10 @@ def read_tracks(path) -> list[Track]:
             raise MalformedRecord(path, lineno, f"unknown source {fields[2]!r}")
         box = _parse_box(fields[3:7], path, lineno)
         dist = _parse_distribution(fields[7], path, lineno)
+        try:
+            _validate_distribution(dist)
+        except ValueError as exc:
+            raise InvalidDistribution(path, lineno, str(exc)) from None
         flags_field = fields[10]
         flags = set() if flags_field == "-" else set(flags_field.split(","))
         unknown = flags - {"ncc_degenerate", "template_clipped"}
@@ -405,7 +412,7 @@ def write_tracks(tracks: list[Track], path) -> None:
                 )
                 + "\n"
             )
-    _atomic_write(path, "".join(lines))
+    atomic_write_text(path, "".join(lines))
 
 
 # --------------------------------------------------------------------------
@@ -442,29 +449,19 @@ def read_manifest(path) -> SequenceManifest:
     sequence_id = None
     frames: list[tuple[int, str]] = []
     annotation_paths: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        header = first.split()
-        if len(header) != 2 or header[0] != FORMAT_VERSION or header[1] != "manifest":
-            raise MalformedRecord(
-                path, 1, f"expected header '{FORMAT_VERSION} manifest', got {first.strip()!r}"
-            )
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("sequence:"):
-                    sequence_id = body.partition(":")[2].strip()
-                elif body.startswith("annotation:"):
-                    annotation_paths.append(body.partition(":")[2].strip())
-                continue
-            index_s, sep, frame_path = line.partition("\t")
-            if not sep:
-                raise MalformedRecord(path, lineno, "expected frame_index<TAB>path")
-            index = _parse_frame(index_s.strip(), path, lineno)
-            frames.append((index, frame_path.strip()))
+    for lineno, line in _body_lines(path, "manifest"):
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("sequence:"):
+                sequence_id = body.partition(":")[2].strip()
+            elif body.startswith("annotation:"):
+                annotation_paths.append(body.partition(":")[2].strip())
+            continue
+        index_s, sep, frame_path = line.partition("\t")
+        if not sep:
+            raise MalformedRecord(path, lineno, "expected frame_index<TAB>path")
+        index = _parse_frame(index_s.strip(), path, lineno)
+        frames.append((index, frame_path.strip()))
     if sequence_id is None:
         raise MalformedRecord(path, None, "missing '# sequence: <id>' directive")
     try:
@@ -483,7 +480,7 @@ def write_manifest(manifest: SequenceManifest, path) -> None:
         lines.append(f"# annotation: {ann_path}\n")
     for index, frame_path in manifest.frames:
         lines.append(f"{index}\t{frame_path}\n")
-    _atomic_write(path, "".join(lines))
+    atomic_write_text(path, "".join(lines))
 
 
 class ManifestFrameSource:
@@ -524,3 +521,52 @@ class ManifestFrameSource:
             self._cache.pop(next(iter(self._cache)))
         self._cache[frame_index] = gray
         return gray
+
+
+# --------------------------------------------------------------------------
+# key = value settings files
+
+
+def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]]) -> dict:
+    """Parse ``key = value`` lines (``#`` starts a comment) with one reader
+    per allowed key.  An unknown or repeated key, a line without ``=``, or
+    a value its reader rejects (ValueError, KeyError) is a
+    :class:`MalformedRecord` naming ``path`` and the line."""
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            raise MalformedRecord(path, lineno, f"expected key = value, got {line!r}")
+        if key not in readers:
+            raise MalformedRecord(path, lineno, f"unknown key {key!r}")
+        if key in values:
+            raise MalformedRecord(path, lineno, f"repeated key {key!r}")
+        try:
+            values[key] = readers[key](value)
+        except (ValueError, KeyError):
+            raise MalformedRecord(path, lineno, f"bad value for {key}: {value!r}") from None
+    return values
+
+
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+@dataclass(frozen=True)
+class SidecarConfig:
+    """Per-sequence conversion settings the PNM header cannot carry."""
+
+    pattern: BayerPattern = BayerPattern.RGGB
+    equalize: bool = False
+    crop_keep: int | None = None
+
+
+def parse_sidecar(text: str, path="<sidecar>") -> SidecarConfig:
+    """Parse a sidecar file (keys: pattern, equalize, crop_keep)."""
+    readers = {"pattern": lambda v: BayerPattern(v.upper()),
+               "equalize": lambda v: _BOOLEANS[v.lower()], "crop_keep": int}
+    return SidecarConfig(**parse_key_values(text, path, readers))

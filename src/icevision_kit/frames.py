@@ -9,9 +9,9 @@ arrays of unsigned integers.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,6 @@ class UnsupportedFormat(PnmError):
 
 class TruncatedPayload(PnmError):
     pass
-
-
-class DegenerateCorrelation(ValueError):
-    """Raised when NCC is undefined (zero variance input)."""
 
 
 class BayerPattern(enum.Enum):
@@ -57,15 +53,24 @@ def _check_samples(samples: np.ndarray, max_value: int, channels: int | None) ->
         raise ValueError(f"sample values outside [0, {max_value}]")
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """Single-channel image, row-major."""
+def sample_dtype(max_value: int) -> type:
+    """In-memory sample type: one byte up to 255, else two."""
+    return np.uint16 if max_value > 255 else np.uint8
 
-    samples: np.ndarray
-    max_value: int = 255
+
+def _wire_dtype(max_value: int) -> np.dtype:
+    """PNM payload sample type: one byte up to 255, else two big-endian."""
+    return np.dtype(">u2") if max_value > 255 else np.dtype("u1")
+
+
+class _Image:
+    """Validation and geometry shared by the image types; ``channels`` is
+    None for a plain 2-d array."""
+
+    channels: int | None = None
 
     def __post_init__(self) -> None:
-        _check_samples(self.samples, self.max_value, channels=None)
+        _check_samples(self.samples, self.max_value, self.channels)
 
     @property
     def width(self) -> int:
@@ -77,42 +82,29 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class CfaImage:
+class GrayImage(_Image):
+    """Single-channel image, row-major."""
+
+    samples: np.ndarray
+    max_value: int = 255
+
+
+@dataclass(frozen=True)
+class CfaImage(_Image):
     """Undemosaiced sensor readout; the pattern is sidecar metadata."""
 
     samples: np.ndarray
     pattern: BayerPattern = BayerPattern.RGGB
     max_value: int = 255
 
-    def __post_init__(self) -> None:
-        _check_samples(self.samples, self.max_value, channels=None)
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
 
 @dataclass(frozen=True)
-class RgbImage:
+class RgbImage(_Image):
     """Interleaved three-channel image, row-major."""
 
+    channels = 3
     samples: np.ndarray
     max_value: int = 255
-
-    def __post_init__(self) -> None:
-        _check_samples(self.samples, self.max_value, channels=3)
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -171,29 +163,30 @@ def read_pnm(data: bytes, pattern: BayerPattern | None = None) -> GrayImage | Cf
 
     # exactly one whitespace byte separates the header from the payload
     payload = data[header_end + 1 :]
-    dtype = np.dtype(">u2") if max_value > 255 else np.dtype("u1")
+    dtype = _wire_dtype(max_value)
     need = width * height * dtype.itemsize
     if len(payload) < need:
         raise TruncatedPayload(f"payload has {len(payload)} bytes, need {need}")
     samples = np.frombuffer(payload[:need], dtype=dtype).reshape(height, width)
-    samples = samples.astype(np.uint16 if max_value > 255 else np.uint8)
+    samples = samples.astype(sample_dtype(max_value))
     if pattern is None:
         return GrayImage(samples=samples, max_value=max_value)
     return CfaImage(samples=samples, pattern=pattern, max_value=max_value)
 
 
+def _encode_pnm(magic: str, image: _Image) -> bytes:
+    header = f"{magic}\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
+    return header + image.samples.astype(_wire_dtype(image.max_value)).tobytes()
+
+
 def write_pnm(image: GrayImage | CfaImage) -> bytes:
     """Encode as binary PGM; inverse of :func:`read_pnm`."""
-    header = f"P5\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
-    dtype = np.dtype(">u2") if image.max_value > 255 else np.dtype("u1")
-    return header + image.samples.astype(dtype).tobytes()
+    return _encode_pnm("P5", image)
 
 
 def write_ppm(image: RgbImage) -> bytes:
     """Encode as binary PPM (P6), interleaved RGB."""
-    header = f"P6\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
-    dtype = np.dtype(">u2") if image.max_value > 255 else np.dtype("u1")
-    return header + image.samples.astype(dtype).tobytes()
+    return _encode_pnm("P6", image)
 
 
 # --------------------------------------------------------------------------
@@ -244,10 +237,6 @@ def _padded_mosaic(cfa: CfaImage) -> np.ndarray:
     return np.pad(cfa.samples, 1, mode="edge").astype(work, copy=False)
 
 
-def _sample_dtype(max_value: int) -> type:
-    return np.uint16 if max_value > 255 else np.uint8
-
-
 def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
     """Reconstruct RGB by averaging each pixel's nearest same-channel
     neighbors (the classic 2- and 4-tap bilinear demosaic).
@@ -257,7 +246,7 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
     Channel values are rounded half-up.
     """
     padded = _padded_mosaic(cfa)
-    out = np.empty(cfa.samples.shape + (3,), dtype=_sample_dtype(cfa.max_value))
+    out = np.empty(cfa.samples.shape + (3,), dtype=sample_dtype(cfa.max_value))
     for channel, name in enumerate("RGB"):
         _interpolate_channel(padded, cfa.pattern, name, out[:, :, channel])
     return RgbImage(samples=out, max_value=cfa.max_value)
@@ -282,13 +271,13 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
         return image
     diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
     lut = -((-diff * image.max_value) // (n - cdf_min))
-    lut = lut.astype(_sample_dtype(image.max_value))
+    lut = lut.astype(sample_dtype(image.max_value))
     return GrayImage(samples=np.take(lut, image.samples), max_value=image.max_value)
 
 
 def equalize_rgb(image: RgbImage) -> RgbImage:
     """Histogram-equalize each channel independently."""
-    out = np.empty(image.samples.shape, dtype=_sample_dtype(image.max_value))
+    out = np.empty(image.samples.shape, dtype=sample_dtype(image.max_value))
     for c in range(3):
         plane = GrayImage(np.ascontiguousarray(image.samples[:, :, c]), image.max_value)
         out[:, :, c] = equalize_histogram(plane).samples
@@ -299,13 +288,7 @@ def crop_rows(image, keep_top: int):
     """Keep only the top ``keep_top`` rows (the sky-and-signs band)."""
     if not 0 < keep_top <= image.height:
         raise ValueError(f"keep_top must be in 1..{image.height}, got {keep_top}")
-    if isinstance(image, RgbImage):
-        return RgbImage(samples=image.samples[:keep_top], max_value=image.max_value)
-    if isinstance(image, CfaImage):
-        return CfaImage(
-            samples=image.samples[:keep_top], pattern=image.pattern, max_value=image.max_value
-        )
-    return GrayImage(samples=image.samples[:keep_top], max_value=image.max_value)
+    return dataclasses.replace(image, samples=image.samples[:keep_top])
 
 
 def crop(image: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
@@ -317,35 +300,13 @@ def crop(image: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
 
 def gray_from_cfa(cfa: CfaImage) -> GrayImage:
     """Grayscale straight from the mosaic: the interpolated green plane."""
-    plane = np.empty(cfa.samples.shape, dtype=_sample_dtype(cfa.max_value))
+    plane = np.empty(cfa.samples.shape, dtype=sample_dtype(cfa.max_value))
     _interpolate_channel(_padded_mosaic(cfa), cfa.pattern, "G", plane)
     return GrayImage(samples=plane, max_value=cfa.max_value)
 
 
 # --------------------------------------------------------------------------
 # Normalized cross-correlation
-
-
-def ncc(template: GrayImage, window: GrayImage) -> float:
-    """Zero-mean normalized cross-correlation of two same-size patches.
-
-    Integer samples are promoted to reals first.  Raises
-    :class:`DegenerateCorrelation` when either patch has zero variance.
-    """
-    if template.samples.shape != window.samples.shape:
-        raise ValueError(
-            f"patch shapes differ: {template.samples.shape} vs {window.samples.shape}"
-        )
-    if template.samples.size < 2:
-        raise ValueError("patches need at least 2 pixels")
-    t = template.samples.astype(np.float64)
-    w = window.samples.astype(np.float64)
-    t -= t.mean()
-    w -= w.mean()
-    denom = np.sqrt(np.sum(t * t) * np.sum(w * w))
-    if denom <= _VARIANCE_EPS:
-        raise DegenerateCorrelation("zero variance patch")
-    return float(np.sum(t * w) / denom)
 
 
 @dataclass(frozen=True)
@@ -436,35 +397,3 @@ def search_area(box_a, box_b, margin: float = 20.0):
         max(box_a.y_max, box_b.y_max) + margin,
     )
 
-
-# --------------------------------------------------------------------------
-# Sidecar configuration for raw sequences
-
-
-@dataclass(frozen=True)
-class SidecarConfig:
-    """Per-sequence conversion settings the PNM header cannot carry."""
-
-    pattern: BayerPattern = BayerPattern.RGGB
-    equalize: bool = False
-    crop_keep: int | None = None
-
-
-def parse_sidecar(text: str) -> SidecarConfig:
-    """Parse key=value sidecar text (keys: pattern, equalize, crop_keep)."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"sidecar line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    unknown = set(values) - {"pattern", "equalize", "crop_keep"}
-    if unknown:
-        raise ValueError(f"unknown sidecar keys: {sorted(unknown)}")
-    pattern = BayerPattern(values.get("pattern", "RGGB").upper())
-    equalize = values.get("equalize", "false").lower() in ("1", "true", "yes", "on")
-    crop_keep = int(values["crop_keep"]) if "crop_keep" in values else None
-    return SidecarConfig(pattern=pattern, equalize=equalize, crop_keep=crop_keep)

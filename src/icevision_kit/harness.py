@@ -18,14 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign
-from .frames import GrayImage
+from .core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame
+from .datastore import MalformedRecord, parse_key_values
+from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
-from .scoring import ScoringConfig, Stage, score_dataset
+from .scoring import ScoringConfig, score_dataset
 from .taxonomy import ClassCode, Taxonomy
 from .tracking import TrackerConfig, densify_linear, run_tracker
 
 ANNOTATION_STEP_RANGE = (25, 35)
+SIGN_SIZE_RANGE = (20, 60)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -132,28 +134,22 @@ class ScenarioSpec:
             raise ValueError("frame_count, width, and height must be positive")
         if self.sign_count < 0:
             raise ValueError(f"sign_count must be >= 0, got {self.sign_count}")
+        largest = SIGN_SIZE_RANGE[1]
+        if self.sign_count and min(self.width, self.height) < largest:
+            raise ValueError(f"width and height must be >= {largest} px, the largest sign "
+                             f"side, when sign_count > 0; got {self.width}x{self.height}")
 
 
-def parse_scenario(text: str) -> ScenarioSpec:
+def parse_scenario(text: str, path="<scenario>") -> ScenarioSpec:
     """Parse a key=value scenario spec (frame_count, width, height, sign_count)."""
-    values: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"scenario line {lineno}: expected key=value, got {line!r}")
-        key = key.strip()
-        if key not in ("frame_count", "width", "height", "sign_count"):
-            raise ValueError(f"scenario line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = int(value.strip())
-        except ValueError:
-            raise ValueError(f"scenario line {lineno}: {key} is not an integer") from None
+    keys = ("frame_count", "width", "height", "sign_count")
+    values = parse_key_values(text, path, dict.fromkeys(keys, int))
     if "frame_count" not in values:
-        raise ValueError("scenario spec must set frame_count")
-    return ScenarioSpec(**values)
+        raise MalformedRecord(path, None, "scenario spec must set frame_count")
+    try:
+        return ScenarioSpec(**values)
+    except ValueError as exc:
+        raise MalformedRecord(path, None, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -211,10 +207,7 @@ def dense_annotations(scenario: SyntheticScenario) -> list[FrameAnnotations]:
     return annotations_for_frames(scenario, tuple(range(scenario.frame_count)))
 
 
-def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScenario:
-    """Derive annotated frames, annotations, and dense truth for a
-    hand-built scenario."""
-    rng = _rng(seed)
+def _with_truth(scenario: SyntheticScenario, rng: np.random.Generator) -> GeneratedScenario:
     frames = annotation_frames(scenario.frame_count, rng)
     return GeneratedScenario(
         scenario=scenario,
@@ -224,14 +217,21 @@ def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScena
     )
 
 
+def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScenario:
+    """Derive annotated frames, annotations, and dense truth for a
+    hand-built scenario."""
+    return _with_truth(scenario, _rng(seed))
+
+
 def _random_signs(
     spec: ScenarioSpec, rng: np.random.Generator, taxonomy: Taxonomy
 ) -> tuple[SyntheticSign, ...]:
     leaves = taxonomy.leaves
     signs = []
     for _ in range(spec.sign_count):
-        width = float(rng.integers(20, 61))
-        height = float(rng.integers(20, 61))
+        lo, hi = SIGN_SIZE_RANGE
+        width = float(rng.integers(lo, hi + 1))
+        height = float(rng.integers(lo, hi + 1))
         x = float(rng.uniform(0.0, spec.width - width))
         y = float(rng.uniform(0.0, spec.height - height))
         vx = float(rng.uniform(-2.0, 2.0))
@@ -284,13 +284,7 @@ def generate_scenario(
     scenario = SyntheticScenario(
         frame_count=spec.frame_count, width=spec.width, height=spec.height, signs=signs
     )
-    frames = annotation_frames(spec.frame_count, rng)
-    return GeneratedScenario(
-        scenario=scenario,
-        annotated_frames=frames,
-        annotations=annotations_for_frames(scenario, frames),
-        dense=dense_truth(scenario),
-    )
+    return _with_truth(scenario, rng)
 
 
 # --------------------------------------------------------------------------
@@ -384,8 +378,7 @@ def max_attainable_score(
         if not ann.annotated:
             continue
         for sign in ann.signs:
-            area = (sign.box.x_max - sign.box.x_min) * (sign.box.y_max - sign.box.y_min)
-            if area < cfg.min_area_px:
+            if area(sign.box) < cfg.min_area_px:
                 continue
             if cfg.k_rules is None:
                 total += 1.0
@@ -427,13 +420,6 @@ class BenchmarkReport:
     @property
     def meets_budget(self) -> bool:
         return self.frames_per_second >= self.budget_fps
-
-
-def group_by_frame(detections: list[Detection]) -> dict[int, list[Detection]]:
-    grouped: dict[int, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.frame_index, []).append(det)
-    return grouped
 
 
 def run_pipeline(
@@ -532,16 +518,16 @@ class SyntheticRenderer:
                 tex = np.random.Generator(np.random.PCG64(seq)).integers(
                     0, max_value + 1, size=(h, w), dtype=np.uint16
                 )
-                tex = tex.astype(np.uint16 if max_value > 255 else np.uint8)
+                tex = tex.astype(sample_dtype(max_value))
             else:
-                tex = np.full((h, w), background, dtype=np.uint16 if max_value > 255 else np.uint8)
+                tex = np.full((h, w), background, dtype=sample_dtype(max_value))
             self._textures.append(tex)
 
     def __getitem__(self, frame_index: int) -> GrayImage:
         if not 0 <= frame_index < self.scenario.frame_count:
             raise KeyError(frame_index)
-        dtype = np.uint16 if self.max_value > 255 else np.uint8
-        canvas = np.full((self.scenario.height, self.scenario.width), self.background, dtype=dtype)
+        shape = (self.scenario.height, self.scenario.width)
+        canvas = np.full(shape, self.background, dtype=sample_dtype(self.max_value))
         for sign, tex in zip(self.scenario.signs, self._textures):
             if not sign.entry_frame <= frame_index <= sign.exit_frame:
                 continue

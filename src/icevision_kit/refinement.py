@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import ClassDistribution, Detection, FrameAnnotations, Source
+from .core import ClassDistribution, Detection, FrameAnnotations, best_class, group_by_frame
 from .scoring import ScoringConfig, score_dataset
 from .taxonomy import ClassCode
 from .tracking import Track
@@ -42,7 +42,7 @@ def average_track_distribution(track: Track) -> ClassDistribution:
     double-weight it, so only detector output participates.  A code absent
     from an entry counts as probability 0 for that entry.
     """
-    detected = [e for e in track.entries if e.source is Source.DETECTED]
+    detected = track.detected_entries()
     if not detected:
         raise ValueError(f"track {track.id} has no detected entries to average")
     totals: dict[ClassCode, float] = {}
@@ -81,28 +81,23 @@ def hierarchical_select(
         (_pool_to_level(dist, 2), thr.thr_level2),
         (_pool_to_level(dist, 1), thr.thr_top),
     ):
-        code, prob = min(pooled.items(), key=lambda item: (-item[1], item[0].segments))
+        code, prob = best_class(pooled)
         if prob >= threshold:
             return code, prob
     return None
 
 
+def _majority(values: list):
+    """Most frequent non-None value, None when there is none; ties go to
+    the value seen earliest."""
+    present = [v for v in values if v is not None]
+    return Counter(present).most_common(1)[0][0] if present else None
+
+
 def vote_associated_data(track: Track) -> str | None:
     """Majority vote over entries carrying associated data; ties go to the
     value seen earliest in the track."""
-    values = [e.associated_data for e in track.entries if e.associated_data is not None]
-    if not values:
-        return None
-    counts = Counter(values)
-    return max(values, key=lambda v: (counts[v], -values.index(v)))
-
-
-def _vote_temporary(track: Track) -> bool | None:
-    votes = [e.temporary for e in track.entries if e.temporary is not None]
-    if not votes:
-        return None
-    counts = Counter(votes)
-    return max(votes, key=lambda v: (counts[v], -votes.index(v)))
+    return _majority([e.associated_data for e in track.entries])
 
 
 def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
@@ -122,7 +117,7 @@ def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
         # pooled sibling mass is mathematically <= 1; shave float carry
         prob = min(prob, 1.0)
         data = vote_associated_data(track)
-        temporary = _vote_temporary(track)
+        temporary = _majority([e.temporary for e in track.entries])
         for entry in track.entries:
             detections.append(
                 Detection(
@@ -137,13 +132,6 @@ def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
             )
     detections.sort(key=lambda d: d.frame_index)
     return detections
-
-
-def _group_by_frame(detections: list[Detection]) -> dict[int, list[Detection]]:
-    grouped: dict[int, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.frame_index, []).append(det)
-    return grouped
 
 
 def grid_search_thresholds(
@@ -164,7 +152,7 @@ def grid_search_thresholds(
 
     def evaluate(thr: LevelThresholds) -> float:
         refined = refine_tracks(validation_tracks, thr)
-        report = score_dataset(_group_by_frame(refined), annotations, scoring_cfg)
+        report = score_dataset(group_by_frame(refined), annotations, scoring_cfg)
         return report.total
 
     best_thr: LevelThresholds | None = None

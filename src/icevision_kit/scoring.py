@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, iou
+from .core import Detection, FrameAnnotations, GroundTruthSign, area, iou
 from .taxonomy import ClassCode
 
 

@@ -110,6 +110,9 @@ class Taxonomy:
                 ancestors.add(node)
                 node = node.parent
         self._all: frozenset[ClassCode] = frozenset(self._leaves) | ancestors
+        self._children: dict[ClassCode | None, list[ClassCode]] = {}
+        for code in self._leaves:
+            self._children.setdefault(code.parent, []).append(code)
 
     @classmethod
     def load(cls, path: str | Path) -> Taxonomy:
@@ -148,8 +151,4 @@ class Taxonomy:
 
     def siblings(self, code: ClassCode) -> tuple[ClassCode, ...]:
         """Other listed codes sharing ``code``'s parent (same level)."""
-        return tuple(
-            c
-            for c in self._leaves
-            if c != code and len(c.segments) == len(code.segments) and c.parent == code.parent
-        )
+        return tuple(c for c in self._children.get(code.parent, ()) if c != code)

@@ -1,8 +1,8 @@
-"""Float64 reference implementations of the Bayer-path image operations.
+"""Float64 reference implementations of the image operations.
 
-The library computes these in exact integer arithmetic; the versions here
-follow the textbook formulas in float64 and serve as differential-test
-oracles only.
+The library computes the Bayer path in exact integer arithmetic and NCC
+as a whole score surface at once; the versions here follow the textbook
+formulas in float64 and serve as differential-test oracles only.
 """
 
 from __future__ import annotations
@@ -83,3 +83,29 @@ def luma(image: RgbImage) -> GrayImage:
         + bw * image.samples[:, :, 2]
     )
     return GrayImage(samples=round_half_up(values, image.max_value), max_value=image.max_value)
+
+
+class DegenerateCorrelation(ValueError):
+    """Raised when NCC is undefined (zero variance input)."""
+
+
+def ncc(template: GrayImage, window: GrayImage) -> float:
+    """Zero-mean normalized cross-correlation of two same-size patches.
+
+    Integer samples are promoted to reals first.  Raises
+    :class:`DegenerateCorrelation` when either patch has zero variance.
+    """
+    if template.samples.shape != window.samples.shape:
+        raise ValueError(
+            f"patch shapes differ: {template.samples.shape} vs {window.samples.shape}"
+        )
+    if template.samples.size < 2:
+        raise ValueError("patches need at least 2 pixels")
+    t = template.samples.astype(np.float64)
+    w = window.samples.astype(np.float64)
+    t -= t.mean()
+    w -= w.mean()
+    denom = np.sqrt(np.sum(t * t) * np.sum(w * w))
+    if denom <= 1e-12:
+        raise DegenerateCorrelation("zero variance patch")
+    return float(np.sum(t * w) / denom)

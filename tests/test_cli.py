@@ -197,6 +197,28 @@ class TestTrackInterpRefine:
         err = capsys.readouterr().err
         assert "frame 3" in err and "manifest.txt" in err
 
+    @staticmethod
+    def tracks_with_probability(tmp_path, prob):
+        det_path = tmp_path / "dets.txt"
+        datastore.write_detections(keyframe_detections(), det_path)
+        tracks_path = tmp_path / "tracks.txt"
+        main(["track", "--detections", str(det_path), "--output", str(tracks_path)])
+        text = tracks_path.read_text()
+        tracks_path.write_text(text.replace("3.24:0.900000", f"3.24:{prob}", 1))
+        return tracks_path
+
+    @pytest.mark.parametrize("prob, argv", [
+        ("1.5", ["interp", "--format", "detections"]),
+        ("-0.5", ["refine"]),
+    ])
+    def test_probability_out_of_range_is_malformed(self, tmp_path, capsys, prob, argv):
+        tracks_path = self.tracks_with_probability(tmp_path, prob)
+        code = main(argv + ["--tracks", str(tracks_path), "--output", str(tmp_path / "o.txt")])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{tracks_path}:2:" in err and "Traceback" not in err
+        assert not (tmp_path / "o.txt").exists()
+
     def test_refine_wrong_kind_is_malformed(self, tmp_path, capsys):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)
@@ -312,6 +334,17 @@ class TestConvert:
         )
         assert (out_dir / "f.ppm").read_bytes() == manual
 
+    @pytest.mark.parametrize("text", ["equalize = yes\nequalize = no\n", "equalize = banana\n"])
+    def test_bad_sidecar_is_malformed(self, tmp_path, capsys, text):
+        src = tmp_path / "f.pgm"
+        src.write_bytes(frames.write_pnm(frames.CfaImage(samples=np.zeros((4, 4), np.uint8))))
+        sidecar = tmp_path / "convert.cfg"
+        sidecar.write_text(text)
+        code = main(["convert", str(src), "--output-dir", str(tmp_path / "out"),
+                     "--sidecar", str(sidecar)])
+        assert code == EX_MALFORMED_INPUT
+        assert f"convert.cfg:{text.count(chr(10))}:" in capsys.readouterr().err
+
     def test_bad_magic(self, tmp_path, capsys):
         src = tmp_path / "color.ppm"
         src.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -388,3 +421,19 @@ class TestSynthAndBench:
         spec = tmp_path / "bad.cfg"
         spec.write_text("width=640\n")
         assert main(["bench", "--spec", str(spec)]) == EX_MALFORMED_INPUT
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_frame_smaller_than_largest_sign_is_malformed(self, tmp_path, capsys, command):
+        spec = self.spec_file(tmp_path, frame_count=30, width=30, height=30)
+        argv = [command, "--spec", str(spec)]
+        if command == "synth":
+            argv += ["--annotations", str(tmp_path / "ann.txt")]
+        assert main(argv) == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert "scenario.cfg" in err and "60 px" in err and "Traceback" not in err
+
+    def test_repeated_spec_key_names_line(self, tmp_path, capsys):
+        spec = tmp_path / "scenario.cfg"
+        spec.write_text("frame_count = 30\nframe_count = 40\n")
+        assert main(["bench", "--spec", str(spec)]) == EX_MALFORMED_INPUT
+        assert "scenario.cfg:2:" in capsys.readouterr().err

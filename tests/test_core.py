@@ -107,6 +107,9 @@ class TestIou:
     @given(boxes(), boxes())
     @example(BoundingBox(0, 0, 1e-170, 1e-170), BoundingBox(0, 0, 1e-170, 1e-170))
     @example(BoundingBox(0, 0, 2e-170, 1e-170), BoundingBox(1e-170, 0, 3e-170, 1e-170))
+    @example(BoundingBox(0, 0, 1e200, 1e200), BoundingBox(0, 0, 1e200, 1e200))
+    @example(BoundingBox(0, 0, 2e200, 1e200), BoundingBox(1e200, 0, 3e200, 1e200))
+    @example(BoundingBox(0, 0, 1.3e154, 1.3e154), BoundingBox(0, 0, 1.3e154, 1.3e154))
     def test_matches_exact_rational_oracle(self, a, b):
         expected = float(exact_iou(a, b))
         assert iou(a, b) == pytest.approx(expected, abs=1e-9)

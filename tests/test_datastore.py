@@ -1,7 +1,13 @@
-"""Wire formats: annotations, detections, tracks, manifests."""
+"""Wire formats: annotations, detections, tracks, manifests, settings."""
+
+import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
+
+from icevision_kit import datastore
 
 from icevision_kit.core import (
     BoundingBox,
@@ -17,7 +23,9 @@ from icevision_kit.datastore import (
     MalformedRecord,
     ManifestFrameSource,
     SequenceManifest,
+    SidecarConfig,
     atomic_write_bytes,
+    parse_sidecar,
     read_annotations,
     read_detections,
     read_manifest,
@@ -428,3 +436,134 @@ class TestAtomicWrites:
         atomic_write_bytes(path, b"two")
         assert path.read_bytes() == b"two"
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+    def test_concurrent_writers_leave_one_complete_payload(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        payloads = [bytes([i]) * 100_000 for i in range(6)]
+        start = threading.Barrier(len(payloads))
+        errors = []
+
+        def write(payload):
+            start.wait()
+            try:
+                for _ in range(5):
+                    atomic_write_bytes(path, payload)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+    def test_failed_rename_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "blob.bin"
+        atomic_write_bytes(path, b"old")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(datastore.os, "replace", fail)
+        with pytest.raises(OSError):
+            atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        atomic_write_bytes(path, b"old")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(path, "not bytes")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.bin"
+        with open(plain, "wb") as fh:
+            fh.write(b"x")
+        atomic = tmp_path / "atomic.bin"
+        atomic_write_bytes(atomic, b"x")
+        assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+class TestTrackDistributions:
+    @staticmethod
+    def tracks_file(tmp_path, dist):
+        return put(
+            tmp_path,
+            "t.txt",
+            f"{FORMAT_VERSION} tracks\n0 0 detected 1 1 2 2 3.24:1.0 - - -\n"
+            f"0 1 detected 1 1 2 2 {dist} - - -\n",
+        )
+
+    @pytest.mark.parametrize("dist", ["3.24:1.5", "3.24:-0.5", "3.24:0.7,3.25:0.7"])
+    def test_invalid_distribution_reports_line(self, tmp_path, dist):
+        with pytest.raises(InvalidDistribution) as err:
+            read_tracks(self.tracks_file(tmp_path, dist))
+        assert err.value.lineno == 3
+
+    def test_same_check_as_detections(self, tmp_path):
+        # the sum slack that read_detections allows is allowed here too
+        track = read_tracks(self.tracks_file(tmp_path, "3.24:0.5,3.25:0.5000000001"))[0]
+        assert len(track.entries) == 2
+
+
+class TestTextEncoding:
+    def test_undecodable_record_file_names_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(f"{FORMAT_VERSION} detections\n0 3.24 1 1 2 2\n0 \xff\n".encode("latin-1"))
+        with pytest.raises(MalformedRecord) as err:
+            read_detections(path)
+        assert err.value.lineno == 3
+
+    def test_undecodable_manifest(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\x80")
+        with pytest.raises(MalformedRecord):
+            read_manifest(path)
+
+    def test_empty_manifest_message(self, tmp_path):
+        with pytest.raises(MalformedRecord, match="empty file"):
+            read_manifest(put(tmp_path, "m.txt", ""))
+
+
+class TestKeyValueSettings:
+    def test_error_names_file_and_line(self):
+        with pytest.raises(MalformedRecord) as err:
+            parse_sidecar("pattern = RGGB\n\ncolour = red\n", "conv.cfg")
+        assert err.value.path == "conv.cfg" and err.value.lineno == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "equalize = true\nequalize = false\n",  # repeated key
+            "equalize = banana\n",
+            "crop_keep = many\n",
+            "pattern = XYZW\n",
+            "pattern\n",
+            "= RGGB\n",
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(MalformedRecord) as err:
+            parse_sidecar(text, "conv.cfg")
+        assert err.value.lineno == text.count("\n")
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("on", True),
+                                             ("0", False), ("FALSE", False), ("off", False)])
+    def test_boolean_spellings(self, word, value):
+        assert parse_sidecar(f"equalize = {word}\n").equalize is value
+
+    def test_inline_comment(self):
+        cfg = parse_sidecar("crop_keep = 12  # rows kept\n")
+        assert cfg == SidecarConfig(crop_keep=12)

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from frame_oracles import DegenerateCorrelation, ncc
 from icevision_kit.core import BoundingBox
+from icevision_kit.datastore import SidecarConfig, parse_sidecar
 from icevision_kit.frames import (
     BayerPattern,
     CfaImage,
-    DegenerateCorrelation,
     GrayImage,
     PnmError,
     RgbImage,
-    SidecarConfig,
     TruncatedPayload,
     UnsupportedFormat,
     crop,
@@ -23,10 +23,8 @@ from icevision_kit.frames import (
     equalize_histogram,
     equalize_rgb,
     gray_from_cfa,
-    ncc,
     ncc_match,
     ncc_scores,
-    parse_sidecar,
     read_pnm,
     search_area,
     write_pnm,
@@ -327,6 +325,41 @@ class TestNcc:
             a = gray(rng.integers(0, 256, size=(3, 5)))
             b = gray(rng.integers(0, 256, size=(3, 5)))
             assert -1.0 - 1e-12 <= ncc(a, b) <= 1.0 + 1e-12
+
+
+@st.composite
+def ncc_cases(draw):
+    """A template of at least 2 pixels and a search window at least as large,
+    over few levels so flat patches and repeated windows are common; either
+    may be made point-symmetric."""
+    th, tw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if th * tw < 2:
+        tw = 2
+    sh, sw = th + draw(st.integers(0, 4)), tw + draw(st.integers(0, 4))
+    top = draw(st.sampled_from([0, 1, 3, 255]))
+
+    def patch(h, w):
+        values = draw(st.lists(st.integers(0, top), min_size=h * w, max_size=h * w))
+        a = np.array(values, dtype=np.uint8).reshape(h, w)
+        return np.maximum(a, a[::-1, ::-1]) if draw(st.booleans()) else a
+
+    return patch(th, tw), patch(sh, sw)
+
+
+class TestNccScoresMatchScalarOracle:
+    @given(ncc_cases())
+    def test_every_placement(self, case):
+        t, s = case
+        surface = ncc_scores(gray(t), gray(s))
+        th, tw = t.shape
+        for y, x in np.ndindex(surface.shape):
+            window = gray(s[y : y + th, x : x + tw])
+            try:
+                expected = ncc(gray(t), window)
+            except DegenerateCorrelation:
+                assert surface[y, x] == -np.inf
+            else:
+                assert surface[y, x] == pytest.approx(expected, abs=1e-9)
 
 
 class TestSearchArea:

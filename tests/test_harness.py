@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from icevision_kit import core
 from icevision_kit.core import BoundingBox
+from icevision_kit.datastore import MalformedRecord
 from icevision_kit.harness import (
     BenchmarkReport,
     NoiseModel,
@@ -118,6 +120,25 @@ class TestParseScenario:
     def test_non_integer(self):
         with pytest.raises(ValueError):
             parse_scenario("frame_count=ten\n")
+
+    def test_repeated_key_names_line(self):
+        with pytest.raises(MalformedRecord) as err:
+            parse_scenario("frame_count = 10\nwidth = 640\nwidth = 320\n", "s.cfg")
+        assert str(err.value).startswith("s.cfg:3:")
+
+
+class TestScenarioSpec:
+    @pytest.mark.parametrize("width, height", [(30, 640), (640, 59)])
+    def test_frame_must_hold_the_largest_sign(self, width, height):
+        with pytest.raises(ValueError, match="60 px"):
+            ScenarioSpec(frame_count=10, width=width, height=height, sign_count=1)
+
+    def test_small_frame_without_signs_is_fine(self):
+        generate_scenario(ScenarioSpec(frame_count=10, width=30, height=30, sign_count=0), seed=0)
+
+    def test_smallest_frame_generates(self):
+        for seed in range(20):
+            generate_scenario(ScenarioSpec(frame_count=40, width=60, height=60, sign_count=5), seed)
 
 
 class TestAnnotationFrames:
@@ -343,6 +364,9 @@ class TestGroupByFrame:
         grouped = group_by_frame(dets)
         assert sorted(grouped) == [0, 1]
         assert grouped[1] == [dets[0], dets[2]]
+
+    def test_is_the_core_one(self):
+        assert group_by_frame is core.group_by_frame
 
 
 class TestRenderer:

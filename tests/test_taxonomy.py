@@ -118,6 +118,16 @@ class TestTaxonomy:
         tax = Taxonomy.from_text("5.19.1\n5.19.2\n")
         assert parse_code("5.19.1") not in tax.siblings(parse_code("5.19.1"))
 
+    def test_siblings_match_full_scan(self):
+        tax = Taxonomy.bundled()
+        leaves = tax.leaves
+        for code in leaves + (parse_code("5.19.9"), parse_code("99")):
+            scan = tuple(
+                c for c in leaves
+                if c != code and c.level == code.level and c.parent == code.parent
+            )
+            assert tax.siblings(code) == scan
+
     def test_bundled_registry_loads(self):
         tax = Taxonomy.bundled()
         # the Russian code space holds close to 300 classes
