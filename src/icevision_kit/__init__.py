@@ -38,7 +38,6 @@ from .taxonomy import ClassCode, Taxonomy, parse_code
 from .tracking import (
     IouTracker,
     Track,
-    TrackEntry,
     TrackerConfig,
     densify_linear,
     densify_ncc,
@@ -65,7 +64,6 @@ __all__ = [
     "Stage",
     "Taxonomy",
     "Track",
-    "TrackEntry",
     "TrackerConfig",
     "area",
     "average_track_distribution",

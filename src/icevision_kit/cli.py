@@ -3,13 +3,14 @@
 Every subcommand is a thin composition of library calls; nothing here has
 behavior of its own beyond argument handling and exit codes.
 
-Exit codes: 0 success, 2 missing input file, 3 malformed input,
-64 usage error.
+Exit codes: 0 success, 2 missing input file or output directory,
+3 malformed input, 64 usage error or an output path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 
@@ -26,10 +27,6 @@ EX_MALFORMED_INPUT = 3
 EX_USAGE = 64
 
 
-class _MissingInput(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code pinned to 64."""
 
@@ -41,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _require(path) -> Path:
     p = Path(path)
     if not p.exists():
-        raise _MissingInput(str(p))
+        raise FileNotFoundError(errno.ENOENT, "missing input", str(p))
     return p
 
 
@@ -178,7 +175,9 @@ def _cmd_interp(args, parser: _Parser) -> int:
         try:
             dense = [tracking.densify_ncc(t, source, margin=args.margin) for t in tracks]
         except KeyError as exc:
-            raise _MissingInput(f"frame {exc.args[0]} in manifest {args.manifest}") from None
+            raise FileNotFoundError(
+                errno.ENOENT, "missing input", f"frame {exc.args[0]} in manifest {args.manifest}"
+            ) from None
     else:
         dense = [tracking.densify_linear(t) for t in tracks]
     if args.out_format == "detections":
@@ -335,12 +334,10 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _MissingInput as exc:
-        print(f"icevision-kit: missing input: {exc}", file=sys.stderr)
-        return EX_MISSING_INPUT
-    except FileNotFoundError as exc:
-        print(f"icevision-kit: missing input: {exc.filename}", file=sys.stderr)
-        return EX_MISSING_INPUT
+    except OSError as exc:
+        # a missing file, or a path that names a directory or cannot be written
+        print(f"icevision-kit: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return EX_MISSING_INPUT if isinstance(exc, FileNotFoundError) else EX_USAGE
     except (DatastoreError, PnmError) as exc:
         print(f"icevision-kit: {exc}", file=sys.stderr)
         return EX_MALFORMED_INPUT

@@ -93,31 +93,21 @@ def lerp_box(a: BoundingBox, b: BoundingBox, t: float) -> BoundingBox:
     )
 
 
-def _validate_distribution(dist: ClassDistribution) -> None:
-    if not dist:
-        raise ValueError("class distribution must not be empty")
-    total = 0.0
-    for code, prob in dist.items():
-        if not isinstance(code, ClassCode):
-            raise TypeError(f"distribution keys must be ClassCode, got {code!r}")
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"probability for {code} out of [0, 1]: {prob}")
-        total += prob
-    if total > 1.0 + PROB_SUM_SLACK:
-        raise ValueError(f"distribution probabilities sum to {total} > 1")
-
-
 def best_class(dist: ClassDistribution) -> tuple[ClassCode, float]:
     """Argmax of a class distribution; ties go to the canonically smaller code."""
     return min(dist.items(), key=lambda item: (-item[1], item[0].segments))
 
 
-@dataclass(frozen=True)
+# slotted: one is built per box on every hot path (reading, densifying, refining)
+@dataclass(frozen=True, slots=True)
 class Detection:
-    """A detector (or interpolator) output box on one frame.
+    """A box on one frame: detector output, a track entry (detected or
+    interpolated), or refined output.
 
     ``confidence`` is derived from the distribution when omitted and must
-    equal its maximum probability when supplied.
+    equal its maximum probability when supplied.  The two NCC flags mark
+    an interpolated entry whose correlation was degenerate (linear
+    position kept) or whose template was clipped by the frame edge.
     """
 
     frame_index: int
@@ -127,11 +117,23 @@ class Detection:
     associated_data: str | None = None
     temporary: bool | None = None
     source: Source = Source.DETECTED
+    ncc_degenerate: bool = False
+    template_clipped: bool = False
 
     def __post_init__(self) -> None:
         if self.frame_index < 0:
             raise ValueError(f"frame index must be non-negative, got {self.frame_index}")
-        _validate_distribution(self.class_distribution)
+        if not self.class_distribution:
+            raise ValueError("class distribution must not be empty")
+        total = 0.0
+        for code, prob in self.class_distribution.items():
+            if not isinstance(code, ClassCode):
+                raise TypeError(f"distribution keys must be ClassCode, got {code!r}")
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"probability for {code} out of [0, 1]: {prob}")
+            total += prob
+        if total > 1.0 + PROB_SUM_SLACK:
+            raise ValueError(f"distribution probabilities sum to {total} > 1")
         top = max(self.class_distribution.values())
         if self.confidence is None:
             object.__setattr__(self, "confidence", top)

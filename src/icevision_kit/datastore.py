@@ -10,6 +10,7 @@ writer's output re-reads to the value that was written.
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import secrets
@@ -23,11 +24,11 @@ from .core import (
     Detection,
     FrameAnnotations,
     GroundTruthSign,
-    _validate_distribution,
+    Source,
 )
 from .frames import BayerPattern, GrayImage, gray_from_cfa, read_pnm
 from .taxonomy import ClassCode, MalformedCode
-from .tracking import Source, Track, TrackEntry, TrackState
+from .tracking import Track, TrackState
 
 FORMAT_VERSION = "icevision-kit/v1"
 
@@ -52,6 +53,13 @@ class InvalidDistribution(DatastoreError):
 
 def _format_real(value: float) -> str:
     return f"{value:.6f}"
+
+
+def _format_box(box: BoundingBox) -> tuple[str, str, str, str]:
+    return (
+        _format_real(box.x_min), _format_real(box.y_min),
+        _format_real(box.x_max), _format_real(box.y_max),
+    )
 
 
 def _parse_real(token: str, path, lineno: int, what: str) -> float:
@@ -167,17 +175,23 @@ def atomic_write_bytes(path, data: bytes) -> None:
     """Write bytes so readers never observe a half-written file: a uniquely
     named temp file beside the target (mode as a plain ``open`` gives) is
     renamed over it, so concurrent writers each land a complete file.  On
-    any failure the temp file is removed and the target is left as it was."""
+    any failure the temp file is removed and the target is left as it was;
+    an ``OSError`` names the target, not the temp file."""
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -248,10 +262,7 @@ def write_annotations(annotations: list[FrameAnnotations], path) -> None:
                     (
                         str(ann.frame_index),
                         str(sign.code),
-                        _format_real(sign.box.x_min),
-                        _format_real(sign.box.y_min),
-                        _format_real(sign.box.x_max),
-                        _format_real(sign.box.y_max),
+                        *_format_box(sign.box),
                         _text_or_dash(sign.associated_data),
                         _flag_text(sign.temporary),
                     )
@@ -310,10 +321,7 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
             fields = [
                 str(frame),
                 _format_distribution(det.class_distribution),
-                _format_real(det.box.x_min),
-                _format_real(det.box.y_min),
-                _format_real(det.box.x_max),
-                _format_real(det.box.y_max),
+                *_format_box(det.box),
             ]
             if det.associated_data is not None or det.temporary is not None:
                 fields.append(_text_or_dash(det.associated_data))
@@ -329,15 +337,13 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
 
 _SOURCE_TEXT = {Source.DETECTED: "detected", Source.INTERPOLATED: "interpolated"}
 _TEXT_SOURCE = {v: k for k, v in _SOURCE_TEXT.items()}
+_NCC_FLAGS = ("ncc_degenerate", "template_clipped")
 
 
-def _entry_flags(entry: TrackEntry) -> str:
-    flags = []
-    if entry.ncc_degenerate:
-        flags.append("ncc_degenerate")
-    if entry.template_clipped:
-        flags.append("template_clipped")
-    return ",".join(flags) if flags else "-"
+def _entry_flags(entry: Detection) -> str:
+    if not (entry.ncc_degenerate or entry.template_clipped):
+        return "-"
+    return ",".join(flag for flag in _NCC_FLAGS if getattr(entry, flag))
 
 
 def read_tracks(path) -> list[Track]:
@@ -347,7 +353,7 @@ def read_tracks(path) -> list[Track]:
     temporary flags`` (11 fields); flags is a comma list over
     {ncc_degenerate, template_clipped} or ``-``.
     """
-    entries: dict[int, list[TrackEntry]] = {}
+    entries: dict[int, list[Detection]] = {}
     for lineno, fields in _open_records(path, "tracks"):
         if len(fields) != 11:
             raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
@@ -359,25 +365,25 @@ def read_tracks(path) -> list[Track]:
             raise MalformedRecord(path, lineno, f"unknown source {fields[2]!r}")
         box = _parse_box(fields[3:7], path, lineno)
         dist = _parse_distribution(fields[7], path, lineno)
-        try:
-            _validate_distribution(dist)
-        except ValueError as exc:
-            raise InvalidDistribution(path, lineno, str(exc)) from None
+        temporary = _parse_opt_flag(fields[9], path, lineno)
         flags_field = fields[10]
         flags = set() if flags_field == "-" else set(flags_field.split(","))
-        unknown = flags - {"ncc_degenerate", "template_clipped"}
+        unknown = flags - set(_NCC_FLAGS)
         if unknown:
             raise MalformedRecord(path, lineno, f"unknown flags {sorted(unknown)}")
-        entry = TrackEntry(
-            frame_index=frame,
-            box=box,
-            class_distribution=dist,
-            source=_TEXT_SOURCE[fields[2]],
-            associated_data=_opt_text(fields[8]),
-            temporary=_parse_opt_flag(fields[9], path, lineno),
-            ncc_degenerate="ncc_degenerate" in flags,
-            template_clipped="template_clipped" in flags,
-        )
+        try:
+            entry = Detection(
+                frame_index=frame,
+                box=box,
+                class_distribution=dist,
+                associated_data=_opt_text(fields[8]),
+                temporary=temporary,
+                source=_TEXT_SOURCE[fields[2]],
+                ncc_degenerate="ncc_degenerate" in flags,
+                template_clipped="template_clipped" in flags,
+            )
+        except ValueError as exc:
+            raise InvalidDistribution(path, lineno, str(exc)) from None
         entries.setdefault(track_id, []).append(entry)
     tracks = []
     for track_id in sorted(entries):
@@ -400,10 +406,7 @@ def write_tracks(tracks: list[Track], path) -> None:
                         str(track.id),
                         str(entry.frame_index),
                         _SOURCE_TEXT[entry.source],
-                        _format_real(entry.box.x_min),
-                        _format_real(entry.box.y_min),
-                        _format_real(entry.box.x_max),
-                        _format_real(entry.box.y_max),
+                        *_format_box(entry.box),
                         _format_distribution(entry.class_distribution),
                         _text_or_dash(entry.associated_data),
                         "-" if entry.temporary is None else _flag_text(entry.temporary),

@@ -252,6 +252,20 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
     return RgbImage(samples=out, max_value=cfa.max_value)
 
 
+def _equalize_plane(samples: np.ndarray, max_value: int) -> np.ndarray:
+    """The CDF remap of one channel; a constant plane is returned as is."""
+    counts = np.bincount(samples.ravel(), minlength=max_value + 1)
+    cdf = np.cumsum(counts)
+    n = samples.size
+    nonzero = cdf[cdf > 0]
+    cdf_min = int(nonzero[0]) if nonzero.size else 0
+    if cdf_min >= n:
+        return samples
+    diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
+    lut = -((-diff * max_value) // (n - cdf_min))
+    return np.take(lut.astype(sample_dtype(max_value)), samples)
+
+
 def equalize_histogram(image: GrayImage) -> GrayImage:
     """CDF remap contrast boost: out = ceil((cdf(v) - cdf_min) / (N - cdf_min) * max_value).
 
@@ -262,25 +276,15 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
     filter twice equals applying it once, for every image.  A constant
     image has a degenerate CDF (0/0) and is returned unchanged.
     """
-    counts = np.bincount(image.samples.ravel(), minlength=image.max_value + 1)
-    cdf = np.cumsum(counts)
-    n = image.samples.size
-    nonzero = cdf[cdf > 0]
-    cdf_min = int(nonzero[0]) if nonzero.size else 0
-    if cdf_min >= n:
-        return image
-    diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
-    lut = -((-diff * image.max_value) // (n - cdf_min))
-    lut = lut.astype(sample_dtype(image.max_value))
-    return GrayImage(samples=np.take(lut, image.samples), max_value=image.max_value)
+    samples = _equalize_plane(image.samples, image.max_value)
+    return image if samples is image.samples else GrayImage(samples, image.max_value)
 
 
 def equalize_rgb(image: RgbImage) -> RgbImage:
     """Histogram-equalize each channel independently."""
     out = np.empty(image.samples.shape, dtype=sample_dtype(image.max_value))
     for c in range(3):
-        plane = GrayImage(np.ascontiguousarray(image.samples[:, :, c]), image.max_value)
-        out[:, :, c] = equalize_histogram(plane).samples
+        out[:, :, c] = _equalize_plane(image.samples[:, :, c], image.max_value)
     return RgbImage(samples=out, max_value=image.max_value)
 
 

@@ -8,6 +8,7 @@ prefixes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -132,9 +133,11 @@ class Taxonomy:
         return cls(leaves)
 
     @classmethod
+    @functools.cache
     def bundled(cls) -> Taxonomy:
         """The registry shipped with the package (best-effort transcription
-        of the Russian sign code space; a data file, not ground truth)."""
+        of the Russian sign code space; a data file, not ground truth),
+        parsed once and shared: a taxonomy is immutable."""
         text = resources.files(__package__).joinpath("data", _BUNDLED_REGISTRY).read_text("utf-8")
         return cls.from_text(text)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
-from .core import BoundingBox, ClassDistribution, Detection, Source, iou, lerp_box
+from .core import BoundingBox, Detection, Source, iou, lerp_box
 from . import frames as frames_mod
 
 
@@ -21,26 +22,12 @@ class TrackState(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass(frozen=True)
-class TrackEntry:
-    """One frame's box within a track."""
-
-    frame_index: int
-    box: BoundingBox
-    class_distribution: ClassDistribution
-    source: Source
-    associated_data: str | None = None
-    temporary: bool | None = None
-    ncc_degenerate: bool = False
-    template_clipped: bool = False
-
-
 @dataclass
 class Track:
     """A time-ordered chain of boxes believed to be one physical sign."""
 
     id: int
-    entries: list[TrackEntry]
+    entries: list[Detection]
     state: TrackState = TrackState.ACTIVE
     missed_keyframes: int = 0
 
@@ -62,7 +49,7 @@ class Track:
     def last_box(self) -> BoundingBox:
         return self.entries[-1].box
 
-    def detected_entries(self) -> list[TrackEntry]:
+    def detected_entries(self) -> list[Detection]:
         return [e for e in self.entries if e.source is Source.DETECTED]
 
 
@@ -84,17 +71,6 @@ class TrackerConfig:
             raise ValueError(f"min_track_length must be positive, got {self.min_track_length}")
 
 
-def _entry_from_detection(det: Detection) -> TrackEntry:
-    return TrackEntry(
-        frame_index=det.frame_index,
-        box=det.box,
-        class_distribution=dict(det.class_distribution),
-        source=Source.DETECTED,
-        associated_data=det.associated_data,
-        temporary=det.temporary,
-    )
-
-
 class IouTracker:
     """Stateful keyframe-by-keyframe IoU tracker.
 
@@ -102,7 +78,9 @@ class IouTracker:
     against the new detections, each side used at most once; pairs below
     the threshold stay unassigned.  Unassigned detections start new
     tracks; a track left unmatched for more than ``max_missed_keyframes``
-    consecutive keyframes is finished.
+    consecutive keyframes is finished.  Tracks hold the detections they
+    were given; one with another source is stored as a DETECTED copy
+    without NCC flags.
     """
 
     def __init__(self, cfg: TrackerConfig | None = None):
@@ -118,6 +96,11 @@ class IouTracker:
                 raise ValueError(
                     f"detection for frame {det.frame_index} fed to tracker step {frame_index}"
                 )
+        detections = [
+            det if det.source is Source.DETECTED
+            else replace(det, source=Source.DETECTED, ncc_degenerate=False, template_clipped=False)
+            for det in detections
+        ]
         for track in self.active:
             if frame_index <= track.last_frame:
                 raise ValueError(
@@ -145,7 +128,7 @@ class IouTracker:
         newly_finished: list[Track] = []
         for t_idx, track in enumerate(self.active):
             if t_idx in track_match:
-                track.entries.append(_entry_from_detection(detections[track_match[t_idx]]))
+                track.entries.append(detections[track_match[t_idx]])
                 track.missed_keyframes = 0
                 still_active.append(track)
             else:
@@ -160,7 +143,7 @@ class IouTracker:
         for d_idx, det in enumerate(detections):
             if d_idx in det_match:
                 continue
-            still_active.append(Track(id=self._next_id, entries=[_entry_from_detection(det)]))
+            still_active.append(Track(id=self._next_id, entries=[det]))
             self._next_id += 1
 
         self.active = still_active
@@ -191,34 +174,36 @@ def run_tracker(
     return [t for t in tracks if len(t.entries) >= cfg.min_track_length]
 
 
-def densify_linear(track: Track, last_frame: int | None = None) -> Track:
+def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[Detection]]) -> Track:
+    """The keyframe-gap loop of both densify functions: ``fill(start, end)``
+    yields the entries strictly between two consecutive detected entries."""
+    detected = track.detected_entries()
+    if not detected:
+        raise ValueError(f"track {track.id} has no detected entries to interpolate between")
+    entries = [detected[0]]
+    for start, end in zip(detected, detected[1:]):
+        entries.extend(fill(start, end))
+        entries.append(end)
+    return Track(id=track.id, entries=entries, state=track.state)
+
+
+def densify_linear(track: Track) -> Track:
     """Fill every integer frame between consecutive detected entries with a
     linearly interpolated box.
 
     Interpolated entries copy the earlier keyframe's class distribution
     and metadata.  No extrapolation happens before the first or after the
-    last detected frame; ``last_frame`` additionally caps the fill.
+    last detected frame.
     """
-    detected = track.detected_entries()
-    if not detected:
-        raise ValueError(f"track {track.id} has no detected entries to interpolate between")
-    entries: list[TrackEntry] = [detected[0]]
-    for start, end in zip(detected, detected[1:]):
-        span = end.frame_index - start.frame_index
-        for frame in range(start.frame_index + 1, end.frame_index):
-            if last_frame is not None and frame > last_frame:
-                break
-            t = (frame - start.frame_index) / span
-            entries.append(
-                replace(
-                    start,
-                    frame_index=frame,
-                    box=lerp_box(start.box, end.box, t),
-                    source=Source.INTERPOLATED,
-                )
-            )
-        entries.append(end)
-    return Track(id=track.id, entries=entries, state=track.state)
+    return _densify(track, _linear_fill)
+
+
+def _linear_fill(start: Detection, end: Detection) -> Iterator[Detection]:
+    span = end.frame_index - start.frame_index
+    for frame in range(start.frame_index + 1, end.frame_index):
+        t = (frame - start.frame_index) / span
+        box = lerp_box(start.box, end.box, t)
+        yield replace(start, frame_index=frame, box=box, source=Source.INTERPOLATED)
 
 
 def _int_rect(box: BoundingBox) -> tuple[int, int, int, int]:
@@ -245,16 +230,12 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
     ``frame_images`` maps frame index to a :class:`frames.GrayImage`
     (any ``__getitem__`` provider works, e.g. a plain dict).
     """
-    detected = track.detected_entries()
-    if not detected:
-        raise ValueError(f"track {track.id} has no detected entries to interpolate between")
-    entries: list[TrackEntry] = [detected[0]]
-    for start, end in zip(detected, detected[1:]):
+
+    def fill(start: Detection, end: Detection) -> Iterator[Detection]:
         span = end.frame_index - start.frame_index
-        gap_frames = list(range(start.frame_index + 1, end.frame_index))
+        gap_frames = range(start.frame_index + 1, end.frame_index)
         if not gap_frames:
-            entries.append(end)
-            continue
+            return
 
         key_image = frame_images[start.frame_index]
         template, clipped = _crop_clipped(key_image, _int_rect(start.box))
@@ -284,18 +265,16 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
                             mx - width / 2.0, my - height / 2.0,
                             mx + width / 2.0, my + height / 2.0,
                         )
-            entries.append(
-                replace(
-                    start,
-                    frame_index=frame,
-                    box=box,
-                    source=Source.INTERPOLATED,
-                    ncc_degenerate=degenerate,
-                    template_clipped=clipped,
-                )
+            yield replace(
+                start,
+                frame_index=frame,
+                box=box,
+                source=Source.INTERPOLATED,
+                ncc_degenerate=degenerate,
+                template_clipped=clipped,
             )
-        entries.append(end)
-    return Track(id=track.id, entries=entries, state=track.state)
+
+    return _densify(track, fill)
 
 
 def _clip_rect(rect: tuple[int, int, int, int], width: int, height: int):
@@ -313,18 +292,7 @@ def _crop_clipped(image, rect: tuple[int, int, int, int]):
 
 
 def tracks_to_detections(tracks: list[Track]) -> list[Detection]:
-    """Flatten track entries into frame-ordered detections."""
-    dets = [
-        Detection(
-            frame_index=entry.frame_index,
-            box=entry.box,
-            class_distribution=dict(entry.class_distribution),
-            associated_data=entry.associated_data,
-            temporary=entry.temporary,
-            source=entry.source,
-        )
-        for track in tracks
-        for entry in track.entries
-    ]
-    dets.sort(key=lambda d: d.frame_index)
-    return dets
+    """Flatten track entries into frame-ordered detections (stable within
+    a frame)."""
+    return sorted((entry for track in tracks for entry in track.entries),
+                  key=lambda d: d.frame_index)

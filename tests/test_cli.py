@@ -1,5 +1,9 @@
 """End-to-end CLI behavior: exit codes and parity with library calls."""
 
+import errno
+import os
+from dataclasses import replace
+
 import frame_oracles
 import numpy as np
 import pytest
@@ -155,6 +159,21 @@ class TestTrackInterpRefine:
         rows = datastore.read_detections(flat_path)
         assert sorted(rows) == list(range(7))
 
+    def test_interp_detections_leave_out_ncc_flags(self, tmp_path, capsys):
+        # flat frames make every NCC fill degenerate, so the entries carry a flag
+        argv = self.ncc_fixture(tmp_path, range(7), b"P5\n200 160\n255\n" + bytes(200 * 160))
+        assert main(argv + ["--format", "detections"]) == EX_OK
+        manifest = datastore.read_manifest(tmp_path / "manifest.txt")
+        source = datastore.ManifestFrameSource(manifest, root=tmp_path)
+        tracks = datastore.read_tracks(tmp_path / "tracks.txt")
+        flat = tracking.tracks_to_detections([tracking.densify_ncc(t, source) for t in tracks])
+        assert sum(d.ncc_degenerate for d in flat) == 4
+        # the file holds exactly the records of the same boxes without flags
+        plain = [replace(d, ncc_degenerate=False, template_clipped=False) for d in flat]
+        expect = tmp_path / "expect.txt"
+        datastore.write_detections(harness.group_by_frame(plain), expect)
+        assert (tmp_path / "out.txt").read_bytes() == expect.read_bytes()
+
     def test_interp_ncc_needs_manifest(self, tmp_path, capsys):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)
@@ -225,6 +244,43 @@ class TestTrackInterpRefine:
         code = main(["refine", "--tracks", str(det_path),
                      "--output", str(tmp_path / "out.txt")])
         assert code == EX_MALFORMED_INPUT
+
+
+class TestUnwritableOutput:
+    def test_output_directory_is_a_usage_error(self, tmp_path, capsys):
+        det_path, _ = write_fixture_files(tmp_path)
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main(["track", "--detections", str(det_path), "--output", str(target)]) == EX_USAGE
+        assert f"Is a directory: {target}" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("target", ["", "."])
+    def test_output_naming_the_working_directory_is_a_usage_error(self, tmp_path, target):
+        det_path, _ = write_fixture_files(tmp_path)
+        assert main(["track", "--detections", str(det_path), "--output", target]) == EX_USAGE
+
+    def test_missing_output_directory_names_the_target(self, tmp_path, capsys):
+        det_path, _ = write_fixture_files(tmp_path)
+        target = tmp_path / "nodir" / "tracks.txt"
+        code = main(["track", "--detections", str(det_path), "--output", str(target)])
+        assert code == EX_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert str(target) in err and ".tmp" not in err
+
+    def test_output_without_permission_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        det_path, _ = write_fixture_files(tmp_path)
+        target = tmp_path / "tracks.txt"
+
+        def refuse(src, dst):
+            # what a rename into a directory the user may not write to raises
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(src), str(dst))
+
+        monkeypatch.setattr(datastore.os, "replace", refuse)
+        assert main(["track", "--detections", str(det_path), "--output", str(target)]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"Permission denied: {target}" in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["anns.txt", "dets.txt"]
 
 
 class TestTune:

@@ -1,6 +1,6 @@
 """Truncated and byte-flipped input files through every CLI subcommand that
-reads them: the exit code stays one of the documented ones and no exception
-escapes ``main``."""
+reads them, and every output pointed where it cannot be written: the exit
+code stays one of the documented ones and no exception escapes ``main``."""
 
 import contextlib
 import io
@@ -56,6 +56,24 @@ COMMANDS = {
         ["refine", "--tracks", "tracks.txt", "--output", "O", "--thresholds", "X"],
     ],
 }
+# every subcommand that writes, with O in the place of one of its outputs and
+# A a writable path for another
+WRITERS = [
+    ["score", "--detections", "det.txt", "--annotations", "ann.txt", "--output", "O"],
+    ["score", "--detections", "det.txt", "--annotations", "ann.txt", "--records", "O"],
+    ["track", "--detections", "det.txt", "--output", "O"],
+    ["interp", "--tracks", "tracks.txt", "--output", "O"],
+    ["interp", "--tracks", "tracks.txt", "--output", "O", "--format", "detections"],
+    ["interp", "--tracks", "tracks.txt", "--output", "O", "--method", "ncc",
+     "--manifest", "render/manifest.txt", "--root", "render"],
+    ["refine", "--tracks", "tracks.txt", "--output", "O"],
+    ["tune", "--tracks", "tracks.txt", "--annotations", "ann.txt", *GRID, "--output", "O"],
+    ["convert", f"render/{FRAME}", "--output-dir", "O"],
+    ["synth", "--spec", "scenario.cfg", "--annotations", "O"],
+    ["synth", "--spec", "scenario.cfg", "--annotations", "A", "--detections", "O"],
+    ["synth", "--spec", "scenario.cfg", "--annotations", "A", "--render-dir", "O"],
+    ["bench", "--spec", "scenario.cfg", "--records", "O"],
+]
 SOURCES = {
     "detections": "det.txt",
     "annotations": "ann.txt",
@@ -121,3 +139,21 @@ def test_mutated_inputs_exit_cleanly(base, kind, truncate, where, value):
             code, err = _run(argv)
             assert code in DOCUMENTED_EXITS, (argv, code, err)
             assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("where", ["existing directory", "under a missing directory"])
+@pytest.mark.parametrize("tail", WRITERS, ids=lambda tail: f"{tail[0]} {tail[tail.index('O') - 1]}")
+def test_unwritable_outputs_exit_cleanly(base, tail, where):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if where == "existing directory":
+            out = tmp / "out"
+            out.mkdir()
+        else:
+            out = tmp / "missing" / "out"
+        names = {"O": str(out), "A": str(tmp / "ann.txt")}
+        argv = [names.get(a) or (str(base / a) if (base / a).exists() else a) for a in tail]
+        code, err = _run(argv)
+        assert code in DOCUMENTED_EXITS, (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        assert list(tmp.rglob("*.tmp")) == [], argv

@@ -37,7 +37,7 @@ from icevision_kit.datastore import (
 )
 from icevision_kit.frames import BayerPattern, GrayImage
 from icevision_kit.taxonomy import parse_code
-from icevision_kit.tracking import Track, TrackEntry, TrackState
+from icevision_kit.tracking import Track, TrackState
 
 
 def put(tmp_path, name, text):
@@ -264,7 +264,7 @@ class TestTracks:
     @staticmethod
     def make_track(track_id=0):
         entries = [
-            TrackEntry(
+            Detection(
                 frame_index=f,
                 box=BoundingBox(q6(10 + f * 1.5), 10.0, q6(40 + f * 1.5), 40.0),
                 class_distribution={parse_code("3.24"): 0.9},

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from icevision_kit.core import BoundingBox, FrameAnnotations, GroundTruthSign, Source
+from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, Source
 from icevision_kit.refinement import (
     LevelThresholds,
     average_track_distribution,
@@ -17,11 +17,11 @@ from icevision_kit.refinement import (
 )
 from icevision_kit.scoring import ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
-from icevision_kit.tracking import Track, TrackEntry, TrackState
+from icevision_kit.tracking import Track, TrackState
 
 
 def entry(frame, dist, box=(0, 0, 20, 20), source=Source.DETECTED, data=None, temporary=None):
-    return TrackEntry(
+    return Detection(
         frame_index=frame,
         box=BoundingBox(*box),
         class_distribution={parse_code(c): p for c, p in dist.items()},

@@ -1,5 +1,7 @@
 """Class-code parsing, hierarchy navigation, and the code registry."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -139,3 +141,13 @@ class TestTaxonomy:
         tax = Taxonomy.bundled()
         for leaf in tax.leaves:
             assert parse_code(str(leaf)) == leaf
+
+    def test_bundled_is_parsed_once_and_shared(self):
+        first, second = Taxonomy.bundled(), Taxonomy.bundled()
+        assert first is second
+        fresh = Taxonomy.from_text(
+            resources.files("icevision_kit").joinpath("data", "ru_signs.txt").read_text("utf-8")
+        )
+        assert second.leaves == fresh.leaves
+        for code in fresh.leaves:
+            assert second.siblings(code) == fresh.siblings(code)

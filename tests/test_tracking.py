@@ -1,6 +1,7 @@
 """IoU tracker association, track lifecycle, and gap densification."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from icevision_kit.taxonomy import parse_code
 from icevision_kit.tracking import (
     IouTracker,
     Track,
-    TrackEntry,
     TrackerConfig,
     TrackState,
     densify_linear,
@@ -34,7 +34,7 @@ def make_track(*entries, track_id=0):
     return Track(
         id=track_id,
         entries=[
-            TrackEntry(
+            Detection(
                 frame_index=frame,
                 box=BoundingBox(*box),
                 class_distribution={parse_code(code): 1.0},
@@ -96,6 +96,18 @@ class TestAssociation:
         tracker = IouTracker()
         with pytest.raises(ValueError):
             tracker.step(0, [det(3, (0, 0, 10, 10))])
+
+    def test_entries_are_the_callers_detections(self):
+        first, second = det(0, (0, 0, 50, 50)), det(3, (2, 2, 52, 52))
+        (track,) = run_tracker({0: [first], 3: [second]})
+        assert track.entries[0] is first and track.entries[1] is second
+
+    def test_detection_fed_as_interpolated_enters_as_detected(self):
+        fed = replace(det(0, (0, 0, 50, 50)), source=Source.INTERPOLATED, ncc_degenerate=True)
+        (track,) = run_tracker({0: [fed]})
+        (entry,) = track.entries
+        assert entry.source is Source.DETECTED
+        assert entry == replace(fed, source=Source.DETECTED, ncc_degenerate=False)
 
 
 class TestLifecycle:
@@ -306,3 +318,15 @@ class TestTracksToDetections:
         assert [d.frame_index for d in out] == [0, 1, 2, 3]
         assert out[1].source is Source.INTERPOLATED
         assert out[0].source is Source.DETECTED
+
+    def test_frame_order_across_tracks_keeps_track_order_within_a_frame(self):
+        first = densify_linear(make_track((0, (0, 0, 30, 30), "3.24"), (3, (3, 0, 33, 30), "3.24")))
+        second = densify_linear(
+            make_track((1, (90, 0, 120, 30), "5.19.1"), (4, (93, 0, 123, 30), "5.19.1"), track_id=1)
+        )
+        out = tracks_to_detections([first, second])
+        assert [(d.frame_index, d.box.x_min >= 90) for d in out] == [
+            (0, False), (1, False), (1, True), (2, False), (2, True), (3, False), (3, True), (4, True)
+        ]
+        # the entries themselves, not copies
+        assert out[0] is first.entries[0] and out[-1] is second.entries[-1]
