@@ -51,10 +51,12 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     if not values:
         parser.error(f"{flag} needs at least one value")
     try:
-        return [float(v) for v in values]
+        numbers = [float(v) for v in values]
     except ValueError:
         parser.error(f"{flag} holds a non-number: {text!r}")
-    raise AssertionError("unreachable")
+    if not all(0.0 <= v <= 1.0 for v in numbers):
+        parser.error(f"{flag} holds a value outside [0, 1]: {text!r}")
+    return numbers
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:

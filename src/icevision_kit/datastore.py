@@ -351,9 +351,11 @@ def read_tracks(path) -> list[Track]:
 
     Record: ``track_id frame source x_min y_min x_max y_max dist data
     temporary flags`` (11 fields); flags is a comma list over
-    {ncc_degenerate, template_clipped} or ``-``.
+    {ncc_degenerate, template_clipped} or ``-``.  Every track needs at
+    least one ``detected`` entry.
     """
     entries: dict[int, list[Detection]] = {}
+    first_lines: dict[int, int] = {}
     for lineno, fields in _open_records(path, "tracks"):
         if len(fields) != 11:
             raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
@@ -385,8 +387,13 @@ def read_tracks(path) -> list[Track]:
         except ValueError as exc:
             raise InvalidDistribution(path, lineno, str(exc)) from None
         entries.setdefault(track_id, []).append(entry)
+        first_lines.setdefault(track_id, lineno)
     tracks = []
     for track_id in sorted(entries):
+        # densifying and refining both start from the detector's keyframes
+        if not any(e.source is Source.DETECTED for e in entries[track_id]):
+            message = f"track {track_id} has no detected entry"
+            raise MalformedRecord(path, first_lines[track_id], message)
         try:
             tracks.append(
                 Track(id=track_id, entries=entries[track_id], state=TrackState.FINISHED)

@@ -9,7 +9,7 @@ arrays of unsigned integers.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -292,7 +292,10 @@ def crop_rows(image, keep_top: int):
     """Keep only the top ``keep_top`` rows (the sky-and-signs band)."""
     if not 0 < keep_top <= image.height:
         raise ValueError(f"keep_top must be in 1..{image.height}, got {keep_top}")
-    return dataclasses.replace(image, samples=image.samples[:keep_top])
+    # a row slice of a valid image is valid: skip the full min/max pass
+    cropped = copy.copy(image)
+    object.__setattr__(cropped, "samples", image.samples[:keep_top])
+    return cropped
 
 
 def crop(image: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:

@@ -10,9 +10,11 @@ thresholds, which a grid search tunes against a validation set.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .core import ClassDistribution, Detection, FrameAnnotations, best_class, group_by_frame
 from .scoring import ScoringConfig, score_dataset
@@ -63,6 +65,17 @@ def _pool_to_level(dist: ClassDistribution, level: int) -> ClassDistribution:
     return pooled
 
 
+def _level_bests(dist: ClassDistribution) -> tuple[tuple[ClassCode, ...], tuple[float, ...]]:
+    """Most probable code, and its probability, at the specific, 2nd and top level."""
+    bests = [best_class(d) for d in (dist, _pool_to_level(dist, 2), _pool_to_level(dist, 1))]
+    return tuple(zip(*bests))
+
+
+def _accepted_level(values, thresholds) -> int | None:
+    """First level, most specific first, whose value reaches its threshold."""
+    return next((level for level in range(3) if values[level] >= thresholds[level]), None)
+
+
 def hierarchical_select(
     dist: ClassDistribution, thr: LevelThresholds
 ) -> tuple[ClassCode, float] | None:
@@ -76,15 +89,9 @@ def hierarchical_select(
     """
     if not dist:
         return None
-    for pooled, threshold in (
-        (dist, thr.thr_specific),
-        (_pool_to_level(dist, 2), thr.thr_level2),
-        (_pool_to_level(dist, 1), thr.thr_top),
-    ):
-        code, prob = best_class(pooled)
-        if prob >= threshold:
-            return code, prob
-    return None
+    codes, probs = _level_bests(dist)
+    level = _accepted_level(probs, astuple(thr))
+    return None if level is None else (codes[level], probs[level])
 
 
 def _majority(values: list):
@@ -100,6 +107,41 @@ def vote_associated_data(track: Track) -> str | None:
     return _majority([e.associated_data for e in track.entries])
 
 
+@dataclass(frozen=True)
+class _TrackSummary:
+    """Everything refinement needs of a track that no threshold affects."""
+
+    codes: tuple[ClassCode, ...]
+    probs: tuple[float, ...]
+    associated_data: str | None
+    temporary: bool | None
+
+
+def _summarize(track: Track) -> _TrackSummary:
+    codes, probs = _level_bests(average_track_distribution(track))
+    temporary = _majority([e.temporary for e in track.entries])
+    return _TrackSummary(codes, probs, vote_associated_data(track), temporary)
+
+
+def _assign(entries: list[Detection], summary: _TrackSummary, level: int) -> list[Detection]:
+    """One detection per entry, carrying the class selected at ``level``."""
+    code = summary.codes[level]
+    # pooled sibling mass is mathematically <= 1; shave float carry
+    prob = min(summary.probs[level], 1.0)
+    return [
+        Detection(
+            frame_index=entry.frame_index,
+            box=entry.box,
+            class_distribution={code: prob},
+            confidence=prob,
+            associated_data=summary.associated_data,
+            temporary=summary.temporary,
+            source=entry.source,
+        )
+        for entry in entries
+    ]
+
+
 def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
     """Run the average/select/assign pipeline over densified tracks.
 
@@ -108,28 +150,13 @@ def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
     confidence.  Tracks failing every threshold emit nothing — with a flat
     false-positive penalty, low-confidence boxes are a losing bet.
     """
+    thresholds = astuple(thr)
     detections: list[Detection] = []
     for track in tracks:
-        selection = hierarchical_select(average_track_distribution(track), thr)
-        if selection is None:
-            continue
-        code, prob = selection
-        # pooled sibling mass is mathematically <= 1; shave float carry
-        prob = min(prob, 1.0)
-        data = vote_associated_data(track)
-        temporary = _majority([e.temporary for e in track.entries])
-        for entry in track.entries:
-            detections.append(
-                Detection(
-                    frame_index=entry.frame_index,
-                    box=entry.box,
-                    class_distribution={code: prob},
-                    confidence=prob,
-                    associated_data=data,
-                    temporary=temporary,
-                    source=entry.source,
-                )
-            )
+        summary = _summarize(track)
+        level = _accepted_level(summary.probs, thresholds)
+        if level is not None:
+            detections += _assign(track.entries, summary, level)
     detections.sort(key=lambda d: d.frame_index)
     return detections
 
@@ -140,32 +167,57 @@ def grid_search_thresholds(
     grid: tuple[list[float], list[float], list[float]],
     scoring_cfg: ScoringConfig,
 ) -> tuple[LevelThresholds, float]:
-    """Exhaustively score every threshold triple on a validation set.
+    """Score every threshold triple on a validation set.
 
     Returns the best triple and its score; ties prefer the lexicographically
-    smallest (thr_specific, thr_level2, thr_top).  The winning score is
-    recomputed from scratch at the end so caching bugs cannot leak in.
+    smallest (thr_specific, thr_level2, thr_top).  A threshold maps to the
+    count of distinct track probabilities at its level below it, and two
+    triples with equal counts select the same levels for every track, so
+    each distinct selection is scored once.  The winning score is recomputed
+    from scratch at the end and must match, so caching bugs cannot leak in.
     """
-    specific_grid, level2_grid, top_grid = grid
-    if not specific_grid or not level2_grid or not top_grid:
+    if not all(grid):
         raise ValueError("every grid dimension needs at least one candidate value")
+    for name, values in zip(("thr_specific", "thr_level2", "thr_top"), grid):
+        for value in values:
+            LevelThresholds(**{name: value})
+    summaries = [_summarize(track) for track in validation_tracks]
+    cuts = [sorted({s.probs[level] for s in summaries}) for level in range(3)]
+    ranks = [[bisect_left(c, p) for c, p in zip(cuts, s.probs)] for s in summaries]
+    # (count, first sorted value with that count) per level, in ascending order:
+    # the first maximal count triple then names the first maximal value triple
+    runs = [
+        sorted({bisect_left(c, v): v for v in reversed(sorted(values))}.items())
+        for c, values in zip(cuts, grid)
+    ]
+    annotated = {a.frame_index for a in annotations if a.annotated}
 
-    def evaluate(thr: LevelThresholds) -> float:
-        refined = refine_tracks(validation_tracks, thr)
-        report = score_dataset(group_by_frame(refined), annotations, scoring_cfg)
-        return report.total
+    @functools.cache
+    def assigned(i: int, level: int) -> list[Detection]:
+        # score_dataset reads annotated frames only
+        entries = [e for e in validation_tracks[i].entries if e.frame_index in annotated]
+        return _assign(entries, summaries[i], level)
 
-    best_thr: LevelThresholds | None = None
-    best_score = float("-inf")
-    for a, b, c in itertools.product(
-        sorted(specific_grid), sorted(level2_grid), sorted(top_grid)
-    ):
-        thr = LevelThresholds(a, b, c)
-        score = evaluate(thr)
-        if score > best_score:
-            best_thr, best_score = thr, score
-    assert best_thr is not None
-    return best_thr, evaluate(best_thr)
+    scores: dict[tuple, float] = {}
+    best_triple, best_score = (), float("-inf")
+    for (ka, a), (kb, b), (kc, c) in itertools.product(*runs):
+        selection = tuple(_accepted_level(rank, (ka, kb, kc)) for rank in ranks)
+        if selection not in scores:
+            # per frame, the detections of refine_tracks in their order
+            by_frame: dict[int, list[Detection]] = {}
+            for i, level in enumerate(selection):
+                if level is not None:
+                    for det in assigned(i, level):
+                        by_frame.setdefault(det.frame_index, []).append(det)
+            scores[selection] = score_dataset(by_frame, annotations, scoring_cfg).total
+        if scores[selection] > best_score:
+            best_triple, best_score = (a, b, c), scores[selection]
+    best_thr = LevelThresholds(*best_triple)
+    fresh = refine_tracks(validation_tracks, best_thr)
+    check = score_dataset(group_by_frame(fresh), annotations, scoring_cfg).total
+    if check != best_score:
+        raise RuntimeError(f"grid search scored {best_thr} as {best_score}, refined afresh {check}")
+    return best_thr, best_score
 
 
 def format_thresholds(thr: LevelThresholds) -> str:

@@ -238,6 +238,30 @@ class TestTrackInterpRefine:
         assert f"{tracks_path}:2:" in err and "Traceback" not in err
         assert not (tmp_path / "o.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["interp"],
+        ["refine"],
+        ["tune", "--grid-specific", "0.5", "--grid-level2", "0.5", "--grid-top", "0.5"],
+    ])
+    def test_track_without_detected_entry_is_malformed(self, tmp_path, capsys, argv):
+        _, ann_path = write_fixture_files(tmp_path)
+        tracks_path = tmp_path / "tracks.txt"
+        tracks_path.write_text(
+            f"{FORMAT_VERSION} tracks\n"
+            "0 0 detected 100 100 140 140 3.24:0.9 - - -\n"
+            "# a comment line\n"
+            "1 3 interpolated 109 100 149 140 3.24:0.9 - - -\n"
+            "1 4 interpolated 110 100 150 140 3.24:0.9 - - -\n"
+        )
+        out = tmp_path / "o.txt"
+        if argv[0] == "tune":
+            argv = argv + ["--annotations", str(ann_path)]
+        code = main(argv + ["--tracks", str(tracks_path), "--output", str(out)])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{tracks_path}:4: track 1 has no detected entry" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_refine_wrong_kind_is_malformed(self, tmp_path, capsys):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)
@@ -320,6 +344,20 @@ class TestTune:
         code = main(["tune", "--tracks", str(tracks_path), "--annotations", str(ann_path),
                      "--grid-specific", "x", "--grid-level2", "0.5", "--grid-top", "0.5"])
         assert code == EX_USAGE
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1", "inf"])
+    @pytest.mark.parametrize("flag", ["--grid-specific", "--grid-level2", "--grid-top"])
+    def test_grid_value_outside_unit_interval(self, tmp_path, capsys, flag, value):
+        det_path, ann_path = write_fixture_files(tmp_path)
+        tracks_path = tmp_path / "tracks.txt"
+        main(["track", "--detections", str(det_path), "--output", str(tracks_path)])
+        grid = {"--grid-specific": "0.5", "--grid-level2": "0.5", "--grid-top": "0.5"}
+        grid[flag] = f"0.5,{value}"
+        code = main(["tune", "--tracks", str(tracks_path), "--annotations", str(ann_path),
+                     *(part for item in grid.items() for part in item)])
+        assert code == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag} holds a value outside [0, 1]" in err and "Traceback" not in err
 
 
 class TestConvert:

@@ -74,6 +74,11 @@ WRITERS = [
     ["synth", "--spec", "scenario.cfg", "--annotations", "A", "--render-dir", "O"],
     ["bench", "--spec", "scenario.cfg", "--records", "O"],
 ]
+# inputs that parse record by record but that no byte flip is likely to make
+CRAFTED = {
+    # a track with no detected entry to densify or average
+    "tracks": ["icevision-kit/v1 tracks\n0 3 interpolated 1 1 9 9 3.24:0.9 - - -\n"],
+}
 SOURCES = {
     "detections": "det.txt",
     "annotations": "ann.txt",
@@ -139,6 +144,20 @@ def test_mutated_inputs_exit_cleanly(base, kind, truncate, where, value):
             code, err = _run(argv)
             assert code in DOCUMENTED_EXITS, (argv, code, err)
             assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "kind, text", [(kind, text) for kind, texts in CRAFTED.items() for text in texts]
+)
+def test_crafted_inputs_exit_cleanly(base, tmp_path, kind, text):
+    crafted = tmp_path / Path(SOURCES[kind]).name
+    crafted.write_text(text)
+    for i, tail in enumerate(COMMANDS[kind]):
+        names = {"X": str(crafted), "O": str(tmp_path / f"out{i}")}
+        argv = [names.get(a) or (str(base / a) if (base / a).exists() else a) for a in tail]
+        code, err = _run(argv)
+        assert code == EX_MALFORMED_INPUT, (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
 
 
 @pytest.mark.parametrize("where", ["existing directory", "under a missing directory"])

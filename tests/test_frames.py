@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from frame_oracles import DegenerateCorrelation, ncc
+from icevision_kit import frames
 from icevision_kit.core import BoundingBox
 from icevision_kit.datastore import SidecarConfig, parse_sidecar
 from icevision_kit.frames import (
@@ -256,6 +257,27 @@ class TestCrop:
         mosaic = cfa(np.zeros((4, 4)))
         out = crop_rows(mosaic, 2)
         assert isinstance(out, CfaImage) and out.pattern is BayerPattern.RGGB
+
+    @pytest.mark.parametrize("keep", [0, 2, 5, 6])
+    def test_crop_rows_does_not_revalidate(self, keep, monkeypatch):
+        images = [
+            gray(np.arange(20).reshape(5, 4)),
+            cfa(np.arange(20).reshape(5, 4), BayerPattern.GBRG, 4095),
+            RgbImage(samples=np.ones((5, 4, 3), dtype=np.uint16), max_value=300),
+        ]
+        checks = []
+        monkeypatch.setattr(frames, "_check_samples", lambda *args: checks.append(args))
+        for img in images:
+            if 0 < keep <= img.height:
+                out = crop_rows(img, keep)
+                assert type(out) is type(img) and out.max_value == img.max_value
+                assert np.array_equal(out.samples, img.samples[:keep])
+                assert getattr(out, "pattern", None) == getattr(img, "pattern", None)
+            else:
+                with pytest.raises(ValueError, match="keep_top"):
+                    crop_rows(img, keep)
+        assert checks == []
+        assert images[0].samples.shape == (5, 4)
 
     def test_crop_rect(self):
         img = gray(np.arange(20).reshape(4, 5))

@@ -1,9 +1,15 @@
 """Track refinement: averaging, hierarchical selection, grid search."""
 
+import dataclasses
 import itertools
+import math
 
 import pytest
+import refinement_oracles as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from icevision_kit import refinement
 from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, Source
 from icevision_kit.refinement import (
     LevelThresholds,
@@ -265,6 +271,148 @@ class TestGridSearch:
         tracks, anns = _validation_fixture()
         with pytest.raises(ValueError):
             grid_search_thresholds(tracks, anns, ([], [0.5], [0.5]), ScoringConfig.offline())
+
+    def test_empty_track_list_scores_nothing(self):
+        _, anns = _validation_fixture()
+        grid = ([0.5, 0.1], [0.5], [0.5])
+        thr, score = grid_search_thresholds([], anns, grid, ScoringConfig.offline())
+        assert (thr, score) == (LevelThresholds(0.1, 0.5, 0.5), 0.0)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("dim", range(3))
+    def test_out_of_range_grid_value_rejected(self, dim, bad):
+        tracks, anns = _validation_fixture()
+        grid = [[0.5], [0.5], [0.5]]
+        grid[dim] = [0.5, bad]
+        with pytest.raises(ValueError):
+            grid_search_thresholds(tracks, anns, tuple(grid), ScoringConfig.offline())
+
+    def test_memoized_score_checked_against_fresh_refinement(self, monkeypatch):
+        # a selection scored on the wrong detections must not be returned
+        tracks, anns = _validation_fixture()
+        real = refinement.score_dataset
+        calls = []
+
+        def skewed(detections, annotations, cfg):
+            # the first call scores the selection, the last one the fresh refinement
+            calls.append(None)
+            report = real(detections, annotations, cfg)
+            if len(calls) == 1:
+                report = dataclasses.replace(report, total=report.total + 1.0)
+            return report
+
+        monkeypatch.setattr(refinement, "score_dataset", skewed)
+        with pytest.raises(RuntimeError, match="refined afresh"):
+            grid_search_thresholds(tracks, anns, ([0.5], [0.5], [0.5]), ScoringConfig.offline())
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the per-track, per-triple oracles
+
+CODES = ("3.24.1", "3.24.2", "3.25.1", "3.25", "3", "5.19.1", "5.19.2", "5.20")
+BOXES = ((0, 0, 20, 20), (2, 0, 22, 20), (40, 40, 70, 70), (0, 30, 40, 60))
+PROBS = (0.0, 0.125, 0.2, 0.25, 0.3, 0.375, 0.5, 0.6, 0.75, 1.0)
+FRAMES = 6
+
+
+@st.composite
+def distributions(draw):
+    codes = draw(st.lists(st.sampled_from(CODES), min_size=1, max_size=3, unique=True))
+    dist, left = {}, 1.0
+    for code in codes:
+        prob = draw(st.sampled_from([p for p in PROBS if p <= left]))
+        dist[code], left = prob, left - prob
+    return dist
+
+
+@st.composite
+def drawn_tracks(draw, track_id):
+    frames = draw(st.lists(st.integers(0, FRAMES - 1), min_size=1, max_size=4, unique=True))
+    detected = draw(st.integers(0, len(frames) - 1))
+    return track(
+        *(
+            entry(
+                frame,
+                draw(distributions()),
+                box=draw(st.sampled_from(BOXES)),
+                source=Source.DETECTED if i == detected else draw(st.sampled_from(list(Source))),
+                data=draw(st.sampled_from([None, "40", "60"])),
+                temporary=draw(st.sampled_from([None, True, False])),
+            )
+            for i, frame in enumerate(sorted(frames))
+        ),
+        track_id=track_id,
+    )
+
+
+@st.composite
+def validation_sets(draw):
+    count = draw(st.integers(0, 5))
+    validation = [draw(drawn_tracks(i)) for i in range(count)]
+    annotations = []
+    for frame in range(FRAMES):
+        state = draw(st.sampled_from(["annotated", "unannotated", "absent"]))
+        if state == "absent":
+            continue
+        signs = tuple(
+            GroundTruthSign(frame, BoundingBox(*draw(st.sampled_from(BOXES))), parse_code(c))
+            for c in draw(st.lists(st.sampled_from(CODES), max_size=2))
+        )
+        annotations.append(FrameAnnotations(frame, signs, annotated=state == "annotated"))
+    # the tracks' own level probabilities are the breakpoints of the search
+    cuts = {p for t in validation for p in oracle.level_probs(t)}
+    near = {math.nextafter(p, x) for p in cuts for x in (0.0, 2.0)}
+    # -0.0 equals 0.0 but prints apart, so a tie between them must go to the first
+    values = [-0.0] + sorted(v for v in cuts | near | {0.0, 0.5, 1.0} if 0.0 <= v <= 1.0)
+    grid = tuple(draw(st.lists(st.sampled_from(values), min_size=1, max_size=4)) for _ in range(3))
+    return validation, annotations, grid
+
+
+class TestMatchesOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(validation_sets(), st.sampled_from([ScoringConfig.offline(), ScoringConfig.online()]))
+    @example(([], [FrameAnnotations(0)], ([0.0], [1.0], [0.5])), ScoringConfig.offline())
+    @example(([], [], ([0.5, -0.0, 0.0], [0.0, -0.0], [1.0])), ScoringConfig.offline())
+    def test_grid_search_matches_exhaustive_oracle(self, case, cfg):
+        validation, annotations, grid = case
+        got = grid_search_thresholds(validation, annotations, grid, cfg)
+        assert repr(got) == repr(oracle.grid_search_thresholds(validation, annotations, grid, cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(validation_sets())
+    def test_refine_tracks_matches_oracle(self, case):
+        validation, _, grid = case
+        for triple in itertools.product(*grid):
+            thr = LevelThresholds(*triple)
+            assert refine_tracks(validation, thr) == oracle.refine_tracks(validation, thr)
+
+    @pytest.mark.parametrize(
+        "dists, sign, grid, want",
+        [
+            # a specific threshold equal to the sign's track probability accepts it
+            ([{"5.19.1": 0.5}, {"3.24.1": 0.25}], "5.19.1", ([0.25, 0.5, 0.75], [1.0], [1.0]), 0.5),
+            # so does a level-2 threshold equal to its pooled probability
+            (
+                [{"5.19.1": 0.25, "5.19.2": 0.375}, {"3.24.1": 0.25, "3.24.2": 0.25}],
+                "5.19",
+                ([1.0], [0.5, 0.625, 0.75], [1.0]),
+                0.625,
+            ),
+        ],
+    )
+    def test_breakpoint_grids(self, dists, sign, grid, want):
+        # the sign's track is a true positive, the other one a false positive
+        validation = [
+            track(*(entry(f, d) for f in (0, 2)), track_id=i) for i, d in enumerate(dists)
+        ]
+        annotations = [
+            FrameAnnotations(f, (GroundTruthSign(f, BoundingBox(0, 0, 20, 20), parse_code(sign)),))
+            for f in (0, 2)
+        ]
+        cfg = ScoringConfig.offline()
+        thr, score = grid_search_thresholds(validation, annotations, grid, cfg)
+        assert (thr, score) == oracle.grid_search_thresholds(validation, annotations, grid, cfg)
+        assert want in (thr.thr_specific, thr.thr_level2) and score > 0
 
 
 class TestThresholdRecord:
