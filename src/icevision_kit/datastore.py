@@ -26,7 +26,7 @@ from .core import (
     GroundTruthSign,
     Source,
 )
-from .frames import BayerPattern, GrayImage, gray_from_cfa, read_pnm
+from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
 from .taxonomy import ClassCode, MalformedCode
 from .tracking import Track, TrackState
 
@@ -496,8 +496,10 @@ def write_manifest(manifest: SequenceManifest, path) -> None:
 class ManifestFrameSource:
     """Lazy frame loader indexed by frame number, for NCC interpolation.
 
-    Decodes each PGM on first access and keeps a bounded cache.  Bayer
-    inputs (``pattern`` given) are reduced to their green plane.
+    Decodes each PGM on first access and keeps a bounded cache.  With a
+    ``pattern`` the frame stays the decoded mosaic (:class:`CfaImage`),
+    validated over the whole frame like any other; readers take the gray
+    signal of just the windows they need with :func:`frames.gray_window`.
     """
 
     def __init__(
@@ -511,12 +513,12 @@ class ManifestFrameSource:
         self._root = Path(root)
         self._pattern = pattern
         self._cache_size = max(1, cache_size)
-        self._cache: dict[int, GrayImage] = {}
+        self._cache: dict[int, GrayImage | CfaImage] = {}
 
     def __contains__(self, frame_index: int) -> bool:
         return frame_index in self._paths
 
-    def __getitem__(self, frame_index: int) -> GrayImage:
+    def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         if frame_index in self._cache:
             return self._cache[frame_index]
         if frame_index not in self._paths:
@@ -526,11 +528,10 @@ class ManifestFrameSource:
             image = read_pnm(path.read_bytes(), self._pattern)
         except ValueError as exc:
             raise DatastoreError(path, None, str(exc)) from None
-        gray = gray_from_cfa(image) if self._pattern is not None else image
         if len(self._cache) >= self._cache_size:
             self._cache.pop(next(iter(self._cache)))
-        self._cache[frame_index] = gray
-        return gray
+        self._cache[frame_index] = image
+        return image
 
 
 # --------------------------------------------------------------------------

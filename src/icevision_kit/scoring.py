@@ -116,7 +116,11 @@ class MatchResult:
 
     @property
     def tp_points(self) -> float:
-        return sum(tp.score for tp in self.true_positives)
+        # left to right: from Python 3.12 on, sum() of floats is compensated
+        total = 0.0
+        for tp in self.true_positives:
+            total += tp.score
+        return total
 
 
 def tp_base_score(value: float, cfg: ScoringConfig) -> float:

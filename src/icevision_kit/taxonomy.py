@@ -39,8 +39,12 @@ class ClassCode:
             raise MalformedCode(f"code segments must be >= 1, got {self.segments!r}")
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def parse(cls, text: str) -> ClassCode:
-        """Parse a dot-separated code such as "3.24" or "5.19.1"."""
+        """Parse a dot-separated code such as "3.24" or "5.19.1".
+
+        Successful parses are cached and a code is one shared (immutable)
+        instance; a malformed code raises on every call."""
         parts = text.strip().split(".")
         if parts == [""]:
             raise MalformedCode("empty class code")
@@ -49,7 +53,7 @@ class ClassCode:
             if not part.isdigit():
                 raise MalformedCode(f"non-numeric segment {part!r} in code {text!r}")
             segments.append(int(part))
-        return cls(tuple(segments))
+        return _interned(tuple(segments))
 
     @property
     def level(self) -> int:
@@ -61,13 +65,13 @@ class ClassCode:
         """The code one level up, or None for a top-level code."""
         if len(self.segments) == 1:
             return None
-        return ClassCode(self.segments[:-1])
+        return _interned(self.segments[:-1])
 
     def prefix(self, level: int) -> ClassCode:
         """The ancestor of this code at the given level (may be itself)."""
         if not 1 <= level <= len(self.segments):
             raise ValueError(f"level {level} out of range for {self}")
-        return ClassCode(self.segments[:level])
+        return _interned(self.segments[:level])
 
     def is_superclass_of(self, other: ClassCode) -> bool:
         """True iff this code is a strict prefix of ``other``.
@@ -82,6 +86,11 @@ class ClassCode:
 
     def __str__(self) -> str:
         return ".".join(str(s) for s in self.segments)
+
+
+# one shared instance per code for parse, parent and prefix (the bundled
+# registry lists a few hundred codes)
+_interned = functools.lru_cache(maxsize=4096)(ClassCode)
 
 
 def parse_code(text: str) -> ClassCode:

@@ -227,8 +227,11 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
     or flat search area) falls back to the linear position and flags the
     entry; a template partially outside the frame is clipped and flagged.
 
-    ``frame_images`` maps frame index to a :class:`frames.GrayImage`
-    (any ``__getitem__`` provider works, e.g. a plain dict).
+    ``frame_images`` maps frame index to a :class:`frames.GrayImage` or
+    a :class:`frames.CfaImage` (any ``__getitem__`` provider works, e.g. a
+    plain dict).  Only the template and search windows are read, through
+    :func:`frames.gray_window`, so a mosaic's green plane is interpolated
+    over those windows alone.
     """
 
     def fill(start: Detection, end: Detection) -> Iterator[Detection]:
@@ -251,7 +254,7 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
             degenerate = True
             if searchable and template is not None and template.samples.size >= 2:
                 image = frame_images[frame]
-                search = frames_mod.crop(image, sx0, sy0, sx1, sy1)
+                search = frames_mod.gray_window(image, sx0, sy0, sx1, sy1)
                 th, tw = template.samples.shape
                 if search.height >= th and search.width >= tw:
                     cx, cy = linear_box.center
@@ -288,7 +291,7 @@ def _crop_clipped(image, rect: tuple[int, int, int, int]):
     clipped = (x0, y0, x1, y1) != rect
     if x1 <= x0 or y1 <= y0:
         return None, True
-    return frames_mod.crop(image, x0, y0, x1, y1), clipped
+    return frames_mod.gray_window(image, x0, y0, x1, y1), clipped
 
 
 def tracks_to_detections(tracks: list[Track]) -> list[Detection]:

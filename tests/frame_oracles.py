@@ -1,15 +1,24 @@
 """Float64 reference implementations of the image operations.
 
-The library computes the Bayer path in exact integer arithmetic and NCC
-as a whole score surface at once; the versions here follow the textbook
-formulas in float64 and serve as differential-test oracles only.
+The library computes the Bayer path in exact integer arithmetic, the
+green plane one window at a time, and NCC from summed-area tables and an
+FFT; the versions here follow the textbook formulas in float64 (or the
+previous full-frame and sliding-window forms) and serve as
+differential-test oracles only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from icevision_kit.frames import BayerPattern, CfaImage, GrayImage, RgbImage
+from icevision_kit.frames import (
+    BayerPattern,
+    CfaImage,
+    GrayImage,
+    RgbImage,
+    _interpolate_channel,
+    sample_dtype,
+)
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -109,3 +118,37 @@ def ncc(template: GrayImage, window: GrayImage) -> float:
     if denom <= 1e-12:
         raise DegenerateCorrelation("zero variance patch")
     return float(np.sum(t * w) / denom)
+
+
+def gray_from_cfa(cfa: CfaImage) -> GrayImage:
+    """The green plane of the whole frame, from the edge-padded mosaic."""
+    work = np.min_scalar_type(4 * cfa.max_value + 2)
+    padded = np.pad(cfa.samples, 1, mode="edge").astype(work, copy=False)
+    plane = np.empty(cfa.samples.shape, dtype=sample_dtype(cfa.max_value))
+    _interpolate_channel(padded, cfa.pattern, "G", plane)
+    return GrayImage(samples=plane, max_value=cfa.max_value)
+
+
+def ncc_scores(template: GrayImage, search: GrayImage) -> np.ndarray:
+    """NCC surface in float64 from two sliding-window einsums, at
+    O(search x template) cost; -inf where the variance product is ~0."""
+    t = template.samples.astype(np.float64)
+    s = search.samples.astype(np.float64)
+    th, tw = t.shape
+    sh, sw = s.shape
+    if th > sh or tw > sw:
+        raise ValueError(f"template {tw}x{th} larger than search window {sw}x{sh}")
+    tz = t - t.mean()
+    t_energy = float(np.sum(tz * tz))
+    windows = np.lib.stride_tricks.sliding_window_view(s, (th, tw))
+    w_sum = windows.sum(axis=(2, 3))
+    w_sq = np.einsum("ijkl,ijkl->ij", windows, windows)
+    w_var = w_sq - w_sum * w_sum / (th * tw)
+    np.maximum(w_var, 0.0, out=w_var)
+    numer = np.einsum("ijkl,kl->ij", windows, tz)
+    denom_sq = t_energy * w_var
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = numer / np.sqrt(denom_sq)
+    np.clip(scores, -1.0, 1.0, out=scores)
+    scores[denom_sq <= 1e-12] = -np.inf
+    return scores

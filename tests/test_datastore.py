@@ -285,6 +285,18 @@ class TestTracks:
         again = read_tracks(path)
         assert again == tracks
 
+    def test_bad_code_reports_its_line_on_every_read(self, tmp_path):
+        # class codes are parsed through a cache; failures are not cached
+        path = tmp_path / "t.txt"
+        write_tracks([self.make_track(0)], path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].replace("3.24", "3.x")
+        path.write_text("".join(lines))
+        for _ in range(2):
+            with pytest.raises(MalformedRecord) as err:
+                read_tracks(path)
+            assert err.value.lineno == 5 and "3.x" in str(err.value)
+
     def test_wrong_field_count(self, tmp_path):
         path = put(
             tmp_path,
@@ -419,14 +431,20 @@ class TestManifestFrameSource:
             source[9]
 
     def test_bayer_frames_become_gray(self, tmp_path):
-        from icevision_kit.frames import CfaImage, gray_from_cfa, write_pnm
+        # the source keeps the mosaic; its gray signal is the green plane
+        from icevision_kit.frames import CfaImage, gray_from_cfa, gray_window, write_pnm
 
         rng = np.random.default_rng(9)
         mosaic = CfaImage(samples=rng.integers(0, 256, size=(4, 4)).astype(np.uint8))
         (tmp_path / "f0.pgm").write_bytes(write_pnm(mosaic))
         manifest = SequenceManifest(sequence_id="s", frames=((0, "f0.pgm"),))
         source = ManifestFrameSource(manifest, root=tmp_path, pattern=BayerPattern.RGGB)
-        assert np.array_equal(source[0].samples, gray_from_cfa(mosaic).samples)
+        frame = source[0]
+        assert isinstance(frame, CfaImage) and frame.pattern is BayerPattern.RGGB
+        assert frame.max_value == mosaic.max_value and np.array_equal(frame.samples, mosaic.samples)
+        got = gray_window(frame, 0, 0, frame.width, frame.height).samples
+        want = gray_from_cfa(mosaic).samples
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestAtomicWrites:

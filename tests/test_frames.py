@@ -24,6 +24,7 @@ from icevision_kit.frames import (
     equalize_histogram,
     equalize_rgb,
     gray_from_cfa,
+    gray_window,
     ncc_match,
     ncc_scores,
     read_pnm,
@@ -177,6 +178,48 @@ class TestDemosaicMatchesFloatOracle:
         mosaic = cfa(np.full((5, 6), max_value), pattern, max_value)
         assert np.all(demosaic_bilinear(mosaic).samples == max_value)
         assert np.all(gray_from_cfa(mosaic).samples == max_value)
+
+
+@st.composite
+def mosaic_windows(draw):
+    mosaic = draw(mosaics())
+    x0 = draw(st.integers(0, mosaic.width - 1))
+    y0 = draw(st.integers(0, mosaic.height - 1))
+    x1 = draw(st.integers(x0 + 1, mosaic.width))
+    y1 = draw(st.integers(y0 + 1, mosaic.height))
+    return mosaic, (x0, y0, x1, y1)
+
+
+class TestGrayWindowMatchesFullFramePlane:
+    @given(mosaic_windows())
+    def test_window_of_random_mosaic(self, case):
+        mosaic, rect = case
+        want = crop(frame_oracles.gray_from_cfa(mosaic), *rect).samples
+        got = gray_window(mosaic, *rect)
+        assert got.max_value == mosaic.max_value
+        assert got.samples.dtype == want.dtype and np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("pattern", list(BayerPattern))
+    def test_every_window_of_odd_frame(self, pattern):
+        # all parities and every border, on a frame of odd width
+        rng = np.random.default_rng(21)
+        mosaic = cfa(rng.integers(0, 4096, size=(6, 7)), pattern, 4095)
+        full = frame_oracles.gray_from_cfa(mosaic)
+        for y0 in range(6):
+            for x0 in range(7):
+                for y1 in range(y0 + 1, 7):
+                    for x1 in range(x0 + 1, 8):
+                        got = gray_window(mosaic, x0, y0, x1, y1).samples
+                        assert np.array_equal(got, crop(full, x0, y0, x1, y1).samples)
+
+    def test_gray_image_window_is_crop(self):
+        img = gray(np.arange(20).reshape(4, 5))
+        assert np.array_equal(gray_window(img, 1, 1, 4, 3).samples, crop(img, 1, 1, 4, 3).samples)
+
+    @pytest.mark.parametrize("rect", [(0, 0, 6, 2), (-1, 0, 2, 2), (2, 1, 2, 3), (0, 3, 2, 5)])
+    def test_window_outside_frame(self, rect):
+        with pytest.raises(ValueError):
+            gray_window(cfa(np.zeros((4, 5))), *rect)
 
 
 class TestEqualize:
@@ -382,6 +425,81 @@ class TestNccScoresMatchScalarOracle:
                 assert surface[y, x] == -np.inf
             else:
                 assert surface[y, x] == pytest.approx(expected, abs=1e-9)
+
+
+@st.composite
+def clipped_ncc_cases(draw):
+    """``ncc_cases``, with either patch optionally saturated at both ends."""
+    t, s = draw(ncc_cases())
+
+    def clip(a):
+        if not draw(st.booleans()):
+            return a
+        lo = draw(st.integers(0, int(a.max())))
+        return np.clip(a, lo, draw(st.integers(lo, int(a.max()))))
+
+    return clip(t), clip(s)
+
+
+class TestNccScoresMatchEinsumOracle:
+    @given(clipped_ncc_cases())
+    def test_surface(self, case):
+        t, s = case
+        got = ncc_scores(gray(t), gray(s))
+        want = frame_oracles.ncc_scores(gray(t), gray(s))
+        assert got.shape == want.shape
+        assert np.array_equal(got == -np.inf, want == -np.inf)
+        finite = want != -np.inf
+        assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
+
+    @given(clipped_ncc_cases(), st.none() | st.tuples(st.floats(-2, 9), st.floats(-2, 9)))
+    def test_match_offsets(self, case, preferred):
+        t, s = case
+        m = ncc_match(gray(t), gray(s), preferred_offset=preferred)
+        want = frame_oracles.ncc_scores(gray(t), gray(s))
+        if np.all(want == -np.inf):
+            assert m.degenerate
+            return
+        ranked = np.sort(want, axis=None)[::-1]
+        if ranked.size == 1 or ranked[0] - ranked[1] > 1e-9:
+            y, x = np.unravel_index(np.argmax(want), want.shape)
+            assert (m.offset_x, m.offset_y) == (x, y) and not m.degenerate
+
+
+def exact_cross(t, s):
+    """Sum of window * template at every placement, in Python-exact int64."""
+    windows = np.lib.stride_tricks.sliding_window_view(s.astype(np.int64), t.shape)
+    return np.einsum("ijkl,kl->ij", windows, t.astype(np.int64))
+
+
+class TestFftCrossTermIsExact:
+    @pytest.mark.parametrize("size", [64, 256])  # 256: split into bytes
+    def test_closed_form_at_full_scale(self, size):
+        top = 65535
+        flat = np.full((size, size), top, dtype=np.int64)
+        checker = np.indices((size, size)).sum(axis=0) % 2 * top
+        n = size * size
+        assert frames._cross_term(flat, flat, top).tolist() == [[n * top * top]]
+        assert frames._cross_term(checker, checker, top).tolist() == [[n // 2 * top * top]]
+        assert frames._cross_term(checker, flat, top).tolist() == [[n // 2 * top * top]]
+
+    @pytest.mark.parametrize("th, sh", [(40, 120), (80, 240)])  # 80/240: split into bytes
+    def test_random_full_scale(self, th, sh):
+        rng = np.random.default_rng(th)
+        t = rng.integers(0, 65536, size=(th, th + 3))
+        s = rng.integers(0, 65536, size=(sh, sh - 5))
+        assert np.array_equal(frames._cross_term(t, s, 65535), exact_cross(t, s))
+
+    def test_scores_at_full_scale(self):
+        # binary 16-bit 320 x 320 windows: n * Sw2 - Sw**2 itself passes int64
+        rng = np.random.default_rng(3)
+        s = rng.integers(0, 2, size=(322, 321)) * 65535
+        t = s[1:321, :320]
+        surface = ncc_scores(gray(t, 65535), gray(s, 65535))
+        assert surface.shape == (3, 2) and surface[1, 0] == 1.0
+        assert np.all(surface[surface < 1.0] < 0.1)
+        flat = ncc_scores(gray(np.full((320, 320), 65535), 65535), gray(s, 65535))
+        assert np.all(flat == -np.inf)
 
 
 class TestSearchArea:

@@ -10,8 +10,10 @@ from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundT
 from icevision_kit.scoring import (
     FpReason,
     KCoefficients,
+    MatchResult,
     ScoringConfig,
     Stage,
+    TruePositive,
     format_report,
     k_multiplier,
     match_frame,
@@ -166,6 +168,15 @@ class TestMatchFrame:
         assert result.true_positives[0].score == 1.0
         assert [f.reason for f in result.false_positives] == [FpReason.DUPLICATE]
         assert result.tp_points - 2.0 * len(result.false_positives) == -1.0
+
+    def test_tp_points_add_left_to_right(self):
+        # compensated summation (math.fsum, or sum() from Python 3.12) gives 0.6
+        tps = tuple(
+            TruePositive(det(0, (0, 0, 10, 10)), gt(0, (0, 0, 10, 10)), 1.0, score)
+            for score in (0.1, 0.2, 0.3)
+        )
+        result = MatchResult(0, tps, (), (), ())
+        assert repr(result.tp_points) == "0.6000000000000001"
 
     def test_tiny_gt_ignores_overlapping_detection(self):
         g = gt(0, (0, 0, 9, 9))  # 81 px² < 100

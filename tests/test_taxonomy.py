@@ -73,6 +73,15 @@ class TestHierarchy:
         assert parse_code("5.19.1").prefix(1) == parse_code("5")
         assert parse_code("5.19.1").prefix(3) == parse_code("5.19.1")
 
+    def test_repeated_codes_are_one_instance(self):
+        code = parse_code("5.19.1")
+        assert parse_code("5.19.1") == code and parse_code("5.19.1") is code
+        assert code.parent is code.prefix(2) and code.parent.parent is code.prefix(1)
+        assert code.prefix(2) == ClassCode((5, 19))
+        for _ in range(2):
+            with pytest.raises(MalformedCode):
+                parse_code("5.x")
+
     def test_superclass_strict_prefix(self):
         assert parse_code("3.24").is_superclass_of(parse_code("3.24.1"))
         assert not parse_code("3.24").is_superclass_of(parse_code("3.24"))
