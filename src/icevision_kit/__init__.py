@@ -21,7 +21,6 @@ from .refinement import (
     LevelThresholds,
     average_track_distribution,
     grid_search_thresholds,
-    hierarchical_select,
     refine_tracks,
 )
 from .scoring import (
@@ -36,7 +35,6 @@ from .scoring import (
 )
 from .taxonomy import ClassCode, Taxonomy, parse_code
 from .tracking import (
-    IouTracker,
     Track,
     TrackerConfig,
     densify_linear,
@@ -54,7 +52,6 @@ __all__ = [
     "Detection",
     "FrameAnnotations",
     "GroundTruthSign",
-    "IouTracker",
     "KCoefficients",
     "LevelThresholds",
     "MatchResult",
@@ -71,7 +68,6 @@ __all__ = [
     "densify_linear",
     "densify_ncc",
     "grid_search_thresholds",
-    "hierarchical_select",
     "iou",
     "lerp_box",
     "match_frame",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,18 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     if not all(0.0 <= v <= 1.0 for v in numbers):
         parser.error(f"{flag} holds a value outside [0, 1]: {text!r}")
     return numbers
+
+
+def _config(parser: _Parser, cls, **fields):
+    """``cls`` built from flag values, each keyword a ``(flag, value)`` pair
+    for the field it names; a value the class rejects is a usage error
+    naming its flag."""
+    for name, (flag, value) in fields.items():
+        try:
+            cls(**{name: value})
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
+    return cls(**{name: value for name, (_, value) in fields.items()})
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
@@ -152,14 +165,15 @@ def _cmd_score(args) -> int:
     return EX_OK
 
 
-def _cmd_track(args) -> int:
-    detections = datastore.read_detections(_require(args.detections))
-    cfg = TrackerConfig(
-        iou_threshold=args.iou_threshold,
-        keyframe_stride=args.stride,
-        max_missed_keyframes=args.max_missed,
-        min_track_length=args.min_length,
+def _cmd_track(args, parser: _Parser) -> int:
+    cfg = _config(
+        parser, TrackerConfig,
+        iou_threshold=("--iou-threshold", args.iou_threshold),
+        keyframe_stride=("--stride", args.stride),
+        max_missed_keyframes=("--max-missed", args.max_missed),
+        min_track_length=("--min-length", args.min_length),
     )
+    detections = datastore.read_detections(_require(args.detections))
     tracks = tracking.run_tracker(detections, cfg)
     datastore.write_tracks(tracks, args.output)
     print(f"tracks {len(tracks)}")
@@ -171,6 +185,8 @@ def _cmd_interp(args, parser: _Parser) -> int:
     if args.method == "ncc":
         if not args.manifest:
             parser.error("--method ncc requires --manifest")
+        if not 0.0 <= args.margin < math.inf:
+            parser.error(f"--margin must be finite and >= 0, got {args.margin}")
         manifest = datastore.read_manifest(_require(args.manifest))
         pattern = BayerPattern(args.pattern) if args.pattern else None
         source = datastore.ManifestFrameSource(manifest, root=args.root, pattern=pattern)
@@ -255,27 +271,32 @@ def _cmd_convert(args, parser: _Parser) -> int:
     return EX_OK
 
 
-def _noise_from_args(args) -> harness.NoiseModel:
-    return harness.NoiseModel(
-        drop_probability=args.drop,
-        fp_per_frame=args.fp_per_frame,
-        position_jitter_px=args.jitter,
-        class_confusion=args.confusion,
-        seed=args.seed,
+def _mock_detector_flags(args, parser: _Parser) -> tuple[harness.NoiseModel, TrackerConfig]:
+    """The mock detector's noise model and keyframe stride (as a tracker
+    config) from the noise flags."""
+    noise = _config(
+        parser, harness.NoiseModel,
+        drop_probability=("--drop", args.drop),
+        fp_per_frame=("--fp-per-frame", args.fp_per_frame),
+        position_jitter_px=("--jitter", args.jitter),
+        class_confusion=("--confusion", args.confusion),
+        seed=("--seed", args.seed),
     )
+    return noise, _config(parser, TrackerConfig, keyframe_stride=("--stride", args.stride))
 
 
 def _load_spec(path) -> harness.ScenarioSpec:
     return harness.parse_scenario(datastore.read_text(_require(path)), path)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, parser: _Parser) -> int:
+    noise, tracker = _mock_detector_flags(args, parser)
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
     datastore.write_annotations(generated.annotations, args.annotations)
     if args.detections:
         detections = harness.mock_detector(
-            generated.dense, _noise_from_args(args), args.stride, generated.scenario
+            generated.dense, noise, tracker.keyframe_stride, generated.scenario
         )
         datastore.write_detections(detections, args.detections)
     if args.render_dir:
@@ -298,15 +319,14 @@ def _cmd_synth(args) -> int:
     return EX_OK
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, parser: _Parser) -> int:
+    noise, tracker = _mock_detector_flags(args, parser)
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
     pipeline = harness.PipelineConfig(
-        scoring=_stage_config(args.stage),
-        tracker=TrackerConfig(keyframe_stride=args.stride),
-        budget_fps=args.budget_fps,
+        scoring=_stage_config(args.stage), tracker=tracker, budget_fps=args.budget_fps
     )
-    report = harness.run_benchmark(generated, _noise_from_args(args), pipeline)
+    report = harness.run_benchmark(generated, noise, pipeline)
     sys.stdout.write(harness.format_benchmark(report))
     if args.records:
         atomic_write_text(args.records, harness.benchmark_records(report))
@@ -320,7 +340,7 @@ def main(argv=None) -> int:
         if args.command == "score":
             return _cmd_score(args)
         if args.command == "track":
-            return _cmd_track(args)
+            return _cmd_track(args, parser)
         if args.command == "interp":
             return _cmd_interp(args, parser)
         if args.command == "refine":
@@ -330,9 +350,9 @@ def main(argv=None) -> int:
         if args.command == "convert":
             return _cmd_convert(args, parser)
         if args.command == "synth":
-            return _cmd_synth(args)
+            return _cmd_synth(args, parser)
         if args.command == "bench":
-            return _cmd_bench(args)
+            return _cmd_bench(args, parser)
         raise AssertionError(f"unhandled command {args.command}")
     except SystemExit as exc:
         return int(exc.code or 0)

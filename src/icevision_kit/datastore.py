@@ -27,8 +27,8 @@ from .core import (
     Source,
 )
 from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
-from .taxonomy import ClassCode, MalformedCode
-from .tracking import Track, TrackState
+from .taxonomy import ClassCode, MalformedCode, is_ascii_digits
+from .tracking import Track
 
 FORMAT_VERSION = "icevision-kit/v1"
 
@@ -71,7 +71,7 @@ def _parse_real(token: str, path, lineno: int, what: str) -> float:
 
 
 def _parse_frame(token: str, path, lineno: int) -> int:
-    if not token.isdigit():
+    if not is_ascii_digits(token):
         raise MalformedRecord(path, lineno, f"frame index is not a non-negative integer: {token!r}")
     return int(token)
 
@@ -202,13 +202,12 @@ def atomic_write_text(path, text: str) -> None:
 # Annotations
 
 
-def read_annotations(path, *, permissive: bool = False) -> list[FrameAnnotations]:
+def read_annotations(path) -> list[FrameAnnotations]:
     """Load ground truth; only frames present in the file are annotated.
 
     Record: ``frame code x_min y_min x_max y_max data temporary`` with
     data ``-`` when absent.  A line holding just a frame number marks an
-    annotated-but-empty frame.  With ``permissive=True``, records whose
-    class code does not parse are skipped instead of fatal.
+    annotated-but-empty frame.
     """
     signs: dict[int, list[GroundTruthSign]] = {}
     seen: set[tuple[int, tuple[float, float, float, float], tuple[int, ...]]] = set()
@@ -222,13 +221,7 @@ def read_annotations(path, *, permissive: bool = False) -> list[FrameAnnotations
                 path, lineno, f"annotation record needs 1 or 8 fields, got {len(fields)}"
             )
         frame = _parse_frame(fields[0], path, lineno)
-        try:
-            code = _parse_code(fields[1], path, lineno)
-        except MalformedRecord:
-            if permissive:
-                signs.setdefault(frame, [])
-                continue
-            raise
+        code = _parse_code(fields[1], path, lineno)
         box = _parse_box(fields[2:6], path, lineno)
         key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
         if key in seen:
@@ -347,7 +340,7 @@ def _entry_flags(entry: Detection) -> str:
 
 
 def read_tracks(path) -> list[Track]:
-    """Load tracks; every track arrives in the finished state.
+    """Load tracks in id order.
 
     Record: ``track_id frame source x_min y_min x_max y_max dist data
     temporary flags`` (11 fields); flags is a comma list over
@@ -359,7 +352,7 @@ def read_tracks(path) -> list[Track]:
     for lineno, fields in _open_records(path, "tracks"):
         if len(fields) != 11:
             raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
-        if not fields[0].isdigit():
+        if not is_ascii_digits(fields[0]):
             raise MalformedRecord(path, lineno, f"track id is not a non-negative integer: {fields[0]!r}")
         track_id = int(fields[0])
         frame = _parse_frame(fields[1], path, lineno)
@@ -395,9 +388,7 @@ def read_tracks(path) -> list[Track]:
             message = f"track {track_id} has no detected entry"
             raise MalformedRecord(path, first_lines[track_id], message)
         try:
-            tracks.append(
-                Track(id=track_id, entries=entries[track_id], state=TrackState.FINISHED)
-            )
+            tracks.append(Track(id=track_id, entries=entries[track_id]))
         except ValueError as exc:
             raise MalformedRecord(path, None, str(exc)) from None
     return tracks
@@ -494,12 +485,13 @@ def write_manifest(manifest: SequenceManifest, path) -> None:
 
 
 class ManifestFrameSource:
-    """Lazy frame loader indexed by frame number, for NCC interpolation.
+    """Frame loader indexed by frame number, for NCC interpolation.
 
-    Decodes each PGM on first access and keeps a bounded cache.  With a
-    ``pattern`` the frame stays the decoded mosaic (:class:`CfaImage`),
-    validated over the whole frame like any other; readers take the gray
-    signal of just the windows they need with :func:`frames.gray_window`.
+    Each access reads and decodes the frame's PGM; nothing is cached.
+    With a ``pattern`` the frame stays the decoded mosaic
+    (:class:`CfaImage`), validated over the whole frame like any other;
+    readers take the gray signal of just the windows they need with
+    :func:`frames.gray_window`.
     """
 
     def __init__(
@@ -507,31 +499,20 @@ class ManifestFrameSource:
         manifest: SequenceManifest,
         root: str | os.PathLike = ".",
         pattern: BayerPattern | None = None,
-        cache_size: int = 8,
     ):
         self._paths = {index: frame_path for index, frame_path in manifest.frames}
         self._root = Path(root)
         self._pattern = pattern
-        self._cache_size = max(1, cache_size)
-        self._cache: dict[int, GrayImage | CfaImage] = {}
 
     def __contains__(self, frame_index: int) -> bool:
         return frame_index in self._paths
 
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
-        if frame_index in self._cache:
-            return self._cache[frame_index]
-        if frame_index not in self._paths:
-            raise KeyError(frame_index)
         path = self._root / self._paths[frame_index]
         try:
-            image = read_pnm(path.read_bytes(), self._pattern)
+            return read_pnm(path.read_bytes(), self._pattern)
         except ValueError as exc:
             raise DatastoreError(path, None, str(exc)) from None
-        if len(self._cache) >= self._cache_size:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[frame_index] = image
-        return image
 
 
 # --------------------------------------------------------------------------

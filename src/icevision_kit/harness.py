@@ -13,6 +13,7 @@ platform.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -49,12 +50,16 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError(f"drop_probability must be in [0, 1], got {self.drop_probability}")
-        if self.fp_per_frame < 0.0:
-            raise ValueError(f"fp_per_frame must be >= 0, got {self.fp_per_frame}")
-        if self.position_jitter_px < 0.0:
-            raise ValueError(f"position_jitter_px must be >= 0, got {self.position_jitter_px}")
+        if not 0.0 <= self.fp_per_frame < math.inf:
+            raise ValueError(f"fp_per_frame must be finite and >= 0, got {self.fp_per_frame}")
+        if not 0.0 <= self.position_jitter_px < math.inf:
+            raise ValueError(
+                f"position_jitter_px must be finite and >= 0, got {self.position_jitter_px}"
+            )
         if not 0.0 <= self.class_confusion <= 1.0:
             raise ValueError(f"class_confusion must be in [0, 1], got {self.class_confusion}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

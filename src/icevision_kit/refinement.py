@@ -76,24 +76,6 @@ def _accepted_level(values, thresholds) -> int | None:
     return next((level for level in range(3) if values[level] >= thresholds[level]), None)
 
 
-def hierarchical_select(
-    dist: ClassDistribution, thr: LevelThresholds
-) -> tuple[ClassCode, float] | None:
-    """Pick a class, falling back to coarser taxonomy levels.
-
-    The most probable specific code wins if it reaches ``thr_specific``;
-    otherwise mass is summed per 2nd-level category and tested against
-    ``thr_level2``, then per top-level category against ``thr_top``.
-    Thresholds are inclusive.  Ties favor the canonically first code.
-    Returns None when every level fails.
-    """
-    if not dist:
-        return None
-    codes, probs = _level_bests(dist)
-    level = _accepted_level(probs, astuple(thr))
-    return None if level is None else (codes[level], probs[level])
-
-
 def _majority(values: list):
     """Most frequent non-None value, None when there is none; ties go to
     the value seen earliest."""

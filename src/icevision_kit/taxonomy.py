@@ -18,6 +18,12 @@ MAX_LEVELS = 3
 _BUNDLED_REGISTRY = "ru_signs.txt"
 
 
+def is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of the ASCII digits 0-9 (``str.isdigit``
+    also accepts digits such as "²", which ``int`` rejects, and "٣")."""
+    return text.isascii() and text.isdigit()
+
+
 class MalformedCode(ValueError):
     """Raised when a class-code string cannot be parsed."""
 
@@ -50,7 +56,7 @@ class ClassCode:
             raise MalformedCode("empty class code")
         segments = []
         for part in parts:
-            if not part.isdigit():
+            if not is_ascii_digits(part):
                 raise MalformedCode(f"non-numeric segment {part!r} in code {text!r}")
             segments.append(int(part))
         return _interned(tuple(segments))

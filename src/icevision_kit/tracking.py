@@ -8,7 +8,6 @@ interpolation or by template matching against the actual frame content.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
@@ -17,19 +16,12 @@ from .core import BoundingBox, Detection, Source, iou, lerp_box
 from . import frames as frames_mod
 
 
-class TrackState(enum.Enum):
-    ACTIVE = "active"
-    FINISHED = "finished"
-
-
 @dataclass
 class Track:
     """A time-ordered chain of boxes believed to be one physical sign."""
 
     id: int
     entries: list[Detection]
-    state: TrackState = TrackState.ACTIVE
-    missed_keyframes: int = 0
 
     def __post_init__(self) -> None:
         if not self.entries:
@@ -40,14 +32,6 @@ class Track:
                     f"track {self.id} frame indices not strictly increasing "
                     f"({prev.frame_index} -> {cur.frame_index})"
                 )
-
-    @property
-    def last_frame(self) -> int:
-        return self.entries[-1].frame_index
-
-    @property
-    def last_box(self) -> BoundingBox:
-        return self.entries[-1].box
 
     def detected_entries(self) -> list[Detection]:
         return [e for e in self.entries if e.source is Source.DETECTED]
@@ -71,106 +55,64 @@ class TrackerConfig:
             raise ValueError(f"min_track_length must be positive, got {self.min_track_length}")
 
 
-class IouTracker:
-    """Stateful keyframe-by-keyframe IoU tracker.
+def run_tracker(
+    keyframe_detections: dict[int, list[Detection]], cfg: TrackerConfig | None = None
+) -> list[Track]:
+    """Chain keyframe detections into tracks, keyframes in ascending order;
+    returns, by id, every track at least ``min_track_length`` entries long.
 
     Association is global greedy by descending IoU of a track's last box
-    against the new detections, each side used at most once; pairs below
-    the threshold stay unassigned.  Unassigned detections start new
-    tracks; a track left unmatched for more than ``max_missed_keyframes``
-    consecutive keyframes is finished.  Tracks hold the detections they
-    were given; one with another source is stored as a DETECTED copy
-    without NCC flags.
+    against the keyframe's detections, ties to the older track and then
+    the earlier detection, each side used at most once; pairs below the
+    threshold stay unassigned.  Unassigned detections start new tracks; a
+    track left unmatched for more than ``max_missed_keyframes``
+    consecutive keyframes is finished.  A detection with another source
+    is stored as a DETECTED copy without NCC flags.
     """
-
-    def __init__(self, cfg: TrackerConfig | None = None):
-        self.cfg = cfg or TrackerConfig()
-        self.active: list[Track] = []
-        self.finished: list[Track] = []
-        self._next_id = 0
-
-    def step(self, frame_index: int, detections: list[Detection]) -> list[Track]:
-        """Consume one keyframe's detections; returns tracks finished now."""
+    cfg = cfg or TrackerConfig()
+    tracks: list[Track] = []
+    active: list[tuple[Track, int]] = []  # (track, consecutive misses), oldest first
+    for frame_index in sorted(keyframe_detections):
+        detections = keyframe_detections[frame_index]
         for det in detections:
             if det.frame_index != frame_index:
                 raise ValueError(
-                    f"detection for frame {det.frame_index} fed to tracker step {frame_index}"
+                    f"detection for frame {det.frame_index} filed under keyframe {frame_index}"
                 )
         detections = [
             det if det.source is Source.DETECTED
             else replace(det, source=Source.DETECTED, ncc_degenerate=False, template_clipped=False)
             for det in detections
         ]
-        for track in self.active:
-            if frame_index <= track.last_frame:
-                raise ValueError(
-                    f"keyframe {frame_index} not after track {track.id} "
-                    f"last frame {track.last_frame}"
-                )
 
         candidates = []
-        for t_idx, track in enumerate(self.active):
+        for t_idx, (track, _) in enumerate(active):
+            last_box = track.entries[-1].box
             for d_idx, det in enumerate(detections):
-                overlap = iou(track.last_box, det.box)
-                if overlap >= self.cfg.iou_threshold:
+                overlap = iou(last_box, det.box)
+                if overlap >= cfg.iou_threshold:
                     candidates.append((overlap, t_idx, d_idx))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-
         track_match: dict[int, int] = {}
         det_match: set[int] = set()
-        for overlap, t_idx, d_idx in candidates:
-            if t_idx in track_match or d_idx in det_match:
-                continue
-            track_match[t_idx] = d_idx
-            det_match.add(d_idx)
+        for _, t_idx, d_idx in candidates:
+            if t_idx not in track_match and d_idx not in det_match:
+                track_match[t_idx] = d_idx
+                det_match.add(d_idx)
 
-        still_active: list[Track] = []
-        newly_finished: list[Track] = []
-        for t_idx, track in enumerate(self.active):
+        still_active = []
+        for t_idx, (track, misses) in enumerate(active):
             if t_idx in track_match:
                 track.entries.append(detections[track_match[t_idx]])
-                track.missed_keyframes = 0
-                still_active.append(track)
-            else:
-                track.missed_keyframes += 1
-                if track.missed_keyframes > self.cfg.max_missed_keyframes:
-                    track.state = TrackState.FINISHED
-                    track.missed_keyframes = 0
-                    newly_finished.append(track)
-                else:
-                    still_active.append(track)
-
+                still_active.append((track, 0))
+            elif misses < cfg.max_missed_keyframes:
+                still_active.append((track, misses + 1))
         for d_idx, det in enumerate(detections):
-            if d_idx in det_match:
-                continue
-            still_active.append(Track(id=self._next_id, entries=[det]))
-            self._next_id += 1
-
-        self.active = still_active
-        self.finished.extend(newly_finished)
-        return newly_finished
-
-    def finish_all(self) -> list[Track]:
-        """Close every remaining track and return the full track list by id."""
-        for track in self.active:
-            track.state = TrackState.FINISHED
-            track.missed_keyframes = 0
-        self.finished.extend(self.active)
-        self.active = []
-        self.finished.sort(key=lambda t: t.id)
-        return self.finished
-
-
-def run_tracker(
-    keyframe_detections: dict[int, list[Detection]], cfg: TrackerConfig | None = None
-) -> list[Track]:
-    """Track all keyframes in ascending frame order and return every track
-    at least ``min_track_length`` entries long."""
-    cfg = cfg or TrackerConfig()
-    tracker = IouTracker(cfg)
-    for frame_index in sorted(keyframe_detections):
-        tracker.step(frame_index, keyframe_detections[frame_index])
-    tracks = tracker.finish_all()
+            if d_idx not in det_match:
+                track = Track(id=len(tracks), entries=[det])
+                tracks.append(track)
+                still_active.append((track, 0))
+        active = still_active
     return [t for t in tracks if len(t.entries) >= cfg.min_track_length]
 
 
@@ -184,7 +126,7 @@ def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[Detec
     for start, end in zip(detected, detected[1:]):
         entries.extend(fill(start, end))
         entries.append(end)
-    return Track(id=track.id, entries=entries, state=track.state)
+    return Track(id=track.id, entries=entries)
 
 
 def densify_linear(track: Track) -> Track:

@@ -270,6 +270,77 @@ class TestTrackInterpRefine:
         assert code == EX_MALFORMED_INPUT
 
 
+class TestBadNumericFlag:
+    @staticmethod
+    def inputs(tmp_path):
+        det_path, _ = write_fixture_files(tmp_path)
+        tracks_path = tmp_path / "tracks.txt"
+        assert main(["track", "--detections", str(det_path), "--output", str(tracks_path)]) == 0
+        pgm = b"P5\n200 160\n255\n" + bytes(range(200)) * 160
+        for frame in range(7):
+            (tmp_path / f"f{frame}.pgm").write_bytes(pgm)
+        manifest = datastore.SequenceManifest(
+            sequence_id="s", frames=tuple((f, f"f{f}.pgm") for f in range(7))
+        )
+        datastore.write_manifest(manifest, tmp_path / "manifest.txt")
+        spec = tmp_path / "scenario.cfg"
+        spec.write_text("frame_count = 30\nwidth = 320\nheight = 240\nsign_count = 2\n")
+        return {
+            "track": ["track", "--detections", str(det_path), "--output", str(tmp_path / "o")],
+            "synth": ["synth", "--spec", str(spec), "--annotations", str(tmp_path / "a"),
+                      "--detections", str(tmp_path / "o")],
+            "bench": ["bench", "--spec", str(spec)],
+            "interp": ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "o"),
+                       "--method", "ncc", "--manifest", str(tmp_path / "manifest.txt"),
+                       "--root", str(tmp_path)],
+        }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("track", "--stride", "0"),
+        ("track", "--iou-threshold", "1.5"),
+        ("track", "--max-missed", "-1"),
+        ("track", "--min-length", "0"),
+        ("synth", "--drop", "2"),
+        ("synth", "--stride", "0"),
+        ("synth", "--jitter", "nan"),
+        ("synth", "--seed", "-1"),
+        ("bench", "--stride", "0"),
+        ("bench", "--confusion", "-1"),
+        ("bench", "--fp-per-frame", "nan"),
+        ("interp", "--margin", "-100"),
+        ("interp", "--margin", "inf"),
+        ("interp", "--margin", "nan"),
+    ])
+    def test_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command, flag, value):
+        argv = self.inputs(tmp_path)[command]
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+
+class TestNonAsciiDigits:
+    @pytest.mark.parametrize("kind, record", [
+        ("detections", "\u00b2 3.24 0 0 10 10"),
+        ("detections", "\u0663 3.24 0 0 10 10"),
+        ("detections", "0 3.\u00b2 0 0 10 10"),
+        ("detections", "0 \u0663.1 0 0 10 10"),
+        ("tracks", "\u00b2 0 detected 0 0 10 10 3.24:0.9 - - -"),
+        ("tracks", "\u0663 0 detected 0 0 10 10 3.24:0.9 - - -"),
+    ])
+    def test_is_malformed_with_file_and_line(self, tmp_path, capsys, kind, record):
+        # str.isdigit accepts "²" (which int() then rejects) and "٣" (read as 3)
+        path = tmp_path / "in.txt"
+        path.write_text(f"{FORMAT_VERSION} {kind}\n{record}\n", encoding="utf-8")
+        command = "track" if kind == "detections" else "refine"
+        flag = "--detections" if kind == "detections" else "--tracks"
+        code = main([command, flag, str(path), "--output", str(tmp_path / "o")])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and "Traceback" not in err
+
+
 class TestUnwritableOutput:
     def test_output_directory_is_a_usage_error(self, tmp_path, capsys):
         det_path, _ = write_fixture_files(tmp_path)

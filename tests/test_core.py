@@ -208,6 +208,11 @@ class TestDetection:
                 class_distribution={parse_code("3.24"): 1.0},
             )
 
+    def test_empty_distribution_rejected(self):
+        # so refinement never sees a track whose average is empty
+        with pytest.raises(ValueError):
+            Detection(frame_index=0, box=BoundingBox(0, 0, 10, 10), class_distribution={})
+
 
 class TestFrameAnnotations:
     def test_signs_must_share_frame(self):

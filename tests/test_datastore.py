@@ -37,7 +37,7 @@ from icevision_kit.datastore import (
 )
 from icevision_kit.frames import BayerPattern, GrayImage
 from icevision_kit.taxonomy import parse_code
-from icevision_kit.tracking import Track, TrackState
+from icevision_kit.tracking import Track
 
 
 def put(tmp_path, name, text):
@@ -96,18 +96,6 @@ class TestAnnotations:
         )
         with pytest.raises(MalformedRecord):
             read_annotations(path)
-
-    def test_permissive_skips_bad_code_but_keeps_frame(self, tmp_path):
-        path = put(
-            tmp_path,
-            "a.txt",
-            f"{FORMAT_VERSION} annotations\n"
-            "0 3..24 0 0 10 10 - false\n"
-            "0 5.19.1 20 20 40 40 - false\n",
-        )
-        (ann,) = read_annotations(path, permissive=True)
-        assert ann.annotated
-        assert [s.code for s in ann.signs] == [parse_code("5.19.1")]
 
     def test_duplicate_rejected(self, tmp_path):
         line = "3 3.24 0.000000 0.000000 10.000000 10.000000 - false\n"
@@ -276,7 +264,7 @@ class TestTracks:
             )
             for f in range(6)
         ]
-        return Track(id=track_id, entries=entries, state=TrackState.FINISHED)
+        return Track(id=track_id, entries=entries)
 
     def test_round_trip(self, tmp_path):
         tracks = [self.make_track(0), self.make_track(3)]
@@ -331,12 +319,6 @@ class TestTracks:
         (track,) = read_tracks(path)
         assert track.entries[2].ncc_degenerate and not track.entries[2].template_clipped
         assert track.entries[4].template_clipped and not track.entries[4].ncc_degenerate
-
-    def test_tracks_arrive_finished(self, tmp_path):
-        path = tmp_path / "t.txt"
-        write_tracks([self.make_track()], path)
-        (track,) = read_tracks(path)
-        assert track.state is TrackState.FINISHED
 
 
 class TestHeaders:
@@ -412,7 +394,7 @@ class TestManifest:
 
 
 class TestManifestFrameSource:
-    def test_loads_and_caches(self, tmp_path):
+    def test_loads(self, tmp_path):
         samples = np.arange(12, dtype=np.uint8).reshape(3, 4)
         img = GrayImage(samples=samples, max_value=255)
         from icevision_kit.frames import write_pnm
@@ -422,7 +404,6 @@ class TestManifestFrameSource:
         source = ManifestFrameSource(manifest, root=tmp_path)
         assert 0 in source and 1 not in source
         assert np.array_equal(source[0].samples, samples)
-        assert source[0] is source[0]  # cached
 
     def test_missing_frame_raises(self, tmp_path):
         manifest = SequenceManifest(sequence_id="s", frames=((0, "f0.pgm"),))

@@ -16,14 +16,13 @@ from icevision_kit.refinement import (
     average_track_distribution,
     format_thresholds,
     grid_search_thresholds,
-    hierarchical_select,
     parse_thresholds,
     refine_tracks,
     vote_associated_data,
 )
 from icevision_kit.scoring import ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
-from icevision_kit.tracking import Track, TrackState
+from icevision_kit.tracking import Track
 
 
 def entry(frame, dist, box=(0, 0, 20, 20), source=Source.DETECTED, data=None, temporary=None):
@@ -38,7 +37,7 @@ def entry(frame, dist, box=(0, 0, 20, 20), source=Source.DETECTED, data=None, te
 
 
 def track(*entries, track_id=0):
-    return Track(id=track_id, entries=list(entries), state=TrackState.FINISHED)
+    return Track(id=track_id, entries=list(entries))
 
 
 THR = LevelThresholds(0.5, 0.5, 0.5)
@@ -73,38 +72,51 @@ class TestAverage:
             average_track_distribution(t)
 
 
+def select(dist, thr):
+    """(class, probability) that refine_tracks stamps on a one-entry track
+    with this distribution; None when it drops the track."""
+    one = Detection(frame_index=0, box=BoundingBox(0, 0, 20, 20), class_distribution=dist)
+    refined = refine_tracks([track(one)], thr)
+    if not refined:
+        return None
+    ((code, prob),) = refined[0].class_distribution.items()
+    return code, prob
+
+
 class TestHierarchicalSelect:
+    """Class selection with taxonomy fallback, through ``refine_tracks``."""
+
     def test_specific_acceptance(self):
-        assert hierarchical_select({parse_code("3.24.1"): 0.9}, THR) == (
+        assert select({parse_code("3.24.1"): 0.9}, THR) == (
             parse_code("3.24.1"),
             0.9,
         )
 
     def test_level2_fallback_sums_mass(self):
         dist = {parse_code("3.24.1"): 0.3, parse_code("3.24.2"): 0.3}
-        code, prob = hierarchical_select(dist, THR)
+        code, prob = select(dist, THR)
         assert code == parse_code("3.24")
         assert prob == pytest.approx(0.6)
 
     def test_top_level_fallback(self):
         dist = {parse_code("3.24.1"): 0.3, parse_code("3.25.2"): 0.3}
-        code, prob = hierarchical_select(dist, THR)
+        code, prob = select(dist, THR)
         assert code == parse_code("3")
         assert prob == pytest.approx(0.6)
 
     def test_all_levels_fail(self):
         dist = {parse_code("3.24.1"): 0.1, parse_code("5.19.1"): 0.1}
-        assert hierarchical_select(dist, THR) is None
+        assert select(dist, THR) is None
 
     def test_thresholds_inclusive(self):
-        assert hierarchical_select({parse_code("3.24.1"): 0.5}, THR) == (
+        assert select({parse_code("3.24.1"): 0.5}, THR) == (
             parse_code("3.24.1"),
             0.5,
         )
 
     def test_tie_broken_by_canonical_order(self):
         dist = {parse_code("3.25"): 0.5, parse_code("3.24"): 0.5}
-        assert hierarchical_select(dist, THR)[0] == parse_code("3.24")
+        assert select(dist, THR)[0] == parse_code("3.24")
 
     def test_reported_probability_is_exact_descendant_sum(self):
         dist = {
@@ -112,20 +124,17 @@ class TestHierarchicalSelect:
             parse_code("3.24.2"): 0.25,
             parse_code("3.25.1"): 0.1,
         }
-        code, prob = hierarchical_select(dist, LevelThresholds(0.9, 0.45, 0.9))
+        code, prob = select(dist, LevelThresholds(0.9, 0.45, 0.9))
         assert code == parse_code("3.24")
         assert prob == 0.2 + 0.25
 
     def test_scaling_keeps_argmax(self):
         dist = {parse_code("3.24.1"): 0.3, parse_code("3.24.2"): 0.2, parse_code("5.19.1"): 0.25}
         zero = LevelThresholds(0.0, 0.0, 0.0)
-        base = hierarchical_select(dist, zero)[0]
+        base = select(dist, zero)[0]
         for c in (0.5, 0.1):
             scaled = {k: v * c for k, v in dist.items()}
-            assert hierarchical_select(scaled, zero)[0] == base
-
-    def test_empty_distribution(self):
-        assert hierarchical_select({}, THR) is None
+            assert select(scaled, zero)[0] == base
 
 
 class TestVotes:

@@ -33,9 +33,12 @@ class TestParseCode:
         with pytest.raises(MalformedCode):
             parse_code("")
 
-    def test_non_numeric_rejected(self):
+    # str.isdigit accepts "²" (which int() rejects), "٣" (read as 3) and
+    # fullwidth digits; a segment is ASCII digits only
+    @pytest.mark.parametrize("text", ["3.x", "3.\u00b2", "\u0663.1", "3.\uff12\uff14"])
+    def test_non_numeric_rejected(self, text):
         with pytest.raises(MalformedCode):
-            parse_code("3.x")
+            parse_code(text)
 
     def test_four_segments_rejected(self):
         with pytest.raises(MalformedCode):

@@ -10,10 +10,8 @@ from icevision_kit.core import BoundingBox, Detection, Source, iou
 from icevision_kit.frames import GrayImage
 from icevision_kit.taxonomy import parse_code
 from icevision_kit.tracking import (
-    IouTracker,
     Track,
     TrackerConfig,
-    TrackState,
     densify_linear,
     densify_ncc,
     run_tracker,
@@ -42,7 +40,6 @@ def make_track(*entries, track_id=0):
             )
             for frame, box, code in entries
         ],
-        state=TrackState.FINISHED,
     )
 
 
@@ -86,16 +83,9 @@ class TestAssociation:
         tracks = run_tracker(boxes, cfg)
         assert len(tracks) == 3
 
-    def test_out_of_order_frames_rejected(self):
-        tracker = IouTracker()
-        tracker.step(3, [det(3, (0, 0, 10, 10))])
-        with pytest.raises(ValueError):
-            tracker.step(3, [det(3, (0, 0, 10, 10))])
-
     def test_wrong_frame_detection_rejected(self):
-        tracker = IouTracker()
         with pytest.raises(ValueError):
-            tracker.step(0, [det(3, (0, 0, 10, 10))])
+            run_tracker({0: [det(3, (0, 0, 10, 10))]})
 
     def test_entries_are_the_callers_detections(self):
         first, second = det(0, (0, 0, 50, 50)), det(3, (2, 2, 52, 52))
@@ -160,10 +150,9 @@ class TestLifecycle:
         assert len(tracks) == 2
         assert all(len(t.entries) == 3 for t in tracks)
 
-    def test_finished_state_and_ids(self):
+    def test_ids_in_start_order(self):
         tracks = run_tracker({0: [det(0, (0, 0, 10, 10)), det(0, (50, 50, 60, 60))]})
         assert [t.id for t in tracks] == [0, 1]
-        assert all(t.state is TrackState.FINISHED for t in tracks)
 
 
 class TestPartition:
