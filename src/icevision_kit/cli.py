@@ -242,6 +242,8 @@ def _cmd_tune(args, parser: _Parser) -> int:
 
 
 def _cmd_convert(args, parser: _Parser) -> int:
+    if args.crop_keep is not None and args.crop_keep < 1:
+        parser.error(f"--crop-keep must be >= 1, got {args.crop_keep}")
     sidecar = datastore.SidecarConfig()
     if args.sidecar:
         sidecar = datastore.parse_sidecar(datastore.read_text(_require(args.sidecar)), args.sidecar)
@@ -320,6 +322,8 @@ def _cmd_synth(args, parser: _Parser) -> int:
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
+    if not 0.0 < args.budget_fps < math.inf:
+        parser.error(f"--budget-fps must be finite and > 0, got {args.budget_fps}")
     noise, tracker = _mock_detector_flags(args, parser)
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)

@@ -38,11 +38,13 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self) -> None:
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"box coordinates must be finite, got {coords}")
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise ValueError(f"box min corner must not exceed max corner, got {coords}")
+        # unrolled: one box is built per record line, entry and refined detection
+        x0, y0, x1, y1 = self.x_min, self.y_min, self.x_max, self.y_max
+        isfinite = math.isfinite
+        if not (isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)):
+            raise ValueError(f"box coordinates must be finite, got {(x0, y0, x1, y1)}")
+        if x0 > x1 or y0 > y1:
+            raise ValueError(f"box min corner must not exceed max corner, got {(x0, y0, x1, y1)}")
 
     @property
     def width(self) -> float:

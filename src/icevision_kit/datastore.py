@@ -55,19 +55,16 @@ def _format_real(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _format_box(box: BoundingBox) -> tuple[str, str, str, str]:
-    return (
-        _format_real(box.x_min), _format_real(box.y_min),
-        _format_real(box.x_max), _format_real(box.y_max),
-    )
+def _format_box(box: BoundingBox) -> str:
+    # the bytes of four _format_real calls joined by spaces, in one operation
+    return "%.6f %.6f %.6f %.6f" % (box.x_min, box.y_min, box.x_max, box.y_max)
 
 
 def _parse_real(token: str, path, lineno: int, what: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise MalformedRecord(path, lineno, f"{what} is not a number: {token!r}") from None
-    return value
 
 
 def _parse_frame(token: str, path, lineno: int) -> int:
@@ -77,7 +74,10 @@ def _parse_frame(token: str, path, lineno: int) -> int:
 
 
 def _parse_box(tokens: list[str], path, lineno: int) -> BoundingBox:
-    coords = [_parse_real(t, path, lineno, "box coordinate") for t in tokens]
+    try:
+        coords = [float(t) for t in tokens]
+    except ValueError:  # again token by token, to name the bad one
+        coords = [_parse_real(t, path, lineno, "box coordinate") for t in tokens]
     try:
         return BoundingBox(*coords)
     except ValueError as exc:
@@ -122,6 +122,40 @@ def _parse_distribution(token: str, path, lineno: int) -> ClassDistribution:
 def _format_distribution(dist: ClassDistribution) -> str:
     items = sorted(dist.items(), key=lambda item: item[0].segments)
     return ",".join(f"{code}:{_format_real(prob)}" for code, prob in items)
+
+
+def _memo_by_token(parse: Callable[[str, object, int], object]) -> Callable:
+    """``parse(token, path, lineno)`` run once per distinct token of one file
+    read.  Only results are kept, so a bad token raises on its own line."""
+    memo: dict[str, object] = {}
+
+    def cached(token: str, path, lineno: int):
+        value = memo.get(token)
+        if value is None:
+            value = memo[token] = parse(token, path, lineno)
+        return value
+
+    return cached
+
+
+def _memo_by_object(fmt: Callable[[object], str]) -> Callable:
+    """``fmt(value)`` run once per distinct object of one file write; each
+    entry holds its object, so no other object can take its ``id``."""
+    memo: dict[int, tuple[object, str]] = {}
+
+    def cached(value) -> str:
+        hit = memo.get(id(value))
+        if hit is None:
+            hit = memo[id(value)] = (value, fmt(value))
+        return hit[1]
+
+    return cached
+
+
+def _distribution_and_key(token: str, path, lineno: int) -> tuple[ClassDistribution, tuple]:
+    """A detection's distribution and its part of the duplicate-record key."""
+    dist = _parse_distribution(token, path, lineno)
+    return dist, tuple(sorted((c.segments, p) for c, p in dist.items()))
 
 
 def _opt_text(token: str) -> str | None:
@@ -250,18 +284,8 @@ def write_annotations(annotations: list[FrameAnnotations], path) -> None:
         if not ann.signs:
             lines.append(f"{ann.frame_index}\n")
         for sign in ann.signs:
-            lines.append(
-                " ".join(
-                    (
-                        str(ann.frame_index),
-                        str(sign.code),
-                        *_format_box(sign.box),
-                        _text_or_dash(sign.associated_data),
-                        _flag_text(sign.temporary),
-                    )
-                )
-                + "\n"
-            )
+            lines.append(f"{ann.frame_index} {sign.code} {_format_box(sign.box)} "
+                         f"{_text_or_dash(sign.associated_data)} {_flag_text(sign.temporary)}\n")
     atomic_write_text(path, "".join(lines))
 
 
@@ -278,23 +302,18 @@ def read_detections(path) -> dict[int, list[Detection]]:
     """
     out: dict[int, list[Detection]] = {}
     seen: set[tuple] = set()
+    distribution = _memo_by_token(_distribution_and_key)
     for lineno, fields in _open_records(path, "detections"):
         if len(fields) not in (6, 7, 8):
             raise MalformedRecord(
                 path, lineno, f"detection record needs 6-8 fields, got {len(fields)}"
             )
         frame = _parse_frame(fields[0], path, lineno)
-        dist = _parse_distribution(fields[1], path, lineno)
+        dist, dist_key = distribution(fields[1], path, lineno)
         box = _parse_box(fields[2:6], path, lineno)
         data = _opt_text(fields[6]) if len(fields) >= 7 else None
         temporary = _parse_opt_flag(fields[7], path, lineno) if len(fields) == 8 else None
-        key = (
-            frame,
-            (box.x_min, box.y_min, box.x_max, box.y_max),
-            tuple(sorted((c.segments, p) for c, p in dist.items())),
-            data,
-            temporary,
-        )
+        key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), dist_key, data, temporary)
         if key in seen:
             raise MalformedRecord(path, lineno, f"duplicate detection record on frame {frame}")
         seen.add(key)
@@ -309,13 +328,10 @@ def read_detections(path) -> dict[int, list[Detection]]:
 
 def write_detections(detections: dict[int, list[Detection]], path) -> None:
     lines = [f"{FORMAT_VERSION} detections\n"]
+    distribution = _memo_by_object(_format_distribution)
     for frame in sorted(detections):
         for det in detections[frame]:
-            fields = [
-                str(frame),
-                _format_distribution(det.class_distribution),
-                *_format_box(det.box),
-            ]
+            fields = [str(frame), distribution(det.class_distribution), _format_box(det.box)]
             if det.associated_data is not None or det.temporary is not None:
                 fields.append(_text_or_dash(det.associated_data))
             if det.temporary is not None:
@@ -349,6 +365,7 @@ def read_tracks(path) -> list[Track]:
     """
     entries: dict[int, list[Detection]] = {}
     first_lines: dict[int, int] = {}
+    distribution = _memo_by_token(_parse_distribution)
     for lineno, fields in _open_records(path, "tracks"):
         if len(fields) != 11:
             raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
@@ -359,7 +376,7 @@ def read_tracks(path) -> list[Track]:
         if fields[2] not in _TEXT_SOURCE:
             raise MalformedRecord(path, lineno, f"unknown source {fields[2]!r}")
         box = _parse_box(fields[3:7], path, lineno)
-        dist = _parse_distribution(fields[7], path, lineno)
+        dist = distribution(fields[7], path, lineno)
         temporary = _parse_opt_flag(fields[9], path, lineno)
         flags_field = fields[10]
         flags = set() if flags_field == "-" else set(flags_field.split(","))
@@ -396,22 +413,14 @@ def read_tracks(path) -> list[Track]:
 
 def write_tracks(tracks: list[Track], path) -> None:
     lines = [f"{FORMAT_VERSION} tracks\n"]
+    distribution = _memo_by_object(_format_distribution)
     for track in sorted(tracks, key=lambda t: t.id):
         for entry in track.entries:
+            temporary = "-" if entry.temporary is None else _flag_text(entry.temporary)
             lines.append(
-                " ".join(
-                    (
-                        str(track.id),
-                        str(entry.frame_index),
-                        _SOURCE_TEXT[entry.source],
-                        *_format_box(entry.box),
-                        _format_distribution(entry.class_distribution),
-                        _text_or_dash(entry.associated_data),
-                        "-" if entry.temporary is None else _flag_text(entry.temporary),
-                        _entry_flags(entry),
-                    )
-                )
-                + "\n"
+                f"{track.id} {entry.frame_index} {_SOURCE_TEXT[entry.source]} "
+                f"{_format_box(entry.box)} {distribution(entry.class_distribution)} "
+                f"{_text_or_dash(entry.associated_data)} {temporary} {_entry_flags(entry)}\n"
             )
     atomic_write_text(path, "".join(lines))
 
@@ -544,6 +553,14 @@ def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]
     return values
 
 
+def decimal_value(text: str, least: int = 0) -> int:
+    """An integer setting of at least ``least``, in ASCII decimal digits
+    (``int`` would also read "٣٠", "3_20" and "+7")."""
+    if not (is_ascii_digits(text) and int(text) >= least):
+        raise ValueError(f"expected a decimal integer >= {least}, got {text!r}")
+    return int(text)
+
+
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
@@ -560,5 +577,6 @@ class SidecarConfig:
 def parse_sidecar(text: str, path="<sidecar>") -> SidecarConfig:
     """Parse a sidecar file (keys: pattern, equalize, crop_keep)."""
     readers = {"pattern": lambda v: BayerPattern(v.upper()),
-               "equalize": lambda v: _BOOLEANS[v.lower()], "crop_keep": int}
+               "equalize": lambda v: _BOOLEANS[v.lower()],
+               "crop_keep": lambda v: decimal_value(v, least=1)}
     return SidecarConfig(**parse_key_values(text, path, readers))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame
-from .datastore import MalformedRecord, parse_key_values
+from .datastore import MalformedRecord, decimal_value, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
 from .scoring import ScoringConfig, score_dataset
@@ -148,7 +148,7 @@ class ScenarioSpec:
 def parse_scenario(text: str, path="<scenario>") -> ScenarioSpec:
     """Parse a key=value scenario spec (frame_count, width, height, sign_count)."""
     keys = ("frame_count", "width", "height", "sign_count")
-    values = parse_key_values(text, path, dict.fromkeys(keys, int))
+    values = parse_key_values(text, path, dict.fromkeys(keys, decimal_value))
     if "frame_count" not in values:
         raise MalformedRecord(path, None, "scenario spec must set frame_count")
     try:

@@ -110,11 +110,12 @@ def _assign(entries: list[Detection], summary: _TrackSummary, level: int) -> lis
     code = summary.codes[level]
     # pooled sibling mass is mathematically <= 1; shave float carry
     prob = min(summary.probs[level], 1.0)
+    dist = {code: prob}  # one per track: writers format each distinct dict once
     return [
         Detection(
             frame_index=entry.frame_index,
             box=entry.box,
-            class_distribution={code: prob},
+            class_distribution=dist,
             confidence=prob,
             associated_data=summary.associated_data,
             temporary=summary.temporary,

@@ -144,8 +144,10 @@ def _linear_fill(start: Detection, end: Detection) -> Iterator[Detection]:
     span = end.frame_index - start.frame_index
     for frame in range(start.frame_index + 1, end.frame_index):
         t = (frame - start.frame_index) / span
-        box = lerp_box(start.box, end.box, t)
-        yield replace(start, frame_index=frame, box=box, source=Source.INTERPOLATED)
+        # built directly: dataclasses.replace costs a fields() walk per entry
+        yield Detection(frame, lerp_box(start.box, end.box, t), start.class_distribution,
+                        start.confidence, start.associated_data, start.temporary,
+                        Source.INTERPOLATED, start.ncc_degenerate, start.template_clipped)
 
 
 def _int_rect(box: BoundingBox) -> tuple[int, int, int, int]:

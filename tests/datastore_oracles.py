@@ -1,0 +1,136 @@
+"""Reference record-file codec for detections and tracks.
+
+The library parses and formats each distinct distribution once per file
+and formats a box in one operation; the versions here format every
+coordinate on its own and parse every line afresh, as the codec first
+did.  They read valid files only (plus the duplicate-detection check)
+and serve as differential-test oracles.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+from icevision_kit.core import BoundingBox, Detection, Source
+from icevision_kit.datastore import FORMAT_VERSION
+from icevision_kit.taxonomy import ClassCode
+from icevision_kit.tracking import Track
+
+
+class DuplicateDetection(ValueError):
+    def __init__(self, lineno: int):
+        super().__init__(f"duplicate detection record on line {lineno}")
+        self.lineno = lineno
+
+
+def format_real(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def format_box(box: BoundingBox) -> tuple[str, str, str, str]:
+    return (
+        format_real(box.x_min), format_real(box.y_min),
+        format_real(box.x_max), format_real(box.y_max),
+    )
+
+
+def format_distribution(dist) -> str:
+    items = sorted(dist.items(), key=lambda item: item[0].segments)
+    return ",".join(f"{code}:{format_real(prob)}" for code, prob in items)
+
+
+def _flag_text(value: bool | None) -> str:
+    return "-" if value is None else ("true" if value else "false")
+
+
+def write_detections(detections: dict[int, list[Detection]], path) -> None:
+    lines = [f"{FORMAT_VERSION} detections\n"]
+    for frame in sorted(detections):
+        for det in detections[frame]:
+            fields = [str(frame), format_distribution(det.class_distribution), *format_box(det.box)]
+            if det.associated_data is not None or det.temporary is not None:
+                fields.append("-" if det.associated_data is None else det.associated_data)
+            if det.temporary is not None:
+                fields.append(_flag_text(det.temporary))
+            lines.append(" ".join(fields) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def write_tracks(tracks: list[Track], path) -> None:
+    lines = [f"{FORMAT_VERSION} tracks\n"]
+    for track in sorted(tracks, key=lambda t: t.id):
+        for entry in track.entries:
+            flags = [f for f in ("ncc_degenerate", "template_clipped") if getattr(entry, f)]
+            fields = (
+                str(track.id), str(entry.frame_index), entry.source.value,
+                *format_box(entry.box), format_distribution(entry.class_distribution),
+                "-" if entry.associated_data is None else entry.associated_data,
+                _flag_text(entry.temporary), ",".join(flags) or "-",
+            )
+            lines.append(" ".join(fields) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def parse_distribution(token: str) -> dict[ClassCode, float]:
+    if ":" not in token:
+        return {ClassCode.parse(token): 1.0}
+    pairs = (pair.split(":") for pair in token.split(","))
+    return {ClassCode.parse(code): float(prob) for code, prob in pairs}
+
+
+def _records(path, kind: str):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"{FORMAT_VERSION} {kind}"
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line.split()
+
+
+def _opt(token: str) -> str | None:
+    return None if token == "-" else token
+
+
+def _opt_flag(token: str) -> bool | None:
+    return None if token == "-" else token == "true"
+
+
+def read_detections(path) -> dict[int, list[Detection]]:
+    """Raises :class:`DuplicateDetection` where the library raises its
+    duplicate-record error."""
+    out: dict[int, list[Detection]] = {}
+    seen = set()
+    for lineno, fields in _records(path, "detections"):
+        frame = int(fields[0])
+        dist = parse_distribution(fields[1])
+        box = BoundingBox(*(float(t) for t in fields[2:6]))
+        data = _opt(fields[6]) if len(fields) >= 7 else None
+        temporary = _opt_flag(fields[7]) if len(fields) == 8 else None
+        key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max),
+               tuple(sorted((c.segments, p) for c, p in dist.items())), data, temporary)
+        if key in seen:
+            raise DuplicateDetection(lineno)
+        seen.add(key)
+        out.setdefault(frame, []).append(
+            Detection(frame_index=frame, box=box, class_distribution=dist,
+                      associated_data=data, temporary=temporary)
+        )
+    return out
+
+
+def read_tracks(path) -> list[Track]:
+    entries: dict[int, list[Detection]] = {}
+    for _, fields in _records(path, "tracks"):
+        flags = fields[10].split(",")
+        entries.setdefault(int(fields[0]), []).append(
+            Detection(
+                frame_index=int(fields[1]),
+                box=BoundingBox(*(float(t) for t in fields[3:7])),
+                class_distribution=parse_distribution(fields[7]),
+                associated_data=_opt(fields[8]),
+                temporary=_opt_flag(fields[9]),
+                source=Source(fields[2]),
+                ncc_degenerate="ncc_degenerate" in flags,
+                template_clipped="template_clipped" in flags,
+            )
+        )
+    return [Track(id=track_id, entries=entries[track_id]) for track_id in sorted(entries)]

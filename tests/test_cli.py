@@ -290,6 +290,7 @@ class TestBadNumericFlag:
             "synth": ["synth", "--spec", str(spec), "--annotations", str(tmp_path / "a"),
                       "--detections", str(tmp_path / "o")],
             "bench": ["bench", "--spec", str(spec)],
+            "convert": ["convert", str(tmp_path / "f0.pgm"), "--output-dir", str(tmp_path / "o")],
             "interp": ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "o"),
                        "--method", "ncc", "--manifest", str(tmp_path / "manifest.txt"),
                        "--root", str(tmp_path)],
@@ -310,6 +311,11 @@ class TestBadNumericFlag:
         ("interp", "--margin", "-100"),
         ("interp", "--margin", "inf"),
         ("interp", "--margin", "nan"),
+        ("convert", "--crop-keep", "0"),
+        ("convert", "--crop-keep", "-3"),
+        ("bench", "--budget-fps", "nan"),
+        ("bench", "--budget-fps", "0"),
+        ("bench", "--budget-fps", "-5"),
     ])
     def test_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command, flag, value):
         argv = self.inputs(tmp_path)[command]
@@ -339,6 +345,27 @@ class TestNonAsciiDigits:
         assert code == EX_MALFORMED_INPUT
         err = capsys.readouterr().err
         assert f"{path}:2:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text, lineno", [
+        ("synth", "frame_count = \u0663\u0660\n", 1),  # Arabic-Indic "30", which int() reads
+        ("bench", "frame_count = 30\nwidth = 3_20\n", 2),
+        ("convert", "pattern = RGGB\ncrop_keep = \u0661\u0660\n", 2),
+        ("convert", "pattern = RGGB\ncrop_keep = 0\n", 2),
+    ])
+    def test_settings_integers_are_ascii_decimal(self, tmp_path, capsys, command, text, lineno):
+        settings = tmp_path / "settings.cfg"
+        settings.write_text(text, encoding="utf-8")
+        if command == "convert":
+            frame = tmp_path / "f.pgm"
+            frame.write_bytes(b"P5\n4 4\n255\n" + bytes(range(16)))
+            argv = ["convert", str(frame), "--output-dir", str(tmp_path / "o"),
+                    "--sidecar", str(settings)]
+        else:
+            argv = [command, "--spec", str(settings)]
+            argv += ["--annotations", str(tmp_path / "a")] if command == "synth" else []
+        assert main(argv) == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{settings}:{lineno}:" in err and "Traceback" not in err
 
 
 class TestUnwritableOutput:

@@ -59,6 +59,14 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, float("inf"), 10)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_every_coordinate_must_be_finite(self, position, bad):
+        coords = [0.0, 0.0, 10.0, 10.0]
+        coords[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BoundingBox(*coords)
+
     def test_degenerate_allowed(self):
         box = BoundingBox(5, 5, 5, 9)
         assert box.width == 0

@@ -1,11 +1,17 @@
 """Wire formats: annotations, detections, tracks, manifests, settings."""
 
+import re
 import stat
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
+import datastore_oracles as oracles
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icevision_kit import datastore
 
@@ -219,9 +225,19 @@ class TestDetections:
             "d.txt",
             f"{FORMAT_VERSION} detections\n"
             "0 3.24 10 10 50 50\n"
-            "0 3.24 10 10 50 50.000001\n",
+            "0 3.24 10 10 50 50.000001\n"
+            "0 3.24:0.5 10 10 50 50\n",
         )
-        assert len(read_detections(path)[0]) == 2
+        assert len(read_detections(path)[0]) == 3
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_bad_box_coordinate_is_named(self, tmp_path, position):
+        coords = ["10", "10", "50", "50"]
+        coords[position] = "1O"
+        path = put(tmp_path, "d.txt", f"{FORMAT_VERSION} detections\n0 3.24 {' '.join(coords)}\n")
+        with pytest.raises(MalformedRecord, match="box coordinate is not a number: '1O'") as err:
+            read_detections(path)
+        assert err.value.lineno == 2
 
     def test_round_trip_random(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -548,6 +564,10 @@ class TestKeyValueSettings:
             "equalize = true\nequalize = false\n",  # repeated key
             "equalize = banana\n",
             "crop_keep = many\n",
+            "crop_keep = \u0661\u0660\n",  # Arabic-Indic "10", which int() reads
+            "crop_keep = 1_0\n",
+            "crop_keep = +5\n",
+            "crop_keep = 0\n",
             "pattern = XYZW\n",
             "pattern\n",
             "= RGGB\n",
@@ -566,3 +586,180 @@ class TestKeyValueSettings:
     def test_inline_comment(self):
         cfg = parse_sidecar("crop_keep = 12  # rows kept\n")
         assert cfg == SidecarConfig(crop_keep=12)
+
+
+# --------------------------------------------------------------------------
+# The memoized codec against the per-line oracle
+
+
+CODES = [parse_code(c) for c in ("1", "2.4", "3.24", "3.1", "5.19.1")]
+COORDS = st.one_of(
+    st.floats(-1e15, 1e15, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 4e-7, -4e-7, 5e-7, 1e15, -1e15, 999999999999999.9]),
+)
+
+
+@st.composite
+def boxes(draw):
+    x0, x1, y0, y1 = (draw(COORDS) for _ in range(4))
+    return BoundingBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+
+
+@st.composite
+def distributions(draw):
+    codes = draw(st.lists(st.sampled_from(CODES), min_size=1, max_size=3, unique=True))
+    share = 1.0 / len(codes)
+    probs = st.one_of(st.floats(0.0, share), st.sampled_from([0.0, -0.0, 4e-7, share]))
+    return {c: draw(probs) for c in codes}
+
+
+def shared_or_copied(draw, pool):
+    """One of the pool's dicts itself, or an equal but distinct copy."""
+    dist = pool[draw(st.integers(0, len(pool) - 1))]
+    return dict(dist) if draw(st.booleans()) else dist
+
+
+def entry_fields(draw, pool):
+    return dict(
+        box=draw(boxes()),
+        class_distribution=shared_or_copied(draw, pool),
+        associated_data=draw(st.sampled_from([None, "40", "x"])),
+        temporary=draw(st.sampled_from([None, True, False])),
+    )
+
+
+@st.composite
+def detection_maps(draw):
+    pool = draw(st.lists(distributions(), min_size=1, max_size=4))
+    frames = draw(st.lists(st.integers(0, 60), max_size=5, unique=True))
+    return {
+        frame: [Detection(frame_index=frame, **entry_fields(draw, pool))
+                for _ in range(draw(st.integers(1, 4)))]
+        for frame in frames
+    }
+
+
+@st.composite
+def track_lists(draw):
+    pool = draw(st.lists(distributions(), min_size=1, max_size=4))
+    tracks = []
+    for track_id in draw(st.lists(st.integers(0, 99), max_size=4, unique=True)):
+        frames = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True)))
+        entries = [
+            Detection(
+                frame_index=frame,
+                source=Source.DETECTED if i == 0 else draw(st.sampled_from(Source)),
+                ncc_degenerate=draw(st.booleans()),
+                template_clipped=draw(st.booleans()),
+                **entry_fields(draw, pool),
+            )
+            for i, frame in enumerate(frames)
+        ]
+        tracks.append(Track(id=track_id, entries=entries))
+    return tracks
+
+
+def bare_codes(path):
+    """Rewrite each single-code ``code:1.000000`` token as the bare code."""
+    text = path.read_text()
+    path.write_text(re.sub(r"(?<= )(\d+(?:\.\d+)*):1\.000000(?= )", r"\1", text))
+
+
+class TestCodecMatchesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(detections=detection_maps(), bare=st.booleans())
+    def test_detections(self, detections, bare):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp, "ours.txt"), Path(tmp, "oracle.txt")
+            write_detections(detections, ours)
+            oracles.write_detections(detections, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
+            if bare:
+                bare_codes(ours)
+            try:
+                expected = oracles.read_detections(ours)
+            except oracles.DuplicateDetection as exc:
+                with pytest.raises(MalformedRecord, match="duplicate") as err:
+                    read_detections(ours)
+                assert err.value.lineno == exc.lineno
+            else:
+                assert read_detections(ours) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(tracks=track_lists(), bare=st.booleans())
+    @example(tracks=[Track(id=0, entries=[Detection(
+        frame_index=0, box=BoundingBox(-0.0, 5e-324, 1e15, 1e15),
+        class_distribution={CODES[2]: 1.0})])], bare=True)
+    def test_tracks(self, tracks, bare):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp, "ours.txt"), Path(tmp, "oracle.txt")
+            write_tracks(tracks, ours)
+            oracles.write_tracks(tracks, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
+            if bare:
+                bare_codes(ours)
+            assert read_tracks(ours) == oracles.read_tracks(ours)
+
+
+def detection_line(lineno, token):
+    return f"{lineno} {token} 1 1 2 2\n"
+
+
+def track_line(lineno, token):
+    return f"0 {lineno} detected 1 1 2 2 {token} - - -\n"
+
+
+class TestDistributionMemo:
+    TOKENS = ["3.24:0.5,5.19.1:0.25", "2.4", "3.24:0.5,5.19.1:0.25", "2.4", "1:0.9",
+              "3.24:0.5,5.19.1:0.25", "2.4:1.0"]
+
+    @pytest.mark.parametrize("kind, line, read", [
+        ("detections", detection_line, read_detections),
+        ("tracks", track_line, read_tracks),
+    ])
+    def test_one_parse_per_distinct_token(self, tmp_path, monkeypatch, kind, line, read):
+        calls = []
+        parse = datastore._parse_distribution
+        monkeypatch.setattr(datastore, "_parse_distribution",
+                            lambda token, *rest: calls.append(token) or parse(token, *rest))
+        body = "".join(line(i, token) for i, token in enumerate(self.TOKENS))
+        records = read(put(tmp_path, "f.txt", f"{FORMAT_VERSION} {kind}\n{body}"))
+        assert sorted(calls) == sorted(set(self.TOKENS))
+        entries = records[0].entries if kind == "tracks" else [d for v in records.values() for d in v]
+        assert [e.class_distribution for e in entries] == [
+            oracles.parse_distribution(t) for t in self.TOKENS
+        ]
+
+    def test_one_format_per_distinct_dict(self, tmp_path, monkeypatch):
+        calls = []
+        fmt = datastore._format_distribution
+        monkeypatch.setattr(datastore, "_format_distribution",
+                            lambda dist: calls.append(dist) or fmt(dist))
+        shared, other = {CODES[2]: 0.5}, {CODES[1]: 0.75}
+        copy = dict(shared)  # equal, but a distinct object
+        dists = [shared, other, shared, copy, shared, other]
+        entries = [Detection(frame_index=f, box=BoundingBox(f, 0, f + 1, 1), class_distribution=d)
+                   for f, d in enumerate(dists)]
+        write_tracks([Track(id=0, entries=entries)], tmp_path / "t.txt")
+        assert sorted(map(id, calls)) == sorted(map(id, [shared, other, copy]))
+        calls.clear()
+        write_detections({e.frame_index: [e] for e in entries}, tmp_path / "d.txt")
+        assert sorted(map(id, calls)) == sorted(map(id, [shared, other, copy]))
+        assert read_detections(tmp_path / "d.txt") == {e.frame_index: [e] for e in entries}
+
+    @pytest.mark.parametrize("kind, line, read", [
+        ("detections", detection_line, read_detections),
+        ("tracks", track_line, read_tracks),
+    ])
+    @pytest.mark.parametrize("bad, error, at", [
+        ("3.x:0.5", MalformedRecord, 12),  # first seen on line 12
+        ("3.24:0.8,5.19.1:0.4", InvalidDistribution, 6),  # sums above 1, first seen on line 6
+    ])
+    def test_errors_name_the_line_a_token_is_first_met(self, tmp_path, kind, line, read,
+                                                        bad, error, at):
+        valid = "3.24:0.5,5.19.1:0.25"
+        tokens = {3: valid, 9: valid, at: bad, 12: bad}
+        body = "".join(line(n, tokens.get(n, "2.4")) for n in range(2, 13))
+        with pytest.raises(error) as err:
+            read(put(tmp_path, "f.txt", f"{FORMAT_VERSION} {kind}\n{body}"))
+        assert err.value.lineno == at

@@ -121,6 +121,13 @@ class TestParseScenario:
         with pytest.raises(ValueError):
             parse_scenario("frame_count=ten\n")
 
+    @pytest.mark.parametrize("value", ["\u0663\u0660", "3_0", "+30", "-30", "30.0"])
+    def test_integers_are_ascii_decimal(self, value):
+        # int() reads all but the last as 30 or -30
+        with pytest.raises(MalformedRecord) as err:
+            parse_scenario(f"width = 640\nframe_count = {value}\n", "s.cfg")
+        assert str(err.value).startswith("s.cfg:2:")
+
     def test_repeated_key_names_line(self):
         with pytest.raises(MalformedRecord) as err:
             parse_scenario("frame_count = 10\nwidth = 640\nwidth = 320\n", "s.cfg")

@@ -165,6 +165,8 @@ class TestRefineTracks:
         assert len(out) == 5
         assert all(d.code == parse_code("3.24") for d in out)
         assert all(d.confidence == pytest.approx(0.9) for d in out)
+        # one dict per track, so the writers format it once
+        assert len({id(d.class_distribution) for d in out}) == 1
 
     def test_rejected_track_emits_nothing(self):
         t = track(entry(0, {"3.24.1": 0.1}), entry(3, {"5.19.1": 0.1}))
