@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import datastore, frames, harness, refinement, tracking
-from .datastore import DatastoreError, atomic_write_bytes, atomic_write_text
+from .datastore import DatastoreError, MalformedRecord, atomic_write_bytes, atomic_write_text
 from .frames import BayerPattern, PnmError
 from .refinement import LevelThresholds
 from .scoring import ScoringConfig, format_report, report_records, score_dataset
@@ -52,7 +52,7 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     if not values:
         parser.error(f"{flag} needs at least one value")
     try:
-        numbers = [float(v) for v in values]
+        numbers = [datastore.real_value(v) for v in values]
     except ValueError:
         parser.error(f"{flag} holds a non-number: {text!r}")
     if not all(0.0 <= v <= 1.0 for v in numbers):
@@ -212,10 +212,11 @@ def _cmd_refine(args) -> int:
     tracks = datastore.read_tracks(_require(args.tracks))
     thresholds = LevelThresholds()
     if args.thresholds:
+        text = datastore.read_text(_require(args.thresholds))
         try:
-            thresholds = refinement.parse_thresholds(_require(args.thresholds).read_text())
+            thresholds = refinement.parse_thresholds(text)
         except ValueError as exc:
-            raise DatastoreError(args.thresholds, None, str(exc)) from None
+            raise MalformedRecord(args.thresholds, 1, str(exc)) from None
     detections = refinement.refine_tracks(tracks, thresholds)
     datastore.write_detections(harness.group_by_frame(detections), args.output)
     print(f"detections {len(detections)}")

@@ -62,7 +62,7 @@ def _format_box(box: BoundingBox) -> str:
 
 def _parse_real(token: str, path, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        return real_value(token)
     except ValueError:
         raise MalformedRecord(path, lineno, f"{what} is not a number: {token!r}") from None
 
@@ -73,9 +73,9 @@ def _parse_frame(token: str, path, lineno: int) -> int:
     return int(token)
 
 
-def _parse_box(tokens: list[str], path, lineno: int) -> BoundingBox:
+def _parse_box(tokens: list[str], path, lineno: int, plain: bool) -> BoundingBox:
     try:
-        coords = [float(t) for t in tokens]
+        coords = [float(t) for t in tokens] if plain else [real_value(t) for t in tokens]
     except ValueError:  # again token by token, to name the bad one
         coords = [_parse_real(t, path, lineno, "box coordinate") for t in tokens]
     try:
@@ -198,11 +198,13 @@ def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _open_records(path, kind: str) -> Iterator[tuple[int, list[str]]]:
-    """Generator over (lineno, fields) of a record file's data lines."""
+def _open_records(path, kind: str) -> Iterator[tuple[int, list[str], bool]]:
+    """Generator over (lineno, fields, plain) of a record file's data lines;
+    ``plain`` lines are ASCII with no ``_``, so ``float`` reads their reals
+    as :func:`real_value` does."""
     for lineno, line in _body_lines(path, kind):
         if not line.startswith("#"):
-            yield lineno, line.split()
+            yield lineno, line.split(), line.isascii() and "_" not in line
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -245,7 +247,7 @@ def read_annotations(path) -> list[FrameAnnotations]:
     """
     signs: dict[int, list[GroundTruthSign]] = {}
     seen: set[tuple[int, tuple[float, float, float, float], tuple[int, ...]]] = set()
-    for lineno, fields in _open_records(path, "annotations"):
+    for lineno, fields, plain in _open_records(path, "annotations"):
         if len(fields) == 1:
             frame = _parse_frame(fields[0], path, lineno)
             signs.setdefault(frame, [])
@@ -256,7 +258,7 @@ def read_annotations(path) -> list[FrameAnnotations]:
             )
         frame = _parse_frame(fields[0], path, lineno)
         code = _parse_code(fields[1], path, lineno)
-        box = _parse_box(fields[2:6], path, lineno)
+        box = _parse_box(fields[2:6], path, lineno, plain)
         key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
         if key in seen:
             raise MalformedRecord(path, lineno, f"duplicate annotation for frame {frame}, {code}")
@@ -303,14 +305,14 @@ def read_detections(path) -> dict[int, list[Detection]]:
     out: dict[int, list[Detection]] = {}
     seen: set[tuple] = set()
     distribution = _memo_by_token(_distribution_and_key)
-    for lineno, fields in _open_records(path, "detections"):
+    for lineno, fields, plain in _open_records(path, "detections"):
         if len(fields) not in (6, 7, 8):
             raise MalformedRecord(
                 path, lineno, f"detection record needs 6-8 fields, got {len(fields)}"
             )
         frame = _parse_frame(fields[0], path, lineno)
         dist, dist_key = distribution(fields[1], path, lineno)
-        box = _parse_box(fields[2:6], path, lineno)
+        box = _parse_box(fields[2:6], path, lineno, plain)
         data = _opt_text(fields[6]) if len(fields) >= 7 else None
         temporary = _parse_opt_flag(fields[7], path, lineno) if len(fields) == 8 else None
         key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), dist_key, data, temporary)
@@ -366,7 +368,7 @@ def read_tracks(path) -> list[Track]:
     entries: dict[int, list[Detection]] = {}
     first_lines: dict[int, int] = {}
     distribution = _memo_by_token(_parse_distribution)
-    for lineno, fields in _open_records(path, "tracks"):
+    for lineno, fields, plain in _open_records(path, "tracks"):
         if len(fields) != 11:
             raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
         if not is_ascii_digits(fields[0]):
@@ -375,7 +377,7 @@ def read_tracks(path) -> list[Track]:
         frame = _parse_frame(fields[1], path, lineno)
         if fields[2] not in _TEXT_SOURCE:
             raise MalformedRecord(path, lineno, f"unknown source {fields[2]!r}")
-        box = _parse_box(fields[3:7], path, lineno)
+        box = _parse_box(fields[3:7], path, lineno, plain)
         dist = distribution(fields[7], path, lineno)
         temporary = _parse_opt_flag(fields[9], path, lineno)
         flags_field = fields[10]
@@ -559,6 +561,13 @@ def decimal_value(text: str, least: int = 0) -> int:
     if not (is_ascii_digits(text) and int(text) >= least):
         raise ValueError(f"expected a decimal integer >= {least}, got {text!r}")
     return int(text)
+
+
+def real_value(text: str) -> float:
+    """A real in ASCII with no ``_`` (``float`` also reads "٠.٥" and "0.5_0")."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected an ASCII decimal number, got {text!r}")
+    return float(text)
 
 
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),

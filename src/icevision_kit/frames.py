@@ -355,29 +355,78 @@ def _window_sums(values: np.ndarray, th: int, tw: int) -> np.ndarray:
     return table[th:, tw:] - table[:-th, tw:] - table[th:, :-tw] + table[:-th, :-tw]
 
 
-def _cross_term(t: np.ndarray, s: np.ndarray, max_value: int) -> np.ndarray:
-    """Sum of window * template at every placement, in exact integers.
+def _byte_planes(values: np.ndarray, split: bool) -> list[tuple[int, np.ndarray]]:
+    """(shift, plane) pairs that add up to ``values``: itself, or its two bytes."""
+    return [(8 * k, (values >> 8 * k) & 0xFF) for k in (0, 1)] if split else [(0, values)]
 
-    The correlation is a product of ``rfft2`` spectra at the search size;
+
+def _template_spectra(t: np.ndarray, shape: tuple[int, int], max_value: int) -> list:
+    """(shift, spectrum) per byte plane of the flipped template, at the size
+    of the search window.
+
+    The cross term is a product of ``rfft2`` spectra at the search size;
     the valid part has no wrap-around.  Its float64 error stays below
     ``eps * log2(N) * sqrt(n * N) * max_value**2`` for n template and N
     search pixels (the worst measured was 1/40 of that), so rounding is
     exact while that is under 0.25.  Above it the samples are split into
     high and low bytes, so each of the four products rounds exactly.
     """
+    size = shape[0] * shape[1]
+    error = np.finfo(np.float64).eps * math.log2(max(size, 2)) * math.sqrt(t.size * size)
+    planes = _byte_planes(t, error * max_value**2 >= 0.25)
+    return [(shift, np.fft.rfft2(plane[::-1, ::-1], shape)) for shift, plane in planes]
+
+
+def _cross_term(t: np.ndarray, s: np.ndarray, max_value: int, spectra=None) -> np.ndarray:
+    """Sum of window * template at every placement, in exact integers;
+    ``spectra`` are the template's :func:`_template_spectra`, when known."""
     (th, tw), shape = t.shape, s.shape
-    eps = np.finfo(np.float64).eps
-    if eps * math.log2(max(s.size, 2)) * math.sqrt(t.size * s.size) * max_value**2 < 0.25:
-        parts = [(0, t, s)]
-    else:  # (shift, template byte, search byte)
-        parts = [(8 * (a + b), (t >> 8 * a) & 0xFF, (s >> 8 * b) & 0xFF)
-                 for a in (0, 1) for b in (0, 1)]
+    spectra = spectra or _template_spectra(t, shape, max_value)
     total = np.zeros((shape[0] - th + 1, shape[1] - tw + 1), dtype=np.int64)
-    for shift, tp, sp in parts:
-        spectrum = np.fft.rfft2(sp, shape) * np.fft.rfft2(tp[::-1, ::-1], shape)
-        valid = np.fft.irfft2(spectrum, shape)[th - 1 :, tw - 1 :]
-        total += np.rint(valid).astype(np.int64) << shift
+    for s_shift, plane in _byte_planes(s, len(spectra) > 1):
+        spectrum = np.fft.rfft2(plane, shape)
+        for t_shift, t_spectrum in spectra:
+            valid = np.fft.irfft2(spectrum * t_spectrum, shape)[th - 1 :, tw - 1 :]
+            total += np.rint(valid).astype(np.int64) << (s_shift + t_shift)
     return total
+
+
+class NccTemplate:
+    """A template prepared for search windows of the shape and sample range
+    of ``search``: its sums and spectra are computed once, so the gap
+    frames of a segment share them."""
+
+    def __init__(self, template: GrayImage, search: GrayImage):
+        t = self._t = template.samples.astype(np.int64)
+        self.shape = search.samples.shape
+        (th, tw), (sh, sw) = t.shape, self.shape
+        if th > sh or tw > sw:
+            raise ValueError(f"template {tw}x{th} larger than search window {sw}x{sh}")
+        self.max_value = max(template.max_value, search.max_value)
+        self._sums = int(t.sum()), int((t * t).sum())
+        self._spectra = _template_spectra(t, self.shape, self.max_value)
+
+    def scores(self, search: GrayImage) -> np.ndarray:
+        """:func:`ncc_scores` of the template over ``search``, which must have
+        the prepared shape and a sample range no larger."""
+        if search.samples.shape != self.shape or search.max_value > self.max_value:
+            raise ValueError(f"search window does not fit a template prepared for {self.shape}")
+        t, s = self._t, search.samples.astype(np.int64)
+        (th, tw), (sum_t, sq_t) = t.shape, self._sums
+        n = th * tw
+        sums = [_window_sums(s, th, tw), _window_sums(s * s, th, tw),
+                _cross_term(t, s, self.max_value, self._spectra)]
+        if n * n * self.max_value**2 >= 2**63:  # n * Sw2 could overflow int64
+            sums = [a.astype(object) for a in sums]
+        w_sum, w_sq, cross = sums
+        var_t = n * sq_t - sum_t * sum_t
+        var_w = n * w_sq - w_sum * w_sum
+        numer = (n * cross - sum_t * w_sum).astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = numer / np.sqrt(var_w.astype(np.float64) * float(var_t))
+        np.clip(scores, -1.0, 1.0, out=scores)
+        scores[(var_w == 0) | (var_t == 0)] = -np.inf
+        return scores
 
 
 def ncc_scores(template: GrayImage, search: GrayImage) -> np.ndarray:
@@ -389,30 +438,11 @@ def ncc_scores(template: GrayImage, search: GrayImage) -> np.ndarray:
     ``n*Sw2 - Sw**2`` are exact integers, so equal windows score exactly
     equal and a placement is degenerate exactly when a variance is 0.
     """
-    t = template.samples.astype(np.int64)
-    s = search.samples.astype(np.int64)
-    (th, tw), (sh, sw) = t.shape, s.shape
-    if th > sh or tw > sw:
-        raise ValueError(f"template {tw}x{th} larger than search window {sw}x{sh}")
-    n = th * tw
-    max_value = max(template.max_value, search.max_value)
-    sum_t, sq_t = int(t.sum()), int((t * t).sum())
-    sums = [_window_sums(s, th, tw), _window_sums(s * s, th, tw), _cross_term(t, s, max_value)]
-    if n * n * max_value**2 >= 2**63:  # n * Sw2 could overflow int64
-        sums = [a.astype(object) for a in sums]
-    w_sum, w_sq, cross = sums
-    var_t = n * sq_t - sum_t * sum_t
-    var_w = n * w_sq - w_sum * w_sum
-    numer = (n * cross - sum_t * w_sum).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = numer / np.sqrt(var_w.astype(np.float64) * float(var_t))
-    np.clip(scores, -1.0, 1.0, out=scores)
-    scores[(var_w == 0) | (var_t == 0)] = -np.inf
-    return scores
+    return NccTemplate(template, search).scores(search)
 
 
 def ncc_match(
-    template: GrayImage,
+    template: GrayImage | NccTemplate,
     search: GrayImage,
     *,
     preferred_offset: tuple[float, float] | None = None,
@@ -422,9 +452,11 @@ def ncc_match(
     Ties are broken by smallest Euclidean distance to ``preferred_offset``
     (the window center when not given), then row-major.  An all-degenerate
     surface yields a flagged result at the preferred offset rather than an
-    error.
+    error.  ``template`` may be an :class:`NccTemplate` prepared for ``search``.
     """
-    scores = ncc_scores(template, search)
+    if not isinstance(template, NccTemplate):
+        template = NccTemplate(template, search)
+    scores = template.scores(search)
     oh, ow = scores.shape
     if preferred_offset is None:
         preferred_offset = ((ow - 1) / 2.0, (oh - 1) / 2.0)

@@ -11,13 +11,16 @@ thresholds, which a grid search tunes against a validation set.
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import astuple, dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .core import ClassDistribution, Detection, FrameAnnotations, best_class, group_by_frame
-from .scoring import ScoringConfig, score_dataset
+from .datastore import real_value
+from .scoring import ScoringConfig, match_frame, score_dataset
 from .taxonomy import ClassCode
 from .tracking import Track
 
@@ -144,6 +147,22 @@ def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
     return detections
 
 
+_NO_LEVEL = 3  # a track no level accepts
+
+
+def _selections(ranks: np.ndarray, runs: list) -> Iterator[tuple[tuple, np.ndarray]]:
+    """(value triple, each track's accepted level) for every key triple of
+    ``runs``, in lexicographic order."""
+    tops = [np.where(ranks[:, 2] >= kc, 2, _NO_LEVEL).astype(np.uint8) for kc, _ in runs[2]]
+    for ka, a in runs[0]:
+        specific = ranks[:, 0] >= ka
+        for kb, b in runs[1]:
+            upper = np.where(specific, 0, np.where(ranks[:, 1] >= kb, 1, _NO_LEVEL))
+            undecided, upper = upper == _NO_LEVEL, upper.astype(np.uint8)
+            for (_, c), top in zip(runs[2], tops):
+                yield (a, b, c), np.where(undecided, top, upper)
+
+
 def grid_search_thresholds(
     validation_tracks: list[Track],
     annotations: list[FrameAnnotations],
@@ -156,8 +175,11 @@ def grid_search_thresholds(
     smallest (thr_specific, thr_level2, thr_top).  A threshold maps to the
     count of distinct track probabilities at its level below it, and two
     triples with equal counts select the same levels for every track, so
-    each distinct selection is scored once.  The winning score is recomputed
-    from scratch at the end and must match, so caching bugs cannot leak in.
+    each distinct selection is scored once.  An annotated frame is matched
+    once per distinct levels of the tracks on it, and a new selection
+    rescores only the frames of the tracks whose level changed.  The
+    winning score is recomputed from scratch at the end and must match, so
+    caching bugs cannot leak in.
     """
     if not all(grid):
         raise ValueError("every grid dimension needs at least one candidate value")
@@ -166,35 +188,55 @@ def grid_search_thresholds(
             LevelThresholds(**{name: value})
     summaries = [_summarize(track) for track in validation_tracks]
     cuts = [sorted({s.probs[level] for s in summaries}) for level in range(3)]
-    ranks = [[bisect_left(c, p) for c, p in zip(cuts, s.probs)] for s in summaries]
+    ranks = np.array([[bisect_left(c, p) for c, p in zip(cuts, s.probs)] for s in summaries],
+                     dtype=np.intp).reshape(-1, 3)
     # (count, first sorted value with that count) per level, in ascending order:
     # the first maximal count triple then names the first maximal value triple
     runs = [
         sorted({bisect_left(c, v): v for v in reversed(sorted(values))}.items())
         for c, values in zip(cuts, grid)
     ]
-    annotated = {a.frame_index for a in annotations if a.annotated}
+    duplicates = [f for f, n in Counter(a.frame_index for a in annotations).items() if n > 1]
+    if duplicates:  # score_dataset's check, before the search reads the frames
+        raise ValueError(f"duplicate annotations for frame {duplicates[0]}")
+    # score_dataset reads annotated frames only, in frame order
+    frames = sorted((a for a in annotations if a.annotated), key=lambda a: a.frame_index)
+    position = {a.frame_index: j for j, a in enumerate(frames)}
+    members: list[list[tuple[int, Detection]]] = [[] for _ in frames]
+    frames_of: list[list[int]] = [[] for _ in validation_tracks]
+    for i, track in enumerate(validation_tracks):
+        for entry in track.entries:
+            if entry.frame_index in position:
+                members[position[entry.frame_index]].append((i, entry))
+                frames_of[i].append(position[entry.frame_index])
+    on_frame = [np.array([i for i, _ in m], dtype=np.intp) for m in members]
 
     @functools.cache
-    def assigned(i: int, level: int) -> list[Detection]:
-        # score_dataset reads annotated frames only
-        entries = [e for e in validation_tracks[i].entries if e.frame_index in annotated]
-        return _assign(entries, summaries[i], level)
+    def frame_score(j: int, levels: bytes) -> tuple[float, int]:
+        # refine_tracks order: the frame's tracks in input order
+        detections = [_assign([entry], summaries[i], level)[0]
+                      for (i, entry), level in zip(members[j], levels) if level != _NO_LEVEL]
+        result = match_frame(detections, frames[j], scoring_cfg)
+        return result.tp_points, len(result.false_positives)
 
-    scores: dict[tuple, float] = {}
+    # a frame without detections scores nothing; no track starts at a level
+    results, scored = [(0.0, 0)] * len(frames), np.full(len(summaries), 4, dtype=np.uint8)
+    scores: dict[bytes, float] = {}
     best_triple, best_score = (), float("-inf")
-    for (ka, a), (kb, b), (kc, c) in itertools.product(*runs):
-        selection = tuple(_accepted_level(rank, (ka, kb, kc)) for rank in ranks)
-        if selection not in scores:
-            # per frame, the detections of refine_tracks in their order
-            by_frame: dict[int, list[Detection]] = {}
-            for i, level in enumerate(selection):
-                if level is not None:
-                    for det in assigned(i, level):
-                        by_frame.setdefault(det.frame_index, []).append(det)
-            scores[selection] = score_dataset(by_frame, annotations, scoring_cfg).total
-        if scores[selection] > best_score:
-            best_triple, best_score = (a, b, c), scores[selection]
+    for triple, selection in _selections(ranks, runs):
+        key = selection.tobytes()
+        if key not in scores:
+            changed = np.flatnonzero(selection != scored).tolist()
+            for j in {j for i in changed for j in frames_of[i]}:
+                results[j] = frame_score(j, selection[on_frame[j]].tobytes())
+            scored = selection
+            tp_points, fp_count = 0.0, 0
+            for points, count in results:  # left to right, as score_dataset adds
+                tp_points += points
+                fp_count += count
+            scores[key] = tp_points - scoring_cfg.fp_penalty * fp_count
+        if scores[key] > best_score:
+            best_triple, best_score = triple, scores[key]
     best_thr = LevelThresholds(*best_triple)
     fresh = refine_tracks(validation_tracks, best_thr)
     check = score_dataset(group_by_frame(fresh), annotations, scoring_cfg).total
@@ -212,8 +254,4 @@ def parse_thresholds(text: str) -> LevelThresholds:
     fields = text.split()
     if len(fields) != 3:
         raise ValueError(f"threshold record needs 3 fields, got {len(fields)}")
-    try:
-        values = [float(f) for f in fields]
-    except ValueError:
-        raise ValueError(f"non-numeric threshold in {text!r}") from None
-    return LevelThresholds(*values)
+    return LevelThresholds(*(real_value(f) for f in fields))

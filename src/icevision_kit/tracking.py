@@ -190,6 +190,7 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
         sx0, sy0, sx1, sy1 = _clip_rect(_int_rect(search_box), key_image.width, key_image.height)
 
         searchable = sx1 > sx0 and sy1 > sy0
+        scorer = None  # the template's spectrum, shared by the segment's frames
         for frame in gap_frames:
             t = (frame - start.frame_index) / span
             linear_box = lerp_box(start.box, end.box, t)
@@ -203,7 +204,9 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
                 if search.height >= th and search.width >= tw:
                     cx, cy = linear_box.center
                     preferred = (cx - tw / 2.0 - sx0, cy - th / 2.0 - sy0)
-                    match = frames_mod.ncc_match(template, search, preferred_offset=preferred)
+                    if scorer is None or search.max_value > scorer.max_value:
+                        scorer = frames_mod.NccTemplate(template, search)
+                    match = frames_mod.ncc_match(scorer, search, preferred_offset=preferred)
                     if not match.degenerate:
                         degenerate = False
                         mx = sx0 + match.offset_x + tw / 2.0

@@ -368,6 +368,71 @@ class TestNonAsciiDigits:
         assert f"{settings}:{lineno}:" in err and "Traceback" not in err
 
 
+class TestAsciiReals:
+    @staticmethod
+    def tracks_and_annotations(tmp_path):
+        det_path, ann_path = write_fixture_files(tmp_path)
+        tracks_path = tmp_path / "tracks.txt"
+        assert main(["track", "--detections", str(det_path), "--output", str(tracks_path)]) == 0
+        return tracks_path, ann_path
+
+    @pytest.mark.parametrize("data", [
+        "\u0660.\u0665 0.5_0 .7\n".encode(),  # Arabic-Indic "0.5", which float() reads
+        b"0.5 0.5_0 0.7\n",
+        b"0.5 0.5\n",
+        b"0.5 \xff 0.7\n",
+    ])
+    def test_bad_thresholds_file_is_malformed_at_line_one(self, tmp_path, capsys, data):
+        tracks_path, _ = self.tracks_and_annotations(tmp_path)
+        thr_path = tmp_path / "thr.txt"
+        thr_path.write_bytes(data)
+        out = tmp_path / "o.txt"
+        code = main(["refine", "--tracks", str(tracks_path), "--output", str(out),
+                     "--thresholds", str(thr_path)])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{thr_path}:1:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_ascii_thresholds_file_applies(self, tmp_path, capsys):
+        tracks_path, _ = self.tracks_and_annotations(tmp_path)
+        thr_path = tmp_path / "thr.txt"
+        thr_path.write_text(".95 9.5e-1 1\n")  # above the track's 0.9 at every level
+        out = tmp_path / "o.txt"
+        assert main(["refine", "--tracks", str(tracks_path), "--output", str(out),
+                     "--thresholds", str(thr_path)]) == EX_OK
+        assert datastore.read_detections(out) == {}
+        assert capsys.readouterr().out == "tracks 1\ndetections 0\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grid-specific", "\u0660.\u0665"),
+        ("--grid-level2", "0.5_0"),
+        ("--grid-top", "0.5,\u0661"),
+    ])
+    def test_grid_values_are_ascii_decimal(self, tmp_path, capsys, flag, value):
+        tracks_path, ann_path = self.tracks_and_annotations(tmp_path)
+        grid = {"--grid-specific": "0.5", "--grid-level2": "0.5", "--grid-top": "0.5", flag: value}
+        code = main(["tune", "--tracks", str(tracks_path), "--annotations", str(ann_path),
+                     *(part for item in grid.items() for part in item)])
+        assert code == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag} holds a non-number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("record, token", [
+        ("0 3.24:0.5_0 1.0 2 30 40", "0.5_0"),
+        ("0 3.24:0.5 \u0661.\u0660 2 30 40", "\u0661.\u0660"),  # Arabic-Indic "1.0"
+        ("0 3.24:0.5 1.0 2 3_0 40", "3_0"),
+        ("0 3.24:\u0660.\u0665 1.0 2 30 40 \u0434\u0430\u043d\u043d\u044b\u0435", "\u0660.\u0665"),
+    ])
+    def test_record_reals_are_ascii_decimal(self, tmp_path, capsys, record, token):
+        path = tmp_path / "dets.txt"
+        path.write_text(f"{FORMAT_VERSION} detections\n{record}\n", encoding="utf-8")
+        code = main(["track", "--detections", str(path), "--output", str(tmp_path / "o")])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}:2:" in err and repr(token) in err and "Traceback" not in err
+
+
 class TestUnwritableOutput:
     def test_output_directory_is_a_usage_error(self, tmp_path, capsys):
         det_path, _ = write_fixture_files(tmp_path)

@@ -552,6 +552,45 @@ class TestTextEncoding:
             read_manifest(put(tmp_path, "m.txt", ""))
 
 
+class TestAsciiReals:
+    @pytest.mark.parametrize("text, value", [("0.5", 0.5), (".7", 0.7), ("-2", -2.0),
+                                             ("1e-3", 1e-3), ("+4.", 4.0)])
+    def test_ascii_decimal_read(self, text, value):
+        assert datastore.real_value(text) == value
+
+    # Arabic-Indic, fullwidth and underscored numbers, each of which float() reads
+    @pytest.mark.parametrize("text", ["\u0660.\u0665", "\uff11", "0.5_0", "3_0", "1_0e2"])
+    def test_others_rejected(self, text):
+        float(text)
+        with pytest.raises(ValueError, match="ASCII decimal"):
+            datastore.real_value(text)
+
+    @pytest.mark.parametrize("kind, record, token", [
+        ("annotations", "0 3.24 10 10 5_0 50 - false", "5_0"),
+        ("annotations", "0 3.24 10 10 50 \u0665\u0660 \u0434 false", "\u0665\u0660"),
+        ("detections", "0 3.24 \uff11 10 50 50", "\uff11"),
+        ("detections", "0 3.24:0.2,5.19.1:0.5_0 10 10 50 50", "0.5_0"),
+        ("tracks", "0 0 detected 10 1_0 50 50 3.24:0.9 - - -", "1_0"),
+        ("tracks", "0 0 detected 10 10 50 50 3.24:\u0660.\u0669 - - -", "\u0660.\u0669"),
+    ])
+    def test_record_real_rejected_at_its_line(self, tmp_path, kind, record, token):
+        path = tmp_path / "r.txt"
+        path.write_text(f"{FORMAT_VERSION} {kind}\n# note\n{record}\n", encoding="utf-8")
+        reader = {"annotations": read_annotations, "detections": read_detections,
+                  "tracks": read_tracks}[kind]
+        with pytest.raises(MalformedRecord, match=re.escape(repr(token))) as err:
+            reader(path)
+        assert err.value.lineno == 3
+
+    def test_line_with_other_text_still_reads(self, tmp_path):
+        # associated data may hold any non-blank text; only the reals are screened
+        data = "\u0434\u0430\u043d_\u0662"
+        path = put(tmp_path, "d.txt", f"{FORMAT_VERSION} detections\n"
+                   f"0 3.24:0.25 10 10 50.5 50 {data}\n0 3.24:0.25 10 10 50.5 50\n")
+        first, second = read_detections(path)[0]
+        assert first.associated_data == data and first.box == second.box
+
+
 class TestKeyValueSettings:
     def test_error_names_file_and_line(self):
         with pytest.raises(MalformedRecord) as err:

@@ -441,6 +441,31 @@ def clipped_ncc_cases(draw):
     return clip(t), clip(s)
 
 
+class TestPreparedTemplate:
+    @given(clipped_ncc_cases(), st.randoms(use_true_random=False))
+    def test_scores_each_window_it_fits_as_ncc_scores(self, case, rng):
+        t, s = case
+        shuffled = np.array(rng.sample(s.ravel().tolist(), s.size), dtype=np.uint8).reshape(s.shape)
+        prepared = frames.NccTemplate(gray(t), gray(s, 4095))
+        for window in (gray(s), gray(shuffled), gray(shuffled, 4095)):
+            assert np.array_equal(prepared.scores(window), ncc_scores(gray(t), window))
+
+    def test_scores_at_full_scale_split_into_bytes(self):
+        rng = np.random.default_rng(5)
+        t = rng.integers(0, 65536, size=(80, 83))
+        first, second = (rng.integers(0, 65536, size=(240, 235)) for _ in range(2))
+        prepared = frames.NccTemplate(gray(t, 65535), gray(first, 65535))
+        surface = prepared.scores(gray(second, 65535))
+        assert np.array_equal(surface, ncc_scores(gray(t, 65535), gray(second, 65535)))
+        assert np.array_equal(frames._cross_term(t, second, 65535), exact_cross(t, second))
+
+    @pytest.mark.parametrize("shape, max_value", [((8, 9), 255), ((9, 9), 4095)])
+    def test_window_it_does_not_fit_is_rejected(self, shape, max_value):
+        prepared = frames.NccTemplate(gray(np.arange(9).reshape(3, 3)), gray(np.zeros((9, 9))))
+        with pytest.raises(ValueError, match="does not fit"):
+            prepared.scores(gray(np.ones(shape), max_value))
+
+
 class TestNccScoresMatchEinsumOracle:
     @given(clipped_ncc_cases())
     def test_surface(self, case):

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import pytest
 import refinement_oracles as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icevision_kit import refinement
+from icevision_kit import refinement, scoring
 from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, Source
 from icevision_kit.refinement import (
     LevelThresholds,
@@ -305,7 +306,7 @@ class TestGridSearch:
         calls = []
 
         def skewed(detections, annotations, cfg):
-            # the first call scores the selection, the last one the fresh refinement
+            # score_dataset runs once, for the fresh refinement, which disagrees here
             calls.append(None)
             report = real(detections, annotations, cfg)
             if len(calls) == 1:
@@ -424,6 +425,130 @@ class TestMatchesOracles:
         thr, score = grid_search_thresholds(validation, annotations, grid, cfg)
         assert (thr, score) == oracle.grid_search_thresholds(validation, annotations, grid, cfg)
         assert want in (thr.thr_specific, thr.thr_level2) and score > 0
+
+
+# boxes that overlap no sign box above, so tracks on them are false positives
+FP_BOXES = ((100, 100, 130, 130), (200, 0, 230, 30), (150, 60, 190, 90))
+
+
+@st.composite
+def continuous_sets(draw):
+    """Up to ten tracks sharing up to six annotated frames, with continuous
+    probabilities, many false positive boxes and a grid of the tracks' own
+    level probabilities (repeats included): neighbouring grid values then
+    select levels that differ in one track."""
+    frames = draw(st.integers(1, 6))
+    validation = []
+    for track_id in range(draw(st.integers(1, 10))):
+        entries = []
+        for i, frame in enumerate(sorted(draw(
+            st.lists(st.integers(0, frames - 1), min_size=1, max_size=frames, unique=True)
+        ))):
+            codes = draw(st.lists(st.sampled_from(CODES), min_size=1, max_size=3, unique=True))
+            weights = [draw(st.floats(0.01, 1.0)) for _ in codes]
+            mass = draw(st.floats(0.05, 0.99)) / sum(weights)
+            entries.append(entry(
+                frame, {code: w * mass for code, w in zip(codes, weights)},
+                box=draw(st.sampled_from(BOXES + FP_BOXES)),
+                source=Source.DETECTED if i == 0 else draw(st.sampled_from(list(Source))),
+                data=draw(st.sampled_from([None, "40"])),
+                temporary=draw(st.sampled_from([None, False])),
+            ))
+        validation.append(track(*entries, track_id=track_id))
+    annotations = [
+        FrameAnnotations(frame, tuple(
+            GroundTruthSign(frame, BoundingBox(*draw(st.sampled_from(BOXES))), parse_code(c))
+            for c in draw(st.lists(st.sampled_from(CODES), max_size=2))
+        ), annotated=draw(st.booleans()) or frame == 0)
+        for frame in range(frames)
+    ]
+    cuts = sorted({p for t in validation for p in oracle.level_probs(t) if 0.0 <= p <= 1.0})
+    grid = []
+    for _ in range(3):
+        values = draw(st.lists(st.sampled_from(cuts + [0.0, 1.0]), min_size=1, max_size=4))
+        grid.append(values + values[:1] if draw(st.booleans()) else values)
+    return validation, annotations, tuple(grid)
+
+
+def accepted_levels(validation, thr):
+    """Each track's accepted level under ``thr`` (None for none), from the oracle."""
+    thresholds = (thr.thr_specific, thr.thr_level2, thr.thr_top)
+    return [
+        next((level for level in range(3) if probs[level] >= thresholds[level]), None)
+        for probs in map(oracle.level_probs, validation)
+    ]
+
+
+class TestGridSearchCost:
+    @settings(max_examples=150, deadline=None)
+    @given(continuous_sets(), st.sampled_from([ScoringConfig.offline(), ScoringConfig.online()]))
+    def test_matches_exhaustive_oracle_on_continuous_probabilities(self, case, cfg):
+        validation, annotations, grid = case
+        got = grid_search_thresholds(validation, annotations, grid, cfg)
+        want = oracle.grid_search_thresholds(validation, annotations, grid, cfg)
+        assert got[0] == want[0]
+        assert got[1] == want[1] and repr(got[1]) == repr(want[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(continuous_sets())
+    def test_match_frame_runs_once_per_frame_and_levels(self, case):
+        validation, annotations, grid = case
+        frame_tracks = {
+            a.frame_index: [i for i, t in enumerate(validation)
+                            if any(e.frame_index == a.frame_index for e in t.entries)]
+            for a in annotations if a.annotated
+        }
+        keys = set()
+        for triple in itertools.product(*grid):
+            levels = accepted_levels(validation, LevelThresholds(*triple))
+            keys |= {(frame, tuple(levels[i] for i in members))
+                     for frame, members in frame_tracks.items() if members}
+        calls = []
+
+        def counting(detections, annotations, cfg):
+            calls.append(annotations.frame_index)
+            return scoring.match_frame(detections, annotations, cfg)
+
+        with mock.patch.object(refinement, "match_frame", counting):
+            grid_search_thresholds(validation, annotations, grid, ScoringConfig.offline())
+        assert sorted(calls) == sorted(frame for frame, _ in keys)
+
+    def test_frame_points_add_left_to_right(self):
+        # six frames whose TP points sum to other bits when added right to left
+        cfg = ScoringConfig.online()
+        validation = [track(*(entry(f, {"3.24": 0.9}) for f in range(6)))]
+        annotations = [
+            FrameAnnotations(f, (GroundTruthSign(f, BoundingBox(d, 0, 20 + d, 20), parse_code("3.24")),))
+            for f, d in ((f, 0.731 * (f + 1) % 4.5) for f in range(6))
+        ]
+        report = score_dataset(
+            {f: refine_tracks(validation, THR)[f : f + 1] for f in range(6)}, annotations, cfg
+        )
+        backwards = 0.0
+        for frame in reversed(report.frames):
+            backwards += frame.tp_points
+        assert backwards != report.tp_points
+        _, score = grid_search_thresholds(validation, annotations, ([0.5], [0.5], [0.5]), cfg)
+        assert repr(score) == repr(report.total)
+
+    def test_duplicate_annotations_rejected_before_any_frame_is_matched(self, monkeypatch):
+        tracks, anns = _validation_fixture()
+        monkeypatch.setattr(refinement, "match_frame", None)
+        with pytest.raises(ValueError, match="duplicate annotations for frame 1"):
+            grid_search_thresholds(tracks, anns + [anns[1]], ([0.5], [0.5], [0.5]),
+                                   ScoringConfig.offline())
+
+    def test_wrongly_matched_frame_caught_by_fresh_refinement(self, monkeypatch):
+        # the search's frame scores are wrong; the from-scratch check is not
+        tracks, anns = _validation_fixture()
+
+        def skewed(detections, annotations, cfg):
+            result = scoring.match_frame(detections, annotations, cfg)
+            return dataclasses.replace(result, false_positives=())
+
+        monkeypatch.setattr(refinement, "match_frame", skewed)
+        with pytest.raises(RuntimeError, match="refined afresh"):
+            grid_search_thresholds(tracks, anns, ([0.1], [0.5], [0.5]), ScoringConfig.offline())
 
 
 class TestThresholdRecord:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from icevision_kit import frames
 from icevision_kit.core import BoundingBox, Detection, Source, iou
 from icevision_kit.frames import GrayImage
 from icevision_kit.taxonomy import parse_code
@@ -297,6 +298,46 @@ class TestDensifyNcc:
         )[0]
         dense = densify_ncc(track, images)
         assert [e for e in dense.entries if e.source is Source.DETECTED] == track.entries
+
+    @staticmethod
+    def count_template_spectra(monkeypatch) -> list:
+        real, calls = frames._template_spectra, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(frames, "_template_spectra", counting)
+        return calls
+
+    def test_template_spectrum_once_per_segment(self, monkeypatch):
+        # two segments of four gap frames each: one template spectrum apiece
+        positions = {f: (10 + 2 * f, 40) for f in range(11)}
+        images = _render_patch(positions)
+        track = run_tracker(
+            {f: [det(f, (10 + 2 * f, 40, 30 + 2 * f, 60))] for f in (0, 5, 10)},
+            TrackerConfig(keyframe_stride=5),
+        )[0]
+        calls = self.count_template_spectra(monkeypatch)
+        dense = densify_ncc(track, images)
+        assert len(calls) == 2
+        for entry in dense.entries:
+            assert entry.box.x_min == pytest.approx(positions[entry.frame_index][0], abs=1e-9)
+
+    def test_gap_frame_with_a_wider_sample_range_prepares_again(self, monkeypatch):
+        # NCC reads samples, not the declared range: a gap frame declaring a
+        # wider one prepares the template again and every box stays the same
+        positions = {f: (10 + 4 * f, 40) for f in range(6)}
+        images = _render_patch(positions)
+        wide = {f: GrayImage(samples=img.samples.astype(np.uint16), max_value=255 if f < 3 else 4095)
+                for f, img in images.items()}
+        track = make_track((0, (10, 40, 30, 60), "3.24"), (5, (30, 40, 50, 60), "3.24"))
+        calls = self.count_template_spectra(monkeypatch)
+        dense = densify_ncc(track, wide)
+        assert [args[2] for args in calls] == [255, 4095]
+        assert dense == densify_ncc(track, images)
+        for entry in dense.entries:
+            assert entry.box.x_min == pytest.approx(positions[entry.frame_index][0], abs=1e-9)
 
 
 class TestTracksToDetections:
