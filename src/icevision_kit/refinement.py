@@ -11,14 +11,13 @@ thresholds, which a grid search tunes against a validation set.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .core import ClassDistribution, Detection, FrameAnnotations, best_class, group_by_frame
+from .core import ClassDistribution, Detection, FrameAnnotations, group_by_frame
 from .datastore import real_value
 from .scoring import ScoringConfig, match_frame, score_dataset
 from .taxonomy import ClassCode
@@ -58,27 +57,6 @@ def average_track_distribution(track: Track) -> ClassDistribution:
     return {code: total / n for code, total in totals.items()}
 
 
-def _pool_to_level(dist: ClassDistribution, level: int) -> ClassDistribution:
-    """Sum probability mass by each code's ancestor at ``level`` (codes
-    already at or above that level pool to themselves)."""
-    pooled: dict[ClassCode, float] = {}
-    for code, prob in dist.items():
-        key = code.prefix(min(code.level, level))
-        pooled[key] = pooled.get(key, 0.0) + prob
-    return pooled
-
-
-def _level_bests(dist: ClassDistribution) -> tuple[tuple[ClassCode, ...], tuple[float, ...]]:
-    """Most probable code, and its probability, at the specific, 2nd and top level."""
-    bests = [best_class(d) for d in (dist, _pool_to_level(dist, 2), _pool_to_level(dist, 1))]
-    return tuple(zip(*bests))
-
-
-def _accepted_level(values, thresholds) -> int | None:
-    """First level, most specific first, whose value reaches its threshold."""
-    return next((level for level in range(3) if values[level] >= thresholds[level]), None)
-
-
 def _majority(values: list):
     """Most frequent non-None value, None when there is none; ties go to
     the value seen earliest."""
@@ -92,40 +70,80 @@ def vote_associated_data(track: Track) -> str | None:
     return _majority([e.associated_data for e in track.entries])
 
 
-@dataclass(frozen=True)
-class _TrackSummary:
-    """Everything refinement needs of a track that no threshold affects."""
-
-    codes: tuple[ClassCode, ...]
-    probs: tuple[float, ...]
-    associated_data: str | None
-    temporary: bool | None
-
-
-def _summarize(track: Track) -> _TrackSummary:
-    codes, probs = _level_bests(average_track_distribution(track))
-    temporary = _majority([e.temporary for e in track.entries])
-    return _TrackSummary(codes, probs, vote_associated_data(track), temporary)
+def _best_per_track(pairs: np.ndarray, values: np.ndarray, width: int, count: int):
+    """Each track's highest value and its column among the rows ``(track *
+    width + column, value)``; ties go to the smaller column."""
+    rows, cols = np.divmod(pairs, width)
+    order = np.lexsort((cols, -values, rows))
+    first = order[np.searchsorted(rows[order], np.arange(count))]
+    return cols[first], values[first]
 
 
-def _assign(entries: list[Detection], summary: _TrackSummary, level: int) -> list[Detection]:
-    """One detection per entry, carrying the class selected at ``level``."""
-    code = summary.codes[level]
+def _summarize(tracks: list[Track]) -> tuple[list[tuple[ClassCode, ...]], np.ndarray, list, list]:
+    """Per track: the most probable code at the specific, 2nd and top level,
+    the (tracks x 3) array of their probabilities, and the associated-data
+    and temporary votes.
+
+    One walk over all tracks' entries collects a (track, code, probability)
+    row per distribution item of a detected entry.  A mean adds its rows in
+    entry order and a pool adds the means in the order the track first saw
+    each code, the order of a dict built entry by entry, so every value has
+    the bits of ``average_track_distribution`` pooled code by code.
+    """
+    dists: list[ClassDistribution] = []
+    counts: list[int] = []
+    for track in tracks:
+        detected = track.detected_entries()
+        if not detected:
+            raise ValueError(f"track {track.id} has no detected entries to average")
+        counts.append(len(detected))
+        dists += [entry.class_distribution for entry in detected]
+    rows = np.repeat(np.repeat(np.arange(len(tracks)), counts), [len(d) for d in dists])
+    items = [code for dist in dists for code in dist]
+    values = [prob for dist in dists for prob in dist.values()]
+    # items grouped by code object first, so each distinct object is hashed once
+    _, seen, which = np.unique(np.fromiter(map(id, items), np.uintp, len(items)),
+                               return_index=True, return_inverse=True)
+    leaves = [items[k] for k in seen.tolist()]
+    # a column per code and per ancestor it pools to, numbered in canonical
+    # order, so the smaller column wins a tie as in core.best_class
+    code_of = sorted(set(leaves).union(code.prefix(min(code.level, level))
+                                       for code in leaves for level in (2, 1)),
+                     key=lambda code: code.segments)
+    number = {code.segments: k for k, code in enumerate(code_of)}
+    # each column's ancestor column at level 2 and at level 1
+    up = np.array([[number[code.segments[:level]] for level in (2, 1)] for code in code_of],
+                  dtype=np.intp).reshape(-1, 2)
+    width = len(code_of)
+    cols = np.array([number[code.segments] for code in leaves], dtype=np.intp)[which]
+    pairs, first, inverse = np.unique(rows * width + cols, return_index=True, return_inverse=True)
+    # bincount adds in input order: entry order within each (track, code)
+    means = np.bincount(inverse, weights=values) / np.array(counts, dtype=float)[pairs // width]
+    order = np.argsort(first, kind="stable")  # each track's codes in first-appearance order
+    pairs, means = pairs[order], means[order]
+    bests = [_best_per_track(pairs, means, width, len(tracks))]
+    for ancestor in up.T:
+        pooled, inverse = np.unique(pairs - pairs % width + ancestor[pairs % width],
+                                    return_inverse=True)
+        pooled_means = np.bincount(inverse, weights=means)
+        bests.append(_best_per_track(pooled, pooled_means, width, len(tracks)))
+    best_cols, probs = (np.stack(level_bests, axis=1) for level_bests in zip(*bests))
+    codes = [(code_of[a], code_of[b], code_of[c]) for a, b, c in best_cols.tolist()]
+    temporary = [_majority([e.temporary for e in track.entries]) for track in tracks]
+    return codes, probs, [vote_associated_data(track) for track in tracks], temporary
+
+
+def _assign(entries: list[Detection], code: ClassCode, prob: float,
+            associated_data: str | None, temporary: bool | None) -> list[Detection]:
+    """One detection per entry, carrying ``code`` at probability ``prob``."""
     # pooled sibling mass is mathematically <= 1; shave float carry
-    prob = min(summary.probs[level], 1.0)
+    prob = min(prob, 1.0)
     dist = {code: prob}  # one per track: writers format each distinct dict once
-    return [
-        Detection(
-            frame_index=entry.frame_index,
-            box=entry.box,
-            class_distribution=dist,
-            confidence=prob,
-            associated_data=summary.associated_data,
-            temporary=summary.temporary,
-            source=entry.source,
-        )
-        for entry in entries
-    ]
+    return [Detection(entry.frame_index, entry.box, dist, prob, associated_data, temporary,
+                      entry.source) for entry in entries]
+
+
+_NO_LEVEL = 3  # a track no level accepts
 
 
 def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
@@ -136,18 +154,17 @@ def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
     confidence.  Tracks failing every threshold emit nothing — with a flat
     false-positive penalty, low-confidence boxes are a losing bet.
     """
-    thresholds = astuple(thr)
+    codes, probs, data, temporary = _summarize(tracks)
+    # the first level, most specific first, whose probability reaches its threshold
+    accepted = probs >= np.array(astuple(thr))
+    levels = np.where(accepted.any(axis=1), accepted.argmax(axis=1), _NO_LEVEL).tolist()
     detections: list[Detection] = []
-    for track in tracks:
-        summary = _summarize(track)
-        level = _accepted_level(summary.probs, thresholds)
-        if level is not None:
-            detections += _assign(track.entries, summary, level)
+    for i, (level, values) in enumerate(zip(levels, probs.tolist())):
+        if level != _NO_LEVEL:
+            detections += _assign(tracks[i].entries, codes[i][level], values[level],
+                                  data[i], temporary[i])
     detections.sort(key=lambda d: d.frame_index)
     return detections
-
-
-_NO_LEVEL = 3  # a track no level accepts
 
 
 def _selections(ranks: np.ndarray, runs: list) -> Iterator[tuple[tuple, np.ndarray]]:
@@ -186,14 +203,14 @@ def grid_search_thresholds(
     for name, values in zip(("thr_specific", "thr_level2", "thr_top"), grid):
         for value in values:
             LevelThresholds(**{name: value})
-    summaries = [_summarize(track) for track in validation_tracks]
-    cuts = [sorted({s.probs[level] for s in summaries}) for level in range(3)]
-    ranks = np.array([[bisect_left(c, p) for c, p in zip(cuts, s.probs)] for s in summaries],
-                     dtype=np.intp).reshape(-1, 3)
+    codes, probs, data, temporary = _summarize(validation_tracks)
+    # a threshold's rank: the count of distinct track probabilities below it
+    cuts = [np.unique(probs[:, level]) for level in range(3)]
+    ranks = np.stack([np.searchsorted(c, probs[:, level]) for level, c in enumerate(cuts)], axis=1)
     # (count, first sorted value with that count) per level, in ascending order:
     # the first maximal count triple then names the first maximal value triple
     runs = [
-        sorted({bisect_left(c, v): v for v in reversed(sorted(values))}.items())
+        sorted({int(np.searchsorted(c, v)): v for v in reversed(sorted(values))}.items())
         for c, values in zip(cuts, grid)
     ]
     duplicates = [f for f, n in Counter(a.frame_index for a in annotations).items() if n > 1]
@@ -210,17 +227,18 @@ def grid_search_thresholds(
                 members[position[entry.frame_index]].append((i, entry))
                 frames_of[i].append(position[entry.frame_index])
     on_frame = [np.array([i for i, _ in m], dtype=np.intp) for m in members]
+    values = probs.tolist()  # Python floats reach the detections and the score
 
     @functools.cache
     def frame_score(j: int, levels: bytes) -> tuple[float, int]:
         # refine_tracks order: the frame's tracks in input order
-        detections = [_assign([entry], summaries[i], level)[0]
+        detections = [_assign([entry], codes[i][level], values[i][level], data[i], temporary[i])[0]
                       for (i, entry), level in zip(members[j], levels) if level != _NO_LEVEL]
         result = match_frame(detections, frames[j], scoring_cfg)
         return result.tp_points, len(result.false_positives)
 
     # a frame without detections scores nothing; no track starts at a level
-    results, scored = [(0.0, 0)] * len(frames), np.full(len(summaries), 4, dtype=np.uint8)
+    results, scored = [(0.0, 0)] * len(frames), np.full(len(codes), 4, dtype=np.uint8)
     scores: dict[bytes, float] = {}
     best_triple, best_score = (), float("-inf")
     for triple, selection in _selections(ranks, runs):

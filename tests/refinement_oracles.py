@@ -1,9 +1,10 @@
 """Reference implementations of track refinement and threshold tuning.
 
-The library summarizes each track once and scores each distinct selection
-of taxonomy levels once; the versions here refine track by track, pooling
-lazily, and score every threshold triple from scratch.  They serve as
-differential-test oracles only.
+The library summarizes all tracks in one array pass and scores each
+distinct selection of taxonomy levels once; the versions here summarize
+and refine track by track with dicts, pooling lazily, and score every
+threshold triple from scratch.  They serve as differential-test oracles
+only.
 """
 
 from __future__ import annotations
@@ -41,19 +42,27 @@ def hierarchical_select(dist, thr):
     return None
 
 
-def level_probs(track):
-    """The track's best probability at the specific, 2nd and top level."""
-    dist = average_track_distribution(track)
-    pools = (dist, pool_to_level(dist, 2), pool_to_level(dist, 1))
-    return [best_class(pooled)[1] for pooled in pools]
-
-
 def _majority(values):
     counts = {}
     for v in values:
         if v is not None:
             counts[v] = counts.get(v, 0) + 1
     return max(counts, key=counts.get) if counts else None
+
+
+def summarize(track):
+    """(best code per level, its probability per level, associated-data
+    vote, temporary vote), levels specific first: the track's averaged
+    dict, pooled code by code in the dict's order."""
+    dist = average_track_distribution(track)
+    bests = [best_class(pooled) for pooled in (dist, pool_to_level(dist, 2), pool_to_level(dist, 1))]
+    codes, probs = zip(*bests)
+    return codes, probs, vote_associated_data(track), _majority([e.temporary for e in track.entries])
+
+
+def level_probs(track):
+    """The track's best probability at the specific, 2nd and top level."""
+    return list(summarize(track)[1])
 
 
 def refine_tracks(tracks, thr):

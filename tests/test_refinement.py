@@ -551,6 +551,89 @@ class TestGridSearchCost:
             grid_search_thresholds(tracks, anns, ([0.1], [0.5], [0.5]), ScoringConfig.offline())
 
 
+# codes that pool three and more ways: 3.24 beside its own children, and all
+# of 3.24.x, 3.25.1 and 3 into 3
+SUMMARY_CODES = ("3.24", "3.24.1", "3.24.2", "3.24.3", "3.25.1", "3", "5.19.1", "5.19.2", "5.20")
+# dyadic values tie at every level; the others add to other bits in another order
+SUMMARY_PROBS = st.one_of(st.sampled_from([0.0, 0.0625, 0.125, 0.25]), st.floats(0.0, 0.25))
+
+
+@st.composite
+def summary_sets(draw):
+    """Up to six tracks whose entries draw their distributions, up to four
+    codes each, from a few dicts, so that entries and tracks share them."""
+    shared = [
+        {parse_code(c): draw(SUMMARY_PROBS)
+         for c in draw(st.lists(st.sampled_from(SUMMARY_CODES), min_size=1, max_size=4, unique=True))}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    tracks = []
+    for track_id in range(draw(st.integers(0, 6))):
+        frames = sorted(draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)))
+        detected = draw(st.sampled_from(frames))
+        tracks.append(track(*(
+            Detection(
+                frame, BoundingBox(0, 0, 20, 20), draw(st.sampled_from(shared)),
+                associated_data=draw(st.sampled_from([None, "40", "60"])),
+                temporary=draw(st.sampled_from([None, True, False])),
+                source=Source.DETECTED if frame == detected else draw(st.sampled_from(list(Source))),
+            )
+            for frame in frames
+        ), track_id=track_id))
+    return tracks
+
+
+class TestSummaries:
+    """The one-pass summary of all tracks against the per-track dict oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(summary_sets())
+    @example([])
+    # a pool whose three terms add to other bits in canonical order: 0.6, not 0.6000000000000001
+    @example([track(entry(0, {"3.24.3": 0.3, "3.24.2": 0.2, "3.24.1": 0.1}))])
+    def test_matches_per_track_oracle(self, tracks):
+        codes, probs, data, temporary = refinement._summarize(tracks)
+        assert probs.shape == (len(tracks), 3)
+        got = [(c, repr(tuple(p)), d, t) for c, p, d, t in zip(codes, probs.tolist(), data, temporary)]
+        want = [(c, repr(p), d, t) for c, p, d, t in map(oracle.summarize, tracks)]
+        assert got == want
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_refinement_and_search_summarize_all_tracks_in_one_call(self, count, monkeypatch):
+        tracks = [track(*(entry(f, {"3.24.1": 0.6, "3.24.2": 0.3}) for f in (0, 1, 2)), track_id=i)
+                  for i in range(count)]
+        _, anns = _validation_fixture()
+        real, calls = refinement._summarize, []
+
+        def counting(arg):
+            calls.append(len(arg))
+            return real(arg)
+
+        monkeypatch.setattr(refinement, "_summarize", counting)
+        monkeypatch.setattr(refinement, "average_track_distribution", None)  # no per-track path
+        refine_tracks(tracks, THR)
+        assert calls == [count]
+        calls.clear()
+        grid_search_thresholds(tracks, anns, ([0.5, 0.7], [0.5], [0.5]), ScoringConfig.offline())
+        assert calls == [count, count]  # the search, then its from-scratch check
+
+    def test_track_without_detected_entry_rejected(self):
+        tracks, anns = _validation_fixture()
+        tracks.append(track(entry(4, {"3.24": 0.9}, source=Source.INTERPOLATED), track_id=7))
+        message = "track 7 has no detected entries to average"
+        with pytest.raises(ValueError, match=message):
+            refine_tracks(tracks, THR)
+        with pytest.raises(ValueError, match=message):
+            grid_search_thresholds(tracks, anns, ([0.5], [0.5], [0.5]), ScoringConfig.offline())
+
+    @settings(max_examples=50, deadline=None)
+    @given(summary_sets())
+    def test_refined_probabilities_are_python_floats(self, tracks):
+        for d in refine_tracks(tracks, LevelThresholds(0.0, 0.0, 0.0)):
+            assert type(d.confidence) is float
+            assert all(type(p) is float for p in d.class_distribution.values())
+
+
 class TestThresholdRecord:
     def test_round_trip(self):
         thr = LevelThresholds(0.25, 0.5, 0.75)

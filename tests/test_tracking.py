@@ -237,25 +237,34 @@ def _render_patch(frames_and_pos, w=200, h=120, patch_seed=7, pw=20, ph=20, bg=3
     return out
 
 
+# a patch that jitters off the straight line between its keyframe boxes at
+# frames 0 and 5, which overlap (IoU 1/3), so the tracker chains them
+JITTER = {f: (x, y) for f, x, y in zip(range(6), (10, 15, 13, 19, 17, 20), (40, 42, 39, 41, 43, 40))}
+
+
+def _jitter_track():
+    """The one track over JITTER's keyframes, and the rendered frames."""
+    tracks = run_tracker(
+        {0: [det(0, (10, 40, 30, 60))], 5: [det(5, (20, 40, 40, 60))]},
+        TrackerConfig(keyframe_stride=5),
+    )
+    assert len(tracks) == 1 and len(tracks[0].entries) == 2
+    return tracks[0], _render_patch(JITTER)
+
+
 class TestDensifyNcc:
     def test_recovers_translation_exactly(self):
-        # patch moves +4 px/frame in x; keyframes at 0 and 5
-        positions = {f: (10 + 4 * f, 40) for f in range(6)}
-        images = _render_patch(positions)
-        track = run_tracker(
-            {
-                0: [det(0, (10, 40, 30, 60))],
-                5: [det(5, (30, 40, 50, 60))],
-            },
-            TrackerConfig(keyframe_stride=5),
-        )[0]
+        track, images = _jitter_track()
         dense = densify_ncc(track, images)
+        interp = [e for e in dense.entries if e.source is Source.INTERPOLATED]
+        assert [e.frame_index for e in interp] == [1, 2, 3, 4]
         for entry in dense.entries:
-            x, y = positions[entry.frame_index]
-            assert entry.box.x_min == pytest.approx(x, abs=1e-9)
-            assert entry.box.y_min == pytest.approx(y, abs=1e-9)
-            if entry.source is Source.INTERPOLATED:
-                assert not entry.ncc_degenerate
+            x, y = JITTER[entry.frame_index]
+            assert entry.box == BoundingBox(x, y, x + 20, y + 20)
+        assert not any(e.ncc_degenerate or e.template_clipped for e in interp)
+        # the straight line misses the patch on these frames
+        linear = densify_linear(track)
+        assert all(got.box != want.box for got, want in zip(interp, linear.entries[1:5]))
 
     def test_zero_motion_keeps_keyframe_box(self):
         positions = {f: (60, 30) for f in range(4)}
@@ -290,13 +299,9 @@ class TestDensifyNcc:
         assert interp and all(e.template_clipped for e in interp)
 
     def test_detected_entries_never_altered(self):
-        positions = {f: (10 + 4 * f, 40) for f in range(6)}
-        images = _render_patch(positions)
-        track = run_tracker(
-            {0: [det(0, (10, 40, 30, 60))], 5: [det(5, (30, 40, 50, 60))]},
-            TrackerConfig(keyframe_stride=5),
-        )[0]
+        track, images = _jitter_track()
         dense = densify_ncc(track, images)
+        assert len(dense.entries) == 6
         assert [e for e in dense.entries if e.source is Source.DETECTED] == track.entries
 
     @staticmethod
