@@ -100,22 +100,51 @@ def best_class(dist: ClassDistribution) -> tuple[ClassCode, float]:
     return min(dist.items(), key=lambda item: (-item[1], item[0].segments))
 
 
+class Distribution(dict):
+    """A read-only class distribution: ClassCode keys, probabilities in
+    [0, 1] summing to at most 1.  Checked once, when built."""
+
+    __slots__ = ()
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        if not self:
+            raise ValueError("class distribution must not be empty")
+        total = 0.0
+        for code, prob in self.items():
+            if not isinstance(code, ClassCode):
+                raise TypeError(f"distribution keys must be ClassCode, got {code!r}")
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"probability for {code} out of [0, 1]: {prob}")
+            total += prob
+        if total > 1.0 + PROB_SUM_SLACK:
+            raise ValueError(f"distribution probabilities sum to {total} > 1")
+
+    def __setitem__(self, *args, **kwargs):
+        raise TypeError("a Distribution is read-only")
+
+    __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = __setitem__
+
+    def __reduce__(self):
+        # the default rebuilds a dict subclass item by item through __setitem__
+        return Distribution, (dict(self),)
+
+
 # slotted: one is built per box on every hot path (reading, densifying, refining)
 @dataclass(frozen=True, slots=True)
 class Detection:
     """A box on one frame: detector output, a track entry (detected or
     interpolated), or refined output.
 
-    ``confidence`` is derived from the distribution when omitted and must
-    equal its maximum probability when supplied.  The two NCC flags mark
-    an interpolated entry whose correlation was degenerate (linear
-    position kept) or whose template was clipped by the frame edge.
+    Any mapping given as ``class_distribution`` is checked into a
+    :class:`Distribution`; a ``Distribution`` is kept as it is.  The two
+    NCC flags mark an interpolated entry whose correlation was degenerate
+    (linear position kept) or whose template was clipped by the frame edge.
     """
 
     frame_index: int
     box: BoundingBox
-    class_distribution: ClassDistribution
-    confidence: float | None = None
+    class_distribution: Distribution
     associated_data: str | None = None
     temporary: bool | None = None
     source: Source = Source.DETECTED
@@ -125,24 +154,13 @@ class Detection:
     def __post_init__(self) -> None:
         if self.frame_index < 0:
             raise ValueError(f"frame index must be non-negative, got {self.frame_index}")
-        if not self.class_distribution:
-            raise ValueError("class distribution must not be empty")
-        total = 0.0
-        for code, prob in self.class_distribution.items():
-            if not isinstance(code, ClassCode):
-                raise TypeError(f"distribution keys must be ClassCode, got {code!r}")
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability for {code} out of [0, 1]: {prob}")
-            total += prob
-        if total > 1.0 + PROB_SUM_SLACK:
-            raise ValueError(f"distribution probabilities sum to {total} > 1")
-        top = max(self.class_distribution.values())
-        if self.confidence is None:
-            object.__setattr__(self, "confidence", top)
-        elif not math.isclose(self.confidence, top, rel_tol=0.0, abs_tol=PROB_SUM_SLACK):
-            raise ValueError(
-                f"confidence {self.confidence} != max distribution probability {top}"
-            )
+        if type(self.class_distribution) is not Distribution:
+            object.__setattr__(self, "class_distribution", Distribution(self.class_distribution))
+
+    @property
+    def confidence(self) -> float:
+        """The largest probability of the distribution."""
+        return max(self.class_distribution.values())
 
     @property
     def code(self) -> ClassCode:

@@ -20,8 +20,8 @@ from typing import Callable, Iterator
 
 from .core import (
     BoundingBox,
-    ClassDistribution,
     Detection,
+    Distribution,
     FrameAnnotations,
     GroundTruthSign,
     Source,
@@ -103,10 +103,10 @@ def _parse_code(token: str, path, lineno: int) -> ClassCode:
         raise MalformedRecord(path, lineno, f"bad class code: {exc}") from None
 
 
-def _parse_distribution(token: str, path, lineno: int) -> ClassDistribution:
+def _parse_distribution(token: str, path, lineno: int) -> Distribution:
     dist: dict[ClassCode, float] = {}
     if ":" not in token:
-        return {_parse_code(token, path, lineno): 1.0}
+        return Distribution({_parse_code(token, path, lineno): 1.0})
     for pair in token.split(","):
         code_s, sep, prob_s = pair.partition(":")
         if not sep:
@@ -116,10 +116,13 @@ def _parse_distribution(token: str, path, lineno: int) -> ClassDistribution:
         if code in dist:
             raise InvalidDistribution(path, lineno, f"repeated code {code} in distribution")
         dist[code] = prob
-    return dist
+    try:
+        return Distribution(dist)
+    except ValueError as exc:
+        raise InvalidDistribution(path, lineno, str(exc)) from None
 
 
-def _format_distribution(dist: ClassDistribution) -> str:
+def _format_distribution(dist: Distribution) -> str:
     items = sorted(dist.items(), key=lambda item: item[0].segments)
     return ",".join(f"{code}:{_format_real(prob)}" for code, prob in items)
 
@@ -152,7 +155,7 @@ def _memo_by_object(fmt: Callable[[object], str]) -> Callable:
     return cached
 
 
-def _distribution_and_key(token: str, path, lineno: int) -> tuple[ClassDistribution, tuple]:
+def _distribution_and_key(token: str, path, lineno: int) -> tuple[Distribution, tuple]:
     """A detection's distribution and its part of the duplicate-record key."""
     dist = _parse_distribution(token, path, lineno)
     return dist, tuple(sorted((c.segments, p) for c, p in dist.items()))
@@ -163,7 +166,11 @@ def _opt_text(token: str) -> str | None:
 
 
 def _text_or_dash(value: str | None) -> str:
-    return "-" if value is None else value
+    if value is None:
+        return "-"
+    if value == "-" or value.split() != [value]:  # would re-read as None or as other fields
+        raise ValueError(f"text field {value!r} must be non-empty, not '-' and hold no whitespace")
+    return value
 
 
 def _flag_text(value: bool) -> str:
@@ -319,11 +326,8 @@ def read_detections(path) -> dict[int, list[Detection]]:
         if key in seen:
             raise MalformedRecord(path, lineno, f"duplicate detection record on frame {frame}")
         seen.add(key)
-        try:
-            det = Detection(frame_index=frame, box=box, class_distribution=dist,
-                            associated_data=data, temporary=temporary)
-        except ValueError as exc:
-            raise InvalidDistribution(path, lineno, str(exc)) from None
+        det = Detection(frame_index=frame, box=box, class_distribution=dist,
+                        associated_data=data, temporary=temporary)
         out.setdefault(frame, []).append(det)
     return out
 
@@ -385,19 +389,16 @@ def read_tracks(path) -> list[Track]:
         unknown = flags - set(_NCC_FLAGS)
         if unknown:
             raise MalformedRecord(path, lineno, f"unknown flags {sorted(unknown)}")
-        try:
-            entry = Detection(
-                frame_index=frame,
-                box=box,
-                class_distribution=dist,
-                associated_data=_opt_text(fields[8]),
-                temporary=temporary,
-                source=_TEXT_SOURCE[fields[2]],
-                ncc_degenerate="ncc_degenerate" in flags,
-                template_clipped="template_clipped" in flags,
-            )
-        except ValueError as exc:
-            raise InvalidDistribution(path, lineno, str(exc)) from None
+        entry = Detection(
+            frame_index=frame,
+            box=box,
+            class_distribution=dist,
+            associated_data=_opt_text(fields[8]),
+            temporary=temporary,
+            source=_TEXT_SOURCE[fields[2]],
+            ncc_degenerate="ncc_degenerate" in flags,
+            template_clipped="template_clipped" in flags,
+        )
         entries.setdefault(track_id, []).append(entry)
         first_lines.setdefault(track_id, lineno)
     tracks = []
@@ -465,6 +466,8 @@ def read_manifest(path) -> SequenceManifest:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("sequence:"):
+                if sequence_id is not None:
+                    raise MalformedRecord(path, lineno, "repeated '# sequence:' directive")
                 sequence_id = body.partition(":")[2].strip()
             elif body.startswith("annotation:"):
                 annotation_paths.append(body.partition(":")[2].strip())

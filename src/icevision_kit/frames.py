@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .taxonomy import is_ascii_digits
+
 
 class PnmError(ValueError):
     """Base error for PNM decoding problems."""
@@ -151,10 +153,9 @@ def read_pnm(data: bytes, pattern: BayerPattern | None = None) -> GrayImage | Cf
         (width_s, _), (height_s, _), (maxval_s, header_end) = next(tokens), next(tokens), next(tokens)
     except StopIteration:
         raise PnmError("incomplete PGM header") from None
-    try:
-        width, height, max_value = int(width_s), int(height_s), int(maxval_s)
-    except ValueError:
-        raise PnmError(f"non-numeric PGM header field in {(width_s, height_s, maxval_s)}") from None
+    if not all(map(is_ascii_digits, (width_s, height_s, maxval_s))):  # int also reads "+3", "2_55"
+        raise PnmError(f"non-numeric PGM header field in {(width_s, height_s, maxval_s)}")
+    width, height, max_value = int(width_s), int(height_s), int(maxval_s)
     if width <= 0 or height <= 0:
         raise PnmError(f"bad PGM dimensions {width}x{height}")
     if not 0 < max_value <= 65535:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ClassDistribution, Detection, FrameAnnotations, group_by_frame
+from .core import ClassDistribution, Detection, Distribution, FrameAnnotations, group_by_frame
 from .datastore import real_value
 from .scoring import ScoringConfig, match_frame, score_dataset
 from .taxonomy import ClassCode
@@ -138,8 +138,8 @@ def _assign(entries: list[Detection], code: ClassCode, prob: float,
     """One detection per entry, carrying ``code`` at probability ``prob``."""
     # pooled sibling mass is mathematically <= 1; shave float carry
     prob = min(prob, 1.0)
-    dist = {code: prob}  # one per track: writers format each distinct dict once
-    return [Detection(entry.frame_index, entry.box, dist, prob, associated_data, temporary,
+    dist = Distribution({code: prob})  # one per track: checked and formatted once
+    return [Detection(entry.frame_index, entry.box, dist, associated_data, temporary,
                       entry.source) for entry in entries]
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 MAX_LEVELS = 3
 
@@ -129,10 +128,6 @@ class Taxonomy:
         self._children: dict[ClassCode | None, list[ClassCode]] = {}
         for code in self._leaves:
             self._children.setdefault(code.parent, []).append(code)
-
-    @classmethod
-    def load(cls, path: str | Path) -> Taxonomy:
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
     @classmethod
     def from_text(cls, text: str) -> Taxonomy:

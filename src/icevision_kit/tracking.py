@@ -146,8 +146,8 @@ def _linear_fill(start: Detection, end: Detection) -> Iterator[Detection]:
         t = (frame - start.frame_index) / span
         # built directly: dataclasses.replace costs a fields() walk per entry
         yield Detection(frame, lerp_box(start.box, end.box, t), start.class_distribution,
-                        start.confidence, start.associated_data, start.temporary,
-                        Source.INTERPOLATED, start.ncc_degenerate, start.template_clipped)
+                        start.associated_data, start.temporary, Source.INTERPOLATED,
+                        start.ncc_degenerate, start.template_clipped)
 
 
 def _int_rect(box: BoundingBox) -> tuple[int, int, int, int]:

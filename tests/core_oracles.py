@@ -1,0 +1,24 @@
+"""Oracle for ``core.Distribution``: the distribution check exactly as
+``Detection.__post_init__`` ran it for every detection built, before the
+check moved into the distribution type and ran once per distribution."""
+
+from __future__ import annotations
+
+from icevision_kit.taxonomy import ClassCode
+
+PROB_SUM_SLACK = 1e-9
+
+
+def check_distribution(dist) -> None:
+    """Raise what a detection with ``dist`` raised; return None otherwise."""
+    if not dist:
+        raise ValueError("class distribution must not be empty")
+    total = 0.0
+    for code, prob in dist.items():
+        if not isinstance(code, ClassCode):
+            raise TypeError(f"distribution keys must be ClassCode, got {code!r}")
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"probability for {code} out of [0, 1]: {prob}")
+        total += prob
+    if total > 1.0 + PROB_SUM_SLACK:
+        raise ValueError(f"distribution probabilities sum to {total} > 1")

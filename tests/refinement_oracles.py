@@ -81,7 +81,6 @@ def refine_tracks(tracks, thr):
                     frame_index=entry.frame_index,
                     box=entry.box,
                     class_distribution={code: prob},
-                    confidence=prob,
                     associated_data=data,
                     temporary=temporary,
                     source=entry.source,

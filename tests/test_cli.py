@@ -209,6 +209,13 @@ class TestTrackInterpRefine:
         err = capsys.readouterr().err
         assert "f0.pgm" in err and "Traceback" not in err
 
+    def test_interp_ncc_repeated_sequence_directive(self, tmp_path, capsys):
+        argv = self.ncc_fixture(tmp_path, range(7), b"P5\n200 160\n255\n" + bytes(200 * 160))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "# sequence: t\n")
+        assert main(argv) == EX_MALFORMED_INPUT
+        assert "manifest.txt:10: repeated '# sequence:'" in capsys.readouterr().err
+
     def test_interp_ncc_frame_missing_from_manifest(self, tmp_path, capsys):
         pgm = b"P5\n200 160\n255\n" + bytes(200 * 160)
         argv = self.ncc_fixture(tmp_path, (0, 1, 2, 4, 5, 6), pgm)
@@ -607,6 +614,14 @@ class TestConvert:
         src.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         code = main(["convert", str(src), "--output-dir", str(tmp_path / "out")])
         assert code == EX_MALFORMED_INPUT
+
+    @pytest.mark.parametrize("header", [b"P5\n+2 2\n255\n", b"P5\n2 2\n2_55\n"])
+    def test_lenient_header_number(self, tmp_path, capsys, header):
+        src = tmp_path / "f.pgm"
+        src.write_bytes(header + bytes(4))
+        code = main(["convert", str(src), "--output-dir", str(tmp_path / "out")])
+        assert code == EX_MALFORMED_INPUT
+        assert "f.pgm" in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["convert", str(tmp_path / "ghost.pgm"),

@@ -1,15 +1,20 @@
 """Geometry primitives and the shared detection/ground-truth types."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from core_oracles import check_distribution
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icevision_kit.core import (
     BoundingBox,
     Detection,
+    Distribution,
     FrameAnnotations,
     GroundTruthSign,
     Source,
@@ -18,7 +23,11 @@ from icevision_kit.core import (
     iou,
     lerp_box,
 )
+from icevision_kit.datastore import FORMAT_VERSION, read_detections, read_tracks
+from icevision_kit.frames import GrayImage
+from icevision_kit.refinement import LevelThresholds, refine_tracks
 from icevision_kit.taxonomy import parse_code
+from icevision_kit.tracking import Track, densify_linear, densify_ncc
 
 finite_coord = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -183,14 +192,13 @@ class TestDetection:
         assert det.code == parse_code("3.24")
         assert det.source is Source.DETECTED
 
-    def test_confidence_must_match_max(self):
-        with pytest.raises(ValueError):
-            Detection(
-                frame_index=0,
-                box=BoundingBox(0, 0, 10, 10),
-                class_distribution={parse_code("3.24"): 0.8},
-                confidence=0.5,
-            )
+    def test_confidence_is_the_maximum_not_an_argument(self):
+        dist = {parse_code("3.24"): 0.25, parse_code("3.25"): 0.5}
+        with pytest.raises(TypeError, match="confidence"):
+            Detection(frame_index=0, box=BoundingBox(0, 0, 10, 10), class_distribution=dist,
+                      confidence=0.5)
+        det = Detection(frame_index=0, box=BoundingBox(0, 0, 10, 10), class_distribution=dist)
+        assert det.confidence == 0.5
 
     def test_distribution_sum_capped(self):
         with pytest.raises(ValueError):
@@ -220,6 +228,154 @@ class TestDetection:
         # so refinement never sees a track whose average is empty
         with pytest.raises(ValueError):
             Detection(frame_index=0, box=BoundingBox(0, 0, 10, 10), class_distribution={})
+
+
+CODES = [parse_code(c) for c in ("1", "3.24", "3.25", "5.19.1", "5.19.2")]
+# every non-finite, signed, boundary and out-of-range kind a probability can take
+PROBS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-300, 1.0 + 2e-16, math.nan, math.inf, -math.inf, 0, 1]),
+)
+
+
+@st.composite
+def near_one(draw):
+    """Two or three ClassCode probabilities summing to 1 +- a few slacks."""
+    codes = draw(st.lists(st.sampled_from(CODES), min_size=2, max_size=3, unique=True))
+    head = [draw(st.floats(0.0, 1.0 / len(codes))) for _ in codes[1:]]
+    last = 1.0 - sum(head) + draw(st.sampled_from([-2e-9, -1e-9, 0.0, 5e-10, 1e-9, 1.5e-9, 3e-9]))
+    return dict(zip(codes, [*head, last]))
+
+
+def distribution_inputs():
+    keys = st.one_of(st.sampled_from(CODES), st.sampled_from(["3.24", 3, None, (3, 24)]))
+    return st.one_of(
+        st.dictionaries(keys, PROBS, max_size=4),
+        st.dictionaries(st.sampled_from(CODES), PROBS, max_size=4),
+        near_one(),
+    )
+
+
+def outcome(check, dist):
+    try:
+        check(dist)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestDistribution:
+    @given(dist=distribution_inputs())
+    @example(dist={})
+    @example(dist={CODES[1]: 0.5, "3.25": 0.5})
+    @example(dist={CODES[1]: math.nan})
+    @example(dist={CODES[1]: 0.6, CODES[2]: 0.4 + 1e-9})
+    @example(dist={CODES[1]: 0.6, CODES[2]: 0.4 + 2e-9})
+    def test_raises_exactly_as_the_per_detection_check(self, dist):
+        expected = outcome(check_distribution, dist)
+        assert outcome(Distribution, dist) == expected
+        if expected is None:
+            assert list(Distribution(dist).items()) == list(dist.items())
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.__setitem__(CODES[2], 0.1),
+        lambda d: d.__delitem__(CODES[1]),
+        lambda d: d.__ior__({CODES[2]: 0.1}),
+        lambda d: d.clear(),
+        lambda d: d.pop(CODES[1]),
+        lambda d: d.popitem(),
+        lambda d: d.setdefault(CODES[2], 0.1),
+        lambda d: d.update({CODES[2]: 0.1}),
+    ])
+    def test_read_only(self, mutate):
+        dist = Distribution({CODES[1]: 0.5})
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(dist)
+        assert dist == {CODES[1]: 0.5}
+
+    def test_a_plain_mapping(self):
+        dist = Distribution({CODES[1]: 0.5, CODES[0]: 0.25})
+        assert isinstance(dist, dict) and dist == {CODES[1]: 0.5, CODES[0]: 0.25}
+        assert list(dist) == [CODES[1], CODES[0]] and dist[CODES[0]] == 0.25
+        assert {**dist, CODES[2]: 0.1} == {CODES[1]: 0.5, CODES[0]: 0.25, CODES[2]: 0.1}
+
+    def test_detection_keeps_a_distribution_and_converts_a_dict(self):
+        box = BoundingBox(0, 0, 10, 10)
+        dist = Distribution({CODES[1]: 0.5})
+        a, b = (Detection(frame_index=f, box=box, class_distribution=dist) for f in (0, 1))
+        assert a.class_distribution is dist and b.class_distribution is dist
+        plain = {CODES[1]: 0.5}
+        c = Detection(frame_index=0, box=box, class_distribution=plain)
+        assert type(c.class_distribution) is Distribution and c.class_distribution == plain
+        assert c == a
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda det: pickle.loads(pickle.dumps(det)),
+        copy.deepcopy,
+        copy.copy,
+    ])
+    def test_detection_pickles_and_copies(self, round_trip):
+        det = Detection(frame_index=3, box=BoundingBox(0, 0, 10, 10),
+                        class_distribution={CODES[1]: 0.5, CODES[3]: 0.25},
+                        associated_data="40", source=Source.INTERPOLATED)
+        again = round_trip(det)
+        assert again == det
+        assert type(again.class_distribution) is Distribution
+        assert list(again.class_distribution.items()) == list(det.class_distribution.items())
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The distributions checked (built) while the fixture is active."""
+    built = []
+    init = Distribution.__init__
+
+    def counted(self, items=()):
+        init(self, items)
+        built.append(self)
+
+    monkeypatch.setattr(Distribution, "__init__", counted)
+    return built
+
+
+class TestCheckedOnce:
+    TOKENS = ["3.24:0.5,5.19.1:0.25", "2.4", "3.24:0.5,5.19.1:0.25", "2.4", "1:0.9", "2.4:1.0"]
+
+    def test_reading_checks_each_distinct_token_once(self, tmp_path, checks):
+        det_lines = "".join(f"{i} {t} 1 1 2 2\n" for i, t in enumerate(self.TOKENS))
+        track_lines = "".join(f"0 {i} detected 1 1 2 2 {t} - - -\n"
+                              for i, t in enumerate(self.TOKENS))
+        (tmp_path / "d.txt").write_text(f"{FORMAT_VERSION} detections\n{det_lines}")
+        (tmp_path / "t.txt").write_text(f"{FORMAT_VERSION} tracks\n{track_lines}")
+        read_detections(tmp_path / "d.txt")
+        assert len(checks) == len(set(self.TOKENS))
+        checks.clear()
+        read_tracks(tmp_path / "t.txt")
+        assert len(checks) == len(set(self.TOKENS))
+
+    @staticmethod
+    def tracks(count):
+        dist = Distribution({CODES[1]: 0.75, CODES[2]: 0.25})
+        return [Track(id=k, entries=[
+            Detection(frame_index=f, box=BoundingBox(10 + f, 10, 30 + f, 30), class_distribution=dist)
+            for f in (0, 4, 8)]) for k in range(count)]
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_refining_checks_one_per_track(self, checks, count):
+        tracks = self.tracks(count)
+        checks.clear()
+        refined = refine_tracks(tracks, LevelThresholds(0.0, 0.0, 0.0))
+        assert len(refined) == 3 * count and len(checks) == count
+
+    def test_densifying_checks_none(self, checks):
+        tracks = self.tracks(2)
+        rng = np.random.default_rng(3)
+        images = {f: GrayImage(samples=rng.integers(0, 256, (60, 60), dtype=np.uint8), max_value=255)
+                  for f in range(9)}
+        checks.clear()
+        dense = [densify_linear(t) for t in tracks] + [densify_ncc(t, images) for t in tracks]
+        assert all(len(t.entries) == 9 for t in dense) and checks == []
 
 
 class TestFrameAnnotations:

@@ -18,6 +18,7 @@ from icevision_kit import datastore
 from icevision_kit.core import (
     BoundingBox,
     Detection,
+    Distribution,
     FrameAnnotations,
     GroundTruthSign,
     Source,
@@ -337,6 +338,50 @@ class TestTracks:
         assert track.entries[4].template_clipped and not track.entries[4].ncc_degenerate
 
 
+def write_one_text_field(kind, value, path):
+    """Write a one-record file of ``kind`` whose associated data is ``value``."""
+    box, code = BoundingBox(1, 1, 2, 2), parse_code("3.24")
+    det = Detection(frame_index=0, box=box, class_distribution={code: 1.0}, associated_data=value)
+    if kind == "annotations":
+        sign = GroundTruthSign(frame_index=0, box=box, code=code, associated_data=value)
+        write_annotations([FrameAnnotations(frame_index=0, signs=(sign,))], path)
+    elif kind == "detections":
+        write_detections({0: [det]}, path)
+    else:
+        write_tracks([Track(id=0, entries=[det])], path)
+
+
+def read_one_text_field(kind, path):
+    if kind == "annotations":
+        return read_annotations(path)[0].signs[0].associated_data
+    if kind == "detections":
+        return read_detections(path)[0][0].associated_data
+    return read_tracks(path)[0].entries[0].associated_data
+
+
+class TestTextFields:
+    """Every writer's output re-reads to the value written, so a text
+    field that would not is refused before anything is written."""
+
+    KINDS = ["annotations", "detections", "tracks"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("value", ["-", "", "a b", " x", "x ", "a\tb", "a\nb", "a\u00a0b"])
+    def test_unreadable_value_refused(self, tmp_path, kind, value):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError) as err:
+            write_one_text_field(kind, value, path)
+        assert repr(value) in str(err.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("value", [None, "40", "x#y", "--", "тест", "a,b:c"])
+    def test_readable_value_round_trips(self, tmp_path, kind, value):
+        path = tmp_path / "out.txt"
+        write_one_text_field(kind, value, path)
+        assert read_one_text_field(kind, path) == value
+
+
 class TestHeaders:
     def test_missing_header(self, tmp_path):
         path = put(tmp_path, "x.txt", "")
@@ -401,6 +446,13 @@ class TestManifest:
         )
         with pytest.raises(MalformedRecord):
             read_manifest(path)
+
+    def test_repeated_sequence_directive(self, tmp_path):
+        path = put(tmp_path, "m.txt",
+                   f"{FORMAT_VERSION} manifest\n# sequence: a\n0\tf0.pnm\n# sequence: b\n")
+        with pytest.raises(MalformedRecord, match="repeated '# sequence:'") as err:
+            read_manifest(path)
+        assert err.value.lineno == 4
 
     def test_missing_tab(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# sequence: s\n5 a.pnm\n")
@@ -774,8 +826,8 @@ class TestDistributionMemo:
         fmt = datastore._format_distribution
         monkeypatch.setattr(datastore, "_format_distribution",
                             lambda dist: calls.append(dist) or fmt(dist))
-        shared, other = {CODES[2]: 0.5}, {CODES[1]: 0.75}
-        copy = dict(shared)  # equal, but a distinct object
+        shared, other = Distribution({CODES[2]: 0.5}), Distribution({CODES[1]: 0.75})
+        copy = Distribution(shared)  # equal, but a distinct object
         dists = [shared, other, shared, copy, shared, other]
         entries = [Detection(frame_index=f, box=BoundingBox(f, 0, f + 1, 1), class_distribution=d)
                    for f, d in enumerate(dists)]

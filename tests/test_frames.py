@@ -98,6 +98,13 @@ class TestReadPnm:
         with pytest.raises(PnmError):
             read_pnm(b"P5 two 2 255\n" + bytes(4))
 
+    @pytest.mark.parametrize("header", [b"P5 +3 1 255", b"P5 2 1 2_55", b"P5 2 1 +255",
+                                        b"P5 \xd9\xa2 1 255", b"P5 2 -1 255"])
+    def test_header_fields_are_ascii_digits(self, header):
+        # int() reads "+3" as 3 and "2_55" as 255
+        with pytest.raises(PnmError, match="non-numeric"):
+            read_pnm(header + b"\n" + bytes(8))
+
     @pytest.mark.parametrize("max_value", [255, 65535])
     def test_round_trip_byte_exact(self, max_value):
         rng = np.random.default_rng(7)
