@@ -73,12 +73,12 @@ def _config(parser: _Parser, cls, **fields):
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=3)
-    p.add_argument("--drop", type=float, default=0.0)
-    p.add_argument("--fp-per-frame", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--confusion", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=harness.NoiseModel.seed)
+    p.add_argument("--stride", type=int, default=TrackerConfig.keyframe_stride)
+    p.add_argument("--drop", type=float, default=harness.NoiseModel.drop_probability)
+    p.add_argument("--fp-per-frame", type=float, default=harness.NoiseModel.fp_per_frame)
+    p.add_argument("--jitter", type=float, default=harness.NoiseModel.position_jitter_px)
+    p.add_argument("--confusion", type=float, default=harness.NoiseModel.class_confusion)
 
 
 def build_parser() -> _Parser:
@@ -96,10 +96,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("track", help="chain keyframe detections into tracks")
     p.add_argument("--detections", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.1)
-    p.add_argument("--stride", type=int, default=3)
-    p.add_argument("--max-missed", type=int, default=0)
-    p.add_argument("--min-length", type=int, default=1)
+    p.add_argument("--iou-threshold", type=float, default=TrackerConfig.iou_threshold)
+    p.add_argument("--stride", type=int, default=TrackerConfig.keyframe_stride)
+    p.add_argument("--max-missed", type=int, default=TrackerConfig.max_missed_keyframes)
+    p.add_argument("--min-length", type=int, default=TrackerConfig.min_track_length)
 
     p = sub.add_parser("interp", help="densify tracks across non-keyframe frames")
     p.add_argument("--tracks", required=True)
@@ -147,7 +147,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", required=True)
     _add_noise_flags(p)
     p.add_argument("--stage", choices=("online", "offline"), default="offline")
-    p.add_argument("--budget-fps", type=float, default=100000.0 / (5 * 3600.0))
+    p.add_argument("--budget-fps", type=float, default=harness.PipelineConfig.budget_fps)
     p.add_argument("--records", help="write machine-readable results here")
 
     return parser

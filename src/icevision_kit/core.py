@@ -168,6 +168,20 @@ class Detection:
         return best_class(self.class_distribution)[0]
 
 
+def greedy_match(candidates: list[tuple[float, int, int]]) -> dict[int, tuple[int, float]]:
+    """Global greedy assignment: ``(overlap, a, b)`` candidates are taken in
+    descending overlap, ties to the smaller ``a`` and then the smaller
+    ``b``, each ``a`` and each ``b`` used at most once.  Returns
+    ``{a: (b, overlap)}``."""
+    matched: dict[int, tuple[int, float]] = {}
+    taken: set[int] = set()
+    for overlap, a, b in sorted(candidates, key=lambda c: (-c[0], c[1], c[2])):
+        if a not in matched and b not in taken:
+            matched[a] = (b, overlap)
+            taken.add(b)
+    return matched
+
+
 def group_by_frame(detections: list[Detection]) -> dict[int, list[Detection]]:
     """Bucket detections by frame index, keeping their order within a frame."""
     grouped: dict[int, list[Detection]] = {}

@@ -399,7 +399,11 @@ def read_tracks(path) -> list[Track]:
             ncc_degenerate="ncc_degenerate" in flags,
             template_clipped="template_clipped" in flags,
         )
-        entries.setdefault(track_id, []).append(entry)
+        earlier = entries.setdefault(track_id, [])
+        if earlier and frame <= earlier[-1].frame_index:
+            raise MalformedRecord(path, lineno, f"track {track_id} frame indices not strictly "
+                                  f"increasing ({earlier[-1].frame_index} -> {frame})")
+        earlier.append(entry)
         first_lines.setdefault(track_id, lineno)
     tracks = []
     for track_id in sorted(entries):
@@ -407,10 +411,7 @@ def read_tracks(path) -> list[Track]:
         if not any(e.source is Source.DETECTED for e in entries[track_id]):
             message = f"track {track_id} has no detected entry"
             raise MalformedRecord(path, first_lines[track_id], message)
-        try:
-            tracks.append(Track(id=track_id, entries=entries[track_id]))
-        except ValueError as exc:
-            raise MalformedRecord(path, None, str(exc)) from None
+        tracks.append(Track(id=track_id, entries=entries[track_id]))
     return tracks
 
 
@@ -476,6 +477,8 @@ def read_manifest(path) -> SequenceManifest:
         if not sep:
             raise MalformedRecord(path, lineno, "expected frame_index<TAB>path")
         index = _parse_frame(index_s.strip(), path, lineno)
+        if frames and index <= frames[-1][0]:
+            raise MalformedRecord(path, lineno, f"frame indices not strictly increasing at {index}")
         frames.append((index, frame_path.strip()))
     if sequence_id is None:
         raise MalformedRecord(path, None, "missing '# sequence: <id>' directive")
@@ -489,12 +492,20 @@ def read_manifest(path) -> SequenceManifest:
         raise MalformedRecord(path, None, str(exc)) from None
 
 
+def _line_text(value: str) -> str:
+    # a manifest line re-reads split at "\n" and "\r" and stripped
+    if value != value.strip() or "\n" in value or "\r" in value:
+        raise ValueError(f"manifest value {value!r} must hold no line break "
+                         "and no leading or trailing whitespace")
+    return value
+
+
 def write_manifest(manifest: SequenceManifest, path) -> None:
-    lines = [f"{FORMAT_VERSION} manifest\n", f"# sequence: {manifest.sequence_id}\n"]
+    lines = [f"{FORMAT_VERSION} manifest\n", f"# sequence: {_line_text(manifest.sequence_id)}\n"]
     for ann_path in manifest.annotation_paths:
-        lines.append(f"# annotation: {ann_path}\n")
+        lines.append(f"# annotation: {_line_text(ann_path)}\n")
     for index, frame_path in manifest.frames:
-        lines.append(f"{index}\t{frame_path}\n")
+        lines.append(f"{index}\t{_line_text(frame_path)}\n")
     atomic_write_text(path, "".join(lines))
 
 

@@ -228,10 +228,8 @@ def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScena
     return _with_truth(scenario, _rng(seed))
 
 
-def _random_signs(
-    spec: ScenarioSpec, rng: np.random.Generator, taxonomy: Taxonomy
-) -> tuple[SyntheticSign, ...]:
-    leaves = taxonomy.leaves
+def _random_signs(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[SyntheticSign, ...]:
+    leaves = Taxonomy.bundled().leaves
     signs = []
     for _ in range(spec.sign_count):
         lo, hi = SIGN_SIZE_RANGE
@@ -275,17 +273,14 @@ def _random_signs(
     return tuple(signs)
 
 
-def generate_scenario(
-    spec: ScenarioSpec, seed: int, taxonomy: Taxonomy | None = None
-) -> GeneratedScenario:
+def generate_scenario(spec: ScenarioSpec, seed: int) -> GeneratedScenario:
     """Random signs plus competition-style sparse annotations.
 
     Deterministic for (spec, seed): signs are drawn first, then the
     annotated-frame steps, all from one seeded PCG64 stream.
     """
-    taxonomy = taxonomy or Taxonomy.bundled()
     rng = _rng(seed)
-    signs = _random_signs(spec, rng, taxonomy)
+    signs = _random_signs(spec, rng)
     scenario = SyntheticScenario(
         frame_count=spec.frame_count, width=spec.width, height=spec.height, signs=signs
     )
@@ -301,7 +296,6 @@ def mock_detector(
     noise: NoiseModel,
     keyframe_stride: int,
     scenario: SyntheticScenario,
-    taxonomy: Taxonomy | None = None,
 ) -> dict[int, list[Detection]]:
     """Degrade dense truth into per-keyframe detections.
 
@@ -314,7 +308,7 @@ def mock_detector(
     """
     if keyframe_stride < 1:
         raise ValueError(f"keyframe_stride must be positive, got {keyframe_stride}")
-    taxonomy = taxonomy or Taxonomy.bundled()
+    taxonomy = Taxonomy.bundled()
     leaves = taxonomy.leaves
     rng = _rng(noise.seed)
     out: dict[int, list[Detection]] = {}
@@ -404,7 +398,6 @@ class PipelineConfig:
     """Everything the post-processing pipeline under benchmark needs."""
 
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    thresholds: LevelThresholds = field(default_factory=LevelThresholds)
     scoring: ScoringConfig = field(default_factory=ScoringConfig.offline)
     budget_fps: float = 100000.0 / (5 * 3600.0)  # competition: 100k frames in 5h
 
@@ -430,10 +423,10 @@ class BenchmarkReport:
 def run_pipeline(
     keyframe_detections: dict[int, list[Detection]], pipeline: PipelineConfig
 ) -> list[Detection]:
-    """track -> densify_linear -> refine, the scored post-processing chain."""
+    """track -> densify_linear -> refine (default thresholds), the scored chain."""
     tracks = run_tracker(keyframe_detections, pipeline.tracker)
     densified = [densify_linear(track) for track in tracks]
-    return refine_tracks(densified, pipeline.thresholds)
+    return refine_tracks(densified, LevelThresholds())
 
 
 def run_benchmark(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ClassDistribution, Detection, Distribution, FrameAnnotations, group_by_frame
 from .datastore import real_value
-from .scoring import ScoringConfig, match_frame, score_dataset
+from .scoring import ScoringConfig, match_frame, score_dataset, scored_frames
 from .taxonomy import ClassCode
 from .tracking import Track
 
@@ -213,11 +213,7 @@ def grid_search_thresholds(
         sorted({int(np.searchsorted(c, v)): v for v in reversed(sorted(values))}.items())
         for c, values in zip(cuts, grid)
     ]
-    duplicates = [f for f, n in Counter(a.frame_index for a in annotations).items() if n > 1]
-    if duplicates:  # score_dataset's check, before the search reads the frames
-        raise ValueError(f"duplicate annotations for frame {duplicates[0]}")
-    # score_dataset reads annotated frames only, in frame order
-    frames = sorted((a for a in annotations if a.annotated), key=lambda a: a.frame_index)
+    frames = scored_frames(annotations)
     position = {a.frame_index: j for j, a in enumerate(frames)}
     members: list[list[tuple[int, Detection]]] = [[] for _ in frames]
     frames_of: list[list[int]] = [[] for _ in validation_tracks]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .core import Detection, FrameAnnotations, GroundTruthSign, area, iou
+from .core import Detection, FrameAnnotations, GroundTruthSign, area, greedy_match, iou
 from .taxonomy import ClassCode
 
 
@@ -177,11 +177,11 @@ def match_frame(
     """Greedily match one frame's detections against its ground truth.
 
     Candidate (detection, sign) pairs need IoU >= threshold and an
-    acceptable class; they are taken in descending IoU order with ties
-    broken by input order, each side used at most once.  A leftover
-    detection whose best overlap lies on an ignore-zone sign (area below
-    the minimum) is ignored; a leftover that lost a qualifying sign to a
-    better detection is the duplicate rule's false positive.
+    acceptable class; :func:`core.greedy_match` takes them, ties to the
+    earlier detection and then the earlier sign.  A leftover detection
+    whose best overlap lies on an ignore-zone sign (area below the minimum)
+    is ignored; a leftover that was itself a candidate lost its signs to
+    better detections and is the duplicate rule's false positive.
     """
     for det in detections:
         if det.frame_index != annotations.frame_index:
@@ -203,15 +203,9 @@ def match_frame(
             overlap = iou(det.box, gt.box)
             if overlap >= cfg.iou_threshold:
                 candidates.append((overlap, d_idx, g_idx))
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-
-    det_match: dict[int, tuple[int, float]] = {}
-    gt_match: dict[int, int] = {}
-    for overlap, d_idx, g_idx in candidates:
-        if d_idx in det_match or g_idx in gt_match:
-            continue
-        det_match[d_idx] = (g_idx, overlap)
-        gt_match[g_idx] = d_idx
+    det_match = greedy_match(candidates)
+    gt_match = {g_idx for g_idx, _ in det_match.values()}
+    had_candidate = {d_idx for _, d_idx, _ in candidates}
 
     true_positives = []
     for d_idx, (g_idx, overlap) in sorted(det_match.items()):
@@ -226,18 +220,15 @@ def match_frame(
             continue
         best_ignored = 0.0
         best_scoreable = 0.0
-        had_qualifying_pair = False
         for g_idx, gt in enumerate(signs):
             overlap = iou(det.box, gt.box)
             if scoreable[g_idx]:
                 best_scoreable = max(best_scoreable, overlap)
-                if overlap >= cfg.iou_threshold and _class_acceptable(det.code, gt.code, cfg):
-                    had_qualifying_pair = True
             else:
                 best_ignored = max(best_ignored, overlap)
         if best_ignored >= cfg.iou_threshold and best_ignored >= best_scoreable:
             ignored.append(det)
-        elif had_qualifying_pair:
+        elif d_idx in had_candidate:
             false_positives.append(FalsePositive(det, FpReason.DUPLICATE))
         elif best_scoreable >= cfg.iou_threshold:
             false_positives.append(FalsePositive(det, FpReason.WRONG_CLASS))
@@ -286,6 +277,17 @@ class ScoreReport:
     per_class: dict[ClassCode, ClassScore] = field(default_factory=dict)
 
 
+def scored_frames(annotations: list[FrameAnnotations]) -> list[FrameAnnotations]:
+    """The frames a score reads: those with ``annotated=True``, in frame
+    order.  A frame given twice is an error."""
+    seen: set[int] = set()
+    for anno in annotations:
+        if anno.frame_index in seen:
+            raise ValueError(f"duplicate annotations for frame {anno.frame_index}")
+        seen.add(anno.frame_index)
+    return sorted((a for a in annotations if a.annotated), key=lambda a: a.frame_index)
+
+
 def score_dataset(
     detections: dict[int, list[Detection]],
     annotations: list[FrameAnnotations],
@@ -296,12 +298,6 @@ def score_dataset(
     Only frames carrying ``annotated=True`` contribute; detections on any
     other frame are silently discarded, per the sparse-annotation rule.
     """
-    seen: set[int] = set()
-    for anno in annotations:
-        if anno.frame_index in seen:
-            raise ValueError(f"duplicate annotations for frame {anno.frame_index}")
-        seen.add(anno.frame_index)
-
     frames = []
     tp_points = 0.0
     fp_count = 0
@@ -313,9 +309,7 @@ def score_dataset(
             current, **{k: getattr(current, k) + v for k, v in delta.items()}
         )
 
-    for anno in sorted(annotations, key=lambda a: a.frame_index):
-        if not anno.annotated:
-            continue
+    for anno in scored_frames(annotations):
         result = match_frame(detections.get(anno.frame_index, []), anno, cfg)
         frame_tp = result.tp_points
         tp_points += frame_tp

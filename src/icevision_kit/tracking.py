@@ -9,10 +9,10 @@ interpolation or by template matching against the actual frame content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import BoundingBox, Detection, Source, iou, lerp_box
+from .core import BoundingBox, Detection, Source, greedy_match, iou, lerp_box
 from . import frames as frames_mod
 
 
@@ -61,13 +61,13 @@ def run_tracker(
     """Chain keyframe detections into tracks, keyframes in ascending order;
     returns, by id, every track at least ``min_track_length`` entries long.
 
-    Association is global greedy by descending IoU of a track's last box
-    against the keyframe's detections, ties to the older track and then
-    the earlier detection, each side used at most once; pairs below the
-    threshold stay unassigned.  Unassigned detections start new tracks; a
-    track left unmatched for more than ``max_missed_keyframes``
-    consecutive keyframes is finished.  A detection with another source
-    is stored as a DETECTED copy without NCC flags.
+    Association is :func:`core.greedy_match` over the IoU of each track's
+    last box against the keyframe's detections (ties to the older track,
+    then the earlier detection); pairs below the threshold stay
+    unassigned.  Unassigned detections start new tracks; a track left
+    unmatched for more than ``max_missed_keyframes`` consecutive
+    keyframes is finished.  A detection with another source is stored as
+    a DETECTED copy without NCC flags.
     """
     cfg = cfg or TrackerConfig()
     tracks: list[Track] = []
@@ -81,7 +81,8 @@ def run_tracker(
                 )
         detections = [
             det if det.source is Source.DETECTED
-            else replace(det, source=Source.DETECTED, ncc_degenerate=False, template_clipped=False)
+            else Detection(det.frame_index, det.box, det.class_distribution,
+                           det.associated_data, det.temporary)
             for det in detections
         ]
 
@@ -92,18 +93,13 @@ def run_tracker(
                 overlap = iou(last_box, det.box)
                 if overlap >= cfg.iou_threshold:
                     candidates.append((overlap, t_idx, d_idx))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        track_match: dict[int, int] = {}
-        det_match: set[int] = set()
-        for _, t_idx, d_idx in candidates:
-            if t_idx not in track_match and d_idx not in det_match:
-                track_match[t_idx] = d_idx
-                det_match.add(d_idx)
+        track_match = greedy_match(candidates)
+        det_match = {d_idx for d_idx, _ in track_match.values()}
 
         still_active = []
         for t_idx, (track, misses) in enumerate(active):
             if t_idx in track_match:
-                track.entries.append(detections[track_match[t_idx]])
+                track.entries.append(detections[track_match[t_idx][0]])
                 still_active.append((track, 0))
             elif misses < cfg.max_missed_keyframes:
                 still_active.append((track, misses + 1))
@@ -116,15 +112,20 @@ def run_tracker(
     return [t for t in tracks if len(t.entries) >= cfg.min_track_length]
 
 
-def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[Detection]]) -> Track:
+def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[tuple]]) -> Track:
     """The keyframe-gap loop of both densify functions: ``fill(start, end)``
-    yields the entries strictly between two consecutive detected entries."""
+    yields ``(box, ncc_degenerate, template_clipped)`` per frame strictly
+    between two detected entries, each built into an interpolated copy of ``start``."""
     detected = track.detected_entries()
     if not detected:
         raise ValueError(f"track {track.id} has no detected entries to interpolate between")
     entries = [detected[0]]
     for start, end in zip(detected, detected[1:]):
-        entries.extend(fill(start, end))
+        gap_frames = range(start.frame_index + 1, end.frame_index)
+        # built directly: dataclasses.replace costs a fields() walk per entry
+        entries += [Detection(frame, box, start.class_distribution, start.associated_data,
+                              start.temporary, Source.INTERPOLATED, degenerate, clipped)
+                    for frame, (box, degenerate, clipped) in zip(gap_frames, fill(start, end))]
         entries.append(end)
     return Track(id=track.id, entries=entries)
 
@@ -140,14 +141,11 @@ def densify_linear(track: Track) -> Track:
     return _densify(track, _linear_fill)
 
 
-def _linear_fill(start: Detection, end: Detection) -> Iterator[Detection]:
+def _linear_fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox, bool, bool]]:
     span = end.frame_index - start.frame_index
     for frame in range(start.frame_index + 1, end.frame_index):
         t = (frame - start.frame_index) / span
-        # built directly: dataclasses.replace costs a fields() walk per entry
-        yield Detection(frame, lerp_box(start.box, end.box, t), start.class_distribution,
-                        start.associated_data, start.temporary, Source.INTERPOLATED,
-                        start.ncc_degenerate, start.template_clipped)
+        yield lerp_box(start.box, end.box, t), start.ncc_degenerate, start.template_clipped
 
 
 def _int_rect(box: BoundingBox) -> tuple[int, int, int, int]:
@@ -178,7 +176,7 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
     over those windows alone.
     """
 
-    def fill(start: Detection, end: Detection) -> Iterator[Detection]:
+    def fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox, bool, bool]]:
         span = end.frame_index - start.frame_index
         gap_frames = range(start.frame_index + 1, end.frame_index)
         if not gap_frames:
@@ -215,14 +213,7 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
                             mx - width / 2.0, my - height / 2.0,
                             mx + width / 2.0, my + height / 2.0,
                         )
-            yield replace(
-                start,
-                frame_index=frame,
-                box=box,
-                source=Source.INTERPOLATED,
-                ncc_degenerate=degenerate,
-                template_clipped=clipped,
-            )
+            yield box, degenerate, clipped
 
     return _densify(track, fill)
 

@@ -1,6 +1,7 @@
-"""Oracle for ``core.Distribution``: the distribution check exactly as
+"""Oracles for ``core``: the distribution check exactly as
 ``Detection.__post_init__`` ran it for every detection built, before the
-check moved into the distribution type and ran once per distribution."""
+check moved into the distribution type and ran once per distribution; and
+the greedy assignment taken one best free candidate at a time."""
 
 from __future__ import annotations
 
@@ -22,3 +23,17 @@ def check_distribution(dist) -> None:
         total += prob
     if total > 1.0 + PROB_SUM_SLACK:
         raise ValueError(f"distribution probabilities sum to {total} > 1")
+
+
+def greedy_match(candidates) -> dict:
+    """``{a: (b, overlap)}`` built by repeatedly taking the best remaining
+    ``(overlap, a, b)`` candidate (largest overlap, then smaller ``a``,
+    then smaller ``b``) whose ``a`` and ``b`` are both still free."""
+    matched: dict = {}
+    while True:
+        taken = {b for b, _ in matched.values()}
+        free = [c for c in candidates if c[1] not in matched and c[2] not in taken]
+        if not free:
+            return matched
+        overlap, a, b = max(free, key=lambda c: (c[0], -c[1], -c[2]))
+        matched[a] = (b, overlap)

@@ -269,6 +269,20 @@ class TestTrackInterpRefine:
         assert f"{tracks_path}:4: track 1 has no detected entry" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_track_frames_out_of_order_are_malformed_at_their_line(self, tmp_path, capsys):
+        tracks_path = tmp_path / "tracks.txt"
+        tracks_path.write_text(
+            f"{FORMAT_VERSION} tracks\n"
+            "0 5 detected 100 100 140 140 3.24:0.9 - - -\n"
+            "0 3 detected 100 100 140 140 3.24:0.9 - - -\n"
+        )
+        out = tmp_path / "o.txt"
+        code = main(["interp", "--tracks", str(tracks_path), "--output", str(out)])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert f"{tracks_path}:3: track 0 frame indices not strictly increasing (5 -> 3)" in err
+        assert not out.exists()
+
     def test_refine_wrong_kind_is_malformed(self, tmp_path, capsys):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import core_oracles
 from core_oracles import check_distribution
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from icevision_kit.core import (
     Source,
     area,
     best_class,
+    greedy_match,
     iou,
     lerp_box,
 )
@@ -137,6 +139,37 @@ class TestIou:
         a2 = BoundingBox(a.x_min + dx, a.y_min + dy, a.x_max + dx, a.y_max + dy)
         b2 = BoundingBox(b.x_min + dx, b.y_min + dy, b.x_max + dx, b.y_max + dy)
         assert iou(a, b) == pytest.approx(iou(a2, b2), abs=1e-9)
+
+
+def candidate_lists():
+    """Distinct (a, b) pairs with overlaps drawn to tie often."""
+    overlaps = st.one_of(st.sampled_from([0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
+    pairs = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), overlaps,
+                            max_size=20)
+    return pairs.map(lambda d: [(overlap, a, b) for (a, b), overlap in d.items()])
+
+
+class TestGreedyMatch:
+    def test_ties_go_to_smaller_a_then_smaller_b(self):
+        candidates = [(0.5, 1, 0), (0.5, 0, 1), (0.5, 0, 0), (0.5, 1, 1)]
+        assert greedy_match(candidates) == {0: (0, 0.5), 1: (1, 0.5)}
+
+    def test_higher_overlap_wins_over_order(self):
+        candidates = [(0.4, 0, 0), (0.9, 1, 0), (0.3, 0, 1)]
+        assert greedy_match(candidates) == {1: (0, 0.9), 0: (1, 0.3)}
+
+    def test_empty(self):
+        assert greedy_match([]) == {}
+
+    @given(candidate_lists())
+    def test_matches_one_best_free_candidate_at_a_time(self, candidates):
+        assert greedy_match(candidates) == core_oracles.greedy_match(candidates)
+
+    @given(candidate_lists(), st.randoms(use_true_random=False))
+    def test_candidate_order_does_not_matter(self, candidates, rnd):
+        shuffled = list(candidates)
+        rnd.shuffle(shuffled)
+        assert greedy_match(shuffled) == greedy_match(candidates)
 
 
 class TestLerpBox:

@@ -330,6 +330,19 @@ class TestTracks:
         with pytest.raises(MalformedRecord):
             read_tracks(path)
 
+    def test_non_increasing_frames_report_their_line(self, tmp_path):
+        path = put(
+            tmp_path,
+            "t.txt",
+            f"{FORMAT_VERSION} tracks\n"
+            "0 5 detected 1 1 2 2 3.24 - - -\n"
+            "1 4 detected 1 1 2 2 3.24 - - -\n"
+            "0 3 detected 1 1 2 2 3.24 - - -\n",
+        )
+        with pytest.raises(MalformedRecord, match="track 0 frame indices not strictly") as err:
+            read_tracks(path)
+        assert err.value.lineno == 4
+
     def test_flags_survive_round_trip(self, tmp_path):
         path = tmp_path / "t.txt"
         write_tracks([self.make_track()], path)
@@ -444,8 +457,27 @@ class TestManifest:
             "m.txt",
             f"{FORMAT_VERSION} manifest\n# sequence: s\n5\ta.pnm\n5\tb.pnm\n",
         )
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(MalformedRecord) as err:
             read_manifest(path)
+        assert err.value.lineno == 4
+
+    @pytest.mark.parametrize("sequence_id, frame_path, annotation_path", [
+        ("a\nb", "f.pgm", "gt.txt"),
+        ("s\r", "f.pgm", "gt.txt"),
+        ("s", " f.pgm", "gt.txt"),
+        ("s", "f.pgm\n", "gt.txt"),
+        ("s", "f.pgm", "gt.txt "),
+        ("s", "f.pgm", "a\rb.txt"),
+    ])
+    def test_write_rejects_what_would_not_re_read(self, tmp_path, sequence_id, frame_path,
+                                                   annotation_path):
+        manifest = SequenceManifest(sequence_id=sequence_id, frames=((0, frame_path),),
+                                    annotation_paths=(annotation_path,))
+        bad = next(v for v in (sequence_id, frame_path, annotation_path) if v != v.strip()
+                   or "\n" in v or "\r" in v)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_manifest(manifest, tmp_path / "m.txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_sequence_directive(self, tmp_path):
         path = put(tmp_path, "m.txt",

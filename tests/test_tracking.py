@@ -195,6 +195,14 @@ class TestDensifyLinear:
         assert dense.entries[1].class_distribution == {parse_code("3.24"): 1.0}
         assert dense.entries[0].source is Source.DETECTED
 
+    def test_gap_entries_copy_the_earlier_keyframes_ncc_flags(self):
+        start = replace(det(0, (0, 0, 30, 30)), ncc_degenerate=True)
+        middle = replace(det(3, (30, 30, 60, 60)), template_clipped=True)
+        end = det(5, (40, 40, 70, 70))
+        dense = densify_linear(Track(id=0, entries=[start, middle, end]))
+        flags = [(e.ncc_degenerate, e.template_clipped) for e in dense.entries]
+        assert flags == [(True, False)] * 3 + [(False, True)] * 2 + [(False, False)]
+
     def test_single_entry_unchanged(self):
         track = run_tracker({0: [det(0, (0, 0, 30, 30))]})[0]
         dense = densify_linear(track)
