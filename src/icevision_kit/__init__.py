@@ -19,7 +19,6 @@ from .core import (
 )
 from .refinement import (
     LevelThresholds,
-    average_track_distribution,
     grid_search_thresholds,
     refine_tracks,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "Track",
     "TrackerConfig",
     "area",
-    "average_track_distribution",
     "best_class",
     "densify_linear",
     "densify_ncc",

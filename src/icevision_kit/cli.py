@@ -19,7 +19,7 @@ from . import datastore, frames, harness, refinement, tracking
 from .datastore import DatastoreError, MalformedRecord, atomic_write_bytes, atomic_write_text
 from .frames import BayerPattern, PnmError
 from .refinement import LevelThresholds
-from .scoring import ScoringConfig, format_report, report_records, score_dataset
+from .scoring import ScoringConfig, Stage, format_report, report_records, score_dataset
 from .tracking import TrackerConfig
 
 EX_OK = 0
@@ -41,10 +41,6 @@ def _require(path) -> Path:
     if not p.exists():
         raise FileNotFoundError(errno.ENOENT, "missing input", str(p))
     return p
-
-
-def _stage_config(stage: str) -> ScoringConfig:
-    return ScoringConfig.online() if stage == "online" else ScoringConfig.offline()
 
 
 def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
@@ -156,7 +152,7 @@ def build_parser() -> _Parser:
 def _cmd_score(args) -> int:
     detections = datastore.read_detections(_require(args.detections))
     annotations = datastore.read_annotations(_require(args.annotations))
-    report = score_dataset(detections, annotations, _stage_config(args.stage))
+    report = score_dataset(detections, annotations, ScoringConfig(Stage(args.stage)))
     if args.output:
         atomic_write_text(args.output, format_report(report))
     if args.records:
@@ -232,7 +228,7 @@ def _cmd_tune(args, parser: _Parser) -> int:
         _grid_values(parser, args.grid_top, "--grid-top"),
     )
     best, best_score = refinement.grid_search_thresholds(
-        tracks, annotations, grid, _stage_config(args.stage)
+        tracks, annotations, grid, ScoringConfig(Stage(args.stage))
     )
     line = refinement.format_thresholds(best)
     if args.output:
@@ -296,6 +292,15 @@ def _cmd_synth(args, parser: _Parser) -> int:
     noise, tracker = _mock_detector_flags(args, parser)
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
+    if args.render_dir:
+        names = [f"frame_{frame:06d}.pgm" for frame in range(generated.scenario.frame_count)]
+        # built first, so a path the manifest cannot hold stops the command before any write
+        manifest = datastore.SequenceManifest(f"synth-{args.seed}", tuple(enumerate(names)),
+                                              (str(args.annotations),))
+        try:
+            manifest_text = datastore.format_manifest(manifest)
+        except ValueError as exc:
+            parser.error(f"--annotations: {exc}")
     datastore.write_annotations(generated.annotations, args.annotations)
     if args.detections:
         detections = harness.mock_detector(
@@ -306,19 +311,11 @@ def _cmd_synth(args, parser: _Parser) -> int:
         render_dir = Path(args.render_dir)
         render_dir.mkdir(parents=True, exist_ok=True)
         renderer = harness.SyntheticRenderer(generated.scenario, texture_seed=args.seed)
-        entries = []
-        for frame in range(generated.scenario.frame_count):
-            name = f"frame_{frame:06d}.pgm"
+        for frame, name in enumerate(names):
             atomic_write_bytes(render_dir / name, frames.write_pnm(renderer[frame]))
-            entries.append((frame, name))
-        manifest = datastore.SequenceManifest(
-            sequence_id=f"synth-{args.seed}",
-            frames=tuple(entries),
-            annotation_paths=(str(args.annotations),),
-        )
-        datastore.write_manifest(manifest, render_dir / "manifest.txt")
+        atomic_write_text(render_dir / "manifest.txt", manifest_text)
     print(f"frames {generated.scenario.frame_count} "
-          f"annotated {len(generated.annotated_frames)}")
+          f"annotated {len(generated.annotations)}")
     return EX_OK
 
 
@@ -329,7 +326,7 @@ def _cmd_bench(args, parser: _Parser) -> int:
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
     pipeline = harness.PipelineConfig(
-        scoring=_stage_config(args.stage), tracker=tracker, budget_fps=args.budget_fps
+        scoring=ScoringConfig(Stage(args.stage)), tracker=tracker, budget_fps=args.budget_fps
     )
     report = harness.run_benchmark(generated, noise, pipeline)
     sys.stdout.write(harness.format_benchmark(report))

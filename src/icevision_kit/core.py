@@ -209,13 +209,12 @@ class GroundTruthSign:
 class FrameAnnotations:
     """Ground truth for a single frame.
 
-    ``annotated=True`` with no signs means the frame was inspected and is
-    genuinely empty; this differs from a frame that was never annotated.
+    A frame is annotated exactly when it is listed: listed with no signs,
+    it was inspected and is genuinely empty.
     """
 
     frame_index: int
     signs: tuple[GroundTruthSign, ...] = field(default_factory=tuple)
-    annotated: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "signs", tuple(self.signs))

@@ -280,7 +280,7 @@ def read_annotations(path) -> list[FrameAnnotations]:
             )
         )
     return [
-        FrameAnnotations(frame_index=frame, signs=tuple(signs[frame]), annotated=True)
+        FrameAnnotations(frame_index=frame, signs=tuple(signs[frame]))
         for frame in sorted(signs)
     ]
 
@@ -288,8 +288,6 @@ def read_annotations(path) -> list[FrameAnnotations]:
 def write_annotations(annotations: list[FrameAnnotations], path) -> None:
     lines = [f"{FORMAT_VERSION} annotations\n"]
     for ann in sorted(annotations, key=lambda a: a.frame_index):
-        if not ann.annotated:
-            continue
         if not ann.signs:
             lines.append(f"{ann.frame_index}\n")
         for sign in ann.signs:
@@ -500,19 +498,25 @@ def _line_text(value: str) -> str:
     return value
 
 
-def write_manifest(manifest: SequenceManifest, path) -> None:
+def format_manifest(manifest: SequenceManifest) -> str:
+    """The manifest file's text; ``ValueError`` on a value it would not re-read."""
     lines = [f"{FORMAT_VERSION} manifest\n", f"# sequence: {_line_text(manifest.sequence_id)}\n"]
     for ann_path in manifest.annotation_paths:
         lines.append(f"# annotation: {_line_text(ann_path)}\n")
     for index, frame_path in manifest.frames:
         lines.append(f"{index}\t{_line_text(frame_path)}\n")
-    atomic_write_text(path, "".join(lines))
+    return "".join(lines)
+
+
+def write_manifest(manifest: SequenceManifest, path) -> None:
+    atomic_write_text(path, format_manifest(manifest))
 
 
 class ManifestFrameSource:
     """Frame loader indexed by frame number, for NCC interpolation.
 
     Each access reads and decodes the frame's PGM; nothing is cached.
+    Every frame must have the size of the first one decoded.
     With a ``pattern`` the frame stays the decoded mosaic
     (:class:`CfaImage`), validated over the whole frame like any other;
     readers take the gray signal of just the windows they need with
@@ -528,6 +532,7 @@ class ManifestFrameSource:
         self._paths = {index: frame_path for index, frame_path in manifest.frames}
         self._root = Path(root)
         self._pattern = pattern
+        self._first: tuple[int, int, Path] | None = None  # width, height, path
 
     def __contains__(self, frame_index: int) -> bool:
         return frame_index in self._paths
@@ -535,9 +540,16 @@ class ManifestFrameSource:
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         path = self._root / self._paths[frame_index]
         try:
-            return read_pnm(path.read_bytes(), self._pattern)
+            image = read_pnm(path.read_bytes(), self._pattern)
         except ValueError as exc:
             raise DatastoreError(path, None, str(exc)) from None
+        if self._first is None:
+            self._first = (image.width, image.height, path)
+        elif (image.width, image.height) != self._first[:2]:
+            width, height, first = self._first
+            raise DatastoreError(path, None, f"frame is {image.width}x{image.height}, "
+                                 f"but {first} is {width}x{height}")
+        return image
 
 
 # --------------------------------------------------------------------------

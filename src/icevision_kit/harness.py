@@ -23,7 +23,7 @@ from .core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, are
 from .datastore import MalformedRecord, decimal_value, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
-from .scoring import ScoringConfig, score_dataset
+from .scoring import ScoringConfig, Stage, score_dataset
 from .taxonomy import ClassCode, Taxonomy
 from .tracking import TrackerConfig, densify_linear, run_tracker
 
@@ -162,7 +162,6 @@ class GeneratedScenario:
     """A scenario plus its derived ground truth."""
 
     scenario: SyntheticScenario
-    annotated_frames: tuple[int, ...]
     annotations: list[FrameAnnotations]
     dense: dict[int, list[GroundTruthSign]]
 
@@ -216,15 +215,13 @@ def _with_truth(scenario: SyntheticScenario, rng: np.random.Generator) -> Genera
     frames = annotation_frames(scenario.frame_count, rng)
     return GeneratedScenario(
         scenario=scenario,
-        annotated_frames=frames,
         annotations=annotations_for_frames(scenario, frames),
         dense=dense_truth(scenario),
     )
 
 
 def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScenario:
-    """Derive annotated frames, annotations, and dense truth for a
-    hand-built scenario."""
+    """Derive sparse annotations and dense truth for a hand-built scenario."""
     return _with_truth(scenario, _rng(seed))
 
 
@@ -374,12 +371,10 @@ def max_attainable_score(
     """
     total = 0.0
     for ann in annotations:
-        if not ann.annotated:
-            continue
         for sign in ann.signs:
             if area(sign.box) < cfg.min_area_px:
                 continue
-            if cfg.k_rules is None:
+            if cfg.stage is Stage.ONLINE:
                 total += 1.0
                 continue
             k = cfg.k_rules

@@ -39,24 +39,6 @@ class LevelThresholds:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def average_track_distribution(track: Track) -> ClassDistribution:
-    """Arithmetic mean of the detected entries' distributions.
-
-    Interpolated entries are copies of a neighboring keyframe and would
-    double-weight it, so only detector output participates.  A code absent
-    from an entry counts as probability 0 for that entry.
-    """
-    detected = track.detected_entries()
-    if not detected:
-        raise ValueError(f"track {track.id} has no detected entries to average")
-    totals: dict[ClassCode, float] = {}
-    for entry in detected:
-        for code, prob in entry.class_distribution.items():
-            totals[code] = totals.get(code, 0.0) + prob
-    n = len(detected)
-    return {code: total / n for code, total in totals.items()}
-
-
 def _majority(values: list):
     """Most frequent non-None value, None when there is none; ties go to
     the value seen earliest."""
@@ -84,11 +66,14 @@ def _summarize(tracks: list[Track]) -> tuple[list[tuple[ClassCode, ...]], np.nda
     the (tracks x 3) array of their probabilities, and the associated-data
     and temporary votes.
 
-    One walk over all tracks' entries collects a (track, code, probability)
-    row per distribution item of a detected entry.  A mean adds its rows in
-    entry order and a pool adds the means in the order the track first saw
-    each code, the order of a dict built entry by entry, so every value has
-    the bits of ``average_track_distribution`` pooled code by code.
+    A track's distribution is the mean over its detected entries (an
+    interpolated entry copies a keyframe and would double-weight it), a
+    code absent from an entry counting as 0.  One walk over all tracks'
+    entries collects a (track, code, probability) row per distribution
+    item of a detected entry.  A mean adds its rows in entry order and a
+    pool adds the means in the order the track first saw each code, the
+    order of a dict built entry by entry, so every value has the bits of
+    a per-track dict mean pooled code by code.
     """
     dists: list[ClassDistribution] = []
     counts: list[int] = []

@@ -5,7 +5,7 @@ base score ((IoU - 0.5)/0.35)^0.25, capped at 1 above IoU 0.85.  Offline:
 IoU >= 0.3, superclass codes accepted, base score ((IoU - 0.3)/0.55)^0.25
 multiplied by (1 + k1 + k2 + k3) with the k terms configured per rule and
 the multiplier clamped below at zero.  Every false positive costs a flat
-penalty (2 points by default) and ground-truth boxes under 100 px^2 are
+penalty (2 points) and ground-truth boxes under 100 px^2 are
 ignore zones: detections landing on them earn and cost nothing.
 """
 
@@ -46,36 +46,28 @@ class KCoefficients:
 
 @dataclass(frozen=True)
 class ScoringConfig:
+    """A stage and the k table that only the offline stage applies.  The
+    other rules are the competition's constants (see the module
+    docstring); ``iou_threshold`` follows the stage."""
+
     stage: Stage
-    iou_threshold: float | None = None
-    full_score_iou: float = 0.85
-    formula_exponent: float = 0.25
-    fp_penalty: float = 2.0
-    min_area_px: float = 100.0
-    k_rules: KCoefficients | None = None
+    k_rules: KCoefficients = KCoefficients()
+
+    full_score_iou = 0.85
+    formula_exponent = 0.25
+    fp_penalty = 2.0
+    min_area_px = 100.0
 
     def __post_init__(self) -> None:
-        if self.iou_threshold is None:
-            object.__setattr__(self, "iou_threshold", _STAGE_IOU_THRESHOLD[self.stage])
-        if self.stage is Stage.OFFLINE and self.k_rules is None:
-            object.__setattr__(self, "k_rules", KCoefficients())
-        if not 0.0 < self.iou_threshold < self.full_score_iou <= 1.0:
-            raise ValueError(
-                f"need 0 < iou_threshold < full_score_iou <= 1, got "
-                f"{self.iou_threshold} and {self.full_score_iou}"
-            )
-        if self.fp_penalty < 0.0:
-            raise ValueError(f"fp_penalty must be >= 0, got {self.fp_penalty}")
-        if self.min_area_px < 0.0:
-            raise ValueError(f"min_area_px must be >= 0, got {self.min_area_px}")
+        object.__setattr__(self, "iou_threshold", _STAGE_IOU_THRESHOLD[self.stage])
 
     @classmethod
-    def online(cls, **overrides) -> ScoringConfig:
-        return cls(stage=Stage.ONLINE, **overrides)
+    def online(cls) -> ScoringConfig:
+        return cls(Stage.ONLINE)
 
     @classmethod
-    def offline(cls, **overrides) -> ScoringConfig:
-        return cls(stage=Stage.OFFLINE, **overrides)
+    def offline(cls, k_rules: KCoefficients = KCoefficients()) -> ScoringConfig:
+        return cls(Stage.OFFLINE, k_rules)
 
 
 class FpReason(enum.Enum):
@@ -125,11 +117,12 @@ class MatchResult:
 
 def tp_base_score(value: float, cfg: ScoringConfig) -> float:
     """Base score in [0, 1] for a matched detection with the given IoU."""
-    if value < cfg.iou_threshold:
-        raise ValueError(f"IoU {value} below matching threshold {cfg.iou_threshold}")
-    if value > cfg.full_score_iou:
+    low, full = cfg.iou_threshold, cfg.full_score_iou
+    if value < low:
+        raise ValueError(f"IoU {value} below matching threshold {low}")
+    if value > full:
         return 1.0
-    return ((value - cfg.iou_threshold) / (cfg.full_score_iou - cfg.iou_threshold)) ** cfg.formula_exponent
+    return ((value - low) / (full - low)) ** cfg.formula_exponent
 
 
 def _class_acceptable(pred: ClassCode, gt: ClassCode, cfg: ScoringConfig) -> bool:
@@ -146,15 +139,16 @@ def _text_matches(a: str, b: str) -> bool:
 def k_multiplier(det: Detection, gt: GroundTruthSign, cfg: ScoringConfig) -> float:
     """The (1 + k1 + k2 + k3) factor, clamped below at 0.
 
-    Online configurations (no k rules) always return 1.  The detection's
-    class must already be an exact or superclass match for the sign.
+    The online stage always returns 1, whatever k table it holds.  The
+    detection's class must already be an exact or superclass match for
+    the sign.
     """
     pred = det.code
     if not _class_acceptable(pred, gt.code, cfg):
         raise ValueError(f"detection class {pred} does not match ground truth {gt.code}")
-    k = cfg.k_rules
-    if k is None:
+    if cfg.stage is Stage.ONLINE:
         return 1.0
+    k = cfg.k_rules
     k1 = k.k1_exact if pred == gt.code else k.k1_superclass
     if det.associated_data is None:
         k2 = k.k2_absent
@@ -190,7 +184,8 @@ def match_frame(
                 f"{annotations.frame_index}"
             )
     signs = annotations.signs
-    scoreable = [area(gt.box) >= cfg.min_area_px for gt in signs]
+    threshold, min_area = cfg.iou_threshold, cfg.min_area_px
+    scoreable = [area(gt.box) >= min_area for gt in signs]
 
     candidates = []
     for d_idx, det in enumerate(detections):
@@ -201,7 +196,7 @@ def match_frame(
             if not _class_acceptable(pred, gt.code, cfg):
                 continue
             overlap = iou(det.box, gt.box)
-            if overlap >= cfg.iou_threshold:
+            if overlap >= threshold:
                 candidates.append((overlap, d_idx, g_idx))
     det_match = greedy_match(candidates)
     gt_match = {g_idx for g_idx, _ in det_match.values()}
@@ -226,11 +221,11 @@ def match_frame(
                 best_scoreable = max(best_scoreable, overlap)
             else:
                 best_ignored = max(best_ignored, overlap)
-        if best_ignored >= cfg.iou_threshold and best_ignored >= best_scoreable:
+        if best_ignored >= threshold and best_ignored >= best_scoreable:
             ignored.append(det)
         elif d_idx in had_candidate:
             false_positives.append(FalsePositive(det, FpReason.DUPLICATE))
-        elif best_scoreable >= cfg.iou_threshold:
+        elif best_scoreable >= threshold:
             false_positives.append(FalsePositive(det, FpReason.WRONG_CLASS))
         else:
             false_positives.append(FalsePositive(det, FpReason.UNMATCHED))
@@ -278,14 +273,14 @@ class ScoreReport:
 
 
 def scored_frames(annotations: list[FrameAnnotations]) -> list[FrameAnnotations]:
-    """The frames a score reads: those with ``annotated=True``, in frame
-    order.  A frame given twice is an error."""
+    """The frames a score reads, every listed frame, in frame order.  A
+    frame given twice is an error."""
     seen: set[int] = set()
     for anno in annotations:
         if anno.frame_index in seen:
             raise ValueError(f"duplicate annotations for frame {anno.frame_index}")
         seen.add(anno.frame_index)
-    return sorted((a for a in annotations if a.annotated), key=lambda a: a.frame_index)
+    return sorted(annotations, key=lambda a: a.frame_index)
 
 
 def score_dataset(
@@ -295,8 +290,8 @@ def score_dataset(
 ) -> ScoreReport:
     """Score a detection set against sparse annotations.
 
-    Only frames carrying ``annotated=True`` contribute; detections on any
-    other frame are silently discarded, per the sparse-annotation rule.
+    Only listed frames contribute; detections on any other frame are
+    silently discarded, per the sparse-annotation rule.
     """
     frames = []
     tp_points = 0.0

@@ -12,12 +12,26 @@ from __future__ import annotations
 import itertools
 
 from icevision_kit.core import Detection, best_class, group_by_frame
-from icevision_kit.refinement import (
-    LevelThresholds,
-    average_track_distribution,
-    vote_associated_data,
-)
+from icevision_kit.refinement import LevelThresholds, vote_associated_data
 from icevision_kit.scoring import score_dataset
+
+
+def average_track_distribution(track):
+    """Arithmetic mean of the detected entries' distributions.
+
+    Interpolated entries are copies of a neighboring keyframe and would
+    double-weight it, so only detector output participates.  A code absent
+    from an entry counts as probability 0 for that entry.
+    """
+    detected = track.detected_entries()
+    if not detected:
+        raise ValueError(f"track {track.id} has no detected entries to average")
+    totals = {}
+    for entry in detected:
+        for code, prob in entry.class_distribution.items():
+            totals[code] = totals.get(code, 0.0) + prob
+    n = len(detected)
+    return {code: total / n for code, total in totals.items()}
 
 
 def pool_to_level(dist, level):

@@ -223,6 +223,17 @@ class TestTrackInterpRefine:
         err = capsys.readouterr().err
         assert "frame 3" in err and "manifest.txt" in err
 
+    @pytest.mark.parametrize("pattern", [[], ["--pattern", "RGGB"]])
+    def test_interp_ncc_frame_smaller_than_its_keyframe_is_malformed(self, tmp_path, capsys,
+                                                                      pattern):
+        argv = self.ncc_fixture(tmp_path, range(7), b"P5\n200 120\n255\n" + bytes(200 * 120))
+        (tmp_path / "f1.pgm").write_bytes(b"P5\n60 40\n255\n" + bytes(60 * 40))
+        assert main(argv + pattern) == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert "f1.pgm" in err and "60x40" in err and "200x120" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
     @staticmethod
     def tracks_with_probability(tmp_path, prob):
         det_path = tmp_path / "dets.txt"
@@ -692,6 +703,19 @@ class TestSynthAndBench:
                      "--root", str(render)])
         assert code == EX_OK
         assert datastore.read_tracks(dense_path)
+
+    @pytest.mark.parametrize("name", ["a.txt ", " a.txt", "a\nb.txt", "a\rb.txt"])
+    def test_synth_annotations_path_the_manifest_cannot_hold(self, tmp_path, capsys,
+                                                             monkeypatch, name):
+        spec = self.spec_file(tmp_path, frame_count=30, sign_count=2, width=320, height=240)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["synth", "--spec", str(spec), "--annotations", name,
+                     "--detections", "det.txt", "--render-dir", "render"]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert "--annotations" in err and repr(name) in err and "Traceback" not in err
+        assert list(work.iterdir()) == []
 
     def test_bench_runs_and_writes_records(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, frame_count=60)

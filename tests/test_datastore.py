@@ -68,7 +68,7 @@ class TestAnnotations:
         anns = read_annotations(path)
         assert len(anns) == 1
         ann = anns[0]
-        assert ann.frame_index == 12 and ann.annotated
+        assert ann.frame_index == 12
         (sign,) = ann.signs
         assert sign.code == parse_code("3.24")
         assert sign.box == BoundingBox(100, 100, 150, 150)
@@ -82,7 +82,7 @@ class TestAnnotations:
     def test_annotated_empty_frame(self, tmp_path):
         path = put(tmp_path, "a.txt", f"{FORMAT_VERSION} annotations\n7\n")
         (ann,) = read_annotations(path)
-        assert ann.frame_index == 7 and ann.annotated and ann.signs == ()
+        assert ann.frame_index == 7 and ann.signs == ()
 
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = put(
@@ -526,6 +526,18 @@ class TestManifestFrameSource:
         got = gray_window(frame, 0, 0, frame.width, frame.height).samples
         want = gray_from_cfa(mosaic).samples
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pattern", [None, BayerPattern.RGGB])
+    def test_frame_of_another_size_than_the_first_decoded(self, tmp_path, pattern):
+        for name, (width, height) in (("f0.pgm", (8, 6)), ("f1.pgm", (8, 6)), ("f2.pgm", (10, 6))):
+            (tmp_path / name).write_bytes(b"P5\n%d %d\n255\n" % (width, height)
+                                          + bytes(width * height))
+        manifest = SequenceManifest("s", ((0, "f0.pgm"), (1, "f1.pgm"), (2, "f2.pgm")))
+        source = ManifestFrameSource(manifest, root=tmp_path, pattern=pattern)
+        assert source[1].width == 8 and source[0].width == 8
+        with pytest.raises(DatastoreError, match=r"frame is 10x6, but .*f1\.pgm is 8x6") as err:
+            source[2]
+        assert err.value.path.endswith("f2.pgm")
 
 
 class TestAtomicWrites:

@@ -26,7 +26,7 @@ from icevision_kit.harness import (
     run_benchmark,
     truth_for_scenario,
 )
-from icevision_kit.scoring import ScoringConfig
+from icevision_kit.scoring import KCoefficients, ScoringConfig, Stage
 from icevision_kit.taxonomy import parse_code
 from icevision_kit.tracking import TrackerConfig
 
@@ -173,7 +173,6 @@ class TestGenerateScenario:
         a = generate_scenario(spec, seed=42)
         b = generate_scenario(spec, seed=42)
         assert a.scenario == b.scenario
-        assert a.annotated_frames == b.annotated_frames
         assert a.annotations == b.annotations
 
     def test_seed_changes_output(self):
@@ -187,7 +186,8 @@ class TestGenerateScenario:
 
     def test_annotations_match_annotated_frames(self):
         out = generate_scenario(ScenarioSpec(frame_count=300, sign_count=4), seed=7)
-        assert tuple(a.frame_index for a in out.annotations) == out.annotated_frames
+        steps = np.diff([ann.frame_index for ann in out.annotations])
+        assert out.annotations[0].frame_index == 0 and steps.min() >= 25 and steps.max() <= 35
         for ann in out.annotations:
             dense = out.dense[ann.frame_index]
             assert list(ann.signs) == dense
@@ -285,7 +285,7 @@ class TestMaxAttainable:
             ),
         )
         gen = truth_for_scenario(sc, seed=0)  # annotated frame 0 only (5 frames)
-        assert gen.annotated_frames == (0,)
+        assert [a.frame_index for a in gen.annotations] == [0]
         total = max_attainable_score(gen.annotations, ScoringConfig.offline())
         assert total == pytest.approx(2.0 + 1.6)
 
@@ -294,6 +294,15 @@ class TestMaxAttainable:
         gen = truth_for_scenario(sc, seed=0)
         assert max_attainable_score(gen.annotations, ScoringConfig.online()) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("k_rules", [KCoefficients(), KCoefficients(*[-1.0] * 8),
+                                         KCoefficients(*[2.0] * 8)])
+    def test_online_counts_one_per_sign_whatever_its_k_table(self, k_rules):
+        sc = SyntheticScenario(frame_count=5, signs=(sign(exit=4, associated_data="40"),
+                                                     sign(exit=4, x=300)))
+        gen = truth_for_scenario(sc, seed=0)
+        cfg = ScoringConfig(Stage.ONLINE, k_rules)
+        assert max_attainable_score(gen.annotations, cfg) == 2.0
+
     def test_ignore_zone_excluded(self):
         sc = SyntheticScenario(
             frame_count=5, signs=(sign(exit=4, w=9.0, h=9.0),)  # 81 px^2 < 100
@@ -301,11 +310,6 @@ class TestMaxAttainable:
         gen = truth_for_scenario(sc, seed=0)
         assert max_attainable_score(gen.annotations, ScoringConfig.offline()) == 0.0
 
-    def test_unannotated_frames_skipped(self):
-        from icevision_kit.core import FrameAnnotations
-
-        anns = [FrameAnnotations(frame_index=0, signs=(), annotated=False)]
-        assert max_attainable_score(anns, ScoringConfig.offline()) == 0.0
 
 
 class TestBenchmark:

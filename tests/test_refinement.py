@@ -14,7 +14,6 @@ from icevision_kit import refinement, scoring
 from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, Source
 from icevision_kit.refinement import (
     LevelThresholds,
-    average_track_distribution,
     format_thresholds,
     grid_search_thresholds,
     parse_thresholds,
@@ -45,19 +44,21 @@ THR = LevelThresholds(0.5, 0.5, 0.5)
 
 
 class TestAverage:
+    """The per-track mean that the array summaries reproduce, on the oracle."""
+
     def test_arithmetic_mean(self):
         t = track(entry(0, {"3.24": 0.8}), entry(3, {"3.24": 0.6}))
-        assert average_track_distribution(t) == {parse_code("3.24"): pytest.approx(0.7)}
+        assert oracle.average_track_distribution(t) == {parse_code("3.24"): pytest.approx(0.7)}
 
     def test_absent_code_counts_as_zero(self):
         t = track(entry(0, {"3.24": 1.0}), entry(3, {"5.19.1": 1.0}))
-        avg = average_track_distribution(t)
+        avg = oracle.average_track_distribution(t)
         assert avg[parse_code("3.24")] == pytest.approx(0.5)
         assert avg[parse_code("5.19.1")] == pytest.approx(0.5)
 
     def test_single_entry_identity(self):
         t = track(entry(0, {"3.24": 0.9}))
-        assert average_track_distribution(t) == {parse_code("3.24"): 0.9}
+        assert oracle.average_track_distribution(t) == {parse_code("3.24"): 0.9}
 
     def test_interpolated_entries_excluded(self):
         t = track(
@@ -65,12 +66,12 @@ class TestAverage:
             entry(1, {"5.19.1": 1.0}, source=Source.INTERPOLATED),
             entry(3, {"3.24": 0.5}),
         )
-        assert average_track_distribution(t) == {parse_code("3.24"): pytest.approx(0.75)}
+        assert oracle.average_track_distribution(t) == {parse_code("3.24"): pytest.approx(0.75)}
 
     def test_no_detected_entries_rejected(self):
         t = track(entry(0, {"3.24": 1.0}, source=Source.INTERPOLATED))
         with pytest.raises(ValueError):
-            average_track_distribution(t)
+            oracle.average_track_distribution(t)
 
 
 def select(dist, thr):
@@ -363,14 +364,13 @@ def validation_sets(draw):
     validation = [draw(drawn_tracks(i)) for i in range(count)]
     annotations = []
     for frame in range(FRAMES):
-        state = draw(st.sampled_from(["annotated", "unannotated", "absent"]))
-        if state == "absent":
+        if draw(st.sampled_from(["listed", "absent"])) == "absent":
             continue
         signs = tuple(
             GroundTruthSign(frame, BoundingBox(*draw(st.sampled_from(BOXES))), parse_code(c))
             for c in draw(st.lists(st.sampled_from(CODES), max_size=2))
         )
-        annotations.append(FrameAnnotations(frame, signs, annotated=state == "annotated"))
+        annotations.append(FrameAnnotations(frame, signs))
     # the tracks' own level probabilities are the breakpoints of the search
     cuts = {p for t in validation for p in oracle.level_probs(t)}
     near = {math.nextafter(p, x) for p in cuts for x in (0.0, 2.0)}
@@ -459,8 +459,8 @@ def continuous_sets(draw):
         FrameAnnotations(frame, tuple(
             GroundTruthSign(frame, BoundingBox(*draw(st.sampled_from(BOXES))), parse_code(c))
             for c in draw(st.lists(st.sampled_from(CODES), max_size=2))
-        ), annotated=draw(st.booleans()) or frame == 0)
-        for frame in range(frames)
+        ))
+        for frame in range(frames) if frame == 0 or draw(st.booleans())
     ]
     cuts = sorted({p for t in validation for p in oracle.level_probs(t) if 0.0 <= p <= 1.0})
     grid = []
@@ -496,7 +496,7 @@ class TestGridSearchCost:
         frame_tracks = {
             a.frame_index: [i for i, t in enumerate(validation)
                             if any(e.frame_index == a.frame_index for e in t.entries)]
-            for a in annotations if a.annotated
+            for a in annotations
         }
         keys = set()
         for triple in itertools.product(*grid):
@@ -610,7 +610,6 @@ class TestSummaries:
             return real(arg)
 
         monkeypatch.setattr(refinement, "_summarize", counting)
-        monkeypatch.setattr(refinement, "average_track_distribution", None)  # no per-track path
         refine_tracks(tracks, THR)
         assert calls == [count]
         calls.clear()

@@ -1,5 +1,6 @@
 """Competition metric: formula exactness, matching, duplicates, ignores."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -93,7 +94,32 @@ class TestBaseScore:
         assert tp_base_score(0.8500001, ONLINE) == 1.0
 
 
+class TestScoringConfig:
+    def test_fixed_rules_and_stage_thresholds(self):
+        for cfg, threshold in ((ONLINE, 0.5), (OFFLINE, 0.3)):
+            rules = (cfg.iou_threshold, cfg.full_score_iou, cfg.formula_exponent,
+                     cfg.fp_penalty, cfg.min_area_px)
+            assert rules == (threshold, 0.85, 0.25, 2.0, 100.0)
+
+    def test_only_stage_and_k_rules_are_settable(self):
+        assert [f.name for f in dataclasses.fields(ScoringConfig)] == ["stage", "k_rules"]
+        with pytest.raises(TypeError):
+            ScoringConfig(Stage.ONLINE, iou_threshold=0.4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ONLINE.iou_threshold = 0.4
+        assert ScoringConfig.offline(KCoefficients(*[0.0] * 8)).iou_threshold == 0.3
+
+
 class TestKMultiplier:
+    @pytest.mark.parametrize("k_rules", [KCoefficients(), KCoefficients(*[-1.0] * 8),
+                                         KCoefficients(*[2.0] * 8)])
+    def test_online_applies_no_k_terms_whatever_its_table(self, k_rules):
+        cfg = ScoringConfig(Stage.ONLINE, k_rules)
+        g = gt(0, (0, 0, 10, 10), data="40", temporary=True)
+        for data, temporary in ((None, None), ("40", True), ("60", False)):
+            d = det(0, (0, 0, 10, 10), data=data, temporary=temporary)
+            assert k_multiplier(d, g, cfg) == 1.0
+
     def test_exact_match_all_fields(self):
         d = det(0, (0, 0, 10, 10), data="40", temporary=True)
         g = gt(0, (0, 0, 10, 10), data="40", temporary=True)
