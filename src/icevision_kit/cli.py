@@ -241,6 +241,13 @@ def _cmd_tune(args, parser: _Parser) -> int:
 def _cmd_convert(args, parser: _Parser) -> int:
     if args.crop_keep is not None and args.crop_keep < 1:
         parser.error(f"--crop-keep must be >= 1, got {args.crop_keep}")
+    out_dir = Path(args.output_dir)
+    sources: dict[Path, str] = {}  # output path -> input, in input order
+    for input_path in args.inputs:
+        out_path = out_dir / (Path(input_path).stem + ".ppm")
+        if out_path in sources:
+            parser.error(f"inputs {sources[out_path]} and {input_path} both convert to {out_path}")
+        sources[out_path] = input_path
     sidecar = datastore.SidecarConfig()
     if args.sidecar:
         sidecar = datastore.parse_sidecar(datastore.read_text(_require(args.sidecar)), args.sidecar)
@@ -248,9 +255,8 @@ def _cmd_convert(args, parser: _Parser) -> int:
     equalize = args.equalize or sidecar.equalize
     crop_keep = args.crop_keep if args.crop_keep is not None else sidecar.crop_keep
 
-    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for input_path in args.inputs:
+    for out_path, input_path in sources.items():
         data = _require(input_path).read_bytes()
         try:
             cfa = frames.read_pnm(data, pattern)
@@ -264,7 +270,6 @@ def _cmd_convert(args, parser: _Parser) -> int:
                 rgb = frames.equalize_rgb(rgb)
         except (PnmError, ValueError) as exc:
             raise DatastoreError(input_path, None, str(exc)) from None
-        out_path = out_dir / (Path(input_path).stem + ".ppm")
         atomic_write_bytes(out_path, frames.write_ppm(rgb))
         print(out_path)
     return EX_OK

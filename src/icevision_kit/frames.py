@@ -101,7 +101,7 @@ class CfaImage(_Image):
 
 @dataclass(frozen=True)
 class RgbImage(_Image):
-    """Interleaved three-channel image, row-major."""
+    """Three-channel image, ``(h, w, 3)``; each channel may be one contiguous plane in memory."""
 
     channels = 3
     samples: np.ndarray
@@ -176,7 +176,11 @@ def read_pnm(data: bytes, pattern: BayerPattern | None = None) -> GrayImage | Cf
 
 def _encode_pnm(magic: str, image: _Image) -> bytes:
     header = f"{magic}\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
-    return header + image.samples.astype(_wire_dtype(image.max_value)).tobytes()
+    samples = np.atleast_3d(image.samples)
+    payload = np.empty(samples.shape, dtype=_wire_dtype(image.max_value))
+    for c in range(samples.shape[2]):  # one channel at a time: a planar image is read plane by plane
+        payload[:, :, c] = samples[:, :, c]
+    return b"".join((header, payload))
 
 
 def write_pnm(image: GrayImage | CfaImage) -> bytes:
@@ -246,14 +250,14 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
     Channel values are rounded half-up.
     """
     padded = _padded_mosaic(cfa)
-    out = np.empty(cfa.samples.shape + (3,), dtype=sample_dtype(cfa.max_value))
-    for channel, name in enumerate("RGB"):
-        _interpolate_channel(padded, cfa.pattern, name, out[:, :, channel])
-    return RgbImage(samples=out, max_value=cfa.max_value)
+    planes = np.empty((3,) + cfa.samples.shape, dtype=sample_dtype(cfa.max_value))
+    for plane, name in zip(planes, "RGB"):
+        _interpolate_channel(padded, cfa.pattern, name, plane)
+    return RgbImage(samples=planes.transpose(1, 2, 0), max_value=cfa.max_value)
 
 
-def _equalize_plane(samples: np.ndarray, max_value: int) -> np.ndarray:
-    """The CDF remap of one channel; a constant plane is returned as is."""
+def _equalize_plane(samples: np.ndarray, max_value: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The CDF remap of one channel, into ``out`` if given; a constant plane is returned as is."""
     counts = np.bincount(samples.ravel(), minlength=max_value + 1)
     cdf = np.cumsum(counts)
     n = samples.size
@@ -263,7 +267,7 @@ def _equalize_plane(samples: np.ndarray, max_value: int) -> np.ndarray:
         return samples
     diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
     lut = -((-diff * max_value) // (n - cdf_min))
-    return np.take(lut.astype(sample_dtype(max_value)), samples)
+    return np.take(lut.astype(sample_dtype(max_value)), samples, out=out)
 
 
 def equalize_histogram(image: GrayImage) -> GrayImage:
@@ -281,11 +285,12 @@ def equalize_histogram(image: GrayImage) -> GrayImage:
 
 
 def equalize_rgb(image: RgbImage) -> RgbImage:
-    """Histogram-equalize each channel independently."""
-    out = np.empty(image.samples.shape, dtype=sample_dtype(image.max_value))
-    for c in range(3):
-        out[:, :, c] = _equalize_plane(image.samples[:, :, c], image.max_value)
-    return RgbImage(samples=out, max_value=image.max_value)
+    """Histogram-equalize each channel independently, into new channel planes."""
+    planes = np.empty((3,) + image.samples.shape[:2], dtype=sample_dtype(image.max_value))
+    for channel, plane in zip(np.moveaxis(image.samples, -1, 0), planes):
+        if _equalize_plane(channel, image.max_value, plane) is channel:
+            plane[...] = channel
+    return RgbImage(samples=planes.transpose(1, 2, 0), max_value=image.max_value)
 
 
 def crop_rows(image, keep_top: int):

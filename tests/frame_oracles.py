@@ -1,10 +1,11 @@
 """Float64 reference implementations of the image operations.
 
 The library computes the Bayer path in exact integer arithmetic, the
-green plane one window at a time, and NCC from summed-area tables and an
-FFT; the versions here follow the textbook formulas in float64 (or the
-previous full-frame and sliding-window forms) and serve as
-differential-test oracles only.
+green plane one window at a time, NCC from summed-area tables and an
+FFT, and PNM payloads one channel at a time; the versions here follow
+the textbook formulas in float64 (or the previous full-frame,
+sliding-window and whole-array forms) and serve as differential-test
+oracles only.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
         out[:, :, channel] = plane
 
     return RgbImage(samples=round_half_up(out, cfa.max_value), max_value=cfa.max_value)
+
+
+def encode_pnm(image: GrayImage | CfaImage | RgbImage) -> bytes:
+    """PGM (P5) or PPM (P6) bytes the direct way: the header, then a
+    C-contiguous copy of the samples cast to the wire type and ``tobytes``."""
+    magic = "P5" if image.channels is None else "P6"
+    header = f"{magic}\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
+    wire = np.dtype(">u2") if image.max_value > 255 else np.dtype("u1")
+    return header + np.ascontiguousarray(image.samples).astype(wire).tobytes()
 
 
 def luma(image: RgbImage) -> GrayImage:

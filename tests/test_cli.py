@@ -648,6 +648,22 @@ class TestConvert:
         assert code == EX_MALFORMED_INPUT
         assert "f.pgm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names", [("a/f.pgm", "b/f.pgm"), ("f.pgm", "f.pgm"),
+                                       ("a/f.pgm", "g.pgm", "b/f.raw")])
+    def test_inputs_whose_outputs_collide(self, tmp_path, capsys, names):
+        inputs = [tmp_path / name for name in names]
+        for i, path in enumerate(inputs):
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(frames.write_pnm(frames.CfaImage(np.full((4, 4), i, np.uint8))))
+        out_dir = tmp_path / "out"
+        code = main(["convert", *map(str, inputs), "--output-dir", str(out_dir)])
+        assert code == EX_USAGE
+        captured = capsys.readouterr()
+        first, second = str(inputs[0]), str(inputs[-1])
+        assert f"inputs {first} and {second} both convert to {out_dir / 'f.ppm'}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     def test_missing_input(self, tmp_path, capsys):
         code = main(["convert", str(tmp_path / "ghost.pgm"),
                      "--output-dir", str(tmp_path / "out")])

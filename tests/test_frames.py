@@ -28,6 +28,7 @@ from icevision_kit.frames import (
     ncc_match,
     ncc_scores,
     read_pnm,
+    sample_dtype,
     search_area,
     write_pnm,
     write_ppm,
@@ -337,6 +338,120 @@ class TestCrop:
     def test_crop_rect_bounds(self):
         with pytest.raises(ValueError):
             crop(gray(np.zeros((4, 5))), 0, 0, 6, 2)
+
+
+def layouts(array: np.ndarray) -> dict[str, np.ndarray]:
+    """Arrays equal to ``array`` (2-d, or 3-d with channels last) in
+    different memory layouts."""
+    h = array.shape[0]
+    planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(array, -1, 0)), 0, -1)
+    taller = np.concatenate([array, array[::-1]])
+    return {
+        "c-order": np.ascontiguousarray(array),
+        "fortran": np.asfortranarray(array),
+        "planar": planar,
+        "row-sliced": np.repeat(array, 2, axis=0)[1::2],
+        "planar-row-sliced": np.moveaxis(np.ascontiguousarray(np.moveaxis(taller, -1, 0)), 0, -1)[:h],
+        "negative-stride": np.ascontiguousarray(array[::-1, ::-1])[::-1, ::-1],
+    }
+
+
+@st.composite
+def layout_samples(draw):
+    """(samples, max_value): a 2-d or 3-channel array in one of :func:`layouts`."""
+    max_value = draw(st.sampled_from((1, 255, 256, 4095, 65535)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    shape += draw(st.sampled_from([(), (3,)]))
+    sample = st.one_of(st.sampled_from([0, max_value]), st.integers(0, max_value))
+    size = int(np.prod(shape))
+    dtype = draw(st.sampled_from([sample_dtype(max_value), np.int64]))
+    views = layouts(np.array(draw(st.lists(sample, min_size=size, max_size=size)), dtype=dtype).reshape(shape))
+    return views[draw(st.sampled_from(sorted(views)))], max_value
+
+
+class TestEncoderAnyLayout:
+    def test_layouts_differ_in_memory(self):
+        array = np.arange(4 * 5 * 3, dtype=np.uint16).reshape(4, 5, 3)
+        views = layouts(array)
+        for name, view in views.items():
+            assert view.shape == array.shape and np.array_equal(view, array), name
+        assert views["c-order"].flags.c_contiguous
+        assert views["fortran"].flags.f_contiguous and not views["fortran"].flags.c_contiguous
+        for name in ("planar", "planar-row-sliced"):
+            assert all(views[name][:, :, c].flags.c_contiguous for c in range(3)), name
+        assert not views["row-sliced"].flags.c_contiguous
+        assert all(stride < 0 for stride in views["negative-stride"].strides[:2])
+
+    @given(layout_samples())
+    def test_bytes_equal_whole_array_oracle(self, case):
+        samples, max_value = case
+        if samples.ndim == 2:
+            images = [GrayImage(samples, max_value), CfaImage(samples, BayerPattern.GBRG, max_value)]
+            encode = write_pnm
+        else:
+            images, encode = [RgbImage(samples, max_value)], write_ppm
+        for image in images:
+            assert encode(image) == frame_oracles.encode_pnm(image)
+
+
+@st.composite
+def rgb_images(draw):
+    """RGB images, interleaved or channel-planar, with any channels constant."""
+    max_value = draw(st.sampled_from((1, 255, 256, 4095, 65535)))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    sample = st.one_of(st.sampled_from([0, 1, max_value]), st.integers(0, max_value))
+    planes = []
+    for constant in draw(st.lists(st.booleans(), min_size=3, max_size=3)):
+        if constant:
+            planes.append(np.full((h, w), draw(sample)))
+        else:
+            planes.append(np.array(draw(st.lists(sample, min_size=h * w, max_size=h * w))).reshape(h, w))
+    if draw(st.booleans()):
+        samples = np.stack(planes).astype(sample_dtype(max_value)).transpose(1, 2, 0)
+    else:
+        samples = np.stack(planes, axis=-1).astype(sample_dtype(max_value))
+    return RgbImage(samples, max_value)
+
+
+class TestEqualizeRgbMatchesPerChannel:
+    @given(rgb_images())
+    def test_each_channel_is_equalize_histogram_and_owns_its_memory(self, image):
+        out = equalize_rgb(image)
+        assert out.samples.shape == image.samples.shape
+        assert out.samples.dtype == sample_dtype(image.max_value)
+        for c in range(3):
+            want = equalize_histogram(GrayImage(image.samples[:, :, c], image.max_value)).samples
+            assert np.array_equal(out.samples[:, :, c], want)
+        before = out.samples.copy()
+        image.samples[...] = (image.samples.astype(np.int64) + 1) % (image.max_value + 1)
+        assert np.array_equal(out.samples, before)
+        assert not np.shares_memory(out.samples, image.samples)
+
+
+class TestChannelPlanarLayout:
+    """Demosaic, row crop and equalize keep each RGB channel one contiguous
+    plane; a stride-3 channel fails here."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 7), (8, 6)])
+    @pytest.mark.parametrize("max_value", [255, 4095])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_every_channel_is_a_contiguous_plane(self, shape, max_value, constant):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        values = np.full(shape, 7) if constant else rng.integers(0, max_value + 1, size=shape)
+        rgb = demosaic_bilinear(cfa(values, BayerPattern.GRBG, max_value))
+        keep = max(1, shape[0] - 1)
+        interleaved = RgbImage(np.ascontiguousarray(rgb.samples), max_value)
+        outputs = {
+            "demosaic": (rgb, shape),
+            "crop_rows": (crop_rows(rgb, keep), (keep, shape[1])),
+            "equalize": (equalize_rgb(rgb), shape),
+            "equalize of crop": (equalize_rgb(crop_rows(rgb, keep)), (keep, shape[1])),
+            "equalize of interleaved": (equalize_rgb(interleaved), shape),
+        }
+        for name, (image, (h, w)) in outputs.items():
+            assert image.samples.shape == (h, w, 3), name
+            assert image.samples.dtype == sample_dtype(max_value), name
+            assert all(image.samples[:, :, c].flags.c_contiguous for c in range(3)), name
 
 
 class TestLuma:
