@@ -214,12 +214,12 @@ def _open_records(path, kind: str) -> Iterator[tuple[int, list[str], bool]]:
             yield lineno, line.split(), line.isascii() and "_" not in line
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes so readers never observe a half-written file: a uniquely
-    named temp file beside the target (mode as a plain ``open`` gives) is
-    renamed over it, so concurrent writers each land a complete file.  On
-    any failure the temp file is removed and the target is left as it was;
-    an ``OSError`` names the target, not the temp file."""
+def atomic_write_bytes(path, data: bytes | bytearray | memoryview) -> None:
+    """Write any bytes-like ``data`` so readers never observe a half-written
+    file: a uniquely named temp file beside the target (mode as a plain
+    ``open`` gives) is renamed over it, so concurrent writers each land a
+    complete file.  On any failure the temp file is removed and the target
+    is left as it was; an ``OSError`` names the target, not the temp file."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))

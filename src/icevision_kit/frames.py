@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ def _check_samples(samples: np.ndarray, max_value: int, channels: int | None) ->
         raise ValueError(f"samples must be integers, got dtype {samples.dtype}")
     if not 0 < max_value <= 65535:
         raise ValueError(f"max_value must be in 1..65535, got {max_value}")
-    if samples.size and (samples.min() < 0 or samples.max() > max_value):
+    if samples.size and ((samples.dtype.kind == "i" and samples.min() < 0) or samples.max() > max_value):
         raise ValueError(f"sample values outside [0, {max_value}]")
 
 
@@ -111,12 +112,13 @@ class RgbImage(_Image):
 # --------------------------------------------------------------------------
 # PNM decoding / encoding
 
+_COMMENT = re.compile(rb"#[^\r\n]*")  # a comment runs to the end of its line
+
 
 def _pnm_tokens(data: bytes):
-    """Yield header tokens, honoring PNM whitespace and '#' comments.
-
-    Returns (token, next_offset) so the caller can locate the payload.
-    """
+    """Yield (token, separator_offset) per header token, honoring PNM
+    whitespace and '#' comments: a comment right after a token runs to the
+    end of its line, and that line end is the token's separator."""
     pos = 0
     n = len(data)
     while pos < n:
@@ -125,18 +127,17 @@ def _pnm_tokens(data: bytes):
             pos += 1
             continue
         if c == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
+            pos = _COMMENT.match(data, pos).end()
             continue
         start = pos
         while pos < n and data[pos : pos + 1] not in b" \t\r\n\v\f#":
             pos += 1
-        yield data[start:pos].decode("ascii", "replace"), pos
-    return
+        comment = _COMMENT.match(data, pos)
+        yield data[start:pos].decode("ascii", "replace"), comment.end() if comment else pos
 
 
-def read_pnm(data: bytes, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
-    """Decode a binary PGM (P5) byte string.
+def read_pnm(data: bytes | bytearray, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
+    """Decode a binary PGM (P5) from ``bytes`` or a ``bytearray``.
 
     Samples are 1 byte each for max_value < 256, otherwise 2 bytes
     big-endian.  Pass ``pattern`` to tag the result as a Bayer mosaic;
@@ -161,35 +162,40 @@ def read_pnm(data: bytes, pattern: BayerPattern | None = None) -> GrayImage | Cf
     if not 0 < max_value <= 65535:
         raise PnmError(f"PGM max value {max_value} outside 1..65535")
 
-    # exactly one whitespace byte separates the header from the payload
-    payload = data[header_end + 1 :]
+    # exactly one whitespace byte (or a comment's line end) separates the header from the payload
+    start = header_end + 1
     dtype = _wire_dtype(max_value)
     need = width * height * dtype.itemsize
-    if len(payload) < need:
-        raise TruncatedPayload(f"payload has {len(payload)} bytes, need {need}")
-    samples = np.frombuffer(payload[:need], dtype=dtype).reshape(height, width)
-    samples = samples.astype(sample_dtype(max_value))
+    if len(data) - start < need:
+        raise TruncatedPayload(f"payload has {max(len(data) - start, 0)} bytes, need {need}")
+    samples = np.frombuffer(data, dtype, width * height, offset=start)
+    if not samples.flags.aligned:  # an odd-length header: a misaligned cast runs at half speed
+        samples = np.frombuffer(data[start : start + need], dtype)
+    samples = samples.reshape(height, width).astype(sample_dtype(max_value))
     if pattern is None:
         return GrayImage(samples=samples, max_value=max_value)
     return CfaImage(samples=samples, pattern=pattern, max_value=max_value)
 
 
-def _encode_pnm(magic: str, image: _Image) -> bytes:
+def _encode_pnm(magic: str, image: _Image) -> bytearray:
     header = f"{magic}\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
     samples = np.atleast_3d(image.samples)
-    payload = np.empty(samples.shape, dtype=_wire_dtype(image.max_value))
+    wire = _wire_dtype(image.max_value)
+    encoded = bytearray(len(header) + samples.size * wire.itemsize)
+    encoded[: len(header)] = header
+    payload = np.frombuffer(encoded, wire, offset=len(header)).reshape(samples.shape)
     for c in range(samples.shape[2]):  # one channel at a time: a planar image is read plane by plane
         payload[:, :, c] = samples[:, :, c]
-    return b"".join((header, payload))
+    return encoded
 
 
-def write_pnm(image: GrayImage | CfaImage) -> bytes:
-    """Encode as binary PGM; inverse of :func:`read_pnm`."""
+def write_pnm(image: GrayImage | CfaImage) -> bytearray:
+    """Encode as binary PGM into a new ``bytearray``; inverse of :func:`read_pnm`."""
     return _encode_pnm("P5", image)
 
 
-def write_ppm(image: RgbImage) -> bytes:
-    """Encode as binary PPM (P6), interleaved RGB."""
+def write_ppm(image: RgbImage) -> bytearray:
+    """Encode as binary PPM (P6), interleaved RGB, into a new ``bytearray``."""
     return _encode_pnm("P6", image)
 
 
@@ -256,9 +262,15 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
     return RgbImage(samples=planes.transpose(1, 2, 0), max_value=cfa.max_value)
 
 
+_EQUALIZE_CHUNK = 1 << 16  # samples per pass, so the intp index copies of bincount and take stay small
+
+
 def _equalize_plane(samples: np.ndarray, max_value: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The CDF remap of one channel, into ``out`` if given; a constant plane is returned as is."""
-    counts = np.bincount(samples.ravel(), minlength=max_value + 1)
+    """The CDF remap of one channel, into ``out`` if given, in bands of rows of at most
+    ``_EQUALIZE_CHUNK`` samples (or one row); a constant plane is returned as is."""
+    rows = range(0, samples.shape[0], max(1, _EQUALIZE_CHUNK // max(1, samples.shape[1])))
+    counts = sum(np.bincount(samples[top : top + rows.step].ravel(), minlength=max_value + 1)
+                 for top in rows)
     cdf = np.cumsum(counts)
     n = samples.size
     nonzero = cdf[cdf > 0]
@@ -266,8 +278,11 @@ def _equalize_plane(samples: np.ndarray, max_value: int, out: np.ndarray | None 
     if cdf_min >= n:
         return samples
     diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
-    lut = -((-diff * max_value) // (n - cdf_min))
-    return np.take(lut.astype(sample_dtype(max_value)), samples, out=out)
+    lut = (-((-diff * max_value) // (n - cdf_min))).astype(sample_dtype(max_value))
+    out = np.empty(samples.shape, lut.dtype) if out is None else out
+    for top in rows:
+        np.take(lut, samples[top : top + rows.step], out=out[top : top + rows.step], mode="raise")
+    return out
 
 
 def equalize_histogram(image: GrayImage) -> GrayImage:

@@ -2,10 +2,10 @@
 
 The library computes the Bayer path in exact integer arithmetic, the
 green plane one window at a time, NCC from summed-area tables and an
-FFT, and PNM payloads one channel at a time; the versions here follow
-the textbook formulas in float64 (or the previous full-frame,
-sliding-window and whole-array forms) and serve as differential-test
-oracles only.
+FFT, PNM payloads one channel at a time, and histogram equalization in
+bands of rows; the versions here follow the textbook formulas in float64
+(or the previous full-frame, sliding-window and whole-array forms) and
+serve as differential-test oracles only.
 """
 
 from __future__ import annotations
@@ -91,6 +91,26 @@ def encode_pnm(image: GrayImage | CfaImage | RgbImage) -> bytes:
     header = f"{magic}\n{image.width} {image.height}\n{image.max_value}\n".encode("ascii")
     wire = np.dtype(">u2") if image.max_value > 255 else np.dtype("u1")
     return header + np.ascontiguousarray(image.samples).astype(wire).tobytes()
+
+
+def equalize_plane(samples: np.ndarray, max_value: int) -> np.ndarray:
+    """The CDF remap of one channel in one whole-array pass: ``bincount`` of
+    every sample, then one LUT ``take``; a constant plane comes back as is."""
+    cdf = np.cumsum(np.bincount(samples.ravel(), minlength=max_value + 1))
+    nonzero = cdf[cdf > 0]
+    cdf_min = int(nonzero[0]) if nonzero.size else 0
+    if cdf_min >= samples.size:
+        return samples
+    diff = np.maximum(cdf.astype(np.int64) - cdf_min, 0)
+    lut = -((-diff * max_value) // (samples.size - cdf_min))
+    return np.take(lut.astype(sample_dtype(max_value)), samples)
+
+
+def equalize_rgb(image: RgbImage) -> RgbImage:
+    """Each channel through :func:`equalize_plane`, stacked channels-last."""
+    channels = [equalize_plane(image.samples[:, :, c], image.max_value) for c in range(3)]
+    samples = np.stack(channels, axis=-1).astype(sample_dtype(image.max_value))
+    return RgbImage(samples=samples, max_value=image.max_value)
 
 
 def luma(image: RgbImage) -> GrayImage:

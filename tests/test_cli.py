@@ -648,6 +648,16 @@ class TestConvert:
         assert code == EX_MALFORMED_INPUT
         assert "f.pgm" in capsys.readouterr().err
 
+    def test_comment_after_max_value_runs_to_end_of_file(self, tmp_path, capsys):
+        # the comment's line end is the separator; without one, no sample follows
+        src = tmp_path / "f.pgm"
+        src.write_bytes(b"P5 2 2 255#" + bytes([1, 2, 3, 4]))
+        code = main(["convert", str(src), "--output-dir", str(tmp_path / "out")])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert "f.pgm" in err and "payload has 0 bytes, need 4" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "f.ppm").exists()
+
     @pytest.mark.parametrize("names", [("a/f.pgm", "b/f.pgm"), ("f.pgm", "f.pgm"),
                                        ("a/f.pgm", "g.pgm", "b/f.raw")])
     def test_inputs_whose_outputs_collide(self, tmp_path, capsys, names):

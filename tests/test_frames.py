@@ -1,9 +1,11 @@
 """Raw-frame ingestion: PNM codec, demosaic, equalization, NCC."""
 
+import tracemalloc
+
 import frame_oracles
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frame_oracles import DegenerateCorrelation, ncc
@@ -75,6 +77,44 @@ class TestReadPnm:
         img = read_pnm(data)
         assert img.samples.tolist() == [[1, 2], [3, 4]]
 
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r"])
+    def test_comment_after_max_value_ends_at_its_line_end(self, line_end):
+        img = read_pnm(b"P5 2 2 255# note" + line_end + bytes([1, 2, 3, 4]))
+        assert img.samples.tolist() == [[1, 2], [3, 4]]
+
+    def test_comment_after_max_value_without_line_end_is_truncated(self):
+        # the comment runs to the end of input, so no byte of it is a sample
+        with pytest.raises(TruncatedPayload, match="^payload has 0 bytes, need 4$"):
+            read_pnm(b"P5 2 2 255#" + bytes([1, 2, 3, 4]))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5 2 2 255\n" + bytes(3), "payload has 3 bytes, need 4"),
+        (b"P5 2 2 255\n", "payload has 0 bytes, need 4"),
+        (b"P5 2 2 255", "payload has 0 bytes, need 4"),  # the header ends at end of file
+        (b"P5 3 1 65535\n" + bytes(5), "payload has 5 bytes, need 6"),
+        (b"P5  3 1 65535\n" + bytes(5), "payload has 5 bytes, need 6"),
+    ])
+    def test_truncation_message(self, data, message):
+        for container in (bytes, bytearray):
+            with pytest.raises(TruncatedPayload) as exc:
+                read_pnm(container(data))
+            assert str(exc.value) == message
+
+    def test_samples_do_not_depend_on_header_length_trailing_bytes_or_container(self):
+        # an odd-length header leaves the 2-byte payload view misaligned
+        samples = np.random.default_rng(5).integers(0, 4096, size=(3, 5)).astype(np.uint16)
+        payload = samples.astype(">u2").tobytes()
+        aligned = set()
+        for pad in range(4):
+            header = b"P5" + b" " * (pad + 1) + b"5 3\n4095\n"
+            for trailing in (b"", b"\x07", bytes(6)):
+                for container in (bytes, bytearray):
+                    img = read_pnm(container(header + payload + trailing), BayerPattern.BGGR)
+                    assert img.samples.dtype == np.uint16 and np.array_equal(img.samples, samples)
+                    assert img.samples.flags.writeable and img.samples.flags.c_contiguous
+                aligned.add(np.frombuffer(header + payload, ">u2", offset=len(header)).flags.aligned)
+        assert aligned == {True, False}
+
     def test_16bit_big_endian(self):
         payload = (300).to_bytes(2, "big") + (65535).to_bytes(2, "big")
         img = read_pnm(b"P5 2 1 65535\n" + payload)
@@ -118,6 +158,23 @@ class TestReadPnm:
     def test_ppm_header(self):
         img = RgbImage(samples=np.zeros((2, 3, 3), dtype=np.uint8), max_value=255)
         assert write_ppm(img).startswith(b"P6\n3 2\n255\n")
+
+
+class TestSampleRange:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+    def test_negative_signed_sample_rejected(self, dtype):
+        with pytest.raises(ValueError, match=r"^sample values outside \[0, 100\]$"):
+            GrayImage(np.array([[0, -1]], dtype=dtype), 100)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16, np.uint64])
+    def test_sample_above_max_rejected(self, dtype):
+        with pytest.raises(ValueError, match=r"^sample values outside \[0, 100\]$"):
+            RgbImage(np.array([[[0, 101, 5]]], dtype=dtype), 100)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.uint64])
+    def test_full_range_accepted(self, dtype):
+        image = CfaImage(np.array([[0, 1], [99, 100]], dtype=dtype), max_value=100)
+        assert image.samples.min() == 0 and image.samples.max() == 100
 
 
 class TestDemosaic:
@@ -393,6 +450,18 @@ class TestEncoderAnyLayout:
         for image in images:
             assert encode(image) == frame_oracles.encode_pnm(image)
 
+    @pytest.mark.parametrize("max_value", [255, 4095])
+    def test_each_call_returns_a_fresh_bytearray(self, max_value):
+        samples = np.random.default_rng(max_value).integers(0, max_value + 1, size=(3, 4, 3))
+        rgb = RgbImage(samples.astype(sample_dtype(max_value)), max_value)
+        for image, encode in [(rgb, write_ppm), (GrayImage(rgb.samples[:, :, 1], max_value), write_pnm)]:
+            want = frame_oracles.encode_pnm(image)
+            first, second = encode(image), encode(image)
+            assert type(first) is bytearray and first == second == want and first is not second
+            first[-1] ^= 1
+            first.append(0)  # resizable: no array view of the payload is left holding it
+            assert second == want
+
 
 @st.composite
 def rgb_images(draw):
@@ -426,6 +495,106 @@ class TestEqualizeRgbMatchesPerChannel:
         image.samples[...] = (image.samples.astype(np.int64) + 1) % (image.max_value + 1)
         assert np.array_equal(out.samples, before)
         assert not np.shares_memory(out.samples, image.samples)
+
+
+BAND = frames._EQUALIZE_CHUNK
+LARGEST = 3 * BAND + 17
+
+
+def random_plane(draw, shape, max_value) -> np.ndarray:
+    """Full-range, narrow, sparse (one heavy level) or constant samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "narrow", "sparse", "constant"]))
+    if kind == "full":
+        return rng.integers(0, max_value + 1, size=shape)
+    low = int(rng.integers(0, max_value + 1))
+    if kind == "narrow":
+        return rng.integers(low, min(low + 3, max_value) + 1, size=shape)
+    values = np.full(shape, low)
+    if kind == "sparse":
+        values.flat[rng.integers(0, values.size, size=3)] = rng.integers(0, max_value + 1, size=3)
+    return values
+
+
+@st.composite
+def banded_images(draw, rgb: bool):
+    """Gray or RGB images of up to three equalize bands plus a remainder,
+    at widths below, at and above one band, in any memory layout."""
+    max_value = draw(st.sampled_from((1, 255, 256, 4095, 65535)))
+    w = draw(st.one_of(st.integers(1, 700), st.sampled_from([BAND - 1, BAND, BAND + 1, LARGEST])))
+    h = draw(st.integers(1, max(1, LARGEST // w)))
+    dtype = draw(st.sampled_from([sample_dtype(max_value), np.int64]))
+    if rgb:
+        values = np.stack([random_plane(draw, (h, w), max_value) for _ in range(3)], axis=-1)
+    else:
+        values = random_plane(draw, (h, w), max_value)
+    views = layouts(values.astype(dtype))
+    samples = views[draw(st.sampled_from(sorted(views)))]
+    return RgbImage(samples, max_value) if rgb else GrayImage(samples, max_value)
+
+
+class TestEqualizeInBandsMatchesWholeArrayOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(banded_images(rgb=False))
+    def test_equalize_histogram(self, image):
+        out = equalize_histogram(image)
+        want = frame_oracles.equalize_plane(image.samples, image.max_value)
+        assert np.array_equal(out.samples, want)
+        if want is image.samples:  # a constant image comes back as is
+            assert out is image
+        else:
+            assert out.samples.dtype == sample_dtype(image.max_value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_images(rgb=True))
+    def test_equalize_rgb(self, image):
+        out = equalize_rgb(image)
+        want = frame_oracles.equalize_rgb(image)
+        assert out.samples.dtype == want.samples.dtype
+        assert np.array_equal(out.samples, want.samples)
+        assert not np.shares_memory(out.samples, image.samples)
+
+
+def peak_bytes(call):
+    """(result, peak bytes allocated while ``call`` ran); tracemalloc sees
+    numpy's array buffers as well as Python objects."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoFrameSizedTemporaries:
+    """The raw-frame calls allocate their output and cache-sized scratch
+    only: a temporary the size of a plane (4 MB here) or a frame fails."""
+
+    SLACK = 2 << 20
+    SHAPE = (2048, 1024)
+
+    @pytest.fixture
+    def planar_rgb(self):
+        rng = np.random.default_rng(17)
+        planes = rng.integers(0, 4096, size=(3,) + self.SHAPE).astype(np.uint16)
+        return RgbImage(planes.transpose(1, 2, 0), 4095)
+
+    def test_equalize_rgb(self, planar_rgb):
+        out, peak = peak_bytes(lambda: equalize_rgb(planar_rgb))
+        assert peak <= out.samples.nbytes + self.SLACK
+
+    def test_write_ppm(self, planar_rgb):
+        out, peak = peak_bytes(lambda: write_ppm(planar_rgb))
+        assert peak <= len(out) + self.SLACK
+
+    def test_read_pnm_with_even_length_header(self):
+        samples = np.random.default_rng(18).integers(0, 4096, size=self.SHAPE).astype(np.uint16)
+        data = bytes(write_pnm(CfaImage(samples, BayerPattern.RGGB, 4095)))
+        assert data.startswith(b"P5\n1024 2048\n4095\n")  # 18 bytes: the payload view is aligned
+        out, peak = peak_bytes(lambda: read_pnm(data, BayerPattern.RGGB))
+        assert np.array_equal(out.samples, samples)
+        assert peak <= out.samples.nbytes + self.SLACK
 
 
 class TestChannelPlanarLayout:
