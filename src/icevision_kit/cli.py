@@ -87,13 +87,11 @@ def build_parser() -> _Parser:
     p.add_argument("--stage", choices=("online", "offline"), default="offline")
     p.add_argument("--output", help="write the human-readable report here")
     p.add_argument("--records", help="write machine-readable per-class records here")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
 
     p = sub.add_parser("track", help="chain keyframe detections into tracks")
     p.add_argument("--detections", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--iou-threshold", type=float, default=TrackerConfig.iou_threshold)
-    p.add_argument("--stride", type=int, default=TrackerConfig.keyframe_stride)
     p.add_argument("--max-missed", type=int, default=TrackerConfig.max_missed_keyframes)
     p.add_argument("--min-length", type=int, default=TrackerConfig.min_track_length)
 
@@ -165,7 +163,6 @@ def _cmd_track(args, parser: _Parser) -> int:
     cfg = _config(
         parser, TrackerConfig,
         iou_threshold=("--iou-threshold", args.iou_threshold),
-        keyframe_stride=("--stride", args.stride),
         max_missed_keyframes=("--max-missed", args.max_missed),
         min_track_length=("--min-length", args.min_length),
     )

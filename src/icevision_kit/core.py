@@ -95,6 +95,25 @@ def lerp_box(a: BoundingBox, b: BoundingBox, t: float) -> BoundingBox:
     )
 
 
+def pixel_rect(box: BoundingBox) -> tuple[int, int, int, int]:
+    """Integer pixel bounds of a box, each coordinate rounded half up."""
+    return (math.floor(box.x_min + 0.5), math.floor(box.y_min + 0.5),
+            math.floor(box.x_max + 0.5), math.floor(box.y_max + 0.5))
+
+
+def search_area(box_a: BoundingBox, box_b: BoundingBox, margin: float = 20.0) -> BoundingBox:
+    """Axis-aligned hull of two boxes grown by ``margin`` pixels per side.
+
+    Not clipped here; clip to frame bounds at the point of use.
+    """
+    return BoundingBox(
+        min(box_a.x_min, box_b.x_min) - margin,
+        min(box_a.y_min, box_b.y_min) - margin,
+        max(box_a.x_max, box_b.x_max) + margin,
+        max(box_a.y_max, box_b.y_max) + margin,
+    )
+
+
 def best_class(dist: ClassDistribution) -> tuple[ClassCode, float]:
     """Argmax of a class distribution; ties go to the canonically smaller code."""
     return min(dist.items(), key=lambda item: (-item[1], item[0].segments))

@@ -534,9 +534,6 @@ class ManifestFrameSource:
         self._pattern = pattern
         self._first: tuple[int, int, Path] | None = None  # width, height, path
 
-    def __contains__(self, frame_index: int) -> bool:
-        return frame_index in self._paths
-
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         path = self._root / self._paths[frame_index]
         try:

@@ -281,7 +281,7 @@ def _equalize_plane(samples: np.ndarray, max_value: int, out: np.ndarray | None 
     lut = (-((-diff * max_value) // (n - cdf_min))).astype(sample_dtype(max_value))
     out = np.empty(samples.shape, lut.dtype) if out is None else out
     for top in rows:
-        np.take(lut, samples[top : top + rows.step], out=out[top : top + rows.step], mode="raise")
+        np.take(lut, samples[top : top + rows.step], out=out[top : top + rows.step], mode="clip")
     return out
 
 
@@ -318,22 +318,16 @@ def crop_rows(image, keep_top: int):
     return cropped
 
 
-def crop(image: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
-    """Sub-image [x0, x1) x [y0, y1); bounds must lie inside the frame."""
-    if not (0 <= x0 < x1 <= image.width and 0 <= y0 < y1 <= image.height):
-        raise ValueError(f"crop rect ({x0},{y0},{x1},{y1}) outside {image.width}x{image.height}")
-    return GrayImage(samples=image.samples[y0:y1, x0:x1], max_value=image.max_value)
-
-
 def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
-    """Gray signal of the rectangle [x0, x1) x [y0, y1): a plain crop of a
-    gray image, or the interpolated green plane of just that rectangle of
-    a mosaic, equal to cropping :func:`gray_from_cfa` of the whole frame."""
-    if not isinstance(image, CfaImage):
-        return crop(image, x0, y0, x1, y1)
+    """Gray signal of the rectangle [x0, x1) x [y0, y1), which must lie inside
+    the frame: a plain crop of a gray image, or the interpolated green plane
+    of just that rectangle of a mosaic, equal to that rectangle of the whole
+    frame's green plane."""
     h, w = image.samples.shape
     if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
         raise ValueError(f"window ({x0},{y0},{x1},{y1}) outside {w}x{h}")
+    if not isinstance(image, CfaImage):
+        return GrayImage(samples=image.samples[y0:y1, x0:x1], max_value=image.max_value)
     # one pixel of context; clamped indices replicate the frame border
     rows = np.clip(np.arange(y0 - 1, y1 + 1), 0, h - 1)
     cols = np.clip(np.arange(x0 - 1, x1 + 1), 0, w - 1)
@@ -343,11 +337,6 @@ def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int)
     plane = np.empty((y1 - y0, x1 - x0), dtype=sample_dtype(image.max_value))
     _interpolate_channel(context, BayerPattern(shifted), "G", plane)
     return GrayImage(samples=plane, max_value=image.max_value)
-
-
-def gray_from_cfa(cfa: CfaImage) -> GrayImage:
-    """Grayscale straight from the mosaic: the interpolated green plane."""
-    return gray_window(cfa, 0, 0, cfa.width, cfa.height)
 
 
 # --------------------------------------------------------------------------
@@ -493,19 +482,3 @@ def ncc_match(
     order = np.lexsort((xs, ys, dist))
     pick = order[0]
     return NccMatch(offset_x=int(xs[pick]), offset_y=int(ys[pick]), score=float(best))
-
-
-def search_area(box_a, box_b, margin: float = 20.0):
-    """Axis-aligned hull of two boxes grown by ``margin`` pixels per side.
-
-    Not clipped here; clip to frame bounds at the point of use.
-    """
-    from .core import BoundingBox
-
-    return BoundingBox(
-        min(box_a.x_min, box_b.x_min) - margin,
-        min(box_a.y_min, box_b.y_min) - margin,
-        max(box_a.x_max, box_b.x_max) + margin,
-        max(box_a.y_max, box_b.y_max) + margin,
-    )
-

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame
+from .core import (BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame,
+                   pixel_rect)
 from .datastore import MalformedRecord, decimal_value, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
@@ -211,20 +212,6 @@ def dense_annotations(scenario: SyntheticScenario) -> list[FrameAnnotations]:
     return annotations_for_frames(scenario, tuple(range(scenario.frame_count)))
 
 
-def _with_truth(scenario: SyntheticScenario, rng: np.random.Generator) -> GeneratedScenario:
-    frames = annotation_frames(scenario.frame_count, rng)
-    return GeneratedScenario(
-        scenario=scenario,
-        annotations=annotations_for_frames(scenario, frames),
-        dense=dense_truth(scenario),
-    )
-
-
-def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScenario:
-    """Derive sparse annotations and dense truth for a hand-built scenario."""
-    return _with_truth(scenario, _rng(seed))
-
-
 def _random_signs(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[SyntheticSign, ...]:
     leaves = Taxonomy.bundled().leaves
     signs = []
@@ -281,7 +268,12 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> GeneratedScenario:
     scenario = SyntheticScenario(
         frame_count=spec.frame_count, width=spec.width, height=spec.height, signs=signs
     )
-    return _with_truth(scenario, rng)
+    frames = annotation_frames(scenario.frame_count, rng)
+    return GeneratedScenario(
+        scenario=scenario,
+        annotations=annotations_for_frames(scenario, frames),
+        dense=dense_truth(scenario),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -524,9 +516,7 @@ class SyntheticRenderer:
         for sign, tex in zip(self.scenario.signs, self._textures):
             if not sign.entry_frame <= frame_index <= sign.exit_frame:
                 continue
-            box = sign.box_at(frame_index)
-            x0 = int(np.floor(box.x_min + 0.5))
-            y0 = int(np.floor(box.y_min + 0.5))
+            x0, y0, _, _ = pixel_rect(sign.box_at(frame_index))
             th, tw = tex.shape
             cx0, cy0 = max(0, x0), max(0, y0)
             cx1 = min(self.scenario.width, x0 + tw)

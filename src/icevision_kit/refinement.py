@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ClassDistribution, Detection, Distribution, FrameAnnotations, group_by_frame
 from .datastore import real_value
-from .scoring import ScoringConfig, match_frame, score_dataset, scored_frames
+from .scoring import ScoringConfig, dataset_total, match_frame, score_dataset, scored_frames
 from .taxonomy import ClassCode
 from .tracking import Track
 
@@ -229,11 +229,7 @@ def grid_search_thresholds(
             for j in {j for i in changed for j in frames_of[i]}:
                 results[j] = frame_score(j, selection[on_frame[j]].tobytes())
             scored = selection
-            tp_points, fp_count = 0.0, 0
-            for points, count in results:  # left to right, as score_dataset adds
-                tp_points += points
-                fp_count += count
-            scores[key] = tp_points - scoring_cfg.fp_penalty * fp_count
+            scores[key] = dataset_total(results, scoring_cfg)[0]
         if scores[key] > best_score:
             best_triple, best_score = triple, scores[key]
     best_thr = LevelThresholds(*best_triple)

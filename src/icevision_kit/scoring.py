@@ -283,6 +283,17 @@ def scored_frames(annotations: list[FrameAnnotations]) -> list[FrameAnnotations]
     return sorted(annotations, key=lambda a: a.frame_index)
 
 
+def dataset_total(frame_totals, cfg: ScoringConfig) -> tuple[float, float, int]:
+    """``(total, tp_points, fp_count)`` of per-frame ``(tp_points,
+    fp_count)`` pairs, added left to right, less the flat penalty per
+    false positive."""
+    tp_points, fp_count = 0.0, 0
+    for points, count in frame_totals:
+        tp_points += points
+        fp_count += count
+    return tp_points - cfg.fp_penalty * fp_count, tp_points, fp_count
+
+
 def score_dataset(
     detections: dict[int, list[Detection]],
     annotations: list[FrameAnnotations],
@@ -294,8 +305,6 @@ def score_dataset(
     silently discarded, per the sparse-annotation rule.
     """
     frames = []
-    tp_points = 0.0
-    fp_count = 0
     per_class: dict[ClassCode, ClassScore] = {}
 
     def bump(code: ClassCode, **delta) -> None:
@@ -306,13 +315,10 @@ def score_dataset(
 
     for anno in scored_frames(annotations):
         result = match_frame(detections.get(anno.frame_index, []), anno, cfg)
-        frame_tp = result.tp_points
-        tp_points += frame_tp
-        fp_count += len(result.false_positives)
         frames.append(
             FrameScore(
                 frame_index=anno.frame_index,
-                tp_points=frame_tp,
+                tp_points=result.tp_points,
                 fp_count=len(result.false_positives),
                 ignored=len(result.ignored),
                 missed=len(result.missed),
@@ -325,8 +331,9 @@ def score_dataset(
         for fp in result.false_positives:
             bump(fp.detection.code, fp_count=1)
 
+    total, tp_points, fp_count = dataset_total(((f.tp_points, f.fp_count) for f in frames), cfg)
     return ScoreReport(
-        total=tp_points - cfg.fp_penalty * fp_count,
+        total=total,
         tp_points=tp_points,
         fp_count=fp_count,
         fp_penalty=cfg.fp_penalty,

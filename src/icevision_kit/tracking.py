@@ -8,11 +8,11 @@ interpolation or by template matching against the actual frame content.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import BoundingBox, Detection, Source, greedy_match, iou, lerp_box
+from .core import (BoundingBox, Detection, Source, greedy_match, iou, lerp_box, pixel_rect,
+                   search_area)
 from . import frames as frames_mod
 
 
@@ -39,6 +39,9 @@ class Track:
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """Tracker settings.  ``keyframe_stride`` is the keyframe grid the mock
+    detector reports on; :func:`run_tracker` does not read it."""
+
     iou_threshold: float = 0.1
     keyframe_stride: int = 3
     max_missed_keyframes: int = 0
@@ -148,16 +151,6 @@ def _linear_fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox
         yield lerp_box(start.box, end.box, t), start.ncc_degenerate, start.template_clipped
 
 
-def _int_rect(box: BoundingBox) -> tuple[int, int, int, int]:
-    # round-half-up to integer pixel bounds
-    return (
-        math.floor(box.x_min + 0.5),
-        math.floor(box.y_min + 0.5),
-        math.floor(box.x_max + 0.5),
-        math.floor(box.y_max + 0.5),
-    )
-
-
 def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
     """Fill gap frames by template matching instead of pure interpolation.
 
@@ -183,9 +176,9 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
             return
 
         key_image = frame_images[start.frame_index]
-        template, clipped = _crop_clipped(key_image, _int_rect(start.box))
-        search_box = frames_mod.search_area(start.box, end.box, margin=margin)
-        sx0, sy0, sx1, sy1 = _clip_rect(_int_rect(search_box), key_image.width, key_image.height)
+        template, clipped = _crop_clipped(key_image, pixel_rect(start.box))
+        search_box = search_area(start.box, end.box, margin=margin)
+        sx0, sy0, sx1, sy1 = _clip_rect(pixel_rect(search_box), key_image.width, key_image.height)
 
         searchable = sx1 > sx0 and sy1 > sy0
         scorer = None  # the template's spectrum, shared by the segment's frames

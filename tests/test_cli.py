@@ -329,7 +329,6 @@ class TestBadNumericFlag:
         }
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("track", "--stride", "0"),
         ("track", "--iou-threshold", "1.5"),
         ("track", "--max-missed", "-1"),
         ("track", "--min-length", "0"),
@@ -356,6 +355,22 @@ class TestBadNumericFlag:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+
+class TestFlagsThatChangedNothing:
+    """``score --jobs`` and ``track --stride`` were read by nothing; both are gone."""
+
+    @pytest.mark.parametrize("command, flag, value",
+                             [("score", "--jobs", "2"), ("track", "--stride", "3")])
+    def test_is_an_unrecognized_argument(self, tmp_path, capsys, command, flag, value):
+        det_path, ann_path = write_fixture_files(tmp_path)
+        argv = {"score": ["score", "--detections", str(det_path), "--annotations", str(ann_path)],
+                "track": ["track", "--detections", str(det_path), "--output", str(tmp_path / "o")]}
+        assert main(argv[command] + [flag, value]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and flag in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
 
 
 class TestNonAsciiDigits:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from frame_oracles import DegenerateCorrelation, ncc
 from icevision_kit import frames
-from icevision_kit.core import BoundingBox
+from icevision_kit.core import BoundingBox, search_area
 from icevision_kit.datastore import SidecarConfig, parse_sidecar
 from icevision_kit.frames import (
     BayerPattern,
@@ -20,18 +20,15 @@ from icevision_kit.frames import (
     RgbImage,
     TruncatedPayload,
     UnsupportedFormat,
-    crop,
     crop_rows,
     demosaic_bilinear,
     equalize_histogram,
     equalize_rgb,
-    gray_from_cfa,
     gray_window,
     ncc_match,
     ncc_scores,
     read_pnm,
     sample_dtype,
-    search_area,
     write_pnm,
     write_ppm,
 )
@@ -234,7 +231,7 @@ class TestDemosaicMatchesFloatOracle:
         want = frame_oracles.demosaic_bilinear(mosaic).samples
         got = demosaic_bilinear(mosaic).samples
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        green = gray_from_cfa(mosaic).samples
+        green = gray_window(mosaic, 0, 0, mosaic.width, mosaic.height).samples
         assert green.dtype == want.dtype and np.array_equal(green, want[:, :, 1])
 
     @pytest.mark.parametrize("max_value", DIFF_MAX_VALUES)
@@ -242,7 +239,7 @@ class TestDemosaicMatchesFloatOracle:
     def test_full_scale_sums_do_not_wrap(self, max_value, pattern):
         mosaic = cfa(np.full((5, 6), max_value), pattern, max_value)
         assert np.all(demosaic_bilinear(mosaic).samples == max_value)
-        assert np.all(gray_from_cfa(mosaic).samples == max_value)
+        assert np.all(gray_window(mosaic, 0, 0, 6, 5).samples == max_value)
 
 
 @st.composite
@@ -258,9 +255,9 @@ def mosaic_windows(draw):
 class TestGrayWindowMatchesFullFramePlane:
     @given(mosaic_windows())
     def test_window_of_random_mosaic(self, case):
-        mosaic, rect = case
-        want = crop(frame_oracles.gray_from_cfa(mosaic), *rect).samples
-        got = gray_window(mosaic, *rect)
+        mosaic, (x0, y0, x1, y1) = case
+        want = frame_oracles.gray_from_cfa(mosaic).samples[y0:y1, x0:x1]
+        got = gray_window(mosaic, x0, y0, x1, y1)
         assert got.max_value == mosaic.max_value
         assert got.samples.dtype == want.dtype and np.array_equal(got.samples, want)
 
@@ -275,16 +272,18 @@ class TestGrayWindowMatchesFullFramePlane:
                 for y1 in range(y0 + 1, 7):
                     for x1 in range(x0 + 1, 8):
                         got = gray_window(mosaic, x0, y0, x1, y1).samples
-                        assert np.array_equal(got, crop(full, x0, y0, x1, y1).samples)
+                        assert np.array_equal(got, full.samples[y0:y1, x0:x1])
 
     def test_gray_image_window_is_crop(self):
         img = gray(np.arange(20).reshape(4, 5))
-        assert np.array_equal(gray_window(img, 1, 1, 4, 3).samples, crop(img, 1, 1, 4, 3).samples)
+        out = gray_window(img, 1, 1, 4, 3)
+        assert out.max_value == img.max_value and np.array_equal(out.samples, img.samples[1:3, 1:4])
 
+    @pytest.mark.parametrize("image", [cfa, gray])
     @pytest.mark.parametrize("rect", [(0, 0, 6, 2), (-1, 0, 2, 2), (2, 1, 2, 3), (0, 3, 2, 5)])
-    def test_window_outside_frame(self, rect):
-        with pytest.raises(ValueError):
-            gray_window(cfa(np.zeros((4, 5))), *rect)
+    def test_window_outside_frame(self, image, rect):
+        with pytest.raises(ValueError, match="outside 5x4"):
+            gray_window(image(np.zeros((4, 5))), *rect)
 
 
 class TestEqualize:
@@ -387,14 +386,6 @@ class TestCrop:
         assert checks == []
         assert images[0].samples.shape == (5, 4)
 
-    def test_crop_rect(self):
-        img = gray(np.arange(20).reshape(4, 5))
-        out = crop(img, 1, 1, 4, 3)
-        assert np.array_equal(out.samples, img.samples[1:3, 1:4])
-
-    def test_crop_rect_bounds(self):
-        with pytest.raises(ValueError):
-            crop(gray(np.zeros((4, 5))), 0, 0, 6, 2)
 
 
 def layouts(array: np.ndarray) -> dict[str, np.ndarray]:
@@ -632,10 +623,10 @@ class TestLuma:
         out = frame_oracles.luma(RgbImage(samples=samples, max_value=255))
         assert out.samples.tolist() == [[76, 150, 29]]
 
-    def test_gray_from_cfa_is_green_plane(self):
+    def test_whole_frame_window_is_green_plane(self):
         rng = np.random.default_rng(5)
         mosaic = cfa(rng.integers(0, 256, size=(6, 6)))
-        g = gray_from_cfa(mosaic)
+        g = gray_window(mosaic, 0, 0, 6, 6)
         assert np.array_equal(g.samples, demosaic_bilinear(mosaic).samples[:, :, 1])
 
 

@@ -8,6 +8,7 @@ from icevision_kit.core import BoundingBox
 from icevision_kit.datastore import MalformedRecord
 from icevision_kit.harness import (
     BenchmarkReport,
+    GeneratedScenario,
     NoiseModel,
     PipelineConfig,
     ScenarioSpec,
@@ -15,6 +16,7 @@ from icevision_kit.harness import (
     SyntheticScenario,
     SyntheticSign,
     annotation_frames,
+    annotations_for_frames,
     benchmark_records,
     dense_truth,
     format_benchmark,
@@ -24,7 +26,6 @@ from icevision_kit.harness import (
     mock_detector,
     parse_scenario,
     run_benchmark,
-    truth_for_scenario,
 )
 from icevision_kit.scoring import KCoefficients, ScoringConfig, Stage
 from icevision_kit.taxonomy import parse_code
@@ -36,6 +37,13 @@ def sign(code="3.24", entry=0, exit=29, x=100.0, y=100.0, w=40.0, h=40.0, vx=0.0
         code=parse_code(code), entry_frame=entry, exit_frame=exit,
         x=x, y=y, width=w, height=h, vx=vx, vy=vy, **kw,
     )
+
+
+def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScenario:
+    """Sparse annotations and dense truth for a hand-built scenario, the
+    annotated frames drawn from a PCG64 stream seeded with ``seed``."""
+    frames = annotation_frames(scenario.frame_count, np.random.Generator(np.random.PCG64(seed)))
+    return GeneratedScenario(scenario, annotations_for_frames(scenario, frames), dense_truth(scenario))
 
 
 class TestNoiseModel:
