@@ -79,9 +79,11 @@ def _add_noise_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="icevision-kit", description=__doc__.splitlines()[0])
+    # dest names the subcommand in the message a missing one gets
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="score detections against annotations")
+    p.set_defaults(run=_cmd_score)
     p.add_argument("--detections", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--stage", choices=("online", "offline"), default="offline")
@@ -89,6 +91,7 @@ def build_parser() -> _Parser:
     p.add_argument("--records", help="write machine-readable per-class records here")
 
     p = sub.add_parser("track", help="chain keyframe detections into tracks")
+    p.set_defaults(run=_cmd_track)
     p.add_argument("--detections", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--iou-threshold", type=float, default=TrackerConfig.iou_threshold)
@@ -96,6 +99,7 @@ def build_parser() -> _Parser:
     p.add_argument("--min-length", type=int, default=TrackerConfig.min_track_length)
 
     p = sub.add_parser("interp", help="densify tracks across non-keyframe frames")
+    p.set_defaults(run=_cmd_interp)
     p.add_argument("--tracks", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--method", choices=("linear", "ncc"), default="linear")
@@ -108,11 +112,13 @@ def build_parser() -> _Parser:
                    dest="out_format", help="output as tracks or flattened detections")
 
     p = sub.add_parser("refine", help="average, select, and assign track classes")
+    p.set_defaults(run=_cmd_refine)
     p.add_argument("--tracks", required=True)
     p.add_argument("--output", required=True, help="refined detections file")
     p.add_argument("--thresholds", help="threshold file from 'tune'")
 
     p = sub.add_parser("tune", help="grid-search refinement thresholds")
+    p.set_defaults(run=_cmd_tune)
     p.add_argument("--tracks", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--grid-specific", required=True, help="comma list, e.g. 0.3,0.5,0.7")
@@ -122,6 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", help="write the winning threshold triple here")
 
     p = sub.add_parser("convert", help="decode Bayer PGM frames to RGB PPM")
+    p.set_defaults(run=_cmd_convert)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--sidecar", help="key=value conversion settings file")
@@ -131,6 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
 
     p = sub.add_parser("synth", help="generate a synthetic scenario on disk")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--spec", required=True, help="key=value scenario spec file")
     _add_noise_flags(p)
     p.add_argument("--annotations", required=True, help="output annotations path")
@@ -138,6 +146,7 @@ def build_parser() -> _Parser:
     p.add_argument("--render-dir", help="also render frames as PGM plus a manifest")
 
     p = sub.add_parser("bench", help="run the end-to-end synthetic benchmark")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--spec", required=True)
     _add_noise_flags(p)
     p.add_argument("--stage", choices=("online", "offline"), default="offline")
@@ -147,7 +156,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args, parser: _Parser) -> int:
     detections = datastore.read_detections(_require(args.detections))
     annotations = datastore.read_annotations(_require(args.annotations))
     report = score_dataset(detections, annotations, ScoringConfig(Stage(args.stage)))
@@ -201,7 +210,7 @@ def _cmd_interp(args, parser: _Parser) -> int:
     return EX_OK
 
 
-def _cmd_refine(args) -> int:
+def _cmd_refine(args, parser: _Parser) -> int:
     tracks = datastore.read_tracks(_require(args.tracks))
     thresholds = LevelThresholds()
     if args.thresholds:
@@ -341,23 +350,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "score":
-            return _cmd_score(args)
-        if args.command == "track":
-            return _cmd_track(args, parser)
-        if args.command == "interp":
-            return _cmd_interp(args, parser)
-        if args.command == "refine":
-            return _cmd_refine(args)
-        if args.command == "tune":
-            return _cmd_tune(args, parser)
-        if args.command == "convert":
-            return _cmd_convert(args, parser)
-        if args.command == "synth":
-            return _cmd_synth(args, parser)
-        if args.command == "bench":
-            return _cmd_bench(args, parser)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except OSError as exc:

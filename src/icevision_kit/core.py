@@ -12,13 +12,12 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .taxonomy import ClassCode
 
 PROB_SUM_SLACK = 1e-9
 _TINY, _INF = sys.float_info.min, math.inf
-
-ClassDistribution = dict[ClassCode, float]
 
 
 class Source(enum.Enum):
@@ -114,7 +113,7 @@ def search_area(box_a: BoundingBox, box_b: BoundingBox, margin: float = 20.0) ->
     )
 
 
-def best_class(dist: ClassDistribution) -> tuple[ClassCode, float]:
+def best_class(dist: Mapping[ClassCode, float]) -> tuple[ClassCode, float]:
     """Argmax of a class distribution; ties go to the canonically smaller code."""
     return min(dist.items(), key=lambda item: (-item[1], item[0].segments))
 

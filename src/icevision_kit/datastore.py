@@ -5,7 +5,10 @@ Record files are whitespace-separated text with a one-line versioned
 header (``icevision-kit/v1 <kind>``).  Readers are strict: malformed input
 is rejected with the file and line number, never repaired.  Writers are
 atomic (unique temp file, then rename) and byte-deterministic, and every
-writer's output re-reads to the value that was written.
+writer's output re-reads to the value that was written: a value that
+would re-read as another is a ``ValueError`` and nothing is written.
+Two equal detection records on one frame are still written; the reader
+rejects them.
 """
 
 from __future__ import annotations
@@ -177,6 +180,16 @@ def _flag_text(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _sorted_unique(values: list, key: Callable, what: str) -> list:
+    """``values`` sorted by ``key``; two with one key would re-read as one
+    value, so they are a ``ValueError`` naming the key."""
+    ordered = sorted(values, key=key)
+    for a, b in zip(ordered, ordered[1:]):
+        if key(a) == key(b):
+            raise ValueError(f"two {what} {key(a)} would re-read as one")
+    return ordered
+
+
 def read_text(path) -> str:
     """A file's contents as UTF-8 text; undecodable bytes are a
     :class:`MalformedRecord` naming their line."""
@@ -287,7 +300,7 @@ def read_annotations(path) -> list[FrameAnnotations]:
 
 def write_annotations(annotations: list[FrameAnnotations], path) -> None:
     lines = [f"{FORMAT_VERSION} annotations\n"]
-    for ann in sorted(annotations, key=lambda a: a.frame_index):
+    for ann in _sorted_unique(annotations, lambda a: a.frame_index, "annotations for frame"):
         if not ann.signs:
             lines.append(f"{ann.frame_index}\n")
         for sign in ann.signs:
@@ -335,6 +348,8 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
     distribution = _memo_by_object(_format_distribution)
     for frame in sorted(detections):
         for det in detections[frame]:
+            if det.frame_index != frame:
+                raise ValueError(f"detection on frame {det.frame_index} listed under frame {frame}")
             fields = [str(frame), distribution(det.class_distribution), _format_box(det.box)]
             if det.associated_data is not None or det.temporary is not None:
                 fields.append(_text_or_dash(det.associated_data))
@@ -416,7 +431,7 @@ def read_tracks(path) -> list[Track]:
 def write_tracks(tracks: list[Track], path) -> None:
     lines = [f"{FORMAT_VERSION} tracks\n"]
     distribution = _memo_by_object(_format_distribution)
-    for track in sorted(tracks, key=lambda t: t.id):
+    for track in _sorted_unique(tracks, lambda t: t.id, "tracks with id"):
         for entry in track.entries:
             temporary = "-" if entry.temporary is None else _flag_text(entry.temporary)
             lines.append(
@@ -463,13 +478,18 @@ def read_manifest(path) -> SequenceManifest:
     annotation_paths: list[str] = []
     for lineno, line in _body_lines(path, "manifest"):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("sequence:"):
-                if sequence_id is not None:
-                    raise MalformedRecord(path, lineno, "repeated '# sequence:' directive")
-                sequence_id = body.partition(":")[2].strip()
-            elif body.startswith("annotation:"):
-                annotation_paths.append(body.partition(":")[2].strip())
+            name, sep, value = line[1:].strip().partition(":")
+            if not sep or name not in ("sequence", "annotation"):
+                continue  # a comment
+            value = value.strip()
+            if not value:
+                raise MalformedRecord(path, lineno, f"empty '# {name}:' directive")
+            if name == "annotation":
+                annotation_paths.append(value)
+            elif sequence_id is not None:
+                raise MalformedRecord(path, lineno, "repeated '# sequence:' directive")
+            else:
+                sequence_id = value
             continue
         index_s, sep, frame_path = line.partition("\t")
         if not sep:
@@ -480,14 +500,8 @@ def read_manifest(path) -> SequenceManifest:
         frames.append((index, frame_path.strip()))
     if sequence_id is None:
         raise MalformedRecord(path, None, "missing '# sequence: <id>' directive")
-    try:
-        return SequenceManifest(
-            sequence_id=sequence_id,
-            frames=tuple(frames),
-            annotation_paths=tuple(annotation_paths),
-        )
-    except ValueError as exc:
-        raise MalformedRecord(path, None, str(exc)) from None
+    # every rule SequenceManifest checks is checked above at its line
+    return SequenceManifest(sequence_id, tuple(frames), tuple(annotation_paths))
 
 
 def _line_text(value: str) -> str:

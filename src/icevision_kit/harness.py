@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame,
                    pixel_rect)
-from .datastore import MalformedRecord, decimal_value, parse_key_values
+from .datastore import FORMAT_VERSION, MalformedRecord, decimal_value, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
 from .scoring import ScoringConfig, Stage, score_dataset
@@ -407,22 +407,14 @@ class BenchmarkReport:
         return self.frames_per_second >= self.budget_fps
 
 
-def run_pipeline(
-    keyframe_detections: dict[int, list[Detection]], pipeline: PipelineConfig
-) -> list[Detection]:
-    """track -> densify_linear -> refine (default thresholds), the scored chain."""
-    tracks = run_tracker(keyframe_detections, pipeline.tracker)
-    densified = [densify_linear(track) for track in tracks]
-    return refine_tracks(densified, LevelThresholds())
-
-
 def run_benchmark(
     generated: GeneratedScenario,
     noise: NoiseModel,
     pipeline: PipelineConfig | None = None,
 ) -> BenchmarkReport:
     """Score raw keyframe detections and the refined pipeline, timing the
-    latter (tracking + interpolation + refinement + scoring, no image I/O)."""
+    latter: track, densify_linear, refine (default thresholds) and score,
+    no image I/O."""
     pipeline = pipeline or PipelineConfig()
     detections = mock_detector(
         generated.dense, noise, pipeline.tracker.keyframe_stride, generated.scenario
@@ -430,7 +422,8 @@ def run_benchmark(
     raw_report = score_dataset(detections, generated.annotations, pipeline.scoring)
 
     start = time.perf_counter()
-    refined = run_pipeline(detections, pipeline)
+    tracks = run_tracker(detections, pipeline.tracker)
+    refined = refine_tracks([densify_linear(track) for track in tracks], LevelThresholds())
     refined_report = score_dataset(group_by_frame(refined), generated.annotations, pipeline.scoring)
     elapsed = time.perf_counter() - start
 
@@ -461,7 +454,7 @@ def format_benchmark(report: BenchmarkReport) -> str:
 def benchmark_records(report: BenchmarkReport) -> str:
     """Machine-readable key=value dump of a benchmark report."""
     lines = [
-        "icevision-kit/v1 bench",
+        f"{FORMAT_VERSION} bench",
         f"frames={report.frame_count}",
         f"raw_score={report.raw_score:.6f}",
         f"refined_score={report.refined_score:.6f}",

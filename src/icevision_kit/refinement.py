@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ClassDistribution, Detection, Distribution, FrameAnnotations, group_by_frame
+from .core import Detection, Distribution, FrameAnnotations, group_by_frame
 from .datastore import real_value
 from .scoring import ScoringConfig, dataset_total, match_frame, score_dataset, scored_frames
 from .taxonomy import ClassCode
@@ -75,7 +75,7 @@ def _summarize(tracks: list[Track]) -> tuple[list[tuple[ClassCode, ...]], np.nda
     order of a dict built entry by entry, so every value has the bits of
     a per-track dict mean pooled code by code.
     """
-    dists: list[ClassDistribution] = []
+    dists: list[Distribution] = []
     counts: list[int] = []
     for track in tracks:
         detected = track.detected_entries()

@@ -15,15 +15,13 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .core import Detection, FrameAnnotations, GroundTruthSign, area, greedy_match, iou
+from .datastore import FORMAT_VERSION
 from .taxonomy import ClassCode
 
 
 class Stage(enum.Enum):
     ONLINE = "online"
     OFFLINE = "offline"
-
-
-_STAGE_IOU_THRESHOLD = {Stage.ONLINE: 0.5, Stage.OFFLINE: 0.3}
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,9 @@ class ScoringConfig:
     fp_penalty = 2.0
     min_area_px = 100.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "iou_threshold", _STAGE_IOU_THRESHOLD[self.stage])
+    @property
+    def iou_threshold(self) -> float:
+        return 0.5 if self.stage is Stage.ONLINE else 0.3
 
     @classmethod
     def online(cls) -> ScoringConfig:
@@ -372,7 +371,7 @@ def format_report(report: ScoreReport) -> str:
 
 def report_records(report: ScoreReport) -> str:
     """Machine-readable per-frame records (one line per annotated frame)."""
-    lines = ["icevision-kit/v1 score"]
+    lines = [f"{FORMAT_VERSION} score"]
     for fs in report.frames:
         lines.append(
             f"{fs.frame_index} {fs.tp_points:.6f} {fs.fp_count} {fs.ignored} {fs.missed}"

@@ -216,6 +216,14 @@ class TestTrackInterpRefine:
         assert main(argv) == EX_MALFORMED_INPUT
         assert "manifest.txt:10: repeated '# sequence:'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directive", ["sequence", "annotation"])
+    def test_interp_ncc_empty_directive(self, tmp_path, capsys, directive):
+        argv = self.ncc_fixture(tmp_path, range(7), b"P5\n200 160\n255\n" + bytes(200 * 160))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + f"# {directive}:\n")
+        assert main(argv) == EX_MALFORMED_INPUT
+        assert f"manifest.txt:10: empty '# {directive}:' directive" in capsys.readouterr().err
+
     def test_interp_ncc_frame_missing_from_manifest(self, tmp_path, capsys):
         pgm = b"P5\n200 160\n255\n" + bytes(200 * 160)
         argv = self.ncc_fixture(tmp_path, (0, 1, 2, 4, 5, 6), pgm)

@@ -395,6 +395,39 @@ class TestTextFields:
         assert read_one_text_field(kind, path) == value
 
 
+class TestWritersRefuseWhatWouldNotReRead:
+    """A value a file would re-read as another value is refused, and
+    nothing is written."""
+
+    @staticmethod
+    def sign(frame):
+        return GroundTruthSign(frame_index=frame, box=BoundingBox(0, 0, 10, 10),
+                               code=parse_code("3.24"))
+
+    def test_detection_listed_under_another_frame(self, tmp_path):
+        det = Detection(frame_index=5, box=BoundingBox(0, 0, 10, 10),
+                        class_distribution={parse_code("3.24"): 1.0})
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match="detection on frame 5 listed under frame 0"):
+            write_detections({0: [det]}, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_tracks_with_one_id(self, tmp_path):
+        track = TestTracks.make_track(0)
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="two tracks with id 0"):
+            write_tracks([TestTracks.make_track(2), track, Track(0, list(track.entries))], path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_annotations_for_one_frame(self, tmp_path):
+        annotations = [FrameAnnotations(3, (self.sign(3),)), FrameAnnotations(1),
+                       FrameAnnotations(3, (self.sign(3),))]
+        path = tmp_path / "a.txt"
+        with pytest.raises(ValueError, match="two annotations for frame 3"):
+            write_annotations(annotations, path)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestHeaders:
     def test_missing_header(self, tmp_path):
         path = put(tmp_path, "x.txt", "")
@@ -485,6 +518,20 @@ class TestManifest:
         with pytest.raises(MalformedRecord, match="repeated '# sequence:'") as err:
             read_manifest(path)
         assert err.value.lineno == 4
+
+    @pytest.mark.parametrize("directive, before", [("sequence", "0\tf0.pnm"),
+                                                   ("annotation", "# sequence: s")])
+    def test_empty_directive_reports_its_line(self, tmp_path, directive, before):
+        path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n{before}\n#  {directive}:  \n")
+        with pytest.raises(MalformedRecord) as err:
+            read_manifest(path)
+        assert str(err.value) == f"{path}:3: empty '# {directive}:' directive"
+        assert err.value.lineno == 3
+
+    def test_other_comments_are_not_directives(self, tmp_path):
+        path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# note: x\n# sequences:\n"
+                   "# sequence : y\n#annotation:a:b\n# sequence:s\n")
+        assert read_manifest(path) == SequenceManifest("s", (), ("a:b",))
 
     def test_missing_tab(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# sequence: s\n5 a.pnm\n")
