@@ -432,6 +432,10 @@ def write_tracks(tracks: list[Track], path) -> None:
     lines = [f"{FORMAT_VERSION} tracks\n"]
     distribution = _memo_by_object(_format_distribution)
     for track in _sorted_unique(tracks, lambda t: t.id, "tracks with id"):
+        if track.id < 0:
+            raise ValueError(f"track id {track.id} is negative and would not re-read")
+        if not any(e.source is Source.DETECTED for e in track.entries):
+            raise ValueError(f"track {track.id} has no detected entry and would not re-read")
         for entry in track.entries:
             temporary = "-" if entry.temporary is None else _flag_text(entry.temporary)
             lines.append(

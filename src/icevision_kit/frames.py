@@ -203,23 +203,24 @@ def write_ppm(image: RgbImage) -> bytearray:
 # Demosaicing and intensity transforms
 
 
-def _interpolate_channel(padded: np.ndarray, pattern: BayerPattern, name: str,
-                         plane: np.ndarray) -> None:
+def _interpolate_channel(lattices: list, pattern: BayerPattern, name: str, plane: np.ndarray) -> None:
     """Fill ``plane`` with channel ``name`` of the bilinear demosaic.
 
-    ``padded`` is the mosaic edge-padded by one pixel, in an unsigned type
-    that holds ``4 * max_value + 2``.  Each pixel averages its nearest
-    same-channel neighbors, rounded half-up in exact integers: 2 taps give
-    ``(a + b + 1) >> 1`` and 4 taps ``(s + 2) >> 2``, both equal to
-    ``floor(mean + 0.5)``.  A mean of in-range samples stays in range.
+    ``lattices[p][q]`` is the contiguous sub-lattice ``context[p::2, q::2]``
+    of the plane's one-pixel context (see :func:`_mosaic_context`), so each
+    tap is a unit-stride slice of one of them.  Each pixel averages its
+    nearest same-channel neighbors, rounded half-up in exact integers: 2
+    taps give ``(a + b + 1) >> 1`` and 4 taps ``(s + 2) >> 2``, both equal
+    to ``floor(mean + 0.5)``.  A mean of in-range samples stays in range.
     """
     h, w = plane.shape
     sites = [divmod(k, 2) for k, ch in enumerate(pattern.value) if ch == name]
     (si, sj) = sites[0]
 
     def tap(i: int, j: int, dy: int, dx: int) -> np.ndarray:
-        # neighbor (dy, dx) of every output pixel at phase (i, j)
-        return padded[1 + i + dy : 1 + h + dy : 2, 1 + j + dx : 1 + w + dx : 2]
+        # neighbor (dy, dx) of every output pixel at phase (i, j): context[1+i+dy::2, 1+j+dx::2]
+        r, c, rows, cols = 1 + i + dy, 1 + j + dx, (h - i + 1) // 2, (w - j + 1) // 2
+        return lattices[r % 2][c % 2][r // 2 : r // 2 + rows, c // 2 : c // 2 + cols]
 
     for i in range(min(h, 2)):
         for j in range(min(w, 2)):
@@ -242,9 +243,24 @@ def _interpolate_channel(padded: np.ndarray, pattern: BayerPattern, name: str,
             plane[i::2, j::2] = total
 
 
-def _padded_mosaic(cfa: CfaImage) -> np.ndarray:
+def _mosaic_context(cfa: CfaImage, x0: int, y0: int, x1: int, y1: int) -> tuple[BayerPattern, list]:
+    """The 2x2 pattern re-phased to start at (y0, x0), and the four contiguous
+    sub-lattices ``context[p::2, q::2]`` of the rectangle [x0, x1) x [y0, y1)
+    with one pixel of context, in an unsigned type that holds ``4 * max_value + 2``.
+    Context beyond the frame edge replicates the edge row or column."""
+    h, w = cfa.samples.shape
+    context = cfa.samples[max(y0 - 1, 0) : y1 + 1, max(x0 - 1, 0) : x1 + 1]
+    pad = ((int(y0 == 0), int(y1 == h)), (int(x0 == 0), int(x1 == w)))
+    if any(map(any, pad)):  # np.pad copies even when it pads nothing
+        context = np.pad(context, pad, mode="edge")
     work = np.min_scalar_type(4 * cfa.max_value + 2)
-    return np.pad(cfa.samples, 1, mode="edge").astype(work, copy=False)
+    lattices = [[np.ascontiguousarray(context[p::2, q::2], dtype=work) for q in (0, 1)] for p in (0, 1)]
+    tile = cfa.pattern.value
+    shifted = "".join(tile[(i + y0) % 2 * 2 + (j + x0) % 2] for i in (0, 1) for j in (0, 1))
+    return BayerPattern(shifted), lattices
+
+
+_DEMOSAIC_BAND = 256  # output rows per pass, so a band's context and sub-lattices stay in cache
 
 
 def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
@@ -253,12 +269,16 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
 
     Borders clamp neighbor coordinates to the image edge, so border
     pixels mix color sites exactly as replicate padding dictates.
-    Channel values are rounded half-up.
+    Channel values are rounded half-up.  The planes are filled in bands
+    of ``_DEMOSAIC_BAND`` full-width rows.
     """
-    padded = _padded_mosaic(cfa)
-    planes = np.empty((3,) + cfa.samples.shape, dtype=sample_dtype(cfa.max_value))
-    for plane, name in zip(planes, "RGB"):
-        _interpolate_channel(padded, cfa.pattern, name, plane)
+    h, w = cfa.samples.shape
+    planes = np.empty((3, h, w), dtype=sample_dtype(cfa.max_value))
+    for top in range(0, h, _DEMOSAIC_BAND):
+        bottom = min(top + _DEMOSAIC_BAND, h)
+        pattern, lattices = _mosaic_context(cfa, 0, top, w, bottom)
+        for plane, name in zip(planes[:, top:bottom], "RGB"):
+            _interpolate_channel(lattices, pattern, name, plane)
     return RgbImage(samples=planes.transpose(1, 2, 0), max_value=cfa.max_value)
 
 
@@ -322,20 +342,16 @@ def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int)
     """Gray signal of the rectangle [x0, x1) x [y0, y1), which must lie inside
     the frame: a plain crop of a gray image, or the interpolated green plane
     of just that rectangle of a mosaic, equal to that rectangle of the whole
-    frame's green plane."""
+    frame's green plane: the window and its one-pixel context are read as
+    four sub-lattices, as one band of :func:`demosaic_bilinear` is."""
     h, w = image.samples.shape
     if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
         raise ValueError(f"window ({x0},{y0},{x1},{y1}) outside {w}x{h}")
     if not isinstance(image, CfaImage):
         return GrayImage(samples=image.samples[y0:y1, x0:x1], max_value=image.max_value)
-    # one pixel of context; clamped indices replicate the frame border
-    rows = np.clip(np.arange(y0 - 1, y1 + 1), 0, h - 1)
-    cols = np.clip(np.arange(x0 - 1, x1 + 1), 0, w - 1)
-    context = image.samples[np.ix_(rows, cols)].astype(np.min_scalar_type(4 * image.max_value + 2))
-    tile = image.pattern.value  # re-phase the 2x2 tile to start at (y0, x0)
-    shifted = "".join(tile[(i + y0) % 2 * 2 + (j + x0) % 2] for i in (0, 1) for j in (0, 1))
     plane = np.empty((y1 - y0, x1 - x0), dtype=sample_dtype(image.max_value))
-    _interpolate_channel(context, BayerPattern(shifted), "G", plane)
+    pattern, lattices = _mosaic_context(image, x0, y0, x1, y1)
+    _interpolate_channel(lattices, pattern, "G", plane)
     return GrayImage(samples=plane, max_value=image.max_value)
 
 

@@ -1,11 +1,12 @@
 """Float64 reference implementations of the image operations.
 
-The library computes the Bayer path in exact integer arithmetic, the
-green plane one window at a time, NCC from summed-area tables and an
-FFT, PNM payloads one channel at a time, and histogram equalization in
-bands of rows; the versions here follow the textbook formulas in float64
-(or the previous full-frame, sliding-window and whole-array forms) and
-serve as differential-test oracles only.
+The library computes the Bayer path in exact integer arithmetic on
+contiguous sub-lattices in bands of rows (the green plane one window at
+a time), NCC from summed-area tables and an FFT, PNM payloads one channel
+at a time, and histogram equalization in bands of rows; the versions here
+follow the textbook formulas in float64 (or the previous full-frame,
+sliding-window and whole-array forms) and serve as differential-test
+oracles only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from icevision_kit.frames import (
     CfaImage,
     GrayImage,
     RgbImage,
-    _interpolate_channel,
     sample_dtype,
 )
 
@@ -151,12 +151,8 @@ def ncc(template: GrayImage, window: GrayImage) -> float:
 
 
 def gray_from_cfa(cfa: CfaImage) -> GrayImage:
-    """The green plane of the whole frame, from the edge-padded mosaic."""
-    work = np.min_scalar_type(4 * cfa.max_value + 2)
-    padded = np.pad(cfa.samples, 1, mode="edge").astype(work, copy=False)
-    plane = np.empty(cfa.samples.shape, dtype=sample_dtype(cfa.max_value))
-    _interpolate_channel(padded, cfa.pattern, "G", plane)
-    return GrayImage(samples=plane, max_value=cfa.max_value)
+    """The green plane of the whole frame, from the float64 :func:`demosaic_bilinear`."""
+    return GrayImage(samples=demosaic_bilinear(cfa).samples[:, :, 1], max_value=cfa.max_value)
 
 
 def ncc_scores(template: GrayImage, search: GrayImage) -> np.ndarray:

@@ -611,12 +611,14 @@ class TestConvert:
         )
         assert (out_dir / "noisy.ppm").read_bytes() == manual
 
-    @pytest.mark.parametrize("keep", [4, 5, 7])
+    @pytest.mark.parametrize("keep", [4, 5, 7, 256, 257, 300])
     def test_crop_keep_matches_float_oracle(self, tmp_path, capsys, keep):
         # convert demosaics only the kept rows plus one; the bytes must equal
-        # the float64 demosaic of the whole frame, cropped afterwards
+        # the float64 demosaic of the whole frame, cropped afterwards; from
+        # keep 256 on, those rows end inside the second band of the demosaic
         rng = np.random.default_rng(keep)
-        cfa = frames.CfaImage(samples=rng.integers(0, 4096, size=(7, 6)).astype(np.uint16),
+        height = 7 if keep <= 7 else 2 * frames._DEMOSAIC_BAND + 3
+        cfa = frames.CfaImage(samples=rng.integers(0, 4096, size=(height, 6)).astype(np.uint16),
                               pattern=frames.BayerPattern.GBRG, max_value=4095)
         src = tmp_path / "raw.pgm"
         src.write_bytes(frames.write_pnm(cfa))

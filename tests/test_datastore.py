@@ -419,6 +419,20 @@ class TestWritersRefuseWhatWouldNotReRead:
             write_tracks([TestTracks.make_track(2), track, Track(0, list(track.entries))], path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_track_id(self, tmp_path):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="track id -1 is negative"):
+            write_tracks([TestTracks.make_track(0), TestTracks.make_track(-1)], path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_track_with_no_detected_entry(self, tmp_path):
+        track = TestTracks.make_track(7)
+        gaps = Track(7, [e for e in track.entries if e.source is not Source.DETECTED])
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match="track 7 has no detected entry"):
+            write_tracks([TestTracks.make_track(2), gaps], path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_two_annotations_for_one_frame(self, tmp_path):
         annotations = [FrameAnnotations(3, (self.sign(3),)), FrameAnnotations(1),
                        FrameAnnotations(3, (self.sign(3),))]

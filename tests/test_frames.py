@@ -242,6 +242,34 @@ class TestDemosaicMatchesFloatOracle:
         assert np.all(gray_window(mosaic, 0, 0, 6, 5).samples == max_value)
 
 
+class TestDemosaicInBandsMatchesFloatOracle:
+    """The demosaic fills its planes one band of rows at a time; every band
+    boundary, at any band height, must give the whole-frame result."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(band=st.sampled_from([1, 2, 3, 5]), h=st.integers(1, 17), w=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("max_value", DIFF_MAX_VALUES)
+    @pytest.mark.parametrize("pattern", list(BayerPattern))
+    def test_small_bands(self, pattern, max_value, band, h, w, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, max_value + 1, size=(h, w))
+        values[rng.random((h, w)) < 0.3] = max_value  # full-scale sums must not wrap in any band
+        mosaic = cfa(values, pattern, max_value)
+        want = frame_oracles.demosaic_bilinear(mosaic).samples
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frames, "_DEMOSAIC_BAND", band)
+            got = demosaic_bilinear(mosaic).samples
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pattern", list(BayerPattern))
+    def test_two_full_bands_and_a_remainder(self, pattern):
+        h = 2 * frames._DEMOSAIC_BAND + 3
+        mosaic = cfa(np.random.default_rng(18).integers(0, 4096, size=(h, 5)), pattern, 4095)
+        want = frame_oracles.demosaic_bilinear(mosaic).samples
+        assert np.array_equal(demosaic_bilinear(mosaic).samples, want)
+
+
 @st.composite
 def mosaic_windows(draw):
     mosaic = draw(mosaics())
