@@ -235,6 +235,8 @@ class FrameAnnotations:
     signs: tuple[GroundTruthSign, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if self.frame_index < 0:
+            raise ValueError(f"frame index must be non-negative, got {self.frame_index}")
         object.__setattr__(self, "signs", tuple(self.signs))
         for sign in self.signs:
             if sign.frame_index != self.frame_index:

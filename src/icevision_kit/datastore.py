@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import errno
 import io
+import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -420,11 +421,10 @@ def read_tracks(path) -> list[Track]:
         first_lines.setdefault(track_id, lineno)
     tracks = []
     for track_id in sorted(entries):
-        # densifying and refining both start from the detector's keyframes
-        if not any(e.source is Source.DETECTED for e in entries[track_id]):
-            message = f"track {track_id} has no detected entry"
-            raise MalformedRecord(path, first_lines[track_id], message)
-        tracks.append(Track(id=track_id, entries=entries[track_id]))
+        try:
+            tracks.append(Track(id=track_id, entries=entries[track_id]))
+        except ValueError as exc:
+            raise MalformedRecord(path, first_lines[track_id], str(exc)) from None
     return tracks
 
 
@@ -432,10 +432,6 @@ def write_tracks(tracks: list[Track], path) -> None:
     lines = [f"{FORMAT_VERSION} tracks\n"]
     distribution = _memo_by_object(_format_distribution)
     for track in _sorted_unique(tracks, lambda t: t.id, "tracks with id"):
-        if track.id < 0:
-            raise ValueError(f"track id {track.id} is negative and would not re-read")
-        if not any(e.source is Source.DETECTED for e in track.entries):
-            raise ValueError(f"track {track.id} has no detected entry and would not re-read")
         for entry in track.entries:
             temporary = "-" if entry.temporary is None else _flag_text(entry.temporary)
             lines.append(
@@ -459,7 +455,7 @@ class SequenceManifest:
     annotation_paths: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple((int(i), str(p)) for i, p in self.frames))
+        object.__setattr__(self, "frames", tuple((_frame_number(i), str(p)) for i, p in self.frames))
         object.__setattr__(self, "annotation_paths", tuple(self.annotation_paths))
         if not self.sequence_id:
             raise ValueError("sequence id must be non-empty")
@@ -472,6 +468,12 @@ class SequenceManifest:
             last = index
         if any(not p for p in self.annotation_paths):
             raise ValueError("empty annotation path")
+
+
+def _frame_number(index) -> int:
+    if not isinstance(index, numbers.Integral) or index < 0:
+        raise ValueError(f"frame index must be a non-negative integer, got {index!r}")
+    return int(index)
 
 
 def read_manifest(path) -> SequenceManifest:

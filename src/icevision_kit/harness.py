@@ -167,23 +167,22 @@ class GeneratedScenario:
     dense: dict[int, list[GroundTruthSign]]
 
 
-def _truth_at(scenario: SyntheticScenario, frame: int) -> list[GroundTruthSign]:
-    return [
-        GroundTruthSign(
-            frame_index=frame,
-            box=sign.box_at(frame),
-            code=sign.code,
-            associated_data=sign.associated_data,
-            temporary=sign.temporary,
-        )
-        for sign in scenario.signs
-        if sign.entry_frame <= frame <= sign.exit_frame
-    ]
-
-
 def dense_truth(scenario: SyntheticScenario) -> dict[int, list[GroundTruthSign]]:
     """Ground truth boxes for every frame of the scenario."""
-    return {frame: _truth_at(scenario, frame) for frame in range(scenario.frame_count)}
+    return {
+        frame: [
+            GroundTruthSign(
+                frame_index=frame,
+                box=sign.box_at(frame),
+                code=sign.code,
+                associated_data=sign.associated_data,
+                temporary=sign.temporary,
+            )
+            for sign in scenario.signs
+            if sign.entry_frame <= frame <= sign.exit_frame
+        ]
+        for frame in range(scenario.frame_count)
+    }
 
 
 def annotation_frames(frame_count: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -198,18 +197,9 @@ def annotation_frames(frame_count: int, rng: np.random.Generator) -> tuple[int, 
     return tuple(frames)
 
 
-def annotations_for_frames(
-    scenario: SyntheticScenario, frames: tuple[int, ...]
-) -> list[FrameAnnotations]:
-    return [
-        FrameAnnotations(frame_index=frame, signs=tuple(_truth_at(scenario, frame)))
-        for frame in frames
-    ]
-
-
 def dense_annotations(scenario: SyntheticScenario) -> list[FrameAnnotations]:
     """Every frame annotated — the oracle view the competition never had."""
-    return annotations_for_frames(scenario, tuple(range(scenario.frame_count)))
+    return [FrameAnnotations(frame, tuple(signs)) for frame, signs in dense_truth(scenario).items()]
 
 
 def _random_signs(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[SyntheticSign, ...]:
@@ -269,10 +259,11 @@ def generate_scenario(spec: ScenarioSpec, seed: int) -> GeneratedScenario:
         frame_count=spec.frame_count, width=spec.width, height=spec.height, signs=signs
     )
     frames = annotation_frames(scenario.frame_count, rng)
+    dense = dense_truth(scenario)
     return GeneratedScenario(
         scenario=scenario,
-        annotations=annotations_for_frames(scenario, frames),
-        dense=dense_truth(scenario),
+        annotations=[FrameAnnotations(frame, tuple(dense[frame])) for frame in frames],
+        dense=dense,
     )
 
 

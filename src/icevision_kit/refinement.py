@@ -79,8 +79,6 @@ def _summarize(tracks: list[Track]) -> tuple[list[tuple[ClassCode, ...]], np.nda
     counts: list[int] = []
     for track in tracks:
         detected = track.detected_entries()
-        if not detected:
-            raise ValueError(f"track {track.id} has no detected entries to average")
         counts.append(len(detected))
         dists += [entry.class_distribution for entry in detected]
     rows = np.repeat(np.repeat(np.arange(len(tracks)), counts), [len(d) for d in dists])

@@ -104,7 +104,7 @@ def parse_code(text: str) -> ClassCode:
 
 
 class Taxonomy:
-    """The set of concrete sign codes plus their derived ancestors.
+    """The set of concrete sign codes: their canonical order and siblings.
 
     Loaded from a plain-text registry: UTF-8, one code per line, ``#``
     comments.  Wildcards are not supported; every concrete code is listed.
@@ -118,13 +118,6 @@ class Taxonomy:
                 raise TaxonomyError(f"duplicate registry entry {code}")
             seen.add(code)
         self._leaves: tuple[ClassCode, ...] = tuple(sorted(leaves))
-        ancestors: set[ClassCode] = set()
-        for code in self._leaves:
-            node = code.parent
-            while node is not None:
-                ancestors.add(node)
-                node = node.parent
-        self._all: frozenset[ClassCode] = frozenset(self._leaves) | ancestors
         self._children: dict[ClassCode | None, list[ClassCode]] = {}
         for code in self._leaves:
             self._children.setdefault(code.parent, []).append(code)
@@ -155,12 +148,6 @@ class Taxonomy:
     def leaves(self) -> tuple[ClassCode, ...]:
         """All concrete (listed) codes, in canonical order."""
         return self._leaves
-
-    def __contains__(self, code: ClassCode) -> bool:
-        return code in self._all
-
-    def __len__(self) -> int:
-        return len(self._leaves)
 
     def siblings(self, code: ClassCode) -> tuple[ClassCode, ...]:
         """Other listed codes sharing ``code``'s parent (same level)."""

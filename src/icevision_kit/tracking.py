@@ -8,6 +8,7 @@ interpolation or by template matching against the actual frame content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -24,8 +25,11 @@ class Track:
     entries: list[Detection]
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("track must have at least one entry")
+        if self.id < 0:
+            raise ValueError(f"track id {self.id} is negative")
+        # densifying and refining both start from the detector's keyframes
+        if not any(e.source is Source.DETECTED for e in self.entries):
+            raise ValueError(f"track {self.id} has no detected entry")
         for prev, cur in zip(self.entries, self.entries[1:]):
             if cur.frame_index <= prev.frame_index:
                 raise ValueError(
@@ -120,8 +124,6 @@ def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[tuple
     yields ``(box, ncc_degenerate, template_clipped)`` per frame strictly
     between two detected entries, each built into an interpolated copy of ``start``."""
     detected = track.detected_entries()
-    if not detected:
-        raise ValueError(f"track {track.id} has no detected entries to interpolate between")
     entries = [detected[0]]
     for start, end in zip(detected, detected[1:]):
         gap_frames = range(start.frame_index + 1, end.frame_index)
@@ -166,8 +168,10 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
     a :class:`frames.CfaImage` (any ``__getitem__`` provider works, e.g. a
     plain dict).  Only the template and search windows are read, through
     :func:`frames.gray_window`, so a mosaic's green plane is interpolated
-    over those windows alone.
+    over those windows alone.  ``margin`` must be finite and ``>= 0``.
     """
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
 
     def fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox, bool, bool]]:
         span = end.frame_index - start.frame_index
@@ -180,7 +184,6 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
         search_box = search_area(start.box, end.box, margin=margin)
         sx0, sy0, sx1, sy1 = _clip_rect(pixel_rect(search_box), key_image.width, key_image.height)
 
-        searchable = sx1 > sx0 and sy1 > sy0
         scorer = None  # the template's spectrum, shared by the segment's frames
         for frame in gap_frames:
             t = (frame - start.frame_index) / span
@@ -188,24 +191,23 @@ def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
             width, height = linear_box.width, linear_box.height
             box = linear_box
             degenerate = True
-            if searchable and template is not None and template.samples.size >= 2:
-                image = frame_images[frame]
-                search = frames_mod.gray_window(image, sx0, sy0, sx1, sy1)
+            # a margin >= 0 keeps the clipped template inside the clipped search area
+            if template is not None and template.samples.size >= 2:
+                search = frames_mod.gray_window(frame_images[frame], sx0, sy0, sx1, sy1)
                 th, tw = template.samples.shape
-                if search.height >= th and search.width >= tw:
-                    cx, cy = linear_box.center
-                    preferred = (cx - tw / 2.0 - sx0, cy - th / 2.0 - sy0)
-                    if scorer is None or search.max_value > scorer.max_value:
-                        scorer = frames_mod.NccTemplate(template, search)
-                    match = frames_mod.ncc_match(scorer, search, preferred_offset=preferred)
-                    if not match.degenerate:
-                        degenerate = False
-                        mx = sx0 + match.offset_x + tw / 2.0
-                        my = sy0 + match.offset_y + th / 2.0
-                        box = BoundingBox(
-                            mx - width / 2.0, my - height / 2.0,
-                            mx + width / 2.0, my + height / 2.0,
-                        )
+                cx, cy = linear_box.center
+                preferred = (cx - tw / 2.0 - sx0, cy - th / 2.0 - sy0)
+                if scorer is None or search.max_value > scorer.max_value:
+                    scorer = frames_mod.NccTemplate(template, search)
+                match = frames_mod.ncc_match(scorer, search, preferred_offset=preferred)
+                if not match.degenerate:
+                    degenerate = False
+                    mx = sx0 + match.offset_x + tw / 2.0
+                    my = sy0 + match.offset_y + th / 2.0
+                    box = BoundingBox(
+                        mx - width / 2.0, my - height / 2.0,
+                        mx + width / 2.0, my + height / 2.0,
+                    )
             yield box, degenerate, clipped
 
     return _densify(track, fill)

@@ -419,18 +419,26 @@ class TestWritersRefuseWhatWouldNotReRead:
             write_tracks([TestTracks.make_track(2), track, Track(0, list(track.entries))], path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_negative_track_id(self, tmp_path):
-        path = tmp_path / "t.txt"
+    def test_negative_track_id(self):
+        # refused when built, so no writer sees it
         with pytest.raises(ValueError, match="track id -1 is negative"):
-            write_tracks([TestTracks.make_track(0), TestTracks.make_track(-1)], path)
+            TestTracks.make_track(-1)
+
+    def test_track_with_no_detected_entry(self):
+        track = TestTracks.make_track(7)
+        with pytest.raises(ValueError, match="track 7 has no detected entry"):
+            Track(7, [e for e in track.entries if e.source is not Source.DETECTED])
+
+    def test_annotations_for_a_negative_frame(self, tmp_path):
+        with pytest.raises(ValueError, match="frame index must be non-negative, got -1"):
+            write_annotations([FrameAnnotations(1), FrameAnnotations(-1)], tmp_path / "a.txt")
         assert list(tmp_path.iterdir()) == []
 
-    def test_track_with_no_detected_entry(self, tmp_path):
-        track = TestTracks.make_track(7)
-        gaps = Track(7, [e for e in track.entries if e.source is not Source.DETECTED])
-        path = tmp_path / "t.txt"
-        with pytest.raises(ValueError, match="track 7 has no detected entry"):
-            write_tracks([TestTracks.make_track(2), gaps], path)
+    @pytest.mark.parametrize("index", [-1, 1.9])
+    def test_manifest_frame_that_is_not_a_non_negative_integer(self, tmp_path, index):
+        message = f"frame index must be a non-negative integer, got {index!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_manifest(SequenceManifest("s", ((index, "a.pgm"),)), tmp_path / "m.txt")
         assert list(tmp_path.iterdir()) == []
 
     def test_two_annotations_for_one_frame(self, tmp_path):

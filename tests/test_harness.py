@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icevision_kit import core
-from icevision_kit.core import BoundingBox
+from icevision_kit.core import BoundingBox, FrameAnnotations
 from icevision_kit.datastore import MalformedRecord
 from icevision_kit.harness import (
     BenchmarkReport,
@@ -16,7 +16,6 @@ from icevision_kit.harness import (
     SyntheticScenario,
     SyntheticSign,
     annotation_frames,
-    annotations_for_frames,
     benchmark_records,
     dense_truth,
     format_benchmark,
@@ -43,7 +42,8 @@ def truth_for_scenario(scenario: SyntheticScenario, seed: int) -> GeneratedScena
     """Sparse annotations and dense truth for a hand-built scenario, the
     annotated frames drawn from a PCG64 stream seeded with ``seed``."""
     frames = annotation_frames(scenario.frame_count, np.random.Generator(np.random.PCG64(seed)))
-    return GeneratedScenario(scenario, annotations_for_frames(scenario, frames), dense_truth(scenario))
+    dense = dense_truth(scenario)
+    return GeneratedScenario(scenario, [FrameAnnotations(f, tuple(dense[f])) for f in frames], dense)
 
 
 class TestNoiseModel:
@@ -199,6 +199,13 @@ class TestGenerateScenario:
         for ann in out.annotations:
             dense = out.dense[ann.frame_index]
             assert list(ann.signs) == dense
+
+    def test_annotations_share_the_dense_truth(self):
+        # ground truth is built once: an annotated frame holds its dense signs
+        gen = generate_scenario(ScenarioSpec(frame_count=300, sign_count=6), seed=11)
+        assert any(ann.signs for ann in gen.annotations)
+        for ann in gen.annotations:
+            assert all(a is b for a, b in zip(ann.signs, gen.dense[ann.frame_index], strict=True))
 
     def test_signs_stay_in_bounds(self):
         out = generate_scenario(ScenarioSpec(frame_count=400, sign_count=20), seed=3)

@@ -69,9 +69,8 @@ class TestAverage:
         assert oracle.average_track_distribution(t) == {parse_code("3.24"): pytest.approx(0.75)}
 
     def test_no_detected_entries_rejected(self):
-        t = track(entry(0, {"3.24": 1.0}, source=Source.INTERPOLATED))
-        with pytest.raises(ValueError):
-            oracle.average_track_distribution(t)
+        with pytest.raises(ValueError, match="track 0 has no detected entry"):
+            track(entry(0, {"3.24": 1.0}, source=Source.INTERPOLATED))
 
 
 def select(dist, thr):
@@ -617,13 +616,9 @@ class TestSummaries:
         assert calls == [count, count]  # the search, then its from-scratch check
 
     def test_track_without_detected_entry_rejected(self):
-        tracks, anns = _validation_fixture()
-        tracks.append(track(entry(4, {"3.24": 0.9}, source=Source.INTERPOLATED), track_id=7))
-        message = "track 7 has no detected entries to average"
-        with pytest.raises(ValueError, match=message):
-            refine_tracks(tracks, THR)
-        with pytest.raises(ValueError, match=message):
-            grid_search_thresholds(tracks, anns, ([0.5], [0.5], [0.5]), ScoringConfig.offline())
+        # refine_tracks and grid_search_thresholds never see such a track
+        with pytest.raises(ValueError, match="track 7 has no detected entry"):
+            track(entry(4, {"3.24": 0.9}, source=Source.INTERPOLATED), track_id=7)
 
     @settings(max_examples=50, deadline=None)
     @given(summary_sets())

@@ -115,9 +115,9 @@ class TestHierarchy:
 class TestTaxonomy:
     def test_from_text_and_contains(self):
         tax = Taxonomy.from_text("# comment\n3.24\n5.19.1\n5.19.2\n")
-        assert parse_code("3.24") in tax
-        assert parse_code("5.19.1") in tax
-        assert parse_code("9.9.9") not in tax
+        assert parse_code("3.24") in tax.leaves
+        assert parse_code("5.19.1") in tax.leaves
+        assert parse_code("9.9.9") not in tax.leaves
 
     def test_duplicate_rejected(self):
         with pytest.raises(TaxonomyError):
@@ -145,9 +145,9 @@ class TestTaxonomy:
     def test_bundled_registry_loads(self):
         tax = Taxonomy.bundled()
         # the Russian code space holds close to 300 classes
-        assert 250 <= len(tax) <= 350
-        assert parse_code("3.24") in tax
-        assert parse_code("5.19.1") in tax
+        assert 250 <= len(tax.leaves) <= 350
+        assert parse_code("3.24") in tax.leaves
+        assert parse_code("5.19.1") in tax.leaves
 
     def test_bundled_every_leaf_round_trips(self):
         tax = Taxonomy.bundled()

@@ -1,13 +1,16 @@
 """IoU tracker association, track lifecycle, and gap densification."""
 
+import math
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icevision_kit import frames
-from icevision_kit.core import BoundingBox, Detection, Source, iou
+from icevision_kit import frames, tracking
+from icevision_kit.core import BoundingBox, Detection, Source, iou, pixel_rect, search_area
 from icevision_kit.frames import GrayImage
 from icevision_kit.taxonomy import parse_code
 from icevision_kit.tracking import (
@@ -42,6 +45,23 @@ def make_track(*entries, track_id=0):
             for frame, box, code in entries
         ],
     )
+
+
+class TestTrackRules:
+    def test_empty_track_rejected(self):
+        with pytest.raises(ValueError, match="track 3 has no detected entry"):
+            Track(3, [])
+
+    def test_interpolated_entries_alone_rejected(self):
+        track = make_track((0, (0, 0, 30, 30), "3.24"), (3, (3, 0, 33, 30), "3.24"), track_id=3)
+        gaps = [e for e in densify_linear(track).entries if e.source is Source.INTERPOLATED]
+        assert len(gaps) == 2
+        with pytest.raises(ValueError, match="track 3 has no detected entry"):
+            Track(3, gaps)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="track id -1 is negative"):
+            make_track((0, (0, 0, 30, 30), "3.24"), track_id=-1)
 
 
 class TestAssociation:
@@ -258,6 +278,40 @@ def _jitter_track():
     )
     assert len(tracks) == 1 and len(tracks[0].entries) == 2
     return tracks[0], _render_patch(JITTER)
+
+
+@st.composite
+def boxes(draw):
+    coords = st.floats(-100.0, 300.0)
+    x0, x1 = sorted((draw(coords), draw(coords)))
+    y0, y1 = sorted((draw(coords), draw(coords)))
+    return BoundingBox(x0, y0, x1, y1)
+
+
+class TestNccWindow:
+    """densify_ncc slides the clipped template over the clipped search area
+    without checking that it fits: a margin >= 0 guarantees it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(boxes(), boxes(), st.floats(0.0, 50.0), st.integers(1, 200), st.integers(1, 200))
+    def test_clipped_template_lies_inside_clipped_search_area(self, start, end, margin,
+                                                              width, height):
+        tx0, ty0, tx1, ty1 = tracking._clip_rect(pixel_rect(start), width, height)
+        if tx1 > tx0 and ty1 > ty0:
+            search = pixel_rect(search_area(start, end, margin=margin))
+            sx0, sy0, sx1, sy1 = tracking._clip_rect(search, width, height)
+            assert sx0 <= tx0 and sy0 <= ty0 and tx1 <= sx1 and ty1 <= sy1
+
+    @pytest.mark.parametrize("margin", [-1.0, math.inf, math.nan])
+    def test_negative_or_non_finite_margin_rejected(self, margin):
+        track, images = _jitter_track()
+        with pytest.raises(ValueError, match="margin"):
+            densify_ncc(track, images, margin=margin)
+
+    def test_zero_margin_accepted(self):
+        track, images = _jitter_track()
+        dense = densify_ncc(track, images, margin=0.0)
+        assert [e.frame_index for e in dense.entries] == list(range(6))
 
 
 class TestDensifyNcc:
