@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import datastore, frames, harness, refinement, tracking
+from .core import group_by_frame
 from .datastore import DatastoreError, MalformedRecord, atomic_write_bytes, atomic_write_text
 from .frames import BayerPattern, PnmError
 from .refinement import LevelThresholds
@@ -202,7 +203,7 @@ def _cmd_interp(args, parser: _Parser) -> int:
         dense = [tracking.densify_linear(t) for t in tracks]
     if args.out_format == "detections":
         datastore.write_detections(
-            harness.group_by_frame(tracking.tracks_to_detections(dense)), args.output
+            group_by_frame(tracking.tracks_to_detections(dense)), args.output
         )
     else:
         datastore.write_tracks(dense, args.output)
@@ -220,7 +221,7 @@ def _cmd_refine(args, parser: _Parser) -> int:
         except ValueError as exc:
             raise MalformedRecord(args.thresholds, 1, str(exc)) from None
     detections = refinement.refine_tracks(tracks, thresholds)
-    datastore.write_detections(harness.group_by_frame(detections), args.output)
+    datastore.write_detections(group_by_frame(detections), args.output)
     print(f"detections {len(detections)}")
     return EX_OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -18,6 +19,15 @@ from .taxonomy import ClassCode
 
 PROB_SUM_SLACK = 1e-9
 _TINY, _INF = sys.float_info.min, math.inf
+
+
+def index_value(value, what: str) -> int:
+    """``value`` as a plain ``int`` if it is a non-negative integer (numpy
+    integers included); otherwise a ``ValueError`` naming ``what``.  Hot
+    paths call it only when ``type(value) is not int or value < 0``."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class Source(enum.Enum):
@@ -170,8 +180,8 @@ class Detection:
     template_clipped: bool = False
 
     def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.frame_index}")
+        if type(self.frame_index) is not int or self.frame_index < 0:
+            object.__setattr__(self, "frame_index", index_value(self.frame_index, "frame index"))
         if type(self.class_distribution) is not Distribution:
             object.__setattr__(self, "class_distribution", Distribution(self.class_distribution))
 
@@ -219,8 +229,8 @@ class GroundTruthSign:
     temporary: bool = False
 
     def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.frame_index}")
+        if type(self.frame_index) is not int or self.frame_index < 0:
+            object.__setattr__(self, "frame_index", index_value(self.frame_index, "frame index"))
 
 
 @dataclass(frozen=True)
@@ -235,8 +245,8 @@ class FrameAnnotations:
     signs: tuple[GroundTruthSign, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.frame_index}")
+        if type(self.frame_index) is not int or self.frame_index < 0:
+            object.__setattr__(self, "frame_index", index_value(self.frame_index, "frame index"))
         object.__setattr__(self, "signs", tuple(self.signs))
         for sign in self.signs:
             if sign.frame_index != self.frame_index:

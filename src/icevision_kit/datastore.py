@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import errno
 import io
-import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .core import (
     FrameAnnotations,
     GroundTruthSign,
     Source,
+    index_value,
 )
 from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
 from .taxonomy import ClassCode, MalformedCode, is_ascii_digits
@@ -71,9 +71,9 @@ def _parse_real(token: str, path, lineno: int, what: str) -> float:
         raise MalformedRecord(path, lineno, f"{what} is not a number: {token!r}") from None
 
 
-def _parse_frame(token: str, path, lineno: int) -> int:
+def _parse_index(token: str, path, lineno: int, what: str) -> int:
     if not is_ascii_digits(token):
-        raise MalformedRecord(path, lineno, f"frame index is not a non-negative integer: {token!r}")
+        raise MalformedRecord(path, lineno, f"{what} is not a non-negative integer: {token!r}")
     return int(token)
 
 
@@ -270,14 +270,14 @@ def read_annotations(path) -> list[FrameAnnotations]:
     seen: set[tuple[int, tuple[float, float, float, float], tuple[int, ...]]] = set()
     for lineno, fields, plain in _open_records(path, "annotations"):
         if len(fields) == 1:
-            frame = _parse_frame(fields[0], path, lineno)
+            frame = _parse_index(fields[0], path, lineno, "frame index")
             signs.setdefault(frame, [])
             continue
         if len(fields) != 8:
             raise MalformedRecord(
                 path, lineno, f"annotation record needs 1 or 8 fields, got {len(fields)}"
             )
-        frame = _parse_frame(fields[0], path, lineno)
+        frame = _parse_index(fields[0], path, lineno, "frame index")
         code = _parse_code(fields[1], path, lineno)
         box = _parse_box(fields[2:6], path, lineno, plain)
         key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
@@ -329,7 +329,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
             raise MalformedRecord(
                 path, lineno, f"detection record needs 6-8 fields, got {len(fields)}"
             )
-        frame = _parse_frame(fields[0], path, lineno)
+        frame = _parse_index(fields[0], path, lineno, "frame index")
         dist, dist_key = distribution(fields[1], path, lineno)
         box = _parse_box(fields[2:6], path, lineno, plain)
         data = _opt_text(fields[6]) if len(fields) >= 7 else None
@@ -351,7 +351,8 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
         for det in detections[frame]:
             if det.frame_index != frame:
                 raise ValueError(f"detection on frame {det.frame_index} listed under frame {frame}")
-            fields = [str(frame), distribution(det.class_distribution), _format_box(det.box)]
+            fields = [str(det.frame_index), distribution(det.class_distribution),
+                      _format_box(det.box)]
             if det.associated_data is not None or det.temporary is not None:
                 fields.append(_text_or_dash(det.associated_data))
             if det.temporary is not None:
@@ -389,10 +390,8 @@ def read_tracks(path) -> list[Track]:
     for lineno, fields, plain in _open_records(path, "tracks"):
         if len(fields) != 11:
             raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
-        if not is_ascii_digits(fields[0]):
-            raise MalformedRecord(path, lineno, f"track id is not a non-negative integer: {fields[0]!r}")
-        track_id = int(fields[0])
-        frame = _parse_frame(fields[1], path, lineno)
+        track_id = _parse_index(fields[0], path, lineno, "track id")
+        frame = _parse_index(fields[1], path, lineno, "frame index")
         if fields[2] not in _TEXT_SOURCE:
             raise MalformedRecord(path, lineno, f"unknown source {fields[2]!r}")
         box = _parse_box(fields[3:7], path, lineno, plain)
@@ -455,7 +454,8 @@ class SequenceManifest:
     annotation_paths: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple((_frame_number(i), str(p)) for i, p in self.frames))
+        object.__setattr__(self, "frames",
+                           tuple((index_value(i, "frame index"), str(p)) for i, p in self.frames))
         object.__setattr__(self, "annotation_paths", tuple(self.annotation_paths))
         if not self.sequence_id:
             raise ValueError("sequence id must be non-empty")
@@ -468,12 +468,6 @@ class SequenceManifest:
             last = index
         if any(not p for p in self.annotation_paths):
             raise ValueError("empty annotation path")
-
-
-def _frame_number(index) -> int:
-    if not isinstance(index, numbers.Integral) or index < 0:
-        raise ValueError(f"frame index must be a non-negative integer, got {index!r}")
-    return int(index)
 
 
 def read_manifest(path) -> SequenceManifest:
@@ -500,7 +494,7 @@ def read_manifest(path) -> SequenceManifest:
         index_s, sep, frame_path = line.partition("\t")
         if not sep:
             raise MalformedRecord(path, lineno, "expected frame_index<TAB>path")
-        index = _parse_frame(index_s.strip(), path, lineno)
+        index = _parse_index(index_s.strip(), path, lineno, "frame index")
         if frames and index <= frames[-1][0]:
             raise MalformedRecord(path, lineno, f"frame indices not strictly increasing at {index}")
         frames.append((index, frame_path.strip()))

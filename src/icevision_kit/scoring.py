@@ -240,15 +240,6 @@ def match_frame(
 
 
 @dataclass(frozen=True)
-class FrameScore:
-    frame_index: int
-    tp_points: float
-    fp_count: int
-    ignored: int
-    missed: int
-
-
-@dataclass(frozen=True)
 class ClassScore:
     tp_count: int = 0
     tp_points: float = 0.0
@@ -258,7 +249,8 @@ class ClassScore:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Dataset-level totals with per-frame and per-class breakdowns.
+    """Dataset-level totals with per-class breakdowns and each scored
+    frame's :class:`MatchResult`, in frame order.
 
     ``total`` is exactly ``tp_points - fp_penalty * fp_count``.
     """
@@ -267,7 +259,7 @@ class ScoreReport:
     tp_points: float
     fp_count: int
     fp_penalty: float
-    frames: tuple[FrameScore, ...] = field(default_factory=tuple)
+    frames: tuple[MatchResult, ...] = field(default_factory=tuple)
     per_class: dict[ClassCode, ClassScore] = field(default_factory=dict)
 
 
@@ -314,15 +306,7 @@ def score_dataset(
 
     for anno in scored_frames(annotations):
         result = match_frame(detections.get(anno.frame_index, []), anno, cfg)
-        frames.append(
-            FrameScore(
-                frame_index=anno.frame_index,
-                tp_points=result.tp_points,
-                fp_count=len(result.false_positives),
-                ignored=len(result.ignored),
-                missed=len(result.missed),
-            )
-        )
+        frames.append(result)
         for tp in result.true_positives:
             bump(tp.ground_truth.code, tp_count=1, tp_points=tp.score)
         for gt in result.missed:
@@ -330,7 +314,8 @@ def score_dataset(
         for fp in result.false_positives:
             bump(fp.detection.code, fp_count=1)
 
-    total, tp_points, fp_count = dataset_total(((f.tp_points, f.fp_count) for f in frames), cfg)
+    total, tp_points, fp_count = dataset_total(
+        ((f.tp_points, len(f.false_positives)) for f in frames), cfg)
     return ScoreReport(
         total=total,
         tp_points=tp_points,
@@ -348,8 +333,8 @@ def format_report(report: ScoreReport) -> str:
     ]
     for fs in report.frames:
         lines.append(
-            f"{fs.frame_index:>8}  {fs.tp_points:>10.6f}  {fs.fp_count:>4}"
-            f"  {fs.ignored:>7}  {fs.missed:>6}"
+            f"{fs.frame_index:>8}  {fs.tp_points:>10.6f}  {len(fs.false_positives):>4}"
+            f"  {len(fs.ignored):>7}  {len(fs.missed):>6}"
         )
     lines.append("")
     if report.per_class:
@@ -373,8 +358,7 @@ def report_records(report: ScoreReport) -> str:
     """Machine-readable per-frame records (one line per annotated frame)."""
     lines = [f"{FORMAT_VERSION} score"]
     for fs in report.frames:
-        lines.append(
-            f"{fs.frame_index} {fs.tp_points:.6f} {fs.fp_count} {fs.ignored} {fs.missed}"
-        )
+        lines.append(f"{fs.frame_index} {fs.tp_points:.6f} {len(fs.false_positives)}"
+                     f" {len(fs.ignored)} {len(fs.missed)}")
     lines.append(f"# total {report.total:.6f}")
     return "\n".join(lines) + "\n"

@@ -12,21 +12,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import (BoundingBox, Detection, Source, greedy_match, iou, lerp_box, pixel_rect,
-                   search_area)
+from .core import (BoundingBox, Detection, Source, greedy_match, index_value, iou, lerp_box,
+                   pixel_rect, search_area)
 from . import frames as frames_mod
 
 
-@dataclass
+@dataclass(frozen=True)
 class Track:
-    """A time-ordered chain of boxes believed to be one physical sign."""
+    """A time-ordered chain of boxes believed to be one physical sign;
+    checked once, when built, and frozen (``entries`` is a tuple)."""
 
     id: int
-    entries: list[Detection]
+    entries: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"track id {self.id} is negative")
+        if type(self.id) is not int or self.id < 0:
+            object.__setattr__(self, "id", index_value(self.id, "track id"))
+        object.__setattr__(self, "entries", tuple(self.entries))
         # densifying and refining both start from the detector's keyframes
         if not any(e.source is Source.DETECTED for e in self.entries):
             raise ValueError(f"track {self.id} has no detected entry")
@@ -77,8 +79,8 @@ def run_tracker(
     a DETECTED copy without NCC flags.
     """
     cfg = cfg or TrackerConfig()
-    tracks: list[Track] = []
-    active: list[tuple[Track, int]] = []  # (track, consecutive misses), oldest first
+    chains: list[list[Detection]] = []  # each track's entries, built into a Track at the end
+    active: list[tuple[list[Detection], int]] = []  # (chain, consecutive misses), oldest first
     for frame_index in sorted(keyframe_detections):
         detections = keyframe_detections[frame_index]
         for det in detections:
@@ -94,8 +96,8 @@ def run_tracker(
         ]
 
         candidates = []
-        for t_idx, (track, _) in enumerate(active):
-            last_box = track.entries[-1].box
+        for t_idx, (chain, _) in enumerate(active):
+            last_box = chain[-1].box
             for d_idx, det in enumerate(detections):
                 overlap = iou(last_box, det.box)
                 if overlap >= cfg.iou_threshold:
@@ -104,19 +106,19 @@ def run_tracker(
         det_match = {d_idx for d_idx, _ in track_match.values()}
 
         still_active = []
-        for t_idx, (track, misses) in enumerate(active):
+        for t_idx, (chain, misses) in enumerate(active):
             if t_idx in track_match:
-                track.entries.append(detections[track_match[t_idx][0]])
-                still_active.append((track, 0))
+                chain.append(detections[track_match[t_idx][0]])
+                still_active.append((chain, 0))
             elif misses < cfg.max_missed_keyframes:
-                still_active.append((track, misses + 1))
+                still_active.append((chain, misses + 1))
         for d_idx, det in enumerate(detections):
             if d_idx not in det_match:
-                track = Track(id=len(tracks), entries=[det])
-                tracks.append(track)
-                still_active.append((track, 0))
+                chains.append([det])
+                still_active.append((chains[-1], 0))
         active = still_active
-    return [t for t in tracks if len(t.entries) >= cfg.min_track_length]
+    return [Track(id=track_id, entries=chain) for track_id, chain in enumerate(chains)
+            if len(chain) >= cfg.min_track_length]
 
 
 def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[tuple]]) -> Track:

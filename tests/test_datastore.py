@@ -421,7 +421,7 @@ class TestWritersRefuseWhatWouldNotReRead:
 
     def test_negative_track_id(self):
         # refused when built, so no writer sees it
-        with pytest.raises(ValueError, match="track id -1 is negative"):
+        with pytest.raises(ValueError, match="track id must be a non-negative integer, got -1"):
             TestTracks.make_track(-1)
 
     def test_track_with_no_detected_entry(self):
@@ -430,7 +430,7 @@ class TestWritersRefuseWhatWouldNotReRead:
             Track(7, [e for e in track.entries if e.source is not Source.DETECTED])
 
     def test_annotations_for_a_negative_frame(self, tmp_path):
-        with pytest.raises(ValueError, match="frame index must be non-negative, got -1"):
+        with pytest.raises(ValueError, match="frame index must be a non-negative integer, got -1"):
             write_annotations([FrameAnnotations(1), FrameAnnotations(-1)], tmp_path / "a.txt")
         assert list(tmp_path.iterdir()) == []
 
@@ -440,6 +440,60 @@ class TestWritersRefuseWhatWouldNotReRead:
         with pytest.raises(ValueError, match=re.escape(message)):
             write_manifest(SequenceManifest("s", ((index, "a.pgm"),)), tmp_path / "m.txt")
         assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def write_one(kind, index, path) -> int:
+        """Build one value of ``kind`` with ``index`` as its frame index (its
+        id for a track), write it to ``path`` and return the index it stores."""
+        box, code = BoundingBox(0, 0, 10, 10), parse_code("3.24")
+        if kind == "detection":
+            det = Detection(index, box, {code: 1.0})
+            write_detections({index: [det]}, path)
+            return det.frame_index
+        if kind == "sign":
+            sign = GroundTruthSign(index, box, code)
+            write_annotations([FrameAnnotations(sign.frame_index, (sign,))], path)
+            return sign.frame_index
+        if kind == "annotations":
+            annotations = FrameAnnotations(index)
+            write_annotations([annotations], path)
+            return annotations.frame_index
+        if kind == "manifest":
+            manifest = SequenceManifest("s", ((index, "a.pgm"),))
+            write_manifest(manifest, path)
+            return manifest.frames[0][0]
+        track = Track(index, [Detection(0, box, {code: 1.0})])
+        write_tracks([track], path)
+        return track.id
+
+    INDEX_KINDS = ["detection", "sign", "annotations", "manifest", "track"]
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    @pytest.mark.parametrize("index", [-1, 1.5, np.float64(2.0), "3", None])
+    def test_index_that_is_not_a_non_negative_integer(self, tmp_path, kind, index):
+        # refused when built, with one message for all five types
+        what = "track id" if kind == "track" else "frame index"
+        message = f"{what} must be a non-negative integer, got {index!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.write_one(kind, index, tmp_path / "out.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    @pytest.mark.parametrize("index", [np.int64(7), np.uint8(7), 7])
+    def test_integer_index_is_stored_as_a_plain_int(self, tmp_path, kind, index):
+        path = tmp_path / "out.txt"
+        stored = self.write_one(kind, index, path)
+        assert type(stored) is int and stored == 7
+        assert path.read_text().splitlines()[-1].split()[0] == "7"
+
+    @pytest.mark.parametrize("key", [1.0, np.float64(1.0), True, np.int64(1)])
+    def test_detection_frame_is_written_from_the_record(self, tmp_path, key):
+        # a key equal to the record's frame index passes the listing check;
+        # the record's own index is what the file holds
+        det = Detection(1, BoundingBox(0, 0, 10, 10), {parse_code("3.24"): 1.0})
+        path = tmp_path / "d.txt"
+        write_detections({key: [det]}, path)
+        assert read_detections(path) == {1: [det]}
 
     def test_two_annotations_for_one_frame(self, tmp_path):
         annotations = [FrameAnnotations(3, (self.sign(3),)), FrameAnnotations(1),

@@ -1,9 +1,11 @@
-"""Each module is importable first, in a fresh interpreter.
+"""Each module is importable first, in a fresh interpreter, and takes
+each name of another package module from the module that defines it.
 
 The package root imports nothing, so an import cycle between two modules
 shows when one of them is the first module a program imports.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +34,47 @@ def test_package_root_exports_nothing():
                         "print(sorted(n for n in vars(kit) if not n.startswith('__')))")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names a module binds itself at top level: imported names excluded."""
+    names: set[str] = set()
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)  # not descended into: its locals are not the module's
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        else:  # the bodies of a top-level if, try or with
+            nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def foreign_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line module.name`` for every name one package module takes from
+    another (``from .m import name`` or ``m.name``) that ``m`` only imports."""
+    defined = {module: defined_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        aliases = {}  # local name -> package module, from ``from . import m [as x]``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif alias.name not in defined[node.module]:
+                        found.append(f"{module}.py:{node.lineno} {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and node.attr not in defined[aliases[node.value.id]]):
+                found.append(f"{module}.py:{node.lineno} {aliases[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_each_name_is_taken_from_the_module_that_defines_it():
+    trees = {module: ast.parse((SRC / "icevision_kit" / f"{module}.py").read_text())
+             for module in MODULES}
+    assert foreign_names(trees) == []

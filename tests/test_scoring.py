@@ -1,5 +1,6 @@
 """Competition metric: formula exactness, matching, duplicates, ignores."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -410,6 +411,47 @@ class TestScoreDataset:
             score_dataset(without_fp, anns, ONLINE).total
             >= score_dataset(with_fp, anns, ONLINE).total
         )
+
+    @staticmethod
+    def mixed_frames():
+        """Frame 0 has a true positive and a false positive of every reason,
+        frame 5 is annotated empty with one detection, frame 9 has a missed
+        sign; frame 7 is not annotated."""
+        anns = [
+            FrameAnnotations(9, (gt(9, (0, 0, 100, 100)),)),
+            FrameAnnotations(0, (gt(0, (0, 0, 100, 100)),)),
+            FrameAnnotations(5),
+        ]
+        dets = {
+            0: [det(0, (0, 0, 100, 100)), det(0, (2, 0, 100, 100)),
+                det(0, (0, 0, 100, 100), code="5.19.1"), det(0, (400, 400, 440, 440))],
+            5: [det(5, (0, 0, 30, 30))],
+            7: [det(7, (0, 0, 30, 30))],
+        }
+        return anns, dets
+
+    def test_frames_are_the_match_results(self):
+        anns, dets = self.mixed_frames()
+        report = score_dataset(dets, anns, ONLINE)
+        assert [result.frame_index for result in report.frames] == [0, 5, 9]
+        for result in report.frames:
+            anno = next(a for a in anns if a.frame_index == result.frame_index)
+            assert result == match_frame(dets.get(anno.frame_index, []), anno, ONLINE)
+
+    def test_fp_reasons_add_up_to_the_fp_count(self):
+        anns, dets = self.mixed_frames()
+        report = score_dataset(dets, anns, ONLINE)
+        tallies = [collections.Counter(fp.reason for fp in result.false_positives)
+                   for result in report.frames]
+        for tally, result in zip(tallies, report.frames):
+            assert sum(tally.values()) == len(result.false_positives)
+        assert sum(len(result.false_positives) for result in report.frames) == report.fp_count
+        assert tallies == [
+            {FpReason.DUPLICATE: 1, FpReason.WRONG_CLASS: 1, FpReason.UNMATCHED: 1},
+            {FpReason.UNMATCHED: 1},
+            {},
+        ]
+        assert report.fp_count == 4
 
     def test_report_renders(self):
         anns = [FrameAnnotations(frame_index=0, signs=(gt(0, (0, 0, 100, 100)),))]

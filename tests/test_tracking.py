@@ -2,7 +2,8 @@
 
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -60,8 +61,27 @@ class TestTrackRules:
             Track(3, gaps)
 
     def test_negative_id_rejected(self):
-        with pytest.raises(ValueError, match="track id -1 is negative"):
+        with pytest.raises(ValueError, match="track id must be a non-negative integer, got -1"):
             make_track((0, (0, 0, 30, 30), "3.24"), track_id=-1)
+
+    @pytest.mark.parametrize("track_id", [1.5, np.float64(2.0), "3"])
+    def test_non_integer_id_rejected(self, track_id):
+        message = f"track id must be a non-negative integer, got {track_id!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_track((0, (0, 0, 30, 30), "3.24"), track_id=track_id)
+
+    def test_frozen_with_tuple_entries(self):
+        track = make_track((0, (0, 0, 30, 30), "3.24"), (3, (3, 0, 33, 30), "3.24"))
+        assert type(track.entries) is tuple and len(track.entries) == 2
+        with pytest.raises(FrozenInstanceError):
+            track.entries = track.entries[:1]
+        with pytest.raises(FrozenInstanceError):
+            track.id = 1
+
+    def test_tracker_builds_frozen_tracks(self):
+        tracks = run_tracker({0: [det(0, (0, 0, 30, 30))], 3: [det(3, (3, 0, 33, 30))]})
+        assert [type(t.entries) for t in tracks] == [tuple]
+        assert [e.frame_index for e in tracks[0].entries] == [0, 3]
 
 
 class TestAssociation:
@@ -238,7 +258,7 @@ class TestDensifyLinear:
             {0: [det(0, (0, 0, 30, 30))], 3: [det(3, (12, 0, 42, 30))], 6: [det(6, (24, 0, 54, 30))]}
         )[0]
         dense = densify_linear(track)
-        keyed = [e for e in dense.entries if e.source is Source.DETECTED]
+        keyed = tuple(e for e in dense.entries if e.source is Source.DETECTED)
         assert keyed == track.entries
 
     def test_no_extrapolation(self):
@@ -364,7 +384,7 @@ class TestDensifyNcc:
         track, images = _jitter_track()
         dense = densify_ncc(track, images)
         assert len(dense.entries) == 6
-        assert [e for e in dense.entries if e.source is Source.DETECTED] == track.entries
+        assert tuple(e for e in dense.entries if e.source is Source.DETECTED) == track.entries
 
     @staticmethod
     def count_template_spectra(monkeypatch) -> list:
