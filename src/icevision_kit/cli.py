@@ -18,7 +18,7 @@ from pathlib import Path
 from . import datastore, frames, harness, refinement, tracking
 from .core import group_by_frame
 from .datastore import DatastoreError, MalformedRecord, atomic_write_bytes, atomic_write_text
-from .frames import BayerPattern, PnmError
+from .frames import BayerPattern
 from .refinement import LevelThresholds
 from .scoring import ScoringConfig, Stage, format_report, report_records, score_dataset
 from .tracking import TrackerConfig
@@ -275,7 +275,7 @@ def _cmd_convert(args, parser: _Parser) -> int:
                 rgb = frames.crop_rows(rgb, crop_keep)
             if equalize:
                 rgb = frames.equalize_rgb(rgb)
-        except (PnmError, ValueError) as exc:
+        except ValueError as exc:
             raise DatastoreError(input_path, None, str(exc)) from None
         atomic_write_bytes(out_path, frames.write_ppm(rgb))
         print(out_path)
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         # a missing file, or a path that names a directory or cannot be written
         print(f"icevision-kit: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EX_MISSING_INPUT if isinstance(exc, FileNotFoundError) else EX_USAGE
-    except (DatastoreError, PnmError) as exc:
+    except DatastoreError as exc:
         print(f"icevision-kit: {exc}", file=sys.stderr)
         return EX_MALFORMED_INPUT
 

@@ -3,17 +3,19 @@
 
 Record files are whitespace-separated text with a one-line versioned
 header (``icevision-kit/v1 <kind>``).  Readers are strict: malformed input
-is rejected with the file and line number, never repaired.  Writers are
-atomic (unique temp file, then rename) and byte-deterministic, and every
-writer's output re-reads to the value that was written: a value that
-would re-read as another is a ``ValueError`` and nothing is written.
-Two equal detection records on one frame are still written; the reader
-rejects them.
+is rejected, never repaired; the token parsers raise plain ``ValueError``,
+and a reader reports it as the error of the file and line it came from.
+Writers are atomic (unique temp file, then rename) and byte-deterministic,
+and every writer's output re-reads to the value that was written: a value
+that would re-read as another is a ``ValueError`` and nothing is written.
+Equal detection records on one frame read as separate detections, which
+the scorer charges as duplicates.
 """
 
 from __future__ import annotations
 
 import errno
+import functools
 import io
 import os
 import secrets
@@ -64,85 +66,82 @@ def _format_box(box: BoundingBox) -> str:
     return "%.6f %.6f %.6f %.6f" % (box.x_min, box.y_min, box.x_max, box.y_max)
 
 
-def _parse_real(token: str, path, lineno: int, what: str) -> float:
+def _parse_real(token: str, what: str) -> float:
     try:
         return real_value(token)
     except ValueError:
-        raise MalformedRecord(path, lineno, f"{what} is not a number: {token!r}") from None
+        raise ValueError(f"{what} is not a number: {token!r}") from None
 
 
-def _parse_index(token: str, path, lineno: int, what: str) -> int:
+def _parse_index(token: str, what: str) -> int:
     if not is_ascii_digits(token):
-        raise MalformedRecord(path, lineno, f"{what} is not a non-negative integer: {token!r}")
+        raise ValueError(f"{what} is not a non-negative integer: {token!r}")
     return int(token)
 
 
-def _parse_box(tokens: list[str], path, lineno: int, plain: bool) -> BoundingBox:
+def _parse_box(tokens: list[str], plain: bool) -> BoundingBox:
     try:
         coords = [float(t) for t in tokens] if plain else [real_value(t) for t in tokens]
     except ValueError:  # again token by token, to name the bad one
-        coords = [_parse_real(t, path, lineno, "box coordinate") for t in tokens]
+        coords = [_parse_real(t, "box coordinate") for t in tokens]
     try:
         return BoundingBox(*coords)
     except ValueError as exc:
-        raise MalformedRecord(path, lineno, f"bad box: {exc}") from None
+        raise ValueError(f"bad box: {exc}") from None
 
 
-def _parse_flag(token: str, path, lineno: int) -> bool:
+def _parse_flag(token: str) -> bool:
     if token == "true":
         return True
     if token == "false":
         return False
-    raise MalformedRecord(path, lineno, f"expected true/false, got {token!r}")
+    raise ValueError(f"expected true/false, got {token!r}")
 
 
-def _parse_opt_flag(token: str, path, lineno: int) -> bool | None:
-    return None if token == "-" else _parse_flag(token, path, lineno)
+def _parse_opt_flag(token: str) -> bool | None:
+    return None if token == "-" else _parse_flag(token)
 
 
-def _parse_code(token: str, path, lineno: int) -> ClassCode:
+def _parse_code(token: str) -> ClassCode:
     try:
         return ClassCode.parse(token)
     except MalformedCode as exc:
-        raise MalformedRecord(path, lineno, f"bad class code: {exc}") from None
+        raise ValueError(f"bad class code: {exc}") from None
 
 
-def _parse_distribution(token: str, path, lineno: int) -> Distribution:
+class _NotADistribution(ValueError):
+    """A distribution token that parses but holds no valid distribution."""
+
+
+def _parse_distribution(token: str) -> Distribution:
     dist: dict[ClassCode, float] = {}
     if ":" not in token:
-        return Distribution({_parse_code(token, path, lineno): 1.0})
+        return Distribution({_parse_code(token): 1.0})
     for pair in token.split(","):
         code_s, sep, prob_s = pair.partition(":")
         if not sep:
-            raise MalformedRecord(path, lineno, f"distribution entry missing ':': {pair!r}")
-        code = _parse_code(code_s, path, lineno)
-        prob = _parse_real(prob_s, path, lineno, "probability")
+            raise ValueError(f"distribution entry missing ':': {pair!r}")
+        code = _parse_code(code_s)
+        prob = _parse_real(prob_s, "probability")
         if code in dist:
-            raise InvalidDistribution(path, lineno, f"repeated code {code} in distribution")
+            raise _NotADistribution(f"repeated code {code} in distribution")
         dist[code] = prob
     try:
         return Distribution(dist)
     except ValueError as exc:
-        raise InvalidDistribution(path, lineno, str(exc)) from None
+        raise _NotADistribution(str(exc)) from None
+
+
+def _record_error(path, lineno: int, exc: ValueError) -> DatastoreError:
+    """What a reader raises for the ``ValueError`` of its record at ``path:lineno``:
+    :class:`InvalidDistribution` for a distribution that parses but is not one."""
+    kind = InvalidDistribution if isinstance(exc, _NotADistribution) else MalformedRecord
+    return kind(path, lineno, str(exc))
 
 
 def _format_distribution(dist: Distribution) -> str:
     items = sorted(dist.items(), key=lambda item: item[0].segments)
     return ",".join(f"{code}:{_format_real(prob)}" for code, prob in items)
-
-
-def _memo_by_token(parse: Callable[[str, object, int], object]) -> Callable:
-    """``parse(token, path, lineno)`` run once per distinct token of one file
-    read.  Only results are kept, so a bad token raises on its own line."""
-    memo: dict[str, object] = {}
-
-    def cached(token: str, path, lineno: int):
-        value = memo.get(token)
-        if value is None:
-            value = memo[token] = parse(token, path, lineno)
-        return value
-
-    return cached
 
 
 def _memo_by_object(fmt: Callable[[object], str]) -> Callable:
@@ -157,12 +156,6 @@ def _memo_by_object(fmt: Callable[[object], str]) -> Callable:
         return hit[1]
 
     return cached
-
-
-def _distribution_and_key(token: str, path, lineno: int) -> tuple[Distribution, tuple]:
-    """A detection's distribution and its part of the duplicate-record key."""
-    dist = _parse_distribution(token, path, lineno)
-    return dist, tuple(sorted((c.segments, p) for c, p in dist.items()))
 
 
 def _opt_text(token: str) -> str | None:
@@ -264,35 +257,35 @@ def read_annotations(path) -> list[FrameAnnotations]:
 
     Record: ``frame code x_min y_min x_max y_max data temporary`` with
     data ``-`` when absent.  A line holding just a frame number marks an
-    annotated-but-empty frame.
+    annotated-but-empty frame.  Two signs alike in frame, code and box are rejected.
     """
     signs: dict[int, list[GroundTruthSign]] = {}
     seen: set[tuple[int, tuple[float, float, float, float], tuple[int, ...]]] = set()
     for lineno, fields, plain in _open_records(path, "annotations"):
-        if len(fields) == 1:
-            frame = _parse_index(fields[0], path, lineno, "frame index")
-            signs.setdefault(frame, [])
-            continue
-        if len(fields) != 8:
-            raise MalformedRecord(
-                path, lineno, f"annotation record needs 1 or 8 fields, got {len(fields)}"
+        try:
+            if len(fields) == 1:
+                signs.setdefault(_parse_index(fields[0], "frame index"), [])
+                continue
+            if len(fields) != 8:
+                raise ValueError(f"annotation record needs 1 or 8 fields, got {len(fields)}")
+            frame = _parse_index(fields[0], "frame index")
+            code = _parse_code(fields[1])
+            box = _parse_box(fields[2:6], plain)
+            key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
+            if key in seen:
+                raise ValueError(f"duplicate annotation for frame {frame}, {code}")
+            seen.add(key)
+            signs.setdefault(frame, []).append(
+                GroundTruthSign(
+                    frame_index=frame,
+                    box=box,
+                    code=code,
+                    associated_data=_opt_text(fields[6]),
+                    temporary=_parse_flag(fields[7]),
+                )
             )
-        frame = _parse_index(fields[0], path, lineno, "frame index")
-        code = _parse_code(fields[1], path, lineno)
-        box = _parse_box(fields[2:6], path, lineno, plain)
-        key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
-        if key in seen:
-            raise MalformedRecord(path, lineno, f"duplicate annotation for frame {frame}, {code}")
-        seen.add(key)
-        signs.setdefault(frame, []).append(
-            GroundTruthSign(
-                frame_index=frame,
-                box=box,
-                code=code,
-                associated_data=_opt_text(fields[6]),
-                temporary=_parse_flag(fields[7], path, lineno),
-            )
-        )
+        except ValueError as exc:
+            raise _record_error(path, lineno, exc) from None
     return [
         FrameAnnotations(frame_index=frame, signs=tuple(signs[frame]))
         for frame in sorted(signs)
@@ -304,8 +297,14 @@ def write_annotations(annotations: list[FrameAnnotations], path) -> None:
     for ann in _sorted_unique(annotations, lambda a: a.frame_index, "annotations for frame"):
         if not ann.signs:
             lines.append(f"{ann.frame_index}\n")
+        keys = set()
         for sign in ann.signs:
-            lines.append(f"{ann.frame_index} {sign.code} {_format_box(sign.box)} "
+            box = _format_box(sign.box)
+            key = (sign.code, *map(float, box.split()))  # the reader's key: code, re-read box
+            if key in keys:
+                raise ValueError(f"duplicate annotation for frame {ann.frame_index}, {sign.code}")
+            keys.add(key)
+            lines.append(f"{ann.frame_index} {sign.code} {box} "
                          f"{_text_or_dash(sign.associated_data)} {_flag_text(sign.temporary)}\n")
     atomic_write_text(path, "".join(lines))
 
@@ -322,25 +321,21 @@ def read_detections(path) -> dict[int, list[Detection]]:
     probability 1.
     """
     out: dict[int, list[Detection]] = {}
-    seen: set[tuple] = set()
-    distribution = _memo_by_token(_distribution_and_key)
+    distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
     for lineno, fields, plain in _open_records(path, "detections"):
-        if len(fields) not in (6, 7, 8):
-            raise MalformedRecord(
-                path, lineno, f"detection record needs 6-8 fields, got {len(fields)}"
+        try:
+            if len(fields) not in (6, 7, 8):
+                raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
+            det = Detection(
+                frame_index=_parse_index(fields[0], "frame index"),
+                class_distribution=distribution(fields[1]),
+                box=_parse_box(fields[2:6], plain),
+                associated_data=_opt_text(fields[6]) if len(fields) >= 7 else None,
+                temporary=_parse_opt_flag(fields[7]) if len(fields) == 8 else None,
             )
-        frame = _parse_index(fields[0], path, lineno, "frame index")
-        dist, dist_key = distribution(fields[1], path, lineno)
-        box = _parse_box(fields[2:6], path, lineno, plain)
-        data = _opt_text(fields[6]) if len(fields) >= 7 else None
-        temporary = _parse_opt_flag(fields[7], path, lineno) if len(fields) == 8 else None
-        key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), dist_key, data, temporary)
-        if key in seen:
-            raise MalformedRecord(path, lineno, f"duplicate detection record on frame {frame}")
-        seen.add(key)
-        det = Detection(frame_index=frame, box=box, class_distribution=dist,
-                        associated_data=data, temporary=temporary)
-        out.setdefault(frame, []).append(det)
+        except ValueError as exc:
+            raise _record_error(path, lineno, exc) from None
+        out.setdefault(det.frame_index, []).append(det)
     return out
 
 
@@ -386,23 +381,29 @@ def read_tracks(path) -> list[Track]:
     """
     entries: dict[int, list[Detection]] = {}
     first_lines: dict[int, int] = {}
-    distribution = _memo_by_token(_parse_distribution)
+    distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
     for lineno, fields, plain in _open_records(path, "tracks"):
-        if len(fields) != 11:
-            raise MalformedRecord(path, lineno, f"track record needs 11 fields, got {len(fields)}")
-        track_id = _parse_index(fields[0], path, lineno, "track id")
-        frame = _parse_index(fields[1], path, lineno, "frame index")
-        if fields[2] not in _TEXT_SOURCE:
-            raise MalformedRecord(path, lineno, f"unknown source {fields[2]!r}")
-        box = _parse_box(fields[3:7], path, lineno, plain)
-        dist = distribution(fields[7], path, lineno)
-        temporary = _parse_opt_flag(fields[9], path, lineno)
-        flags_field = fields[10]
-        flags = set() if flags_field == "-" else set(flags_field.split(","))
-        unknown = flags - set(_NCC_FLAGS)
-        if unknown:
-            raise MalformedRecord(path, lineno, f"unknown flags {sorted(unknown)}")
-        entry = Detection(
+        try:
+            if len(fields) != 11:
+                raise ValueError(f"track record needs 11 fields, got {len(fields)}")
+            track_id = _parse_index(fields[0], "track id")
+            frame = _parse_index(fields[1], "frame index")
+            if fields[2] not in _TEXT_SOURCE:
+                raise ValueError(f"unknown source {fields[2]!r}")
+            box = _parse_box(fields[3:7], plain)
+            dist = distribution(fields[7])
+            temporary = _parse_opt_flag(fields[9])
+            flags = set() if fields[10] == "-" else set(fields[10].split(","))
+            unknown = flags - set(_NCC_FLAGS)
+            if unknown:
+                raise ValueError(f"unknown flags {sorted(unknown)}")
+            earlier = entries.setdefault(track_id, [])
+            if earlier and frame <= earlier[-1].frame_index:
+                raise ValueError(f"track {track_id} frame indices not strictly "
+                                 f"increasing ({earlier[-1].frame_index} -> {frame})")
+        except ValueError as exc:
+            raise _record_error(path, lineno, exc) from None
+        earlier.append(Detection(
             frame_index=frame,
             box=box,
             class_distribution=dist,
@@ -411,19 +412,14 @@ def read_tracks(path) -> list[Track]:
             source=_TEXT_SOURCE[fields[2]],
             ncc_degenerate="ncc_degenerate" in flags,
             template_clipped="template_clipped" in flags,
-        )
-        earlier = entries.setdefault(track_id, [])
-        if earlier and frame <= earlier[-1].frame_index:
-            raise MalformedRecord(path, lineno, f"track {track_id} frame indices not strictly "
-                                  f"increasing ({earlier[-1].frame_index} -> {frame})")
-        earlier.append(entry)
+        ))
         first_lines.setdefault(track_id, lineno)
     tracks = []
     for track_id in sorted(entries):
         try:
             tracks.append(Track(id=track_id, entries=entries[track_id]))
         except ValueError as exc:
-            raise MalformedRecord(path, first_lines[track_id], str(exc)) from None
+            raise _record_error(path, first_lines[track_id], exc) from None
     return tracks
 
 
@@ -477,26 +473,29 @@ def read_manifest(path) -> SequenceManifest:
     frames: list[tuple[int, str]] = []
     annotation_paths: list[str] = []
     for lineno, line in _body_lines(path, "manifest"):
-        if line.startswith("#"):
-            name, sep, value = line[1:].strip().partition(":")
-            if not sep or name not in ("sequence", "annotation"):
-                continue  # a comment
-            value = value.strip()
-            if not value:
-                raise MalformedRecord(path, lineno, f"empty '# {name}:' directive")
-            if name == "annotation":
-                annotation_paths.append(value)
-            elif sequence_id is not None:
-                raise MalformedRecord(path, lineno, "repeated '# sequence:' directive")
-            else:
-                sequence_id = value
-            continue
-        index_s, sep, frame_path = line.partition("\t")
-        if not sep:
-            raise MalformedRecord(path, lineno, "expected frame_index<TAB>path")
-        index = _parse_index(index_s.strip(), path, lineno, "frame index")
-        if frames and index <= frames[-1][0]:
-            raise MalformedRecord(path, lineno, f"frame indices not strictly increasing at {index}")
+        try:
+            if line.startswith("#"):
+                name, sep, value = line[1:].strip().partition(":")
+                if not sep or name not in ("sequence", "annotation"):
+                    continue  # a comment
+                value = value.strip()
+                if not value:
+                    raise ValueError(f"empty '# {name}:' directive")
+                if name == "annotation":
+                    annotation_paths.append(value)
+                elif sequence_id is not None:
+                    raise ValueError("repeated '# sequence:' directive")
+                else:
+                    sequence_id = value
+                continue
+            index_s, sep, frame_path = line.partition("\t")
+            if not sep:
+                raise ValueError("expected frame_index<TAB>path")
+            index = _parse_index(index_s.strip(), "frame index")
+            if frames and index <= frames[-1][0]:
+                raise ValueError(f"frame indices not strictly increasing at {index}")
+        except ValueError as exc:
+            raise _record_error(path, lineno, exc) from None
         frames.append((index, frame_path.strip()))
     if sequence_id is None:
         raise MalformedRecord(path, None, "missing '# sequence: <id>' directive")

@@ -433,8 +433,15 @@ class NccTemplate:
         self._spectra = _template_spectra(t, self.shape, self.max_value)
 
     def scores(self, search: GrayImage) -> np.ndarray:
-        """:func:`ncc_scores` of the template over ``search``, which must have
-        the prepared shape and a sample range no larger."""
+        """NCC of the template at every placement inside ``search``, which
+        must have the prepared shape and a sample range no larger.
+
+        Returns an array of shape (search_h - t_h + 1, search_w - t_w + 1)
+        with -inf at degenerate (zero variance) placements.  The numerator
+        ``n*Swt - St*Sw`` and the variances ``n*St2 - St**2`` and
+        ``n*Sw2 - Sw**2`` are exact integers, so equal windows score exactly
+        equal and a placement is degenerate exactly when a variance is 0.
+        """
         if search.samples.shape != self.shape or search.max_value > self.max_value:
             raise ValueError(f"search window does not fit a template prepared for {self.shape}")
         t, s = self._t, search.samples.astype(np.int64)
@@ -453,18 +460,6 @@ class NccTemplate:
         np.clip(scores, -1.0, 1.0, out=scores)
         scores[(var_w == 0) | (var_t == 0)] = -np.inf
         return scores
-
-
-def ncc_scores(template: GrayImage, search: GrayImage) -> np.ndarray:
-    """NCC of the template at every placement inside the search window.
-
-    Returns an array of shape (search_h - t_h + 1, search_w - t_w + 1)
-    with -inf at degenerate (zero variance) placements.  The numerator
-    ``n*Swt - St*Sw`` and the variances ``n*St2 - St**2`` and
-    ``n*Sw2 - Sw**2`` are exact integers, so equal windows score exactly
-    equal and a placement is degenerate exactly when a variance is 0.
-    """
-    return NccTemplate(template, search).scores(search)
 
 
 def ncc_match(

@@ -46,12 +46,6 @@ def _majority(values: list):
     return Counter(present).most_common(1)[0][0] if present else None
 
 
-def vote_associated_data(track: Track) -> str | None:
-    """Majority vote over entries carrying associated data; ties go to the
-    value seen earliest in the track."""
-    return _majority([e.associated_data for e in track.entries])
-
-
 def _best_per_track(pairs: np.ndarray, values: np.ndarray, width: int, count: int):
     """Each track's highest value and its column among the rows ``(track *
     width + column, value)``; ties go to the smaller column."""
@@ -112,8 +106,9 @@ def _summarize(tracks: list[Track]) -> tuple[list[tuple[ClassCode, ...]], np.nda
         bests.append(_best_per_track(pooled, pooled_means, width, len(tracks)))
     best_cols, probs = (np.stack(level_bests, axis=1) for level_bests in zip(*bests))
     codes = [(code_of[a], code_of[b], code_of[c]) for a, b, c in best_cols.tolist()]
+    data = [_majority([e.associated_data for e in track.entries]) for track in tracks]
     temporary = [_majority([e.temporary for e in track.entries]) for track in tracks]
-    return codes, probs, [vote_associated_data(track) for track in tracks], temporary
+    return codes, probs, data, temporary
 
 
 def _assign(entries: list[Detection], code: ClassCode, prob: float,

@@ -3,8 +3,7 @@
 The library parses and formats each distinct distribution once per file
 and formats a box in one operation; the versions here format every
 coordinate on its own and parse every line afresh, as the codec first
-did.  They read valid files only (plus the duplicate-detection check)
-and serve as differential-test oracles.
+did.  They read valid files only and serve as differential-test oracles.
 """
 
 from __future__ import annotations
@@ -15,12 +14,6 @@ from icevision_kit.core import BoundingBox, Detection, Source
 from icevision_kit.datastore import FORMAT_VERSION
 from icevision_kit.taxonomy import ClassCode
 from icevision_kit.tracking import Track
-
-
-class DuplicateDetection(ValueError):
-    def __init__(self, lineno: int):
-        super().__init__(f"duplicate detection record on line {lineno}")
-        self.lineno = lineno
 
 
 def format_real(value: float) -> str:
@@ -95,24 +88,17 @@ def _opt_flag(token: str) -> bool | None:
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
-    """Raises :class:`DuplicateDetection` where the library raises its
-    duplicate-record error."""
     out: dict[int, list[Detection]] = {}
-    seen = set()
-    for lineno, fields in _records(path, "detections"):
+    for _, fields in _records(path, "detections"):
         frame = int(fields[0])
-        dist = parse_distribution(fields[1])
-        box = BoundingBox(*(float(t) for t in fields[2:6]))
-        data = _opt(fields[6]) if len(fields) >= 7 else None
-        temporary = _opt_flag(fields[7]) if len(fields) == 8 else None
-        key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max),
-               tuple(sorted((c.segments, p) for c, p in dist.items())), data, temporary)
-        if key in seen:
-            raise DuplicateDetection(lineno)
-        seen.add(key)
         out.setdefault(frame, []).append(
-            Detection(frame_index=frame, box=box, class_distribution=dist,
-                      associated_data=data, temporary=temporary)
+            Detection(
+                frame_index=frame,
+                box=BoundingBox(*(float(t) for t in fields[2:6])),
+                class_distribution=parse_distribution(fields[1]),
+                associated_data=_opt(fields[6]) if len(fields) >= 7 else None,
+                temporary=_opt_flag(fields[7]) if len(fields) == 8 else None,
+            )
         )
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from icevision_kit.core import Detection, best_class, group_by_frame
-from icevision_kit.refinement import LevelThresholds, vote_associated_data
+from icevision_kit.refinement import LevelThresholds
 from icevision_kit.scoring import score_dataset
 
 
@@ -62,6 +62,11 @@ def _majority(values):
         if v is not None:
             counts[v] = counts.get(v, 0) + 1
     return max(counts, key=counts.get) if counts else None
+
+
+def vote_associated_data(track):
+    """The associated data most entries carry; ties to the earliest seen."""
+    return _majority([e.associated_data for e in track.entries])
 
 
 def summarize(track):

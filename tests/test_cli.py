@@ -12,7 +12,7 @@ from icevision_kit import datastore, frames, harness, refinement, tracking
 from icevision_kit.cli import EX_MALFORMED_INPUT, EX_MISSING_INPUT, EX_OK, EX_USAGE, main
 from icevision_kit.core import BoundingBox, Detection
 from icevision_kit.datastore import FORMAT_VERSION
-from icevision_kit.scoring import ScoringConfig, score_dataset
+from icevision_kit.scoring import FpReason, ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
 
 
@@ -301,6 +301,32 @@ class TestTrackInterpRefine:
         err = capsys.readouterr().err
         assert f"{tracks_path}:3: track 0 frame indices not strictly increasing (5 -> 3)" in err
         assert not out.exists()
+
+    def test_equal_refined_detections_score_as_a_duplicate(self, tmp_path, capsys):
+        # two same-box tracks whose averages pick one class refine to two equal records
+        det_path, ann_path = tmp_path / "dets.txt", tmp_path / "anns.txt"
+        det_path.write_text(f"{FORMAT_VERSION} detections\n"
+                            "0 3.24.1:0.6,3.24.2:0.4 10 10 50 50\n"
+                            "0 3.24.1:0.6,3.24.3:0.4 10 10 50 50\n")
+        ann_path.write_text(f"{FORMAT_VERSION} annotations\n0 3.24.1 10 10 50 50 - false\n")
+        tracks_path, refined_path = tmp_path / "tracks.txt", tmp_path / "refined.txt"
+        assert main(["track", "--detections", str(det_path),
+                     "--output", str(tracks_path)]) == EX_OK
+        assert main(["refine", "--tracks", str(tracks_path),
+                     "--output", str(refined_path)]) == EX_OK
+        capsys.readouterr()
+        assert main(["score", "--detections", str(refined_path),
+                     "--annotations", str(ann_path)]) == EX_OK
+        assert capsys.readouterr().out.splitlines()[0] == "total -0.700000"
+
+        tracks = tracking.run_tracker(datastore.read_detections(det_path), tracking.TrackerConfig())
+        refined = refinement.refine_tracks(tracks, refinement.LevelThresholds())
+        report = score_dataset(harness.group_by_frame(refined),
+                               datastore.read_annotations(ann_path), ScoringConfig.offline())
+        assert report.total == pytest.approx(-0.7, abs=1e-12)
+        assert [fp.reason for frame in report.frames for fp in frame.false_positives] == [
+            FpReason.DUPLICATE
+        ]
 
     def test_refine_wrong_kind_is_malformed(self, tmp_path, capsys):
         det_path = tmp_path / "dets.txt"

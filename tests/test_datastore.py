@@ -214,11 +214,14 @@ class TestDetections:
         path = put(tmp_path, "d.txt", f"{FORMAT_VERSION} detections\n")
         assert read_detections(path) == {}
 
-    def test_duplicate_record_rejected(self, tmp_path):
-        line = "0 3.24 10.000000 10.000000 50.000000 50.000000\n"
-        path = put(tmp_path, "d.txt", f"{FORMAT_VERSION} detections\n{line}{line}")
-        with pytest.raises(MalformedRecord):
-            read_detections(path)
+    def test_equal_records_round_trip_as_separate_detections(self, tmp_path):
+        # the scorer, not the reader, charges the repeat (as a duplicate)
+        det = Detection(0, BoundingBox(10, 10, 50, 50), {parse_code("3.24"): 1.0})
+        detections = {0: [det, det]}
+        path = tmp_path / "d.txt"
+        write_detections(detections, path)
+        assert path.read_text().count("0 3.24:1.000000 10.000000 10.000000 50.000000") == 2
+        assert read_detections(path) == detections
 
     def test_near_duplicates_allowed(self, tmp_path):
         path = put(
@@ -428,6 +431,24 @@ class TestWritersRefuseWhatWouldNotReRead:
         track = TestTracks.make_track(7)
         with pytest.raises(ValueError, match="track 7 has no detected entry"):
             Track(7, [e for e in track.entries if e.source is not Source.DETECTED])
+
+    @pytest.mark.parametrize("box", [BoundingBox(0, 0, 10, 10), BoundingBox(4e-7, 0, 10, 10),
+                                     BoundingBox(-4e-7, 0, 10, 10)])
+    def test_two_signs_that_re_read_as_one(self, tmp_path, box):
+        # the second box prints as the first ("0.000000" or "-0.000000", both read as 0)
+        first, second = self.sign(0), GroundTruthSign(0, box, parse_code("3.24"))
+        path = tmp_path / "a.txt"
+        with pytest.raises(ValueError, match=re.escape("duplicate annotation for frame 0, 3.24")):
+            write_annotations([FrameAnnotations(0, (first, second))], path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_signs_apart_in_code_or_box_are_written(self, tmp_path):
+        signs = (self.sign(0), GroundTruthSign(0, BoundingBox(0, 0, 10, 10), parse_code("3.25")),
+                 GroundTruthSign(0, BoundingBox(0, 0, 10, 10.000001), parse_code("3.24")))
+        path = tmp_path / "a.txt"
+        write_annotations([FrameAnnotations(0, signs), FrameAnnotations(1, (self.sign(1),))], path)
+        assert read_annotations(path) == [FrameAnnotations(0, signs),
+                                          FrameAnnotations(1, (self.sign(1),))]
 
     def test_annotations_for_a_negative_frame(self, tmp_path):
         with pytest.raises(ValueError, match="frame index must be a non-negative integer, got -1"):
@@ -934,14 +955,10 @@ class TestCodecMatchesOracle:
             assert ours.read_bytes() == oracle.read_bytes()
             if bare:
                 bare_codes(ours)
-            try:
-                expected = oracles.read_detections(ours)
-            except oracles.DuplicateDetection as exc:
-                with pytest.raises(MalformedRecord, match="duplicate") as err:
-                    read_detections(ours)
-                assert err.value.lineno == exc.lineno
-            else:
-                assert read_detections(ours) == expected
+            got = read_detections(ours)
+            assert got == oracles.read_detections(ours)
+            # one detection read per one written, equal ones included
+            assert {f: len(v) for f, v in got.items()} == {f: len(v) for f, v in detections.items()}
 
     @settings(max_examples=80, deadline=None)
     @given(tracks=track_lists(), bare=st.booleans())

@@ -26,7 +26,6 @@ from icevision_kit.frames import (
     equalize_rgb,
     gray_window,
     ncc_match,
-    ncc_scores,
     read_pnm,
     sample_dtype,
     write_pnm,
@@ -37,6 +36,11 @@ from icevision_kit.frames import (
 def gray(array, max_value=255):
     a = np.asarray(array)
     return GrayImage(samples=a.astype(np.uint16 if max_value > 255 else np.uint8), max_value=max_value)
+
+
+def ncc_surface(template, search):
+    """The library's NCC of ``template`` at every placement in ``search``."""
+    return frames.NccTemplate(template, search).scores(search)
 
 
 def cfa(array, pattern=BayerPattern.RGGB, max_value=255):
@@ -725,7 +729,7 @@ class TestNccScoresMatchScalarOracle:
     @given(ncc_cases())
     def test_every_placement(self, case):
         t, s = case
-        surface = ncc_scores(gray(t), gray(s))
+        surface = ncc_surface(gray(t), gray(s))
         th, tw = t.shape
         for y, x in np.ndindex(surface.shape):
             window = gray(s[y : y + th, x : x + tw])
@@ -753,12 +757,12 @@ def clipped_ncc_cases(draw):
 
 class TestPreparedTemplate:
     @given(clipped_ncc_cases(), st.randoms(use_true_random=False))
-    def test_scores_each_window_it_fits_as_ncc_scores(self, case, rng):
+    def test_scores_each_window_it_fits_as_a_fresh_template(self, case, rng):
         t, s = case
         shuffled = np.array(rng.sample(s.ravel().tolist(), s.size), dtype=np.uint8).reshape(s.shape)
         prepared = frames.NccTemplate(gray(t), gray(s, 4095))
         for window in (gray(s), gray(shuffled), gray(shuffled, 4095)):
-            assert np.array_equal(prepared.scores(window), ncc_scores(gray(t), window))
+            assert np.array_equal(prepared.scores(window), ncc_surface(gray(t), window))
 
     def test_scores_at_full_scale_split_into_bytes(self):
         rng = np.random.default_rng(5)
@@ -766,7 +770,7 @@ class TestPreparedTemplate:
         first, second = (rng.integers(0, 65536, size=(240, 235)) for _ in range(2))
         prepared = frames.NccTemplate(gray(t, 65535), gray(first, 65535))
         surface = prepared.scores(gray(second, 65535))
-        assert np.array_equal(surface, ncc_scores(gray(t, 65535), gray(second, 65535)))
+        assert np.array_equal(surface, ncc_surface(gray(t, 65535), gray(second, 65535)))
         assert np.array_equal(frames._cross_term(t, second, 65535), exact_cross(t, second))
 
     @pytest.mark.parametrize("shape, max_value", [((8, 9), 255), ((9, 9), 4095)])
@@ -780,7 +784,7 @@ class TestNccScoresMatchEinsumOracle:
     @given(clipped_ncc_cases())
     def test_surface(self, case):
         t, s = case
-        got = ncc_scores(gray(t), gray(s))
+        got = ncc_surface(gray(t), gray(s))
         want = frame_oracles.ncc_scores(gray(t), gray(s))
         assert got.shape == want.shape
         assert np.array_equal(got == -np.inf, want == -np.inf)
@@ -830,10 +834,10 @@ class TestFftCrossTermIsExact:
         rng = np.random.default_rng(3)
         s = rng.integers(0, 2, size=(322, 321)) * 65535
         t = s[1:321, :320]
-        surface = ncc_scores(gray(t, 65535), gray(s, 65535))
+        surface = ncc_surface(gray(t, 65535), gray(s, 65535))
         assert surface.shape == (3, 2) and surface[1, 0] == 1.0
         assert np.all(surface[surface < 1.0] < 0.1)
-        flat = ncc_scores(gray(np.full((320, 320), 65535), 65535), gray(s, 65535))
+        flat = ncc_surface(gray(np.full((320, 320), 65535), 65535), gray(s, 65535))
         assert np.all(flat == -np.inf)
 
 
@@ -899,13 +903,13 @@ class TestNccMatch:
     def test_scores_surface_shape(self):
         t = gray(np.arange(4).reshape(2, 2))
         s = gray(np.arange(30).reshape(5, 6))
-        assert ncc_scores(t, s).shape == (4, 5)
+        assert ncc_surface(t, s).shape == (4, 5)
 
     def test_degenerate_placements_are_minus_inf(self):
         t = gray(np.arange(4).reshape(2, 2))
         s = np.zeros((4, 6), dtype=np.uint8)
         s[:, 3:] = np.arange(12).reshape(4, 3) * 20
-        surface = ncc_scores(t, gray(s))
+        surface = ncc_surface(t, gray(s))
         assert surface[0, 0] == -np.inf
         assert np.isfinite(surface[0, 4])
 

@@ -18,7 +18,6 @@ from icevision_kit.refinement import (
     grid_search_thresholds,
     parse_thresholds,
     refine_tracks,
-    vote_associated_data,
 )
 from icevision_kit.scoring import ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
@@ -139,24 +138,33 @@ class TestHierarchicalSelect:
 
 
 class TestVotes:
+    """The associated-data vote every refined detection of a track carries,
+    in the library and in the oracle."""
+
+    @staticmethod
+    def vote(t):
+        (data,) = {d.associated_data for d in refine_tracks([t], THR)}
+        assert oracle.vote_associated_data(t) == data
+        return data
+
     def test_majority(self):
         t = track(
             entry(0, {"3.24": 1.0}, data="40"),
             entry(3, {"3.24": 1.0}, data="40"),
             entry(6, {"3.24": 1.0}, data="60"),
         )
-        assert vote_associated_data(t) == "40"
+        assert self.vote(t) == "40"
 
     def test_no_data(self):
         t = track(entry(0, {"3.24": 1.0}))
-        assert vote_associated_data(t) is None
+        assert self.vote(t) is None
 
     def test_tie_prefers_earliest(self):
         t = track(
             entry(0, {"3.24": 1.0}, data="40"),
             entry(3, {"3.24": 1.0}, data="60"),
         )
-        assert vote_associated_data(t) == "40"
+        assert self.vote(t) == "40"
 
 
 class TestRefineTracks:
