@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import datastore, frames, harness, refinement, tracking
 from .core import group_by_frame
-from .datastore import DatastoreError, MalformedRecord, atomic_write_bytes, atomic_write_text
+from .datastore import DatastoreError, atomic_write_bytes, atomic_write_text
 from .frames import BayerPattern
 from .refinement import LevelThresholds
 from .scoring import ScoringConfig, Stage, format_report, report_records, score_dataset
@@ -219,7 +219,7 @@ def _cmd_refine(args, parser: _Parser) -> int:
         try:
             thresholds = refinement.parse_thresholds(text)
         except ValueError as exc:
-            raise MalformedRecord(args.thresholds, 1, str(exc)) from None
+            raise DatastoreError(args.thresholds, 1, str(exc)) from None
     detections = refinement.refine_tracks(tracks, thresholds)
     datastore.write_detections(group_by_frame(detections), args.output)
     print(f"detections {len(detections)}")

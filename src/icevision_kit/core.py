@@ -186,11 +186,6 @@ class Detection:
             object.__setattr__(self, "class_distribution", Distribution(self.class_distribution))
 
     @property
-    def confidence(self) -> float:
-        """The largest probability of the distribution."""
-        return max(self.class_distribution.values())
-
-    @property
     def code(self) -> ClassCode:
         """The predicted class: argmax of the distribution."""
         return best_class(self.class_distribution)[0]

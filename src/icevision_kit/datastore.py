@@ -33,28 +33,22 @@ from .core import (
     index_value,
 )
 from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
-from .taxonomy import ClassCode, MalformedCode, is_ascii_digits
+from .taxonomy import ClassCode, is_ascii_digits
 from .tracking import Track
 
 FORMAT_VERSION = "icevision-kit/v1"
 
 
 class DatastoreError(ValueError):
-    """File-level ingestion failure; message carries file and line."""
+    """A bad input file: the message starts with ``file:line`` (``file``
+    when no line is at fault).  The package's one exception class; a bad
+    value elsewhere is a plain ``ValueError``."""
 
     def __init__(self, path, lineno: int | None, message: str):
         location = str(path) if lineno is None else f"{path}:{lineno}"
         super().__init__(f"{location}: {message}")
         self.path = str(path)
         self.lineno = lineno
-
-
-class MalformedRecord(DatastoreError):
-    pass
-
-
-class InvalidDistribution(DatastoreError):
-    pass
 
 
 def _format_real(value: float) -> str:
@@ -105,12 +99,8 @@ def _parse_opt_flag(token: str) -> bool | None:
 def _parse_code(token: str) -> ClassCode:
     try:
         return ClassCode.parse(token)
-    except MalformedCode as exc:
+    except ValueError as exc:
         raise ValueError(f"bad class code: {exc}") from None
-
-
-class _NotADistribution(ValueError):
-    """A distribution token that parses but holds no valid distribution."""
 
 
 def _parse_distribution(token: str) -> Distribution:
@@ -124,19 +114,9 @@ def _parse_distribution(token: str) -> Distribution:
         code = _parse_code(code_s)
         prob = _parse_real(prob_s, "probability")
         if code in dist:
-            raise _NotADistribution(f"repeated code {code} in distribution")
+            raise ValueError(f"repeated code {code} in distribution")
         dist[code] = prob
-    try:
-        return Distribution(dist)
-    except ValueError as exc:
-        raise _NotADistribution(str(exc)) from None
-
-
-def _record_error(path, lineno: int, exc: ValueError) -> DatastoreError:
-    """What a reader raises for the ``ValueError`` of its record at ``path:lineno``:
-    :class:`InvalidDistribution` for a distribution that parses but is not one."""
-    kind = InvalidDistribution if isinstance(exc, _NotADistribution) else MalformedRecord
-    return kind(path, lineno, str(exc))
+    return Distribution(dist)
 
 
 def _format_distribution(dist: Distribution) -> str:
@@ -186,13 +166,13 @@ def _sorted_unique(values: list, key: Callable, what: str) -> list:
 
 def read_text(path) -> str:
     """A file's contents as UTF-8 text; undecodable bytes are a
-    :class:`MalformedRecord` naming their line."""
+    :class:`DatastoreError` naming their line."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedRecord(path, lineno, f"not UTF-8 text: {exc.reason}") from None
+        raise DatastoreError(path, lineno, f"not UTF-8 text: {exc.reason}") from None
 
 
 def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
@@ -201,9 +181,9 @@ def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
     # the same universal-newline split as iterating a file opened as text
     lines = io.StringIO(read_text(path), newline=None).readlines()
     if not lines:
-        raise MalformedRecord(path, 1, "empty file, expected header")
+        raise DatastoreError(path, 1, "empty file, expected header")
     if lines[0].split() != [FORMAT_VERSION, kind]:
-        raise MalformedRecord(
+        raise DatastoreError(
             path, 1, f"expected header '{FORMAT_VERSION} {kind}', got {lines[0].strip()!r}"
         )
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -285,7 +265,7 @@ def read_annotations(path) -> list[FrameAnnotations]:
                 )
             )
         except ValueError as exc:
-            raise _record_error(path, lineno, exc) from None
+            raise DatastoreError(path, lineno, str(exc)) from None
     return [
         FrameAnnotations(frame_index=frame, signs=tuple(signs[frame]))
         for frame in sorted(signs)
@@ -334,7 +314,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
                 temporary=_parse_opt_flag(fields[7]) if len(fields) == 8 else None,
             )
         except ValueError as exc:
-            raise _record_error(path, lineno, exc) from None
+            raise DatastoreError(path, lineno, str(exc)) from None
         out.setdefault(det.frame_index, []).append(det)
     return out
 
@@ -402,7 +382,7 @@ def read_tracks(path) -> list[Track]:
                 raise ValueError(f"track {track_id} frame indices not strictly "
                                  f"increasing ({earlier[-1].frame_index} -> {frame})")
         except ValueError as exc:
-            raise _record_error(path, lineno, exc) from None
+            raise DatastoreError(path, lineno, str(exc)) from None
         earlier.append(Detection(
             frame_index=frame,
             box=box,
@@ -419,7 +399,7 @@ def read_tracks(path) -> list[Track]:
         try:
             tracks.append(Track(id=track_id, entries=entries[track_id]))
         except ValueError as exc:
-            raise _record_error(path, first_lines[track_id], exc) from None
+            raise DatastoreError(path, first_lines[track_id], str(exc)) from None
     return tracks
 
 
@@ -468,14 +448,16 @@ class SequenceManifest:
 
 def read_manifest(path) -> SequenceManifest:
     """Parse ``frame_index<TAB>path`` lines plus ``# sequence:`` and
-    ``# annotation:`` directives."""
+    ``# annotation:`` directives (whitespace around the name is ignored);
+    any other ``#`` line is a comment."""
     sequence_id = None
     frames: list[tuple[int, str]] = []
     annotation_paths: list[str] = []
     for lineno, line in _body_lines(path, "manifest"):
         try:
             if line.startswith("#"):
-                name, sep, value = line[1:].strip().partition(":")
+                name, sep, value = line[1:].partition(":")
+                name = name.strip()
                 if not sep or name not in ("sequence", "annotation"):
                     continue  # a comment
                 value = value.strip()
@@ -495,10 +477,10 @@ def read_manifest(path) -> SequenceManifest:
             if frames and index <= frames[-1][0]:
                 raise ValueError(f"frame indices not strictly increasing at {index}")
         except ValueError as exc:
-            raise _record_error(path, lineno, exc) from None
+            raise DatastoreError(path, lineno, str(exc)) from None
         frames.append((index, frame_path.strip()))
     if sequence_id is None:
-        raise MalformedRecord(path, None, "missing '# sequence: <id>' directive")
+        raise DatastoreError(path, None, "missing '# sequence: <id>' directive")
     # every rule SequenceManifest checks is checked above at its line
     return SequenceManifest(sequence_id, tuple(frames), tuple(annotation_paths))
 
@@ -570,7 +552,7 @@ def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]
     """Parse ``key = value`` lines (``#`` starts a comment) with one reader
     per allowed key.  An unknown or repeated key, a line without ``=``, or
     a value its reader rejects (ValueError, KeyError) is a
-    :class:`MalformedRecord` naming ``path`` and the line."""
+    :class:`DatastoreError` naming ``path`` and the line."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -579,15 +561,15 @@ def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep:
-            raise MalformedRecord(path, lineno, f"expected key = value, got {line!r}")
+            raise DatastoreError(path, lineno, f"expected key = value, got {line!r}")
         if key not in readers:
-            raise MalformedRecord(path, lineno, f"unknown key {key!r}")
+            raise DatastoreError(path, lineno, f"unknown key {key!r}")
         if key in values:
-            raise MalformedRecord(path, lineno, f"repeated key {key!r}")
+            raise DatastoreError(path, lineno, f"repeated key {key!r}")
         try:
             values[key] = readers[key](value)
         except (ValueError, KeyError):
-            raise MalformedRecord(path, lineno, f"bad value for {key}: {value!r}") from None
+            raise DatastoreError(path, lineno, f"bad value for {key}: {value!r}") from None
     return values
 
 

@@ -20,18 +20,6 @@ import numpy as np
 from .taxonomy import is_ascii_digits
 
 
-class PnmError(ValueError):
-    """Base error for PNM decoding problems."""
-
-
-class UnsupportedFormat(PnmError):
-    pass
-
-
-class TruncatedPayload(PnmError):
-    pass
-
-
 class BayerPattern(enum.Enum):
     """Layout of the 2x2 color-filter tile, reading order."""
 
@@ -141,33 +129,34 @@ def read_pnm(data: bytes | bytearray, pattern: BayerPattern | None = None) -> Gr
 
     Samples are 1 byte each for max_value < 256, otherwise 2 bytes
     big-endian.  Pass ``pattern`` to tag the result as a Bayer mosaic;
-    the PNM header itself cannot express the CFA layout.
+    the PNM header itself cannot express the CFA layout.  A malformed
+    header or a short payload is a ``ValueError``.
     """
     tokens = _pnm_tokens(data)
     try:
         magic, _ = next(tokens)
     except StopIteration:
-        raise UnsupportedFormat("empty input") from None
+        raise ValueError("empty input") from None
     if magic != "P5":
-        raise UnsupportedFormat(f"expected binary PGM magic 'P5', got {magic!r}")
+        raise ValueError(f"expected binary PGM magic 'P5', got {magic!r}")
     try:
         (width_s, _), (height_s, _), (maxval_s, header_end) = next(tokens), next(tokens), next(tokens)
     except StopIteration:
-        raise PnmError("incomplete PGM header") from None
+        raise ValueError("incomplete PGM header") from None
     if not all(map(is_ascii_digits, (width_s, height_s, maxval_s))):  # int also reads "+3", "2_55"
-        raise PnmError(f"non-numeric PGM header field in {(width_s, height_s, maxval_s)}")
+        raise ValueError(f"non-numeric PGM header field in {(width_s, height_s, maxval_s)}")
     width, height, max_value = int(width_s), int(height_s), int(maxval_s)
     if width <= 0 or height <= 0:
-        raise PnmError(f"bad PGM dimensions {width}x{height}")
+        raise ValueError(f"bad PGM dimensions {width}x{height}")
     if not 0 < max_value <= 65535:
-        raise PnmError(f"PGM max value {max_value} outside 1..65535")
+        raise ValueError(f"PGM max value {max_value} outside 1..65535")
 
     # exactly one whitespace byte (or a comment's line end) separates the header from the payload
     start = header_end + 1
     dtype = _wire_dtype(max_value)
     need = width * height * dtype.itemsize
     if len(data) - start < need:
-        raise TruncatedPayload(f"payload has {max(len(data) - start, 0)} bytes, need {need}")
+        raise ValueError(f"payload has {max(len(data) - start, 0)} bytes, need {need}")
     samples = np.frombuffer(data, dtype, width * height, offset=start)
     if not samples.flags.aligned:  # an odd-length header: a misaligned cast runs at half speed
         samples = np.frombuffer(data[start : start + need], dtype)
@@ -463,7 +452,7 @@ class NccTemplate:
 
 
 def ncc_match(
-    template: GrayImage | NccTemplate,
+    template: NccTemplate,
     search: GrayImage,
     *,
     preferred_offset: tuple[float, float] | None = None,
@@ -473,10 +462,8 @@ def ncc_match(
     Ties are broken by smallest Euclidean distance to ``preferred_offset``
     (the window center when not given), then row-major.  An all-degenerate
     surface yields a flagged result at the preferred offset rather than an
-    error.  ``template`` may be an :class:`NccTemplate` prepared for ``search``.
+    error.  ``template`` is an :class:`NccTemplate` prepared for ``search``.
     """
-    if not isinstance(template, NccTemplate):
-        template = NccTemplate(template, search)
     scores = template.scores(search)
     oh, ow = scores.shape
     if preferred_offset is None:

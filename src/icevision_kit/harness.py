@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame,
                    pixel_rect)
-from .datastore import FORMAT_VERSION, MalformedRecord, decimal_value, parse_key_values
+from .datastore import FORMAT_VERSION, DatastoreError, decimal_value, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
 from .scoring import ScoringConfig, Stage, score_dataset
@@ -151,11 +151,11 @@ def parse_scenario(text: str, path="<scenario>") -> ScenarioSpec:
     keys = ("frame_count", "width", "height", "sign_count")
     values = parse_key_values(text, path, dict.fromkeys(keys, decimal_value))
     if "frame_count" not in values:
-        raise MalformedRecord(path, None, "scenario spec must set frame_count")
+        raise DatastoreError(path, None, "scenario spec must set frame_count")
     try:
         return ScenarioSpec(**values)
     except ValueError as exc:
-        raise MalformedRecord(path, None, str(exc)) from None
+        raise DatastoreError(path, None, str(exc)) from None
 
 
 @dataclass(frozen=True)

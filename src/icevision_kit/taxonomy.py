@@ -23,14 +23,6 @@ def is_ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-class MalformedCode(ValueError):
-    """Raised when a class-code string cannot be parsed."""
-
-
-class TaxonomyError(ValueError):
-    """Raised on an invalid registry file (duplicates, bad codes)."""
-
-
 @dataclass(frozen=True, order=True)
 class ClassCode:
     """A sign class code as a tuple of positive integer segments."""
@@ -39,9 +31,9 @@ class ClassCode:
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.segments) <= MAX_LEVELS:
-            raise MalformedCode(f"code must have 1..{MAX_LEVELS} segments, got {self.segments!r}")
+            raise ValueError(f"code must have 1..{MAX_LEVELS} segments, got {self.segments!r}")
         if any(s < 1 for s in self.segments):
-            raise MalformedCode(f"code segments must be >= 1, got {self.segments!r}")
+            raise ValueError(f"code segments must be >= 1, got {self.segments!r}")
 
     @classmethod
     @functools.lru_cache(maxsize=4096)
@@ -52,11 +44,11 @@ class ClassCode:
         instance; a malformed code raises on every call."""
         parts = text.strip().split(".")
         if parts == [""]:
-            raise MalformedCode("empty class code")
+            raise ValueError("empty class code")
         segments = []
         for part in parts:
             if not is_ascii_digits(part):
-                raise MalformedCode(f"non-numeric segment {part!r} in code {text!r}")
+                raise ValueError(f"non-numeric segment {part!r} in code {text!r}")
             segments.append(int(part))
         return _interned(tuple(segments))
 
@@ -115,7 +107,7 @@ class Taxonomy:
         seen: set[ClassCode] = set()
         for code in leaves:
             if code in seen:
-                raise TaxonomyError(f"duplicate registry entry {code}")
+                raise ValueError(f"duplicate registry entry {code}")
             seen.add(code)
         self._leaves: tuple[ClassCode, ...] = tuple(sorted(leaves))
         self._children: dict[ClassCode | None, list[ClassCode]] = {}
@@ -131,8 +123,8 @@ class Taxonomy:
                 continue
             try:
                 leaves.append(ClassCode.parse(line))
-            except MalformedCode as exc:
-                raise TaxonomyError(f"bad registry entry {line!r}: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"bad registry entry {line!r}: {exc}") from exc
         return cls(leaves)
 
     @classmethod

@@ -221,7 +221,7 @@ class TestDetection:
             box=BoundingBox(0, 0, 10, 10),
             class_distribution={parse_code("3.24"): 0.8},
         )
-        assert det.confidence == 0.8
+        assert max(det.class_distribution.values()) == 0.8
         assert det.code == parse_code("3.24")
         assert det.source is Source.DETECTED
 
@@ -231,7 +231,7 @@ class TestDetection:
             Detection(frame_index=0, box=BoundingBox(0, 0, 10, 10), class_distribution=dist,
                       confidence=0.5)
         det = Detection(frame_index=0, box=BoundingBox(0, 0, 10, 10), class_distribution=dist)
-        assert det.confidence == 0.5
+        assert max(det.class_distribution.values()) == 0.5
 
     def test_distribution_sum_capped(self):
         with pytest.raises(ValueError):

@@ -26,8 +26,6 @@ from icevision_kit.core import (
 from icevision_kit.datastore import (
     FORMAT_VERSION,
     DatastoreError,
-    InvalidDistribution,
-    MalformedRecord,
     ManifestFrameSource,
     SequenceManifest,
     SidecarConfig,
@@ -90,7 +88,7 @@ class TestAnnotations:
             "a.txt",
             f"{FORMAT_VERSION} annotations\n12 3.24 100 100 150\n",
         )
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="annotation record needs 1 or 8 fields, got 5$") as err:
             read_annotations(path)
         assert err.value.lineno == 2
         assert "a.txt:2" in str(err.value)
@@ -101,13 +99,13 @@ class TestAnnotations:
             "a.txt",
             f"{FORMAT_VERSION} annotations\n0 3..24 0 0 10 10 - false\n",
         )
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError, match=":2: bad class code: non-numeric segment '' in code '3..24'$"):
             read_annotations(path)
 
     def test_duplicate_rejected(self, tmp_path):
         line = "3 3.24 0.000000 0.000000 10.000000 10.000000 - false\n"
         path = put(tmp_path, "a.txt", f"{FORMAT_VERSION} annotations\n{line}{line}")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="duplicate annotation for frame 3, 3.24$") as err:
             read_annotations(path)
         assert err.value.lineno == 3
 
@@ -197,7 +195,7 @@ class TestDetections:
             "d.txt",
             f"{FORMAT_VERSION} detections\n0 3.24:0.8,5.19.1:0.4 10 10 50 50\n",
         )
-        with pytest.raises(InvalidDistribution) as err:
+        with pytest.raises(DatastoreError, match=r":2: distribution probabilities sum to 1\.2\d* > 1$") as err:
             read_detections(path)
         assert err.value.lineno == 2
 
@@ -207,7 +205,7 @@ class TestDetections:
             "d.txt",
             f"{FORMAT_VERSION} detections\n0 3.24:0.3,3.24:0.3 10 10 50 50\n",
         )
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(DatastoreError, match=":2: repeated code 3.24 in distribution$"):
             read_detections(path)
 
     def test_header_only_empty(self, tmp_path):
@@ -239,7 +237,7 @@ class TestDetections:
         coords = ["10", "10", "50", "50"]
         coords[position] = "1O"
         path = put(tmp_path, "d.txt", f"{FORMAT_VERSION} detections\n0 3.24 {' '.join(coords)}\n")
-        with pytest.raises(MalformedRecord, match="box coordinate is not a number: '1O'") as err:
+        with pytest.raises(DatastoreError, match="box coordinate is not a number: '1O'") as err:
             read_detections(path)
         assert err.value.lineno == 2
 
@@ -301,7 +299,7 @@ class TestTracks:
         lines[4] = lines[4].replace("3.24", "3.x")
         path.write_text("".join(lines))
         for _ in range(2):
-            with pytest.raises(MalformedRecord) as err:
+            with pytest.raises(DatastoreError, match="bad class code: non-numeric segment 'x' in code '3.x'$") as err:
                 read_tracks(path)
             assert err.value.lineno == 5 and "3.x" in str(err.value)
 
@@ -311,7 +309,7 @@ class TestTracks:
             "t.txt",
             f"{FORMAT_VERSION} tracks\n0 0 detected 1 1 2 2 3.24 - -\n",
         )
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="track record needs 11 fields, got 10$") as err:
             read_tracks(path)
         assert err.value.lineno == 2
 
@@ -321,7 +319,7 @@ class TestTracks:
             "t.txt",
             f"{FORMAT_VERSION} tracks\n0 0 guessed 1 1 2 2 3.24 - - -\n",
         )
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError, match=":2: unknown source 'guessed'$"):
             read_tracks(path)
 
     def test_unknown_flag(self, tmp_path):
@@ -330,7 +328,7 @@ class TestTracks:
             "t.txt",
             f"{FORMAT_VERSION} tracks\n0 0 detected 1 1 2 2 3.24 - - wobbly\n",
         )
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError, match=r":2: unknown flags \['wobbly'\]$"):
             read_tracks(path)
 
     def test_non_increasing_frames_report_their_line(self, tmp_path):
@@ -342,7 +340,7 @@ class TestTracks:
             "1 4 detected 1 1 2 2 3.24 - - -\n"
             "0 3 detected 1 1 2 2 3.24 - - -\n",
         )
-        with pytest.raises(MalformedRecord, match="track 0 frame indices not strictly") as err:
+        with pytest.raises(DatastoreError, match="track 0 frame indices not strictly") as err:
             read_tracks(path)
         assert err.value.lineno == 4
 
@@ -528,18 +526,20 @@ class TestWritersRefuseWhatWouldNotReRead:
 class TestHeaders:
     def test_missing_header(self, tmp_path):
         path = put(tmp_path, "x.txt", "")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="empty file, expected header$") as err:
             read_annotations(path)
         assert err.value.lineno == 1
 
     def test_wrong_kind(self, tmp_path):
         path = put(tmp_path, "x.txt", f"{FORMAT_VERSION} detections\n")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError, match=":1: expected header 'icevision-kit/v1 annotations', "
+                           "got 'icevision-kit/v1 detections'$"):
             read_annotations(path)
 
     def test_wrong_version(self, tmp_path):
         path = put(tmp_path, "x.txt", "icevision-kit/v2 annotations\n")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError, match=":1: expected header 'icevision-kit/v1 annotations', "
+                           "got 'icevision-kit/v2 annotations'$"):
             read_annotations(path)
 
     def test_error_is_valueerror(self, tmp_path):
@@ -578,8 +578,9 @@ class TestManifest:
 
     def test_missing_sequence_directive(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n0\tf0.pnm\n")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError) as err:
             read_manifest(path)
+        assert str(err.value) == f"{path}: missing '# sequence: <id>' directive"
 
     def test_non_increasing_frames(self, tmp_path):
         path = put(
@@ -587,7 +588,7 @@ class TestManifest:
             "m.txt",
             f"{FORMAT_VERSION} manifest\n# sequence: s\n5\ta.pnm\n5\tb.pnm\n",
         )
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="frame indices not strictly increasing at 5$") as err:
             read_manifest(path)
         assert err.value.lineno == 4
 
@@ -612,7 +613,7 @@ class TestManifest:
     def test_repeated_sequence_directive(self, tmp_path):
         path = put(tmp_path, "m.txt",
                    f"{FORMAT_VERSION} manifest\n# sequence: a\n0\tf0.pnm\n# sequence: b\n")
-        with pytest.raises(MalformedRecord, match="repeated '# sequence:'") as err:
+        with pytest.raises(DatastoreError, match="repeated '# sequence:'") as err:
             read_manifest(path)
         assert err.value.lineno == 4
 
@@ -620,19 +621,31 @@ class TestManifest:
                                                    ("annotation", "# sequence: s")])
     def test_empty_directive_reports_its_line(self, tmp_path, directive, before):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n{before}\n#  {directive}:  \n")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError) as err:
             read_manifest(path)
         assert str(err.value) == f"{path}:3: empty '# {directive}:' directive"
         assert err.value.lineno == 3
 
     def test_other_comments_are_not_directives(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# note: x\n# sequences:\n"
-                   "# sequence : y\n#annotation:a:b\n# sequence:s\n")
+                   "# sequence s\n#annotation:a:b\n# sequence:s\n")
         assert read_manifest(path) == SequenceManifest("s", (), ("a:b",))
+
+    def test_whitespace_around_directive_name_is_ignored(self, tmp_path):
+        path = put(tmp_path, "m.txt",
+                   f"{FORMAT_VERSION} manifest\n# sequence : s1\n#annotation :gt.txt\n0\tf0.pnm\n")
+        assert read_manifest(path) == SequenceManifest("s1", ((0, "f0.pnm"),), ("gt.txt",))
+
+    def test_spaced_directive_is_repeated_by_the_next(self, tmp_path):
+        path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# sequence : a\n# sequence: b\n")
+        with pytest.raises(DatastoreError) as err:
+            read_manifest(path)
+        assert str(err.value) == f"{path}:3: repeated '# sequence:' directive"
+        assert err.value.lineno == 3
 
     def test_missing_tab(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# sequence: s\n5 a.pnm\n")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match=":3: expected frame_index<TAB>path$") as err:
             read_manifest(path)
         assert err.value.lineno == 3
 
@@ -763,7 +776,10 @@ class TestTrackDistributions:
 
     @pytest.mark.parametrize("dist", ["3.24:1.5", "3.24:-0.5", "3.24:0.7,3.25:0.7"])
     def test_invalid_distribution_reports_line(self, tmp_path, dist):
-        with pytest.raises(InvalidDistribution) as err:
+        message = {"3.24:1.5": r"probability for 3.24 out of \[0, 1\]: 1.5",
+                   "3.24:-0.5": r"probability for 3.24 out of \[0, 1\]: -0.5",
+                   "3.24:0.7,3.25:0.7": r"distribution probabilities sum to 1\.4\d* > 1"}[dist]
+        with pytest.raises(DatastoreError, match=f":3: {message}$") as err:
             read_tracks(self.tracks_file(tmp_path, dist))
         assert err.value.lineno == 3
 
@@ -777,18 +793,18 @@ class TestTextEncoding:
     def test_undecodable_record_file_names_line(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_bytes(f"{FORMAT_VERSION} detections\n0 3.24 1 1 2 2\n0 \xff\n".encode("latin-1"))
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match=":3: not UTF-8 text: invalid start byte$") as err:
             read_detections(path)
         assert err.value.lineno == 3
 
     def test_undecodable_manifest(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_bytes(b"\x80")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(DatastoreError, match=":1: not UTF-8 text: invalid start byte$"):
             read_manifest(path)
 
     def test_empty_manifest_message(self, tmp_path):
-        with pytest.raises(MalformedRecord, match="empty file"):
+        with pytest.raises(DatastoreError, match="empty file"):
             read_manifest(put(tmp_path, "m.txt", ""))
 
 
@@ -818,7 +834,7 @@ class TestAsciiReals:
         path.write_text(f"{FORMAT_VERSION} {kind}\n# note\n{record}\n", encoding="utf-8")
         reader = {"annotations": read_annotations, "detections": read_detections,
                   "tracks": read_tracks}[kind]
-        with pytest.raises(MalformedRecord, match=re.escape(repr(token))) as err:
+        with pytest.raises(DatastoreError, match=re.escape(repr(token))) as err:
             reader(path)
         assert err.value.lineno == 3
 
@@ -833,27 +849,28 @@ class TestAsciiReals:
 
 class TestKeyValueSettings:
     def test_error_names_file_and_line(self):
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="^conv.cfg:3: unknown key 'colour'$") as err:
             parse_sidecar("pattern = RGGB\n\ncolour = red\n", "conv.cfg")
         assert err.value.path == "conv.cfg" and err.value.lineno == 3
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "equalize = true\nequalize = false\n",  # repeated key
-            "equalize = banana\n",
-            "crop_keep = many\n",
-            "crop_keep = \u0661\u0660\n",  # Arabic-Indic "10", which int() reads
-            "crop_keep = 1_0\n",
-            "crop_keep = +5\n",
-            "crop_keep = 0\n",
-            "pattern = XYZW\n",
-            "pattern\n",
-            "= RGGB\n",
-        ],
-    )
+    REJECTED = {
+        "equalize = true\nequalize = false\n": "repeated key 'equalize'",
+        "equalize = banana\n": "bad value for equalize: 'banana'",
+        "crop_keep = many\n": "bad value for crop_keep: 'many'",
+        # Arabic-Indic "10", which int() reads
+        "crop_keep = \u0661\u0660\n": "bad value for crop_keep: '\u0661\u0660'",
+        "crop_keep = 1_0\n": "bad value for crop_keep: '1_0'",
+        "crop_keep = +5\n": "bad value for crop_keep: '+5'",
+        "crop_keep = 0\n": "bad value for crop_keep: '0'",
+        "pattern = XYZW\n": "bad value for pattern: 'XYZW'",
+        "pattern\n": "expected key = value, got 'pattern'",
+        "= RGGB\n": "unknown key ''",
+    }
+
+    @pytest.mark.parametrize("text", list(REJECTED))
     def test_rejected(self, text):
-        with pytest.raises(MalformedRecord) as err:
+        message = f"conv.cfg:{text.count(chr(10))}: {self.REJECTED[text]}"
+        with pytest.raises(DatastoreError, match=f"^{re.escape(message)}$") as err:
             parse_sidecar(text, "conv.cfg")
         assert err.value.lineno == text.count("\n")
 
@@ -1026,15 +1043,15 @@ class TestDistributionMemo:
         ("detections", detection_line, read_detections),
         ("tracks", track_line, read_tracks),
     ])
-    @pytest.mark.parametrize("bad, error, at", [
-        ("3.x:0.5", MalformedRecord, 12),  # first seen on line 12
-        ("3.24:0.8,5.19.1:0.4", InvalidDistribution, 6),  # sums above 1, first seen on line 6
-    ])
+    @pytest.mark.parametrize("bad, message, at", [
+        ("3.x:0.5", "bad class code: non-numeric segment 'x'", 12),  # first seen on line 12
+        ("3.24:0.8,5.19.1:0.4", r"distribution probabilities sum to 1\.2", 6),  # first seen on line 6
+    ], ids=["bad_code", "sum_above_1"])
     def test_errors_name_the_line_a_token_is_first_met(self, tmp_path, kind, line, read,
-                                                        bad, error, at):
+                                                        bad, message, at):
         valid = "3.24:0.5,5.19.1:0.25"
         tokens = {3: valid, 9: valid, at: bad, 12: bad}
         body = "".join(line(n, tokens.get(n, "2.4")) for n in range(2, 13))
-        with pytest.raises(error) as err:
+        with pytest.raises(DatastoreError, match=f":{at}: {message}") as err:
             read(put(tmp_path, "f.txt", f"{FORMAT_VERSION} {kind}\n{body}"))
         assert err.value.lineno == at

@@ -16,10 +16,7 @@ from icevision_kit.frames import (
     BayerPattern,
     CfaImage,
     GrayImage,
-    PnmError,
     RgbImage,
-    TruncatedPayload,
-    UnsupportedFormat,
     crop_rows,
     demosaic_bilinear,
     equalize_histogram,
@@ -66,11 +63,11 @@ class TestReadPnm:
         assert img.pattern is BayerPattern.BGGR
 
     def test_p6_rejected(self):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(ValueError, match="^expected binary PGM magic 'P5', got 'P6'$"):
             read_pnm(b"P6 2 2 255\n" + bytes(12))
 
     def test_truncated_payload(self):
-        with pytest.raises(TruncatedPayload):
+        with pytest.raises(ValueError, match="^payload has 3 bytes, need 4$"):
             read_pnm(b"P5 2 2 255\n" + bytes(3))
 
     def test_header_comments_skipped(self):
@@ -85,7 +82,7 @@ class TestReadPnm:
 
     def test_comment_after_max_value_without_line_end_is_truncated(self):
         # the comment runs to the end of input, so no byte of it is a sample
-        with pytest.raises(TruncatedPayload, match="^payload has 0 bytes, need 4$"):
+        with pytest.raises(ValueError, match="^payload has 0 bytes, need 4$"):
             read_pnm(b"P5 2 2 255#" + bytes([1, 2, 3, 4]))
 
     @pytest.mark.parametrize("data, message", [
@@ -97,7 +94,7 @@ class TestReadPnm:
     ])
     def test_truncation_message(self, data, message):
         for container in (bytes, bytearray):
-            with pytest.raises(TruncatedPayload) as exc:
+            with pytest.raises(ValueError) as exc:
                 read_pnm(container(data))
             assert str(exc.value) == message
 
@@ -123,28 +120,28 @@ class TestReadPnm:
         assert img.samples.dtype == np.uint16
 
     def test_empty_input(self):
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(ValueError, match="^empty input$"):
             read_pnm(b"")
 
     def test_bad_maxval(self):
-        with pytest.raises(PnmError):
+        with pytest.raises(ValueError, match="^PGM max value 0 outside 1..65535$"):
             read_pnm(b"P5 2 2 0\n" + bytes(4))
-        with pytest.raises(PnmError):
+        with pytest.raises(ValueError, match="^PGM max value 70000 outside 1..65535$"):
             read_pnm(b"P5 2 2 70000\n" + bytes(16))
 
     def test_bad_dimensions(self):
-        with pytest.raises(PnmError):
+        with pytest.raises(ValueError, match="^bad PGM dimensions 0x2$"):
             read_pnm(b"P5 0 2 255\n")
 
     def test_non_numeric_header(self):
-        with pytest.raises(PnmError):
+        with pytest.raises(ValueError, match=r"^non-numeric PGM header field in \('two', '2', '255'\)$"):
             read_pnm(b"P5 two 2 255\n" + bytes(4))
 
     @pytest.mark.parametrize("header", [b"P5 +3 1 255", b"P5 2 1 2_55", b"P5 2 1 +255",
                                         b"P5 \xd9\xa2 1 255", b"P5 2 -1 255"])
     def test_header_fields_are_ascii_digits(self, header):
         # int() reads "+3" as 3 and "2_55" as 255
-        with pytest.raises(PnmError, match="non-numeric"):
+        with pytest.raises(ValueError, match="^non-numeric PGM header field in "):
             read_pnm(header + b"\n" + bytes(8))
 
     @pytest.mark.parametrize("max_value", [255, 65535])
@@ -794,7 +791,7 @@ class TestNccScoresMatchEinsumOracle:
     @given(clipped_ncc_cases(), st.none() | st.tuples(st.floats(-2, 9), st.floats(-2, 9)))
     def test_match_offsets(self, case, preferred):
         t, s = case
-        m = ncc_match(gray(t), gray(s), preferred_offset=preferred)
+        m = ncc_match(frames.NccTemplate(gray(t), gray(s)), gray(s), preferred_offset=preferred)
         want = frame_oracles.ncc_scores(gray(t), gray(s))
         if np.all(want == -np.inf):
             assert m.degenerate
@@ -863,7 +860,7 @@ class TestNccMatch:
         search = rng.integers(0, 256, size=(20, 30))
         template = rng.integers(0, 256, size=(8, 8))
         search[3:11, 7:15] = template
-        m = ncc_match(gray(template), gray(search))
+        m = ncc_match(frames.NccTemplate(gray(template), gray(search)), gray(search))
         assert (m.offset_x, m.offset_y) == (7, 3)
         assert m.score == pytest.approx(1.0)
         assert not m.degenerate
@@ -871,14 +868,14 @@ class TestNccMatch:
     def test_equal_sizes_single_placement(self):
         rng = np.random.default_rng(14)
         t = gray(rng.integers(0, 256, size=(5, 5)))
-        m = ncc_match(t, t)
+        m = ncc_match(frames.NccTemplate(t, t), t)
         assert (m.offset_x, m.offset_y) == (0, 0)
         assert m.score == pytest.approx(1.0)
 
     def test_all_degenerate_falls_back_to_preference(self):
         t = gray(np.arange(9).reshape(3, 3))
         flat = gray(np.full((9, 9), 50))
-        m = ncc_match(t, flat, preferred_offset=(4.0, 2.0))
+        m = ncc_match(frames.NccTemplate(t, flat), flat, preferred_offset=(4.0, 2.0))
         assert m.degenerate
         assert (m.offset_x, m.offset_y) == (4, 2)
         assert m.score == float("-inf")
@@ -886,19 +883,20 @@ class TestNccMatch:
     def test_degenerate_fallback_clamps(self):
         t = gray(np.arange(9).reshape(3, 3))
         flat = gray(np.full((5, 5), 50))
-        m = ncc_match(t, flat, preferred_offset=(99.0, -5.0))
+        m = ncc_match(frames.NccTemplate(t, flat), flat, preferred_offset=(99.0, -5.0))
         assert (m.offset_x, m.offset_y) == (2, 0)
 
     def test_tie_prefers_center(self):
         # periodic search: the template matches at every period; center wins
         t = gray([[0, 255], [255, 0]])
         search = gray(np.indices((7, 7)).sum(axis=0) % 2 * 255)
-        m = ncc_match(t, search)
+        m = ncc_match(frames.NccTemplate(t, search), search)
         assert (m.offset_x, m.offset_y) == (2, 2)  # closest scoring cell to center (2.5, 2.5)
 
     def test_template_larger_than_search(self):
-        with pytest.raises(ValueError):
-            ncc_match(gray(np.zeros((5, 5))), gray(np.zeros((3, 3))))
+        search = gray(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^template 5x5 larger than search window 3x3$"):
+            ncc_match(frames.NccTemplate(gray(np.zeros((5, 5))), search), search)
 
     def test_scores_surface_shape(self):
         t = gray(np.arange(4).reshape(2, 2))

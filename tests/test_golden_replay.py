@@ -5,14 +5,14 @@ digests committed in ``perfbench/golden.json``.
 The digests cover the wire bytes of tracks and detections, the score
 totals, the tuned thresholds, the converted PPM and every NCC-densified
 track, so a change that moves any of them fails here and in tier-1.
-Every ``seq_postproc`` entry is replayed, since each one's digests pass
-through the record readers and writers; the other workloads replay their
-first entry.
+Every pool entry of every workload is replayed, one at a time in its own
+directory, which is removed once its digests match.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -29,7 +29,9 @@ GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_pool_entry_matches_golden(name, tmp_path):
     workload = workloads.WORKLOADS[name]
-    keys = workload.pool_keys()
-    keys = keys if name == "seq_postproc" else keys[:1]
-    state = workload.setup(keys, tmp_path, None)
-    assert workload.record(state) == {key: GOLDEN[name][key] for key in keys}
+    for key in workload.pool_keys():
+        workdir = tmp_path / key
+        workdir.mkdir()
+        state = workload.setup([key], workdir, None)
+        assert workload.record(state) == {key: GOLDEN[name][key]}
+        shutil.rmtree(workdir)

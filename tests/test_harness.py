@@ -1,11 +1,13 @@
 """Synthetic benchmark harness: scenarios, mock detector, scoring oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
 from icevision_kit import core
 from icevision_kit.core import BoundingBox, FrameAnnotations
-from icevision_kit.datastore import MalformedRecord
+from icevision_kit.datastore import DatastoreError
 from icevision_kit.harness import (
     BenchmarkReport,
     GeneratedScenario,
@@ -132,12 +134,12 @@ class TestParseScenario:
     @pytest.mark.parametrize("value", ["\u0663\u0660", "3_0", "+30", "-30", "30.0"])
     def test_integers_are_ascii_decimal(self, value):
         # int() reads all but the last as 30 or -30
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match=f"^s.cfg:2: bad value for frame_count: {re.escape(repr(value))}$") as err:
             parse_scenario(f"width = 640\nframe_count = {value}\n", "s.cfg")
         assert str(err.value).startswith("s.cfg:2:")
 
     def test_repeated_key_names_line(self):
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(DatastoreError, match="^s.cfg:3: repeated key 'width'$") as err:
             parse_scenario("frame_count = 10\nwidth = 640\nwidth = 320\n", "s.cfg")
         assert str(err.value).startswith("s.cfg:3:")
 

@@ -3,9 +3,14 @@ each name of another package module from the module that defines it.
 
 The package root imports nothing, so an import cycle between two modules
 shows when one of them is the first module a program imports.
+
+The package defines one exception class, ``DatastoreError``: a bad value
+raises ``ValueError``, and a bad file raises ``DatastoreError`` naming
+the file and line.
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -74,7 +79,39 @@ def foreign_names(trees: dict[str, ast.Module]) -> list[str]:
     return sorted(found)
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {module: ast.parse((SRC / "icevision_kit" / f"{module}.py").read_text())
+            for module in MODULES}
+
+
 def test_each_name_is_taken_from_the_module_that_defines_it():
-    trees = {module: ast.parse((SRC / "icevision_kit" / f"{module}.py").read_text())
-             for module in MODULES}
-    assert foreign_names(trees) == []
+    assert foreign_names(package_trees()) == []
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.Class`` for every class that derives from a built-in
+    exception, directly or through other classes of ``trees``."""
+    bases = {}  # class name -> (module, names of its bases)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):  # a base ``m.Name`` is read as ``Name``
+                bases[node.name] = (module, [ast.unparse(b).rpartition(".")[2] for b in node.bases])
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return name in bases and any(map(is_exception, bases[name][1]))
+
+    return sorted(f"{module}.{name}" for name, (module, _) in bases.items() if is_exception(name))
+
+
+def test_exception_classes_are_found_through_their_bases():
+    tree = ast.parse("class A(ValueError): pass\nclass B(A): pass\n"
+                     "class C(dict): pass\nclass D(enum.Enum): pass\nclass E(errors.F): pass\n"
+                     "class F(OSError): pass\n")
+    assert exception_classes({"m": tree}) == ["m.A", "m.B", "m.E", "m.F"]
+
+
+def test_the_one_exception_class_is_datastore_error():
+    assert exception_classes(package_trees()) == ["datastore.DatastoreError"]

@@ -173,7 +173,7 @@ class TestRefineTracks:
         out = refine_tracks([t], THR)
         assert len(out) == 5
         assert all(d.code == parse_code("3.24") for d in out)
-        assert all(d.confidence == pytest.approx(0.9) for d in out)
+        assert all(max(d.class_distribution.values()) == pytest.approx(0.9) for d in out)
         # one dict per track, so the writers format it once
         assert len({id(d.class_distribution) for d in out}) == 1
 
@@ -213,7 +213,7 @@ class TestRefineTracks:
         t = track(entry(0, {"3.24.1": 0.3, "3.24.2": 0.3}))
         out = refine_tracks([t], THR)
         assert out[0].code == parse_code("3.24")
-        assert out[0].confidence == pytest.approx(0.6)
+        assert max(out[0].class_distribution.values()) == pytest.approx(0.6)
 
 
 def _validation_fixture():
@@ -632,7 +632,6 @@ class TestSummaries:
     @given(summary_sets())
     def test_refined_probabilities_are_python_floats(self, tracks):
         for d in refine_tracks(tracks, LevelThresholds(0.0, 0.0, 0.0)):
-            assert type(d.confidence) is float
             assert all(type(p) is float for p in d.class_distribution.values())
 
 
