@@ -10,13 +10,14 @@ Exit codes: 0 success, 2 missing input file or output directory,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import math
 import sys
 from pathlib import Path
 
 from . import datastore, frames, harness, refinement, tracking
-from .core import group_by_frame
+from .core import NCC_MARGIN_PX, group_by_frame
 from .datastore import DatastoreError, atomic_write_bytes, atomic_write_text
 from .frames import BayerPattern
 from .refinement import LevelThresholds
@@ -57,25 +58,36 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     return numbers
 
 
-def _config(parser: _Parser, cls, **fields):
-    """``cls`` built from flag values, each keyword a ``(flag, value)`` pair
-    for the field it names; a value the class rejects is a usage error
-    naming its flag."""
-    for name, (flag, value) in fields.items():
+# Each flag that sets a config field, as (config class, {flag: field name}),
+# one table per config a command builds; the flag takes its type and
+# default from the field, and the class checks its value.
+TRACKER_FLAGS = (TrackerConfig, {
+    "--iou-threshold": "iou_threshold", "--max-missed": "max_missed_keyframes",
+    "--min-length": "min_track_length"})
+STRIDE_FLAGS = (TrackerConfig, {"--stride": "keyframe_stride"})
+NOISE_FLAGS = (harness.NoiseModel, {
+    "--seed": "seed", "--drop": "drop_probability", "--fp-per-frame": "fp_per_frame",
+    "--jitter": "position_jitter_px", "--confusion": "class_confusion"})
+PIPELINE_FLAGS = (harness.PipelineConfig, {"--budget-fps": "budget_fps"})
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *tables) -> None:
+    for cls, flags in tables:
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for flag, name in flags.items():
+            p.add_argument(flag, dest=name, type=type(defaults[name]), default=defaults[name])
+
+
+def _config(parser: _Parser, args, table, **given):
+    """The table's config class built from its flags' values and ``given``;
+    a value the class rejects is a usage error naming its flag."""
+    cls, flags = table
+    for flag, name in flags.items():
         try:
-            cls(**{name: value})
+            cls(**{name: getattr(args, name)})
         except ValueError as exc:
             parser.error(f"{flag}: {exc}")
-    return cls(**{name: value for name, (_, value) in fields.items()})
-
-
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=harness.NoiseModel.seed)
-    p.add_argument("--stride", type=int, default=TrackerConfig.keyframe_stride)
-    p.add_argument("--drop", type=float, default=harness.NoiseModel.drop_probability)
-    p.add_argument("--fp-per-frame", type=float, default=harness.NoiseModel.fp_per_frame)
-    p.add_argument("--jitter", type=float, default=harness.NoiseModel.position_jitter_px)
-    p.add_argument("--confusion", type=float, default=harness.NoiseModel.class_confusion)
+    return cls(**given, **{name: getattr(args, name) for name in flags.values()})
 
 
 def build_parser() -> _Parser:
@@ -95,9 +107,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_track)
     p.add_argument("--detections", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--iou-threshold", type=float, default=TrackerConfig.iou_threshold)
-    p.add_argument("--max-missed", type=int, default=TrackerConfig.max_missed_keyframes)
-    p.add_argument("--min-length", type=int, default=TrackerConfig.min_track_length)
+    _add_config_flags(p, TRACKER_FLAGS)
 
     p = sub.add_parser("interp", help="densify tracks across non-keyframe frames")
     p.set_defaults(run=_cmd_interp)
@@ -108,7 +118,7 @@ def build_parser() -> _Parser:
     p.add_argument("--root", default=".", help="directory frame paths are relative to")
     p.add_argument("--pattern", choices=[b.value for b in BayerPattern],
                    help="treat frames as Bayer mosaics with this layout")
-    p.add_argument("--margin", type=float, default=20.0)
+    p.add_argument("--margin", type=float, default=NCC_MARGIN_PX)
     p.add_argument("--format", choices=("tracks", "detections"), default="tracks",
                    dest="out_format", help="output as tracks or flattened detections")
 
@@ -141,7 +151,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic scenario on disk")
     p.set_defaults(run=_cmd_synth)
     p.add_argument("--spec", required=True, help="key=value scenario spec file")
-    _add_noise_flags(p)
+    _add_config_flags(p, NOISE_FLAGS, STRIDE_FLAGS)
     p.add_argument("--annotations", required=True, help="output annotations path")
     p.add_argument("--detections", help="output mock-detector detections path")
     p.add_argument("--render-dir", help="also render frames as PGM plus a manifest")
@@ -149,9 +159,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the end-to-end synthetic benchmark")
     p.set_defaults(run=_cmd_bench)
     p.add_argument("--spec", required=True)
-    _add_noise_flags(p)
+    _add_config_flags(p, NOISE_FLAGS, STRIDE_FLAGS)
     p.add_argument("--stage", choices=("online", "offline"), default="offline")
-    p.add_argument("--budget-fps", type=float, default=harness.PipelineConfig.budget_fps)
+    _add_config_flags(p, PIPELINE_FLAGS)
     p.add_argument("--records", help="write machine-readable results here")
 
     return parser
@@ -170,12 +180,7 @@ def _cmd_score(args, parser: _Parser) -> int:
 
 
 def _cmd_track(args, parser: _Parser) -> int:
-    cfg = _config(
-        parser, TrackerConfig,
-        iou_threshold=("--iou-threshold", args.iou_threshold),
-        max_missed_keyframes=("--max-missed", args.max_missed),
-        min_track_length=("--min-length", args.min_length),
-    )
+    cfg = _config(parser, args, TRACKER_FLAGS)
     detections = datastore.read_detections(_require(args.detections))
     tracks = tracking.run_tracker(detections, cfg)
     datastore.write_tracks(tracks, args.output)
@@ -282,26 +287,13 @@ def _cmd_convert(args, parser: _Parser) -> int:
     return EX_OK
 
 
-def _mock_detector_flags(args, parser: _Parser) -> tuple[harness.NoiseModel, TrackerConfig]:
-    """The mock detector's noise model and keyframe stride (as a tracker
-    config) from the noise flags."""
-    noise = _config(
-        parser, harness.NoiseModel,
-        drop_probability=("--drop", args.drop),
-        fp_per_frame=("--fp-per-frame", args.fp_per_frame),
-        position_jitter_px=("--jitter", args.jitter),
-        class_confusion=("--confusion", args.confusion),
-        seed=("--seed", args.seed),
-    )
-    return noise, _config(parser, TrackerConfig, keyframe_stride=("--stride", args.stride))
-
-
 def _load_spec(path) -> harness.ScenarioSpec:
     return harness.parse_scenario(datastore.read_text(_require(path)), path)
 
 
 def _cmd_synth(args, parser: _Parser) -> int:
-    noise, tracker = _mock_detector_flags(args, parser)
+    noise = _config(parser, args, NOISE_FLAGS)
+    tracker = _config(parser, args, STRIDE_FLAGS)
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
     if args.render_dir:
@@ -332,14 +324,11 @@ def _cmd_synth(args, parser: _Parser) -> int:
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
-    if not 0.0 < args.budget_fps < math.inf:
-        parser.error(f"--budget-fps must be finite and > 0, got {args.budget_fps}")
-    noise, tracker = _mock_detector_flags(args, parser)
+    noise = _config(parser, args, NOISE_FLAGS)
+    pipeline = _config(parser, args, PIPELINE_FLAGS, scoring=ScoringConfig(Stage(args.stage)),
+                       tracker=_config(parser, args, STRIDE_FLAGS))
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
-    pipeline = harness.PipelineConfig(
-        scoring=ScoringConfig(Stage(args.stage)), tracker=tracker, budget_fps=args.budget_fps
-    )
     report = harness.run_benchmark(generated, noise, pipeline)
     sys.stdout.write(harness.format_benchmark(report))
     if args.records:

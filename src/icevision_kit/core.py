@@ -110,7 +110,11 @@ def pixel_rect(box: BoundingBox) -> tuple[int, int, int, int]:
             math.floor(box.x_max + 0.5), math.floor(box.y_max + 0.5))
 
 
-def search_area(box_a: BoundingBox, box_b: BoundingBox, margin: float = 20.0) -> BoundingBox:
+NCC_MARGIN_PX = 20.0  # how far the NCC search area reaches past its two keyframe boxes
+
+
+def search_area(box_a: BoundingBox, box_b: BoundingBox,
+                margin: float = NCC_MARGIN_PX) -> BoundingBox:
     """Axis-aligned hull of two boxes grown by ``margin`` pixels per side.
 
     Not clipped here; clip to frame bounds at the point of use.

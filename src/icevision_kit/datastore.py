@@ -67,7 +67,9 @@ def _parse_real(token: str, what: str) -> float:
         raise ValueError(f"{what} is not a number: {token!r}") from None
 
 
-def _parse_index(token: str, what: str) -> int:
+def parse_index(token: str, what: str = "value") -> int:
+    """A non-negative integer in ASCII decimal digits (``int`` would also
+    read "٣٠", "3_20" and "+7")."""
     if not is_ascii_digits(token):
         raise ValueError(f"{what} is not a non-negative integer: {token!r}")
     return int(token)
@@ -244,11 +246,11 @@ def read_annotations(path) -> list[FrameAnnotations]:
     for lineno, fields, plain in _open_records(path, "annotations"):
         try:
             if len(fields) == 1:
-                signs.setdefault(_parse_index(fields[0], "frame index"), [])
+                signs.setdefault(parse_index(fields[0], "frame index"), [])
                 continue
             if len(fields) != 8:
                 raise ValueError(f"annotation record needs 1 or 8 fields, got {len(fields)}")
-            frame = _parse_index(fields[0], "frame index")
+            frame = parse_index(fields[0], "frame index")
             code = _parse_code(fields[1])
             box = _parse_box(fields[2:6], plain)
             key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
@@ -307,7 +309,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
             if len(fields) not in (6, 7, 8):
                 raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
             det = Detection(
-                frame_index=_parse_index(fields[0], "frame index"),
+                frame_index=parse_index(fields[0], "frame index"),
                 class_distribution=distribution(fields[1]),
                 box=_parse_box(fields[2:6], plain),
                 associated_data=_opt_text(fields[6]) if len(fields) >= 7 else None,
@@ -366,8 +368,8 @@ def read_tracks(path) -> list[Track]:
         try:
             if len(fields) != 11:
                 raise ValueError(f"track record needs 11 fields, got {len(fields)}")
-            track_id = _parse_index(fields[0], "track id")
-            frame = _parse_index(fields[1], "frame index")
+            track_id = parse_index(fields[0], "track id")
+            frame = parse_index(fields[1], "frame index")
             if fields[2] not in _TEXT_SOURCE:
                 raise ValueError(f"unknown source {fields[2]!r}")
             box = _parse_box(fields[3:7], plain)
@@ -473,7 +475,7 @@ def read_manifest(path) -> SequenceManifest:
             index_s, sep, frame_path = line.partition("\t")
             if not sep:
                 raise ValueError("expected frame_index<TAB>path")
-            index = _parse_index(index_s.strip(), "frame index")
+            index = parse_index(index_s.strip(), "frame index")
             if frames and index <= frames[-1][0]:
                 raise ValueError(f"frame indices not strictly increasing at {index}")
         except ValueError as exc:
@@ -573,14 +575,6 @@ def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]
     return values
 
 
-def decimal_value(text: str, least: int = 0) -> int:
-    """An integer setting of at least ``least``, in ASCII decimal digits
-    (``int`` would also read "٣٠", "3_20" and "+7")."""
-    if not (is_ascii_digits(text) and int(text) >= least):
-        raise ValueError(f"expected a decimal integer >= {least}, got {text!r}")
-    return int(text)
-
-
 def real_value(text: str) -> float:
     """A real in ASCII with no ``_`` (``float`` also reads "٠.٥" and "0.5_0")."""
     if not text.isascii() or "_" in text:
@@ -605,5 +599,12 @@ def parse_sidecar(text: str, path="<sidecar>") -> SidecarConfig:
     """Parse a sidecar file (keys: pattern, equalize, crop_keep)."""
     readers = {"pattern": lambda v: BayerPattern(v.upper()),
                "equalize": lambda v: _BOOLEANS[v.lower()],
-               "crop_keep": lambda v: decimal_value(v, least=1)}
+               "crop_keep": _crop_keep}
     return SidecarConfig(**parse_key_values(text, path, readers))
+
+
+def _crop_keep(token: str) -> int:
+    keep = parse_index(token, "crop_keep")
+    if keep < 1:
+        raise ValueError(f"crop_keep must be >= 1, got {keep}")
+    return keep

@@ -14,6 +14,7 @@ platform.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import (BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame,
                    pixel_rect)
-from .datastore import FORMAT_VERSION, DatastoreError, decimal_value, parse_key_values
+from .datastore import FORMAT_VERSION, DatastoreError, parse_index, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
 from .scoring import ScoringConfig, Stage, score_dataset
@@ -30,6 +31,10 @@ from .tracking import TrackerConfig, densify_linear, run_tracker
 
 ANNOTATION_STEP_RANGE = (25, 35)
 SIGN_SIZE_RANGE = (20, 60)
+# the largest values the mock detector can draw from: numpy's Poisson
+# mean limit, and a jitter whose uniform range 2*j stays finite
+POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+JITTER_MAX = sys.float_info.max / 2
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -51,12 +56,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError(f"drop_probability must be in [0, 1], got {self.drop_probability}")
-        if not 0.0 <= self.fp_per_frame < math.inf:
-            raise ValueError(f"fp_per_frame must be finite and >= 0, got {self.fp_per_frame}")
-        if not 0.0 <= self.position_jitter_px < math.inf:
-            raise ValueError(
-                f"position_jitter_px must be finite and >= 0, got {self.position_jitter_px}"
-            )
+        if not 0.0 <= self.fp_per_frame <= POISSON_MEAN_MAX:
+            raise ValueError(f"fp_per_frame must be in [0, {POISSON_MEAN_MAX!r}], "
+                             f"got {self.fp_per_frame}")
+        if not 0.0 <= self.position_jitter_px <= JITTER_MAX:
+            raise ValueError(f"position_jitter_px must be in [0, {JITTER_MAX!r}], "
+                             f"got {self.position_jitter_px}")
         if not 0.0 <= self.class_confusion <= 1.0:
             raise ValueError(f"class_confusion must be in [0, 1], got {self.class_confusion}")
         if self.seed < 0:
@@ -149,7 +154,7 @@ class ScenarioSpec:
 def parse_scenario(text: str, path="<scenario>") -> ScenarioSpec:
     """Parse a key=value scenario spec (frame_count, width, height, sign_count)."""
     keys = ("frame_count", "width", "height", "sign_count")
-    values = parse_key_values(text, path, dict.fromkeys(keys, decimal_value))
+    values = parse_key_values(text, path, dict.fromkeys(keys, parse_index))
     if "frame_count" not in values:
         raise DatastoreError(path, None, "scenario spec must set frame_count")
     try:
@@ -378,6 +383,10 @@ class PipelineConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig.offline)
     budget_fps: float = 100000.0 / (5 * 3600.0)  # competition: 100k frames in 5h
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.budget_fps < math.inf:
+            raise ValueError(f"budget_fps must be finite and > 0, got {self.budget_fps}")
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def grid_search_thresholds(
             for j in {j for i in changed for j in frames_of[i]}:
                 results[j] = frame_score(j, selection[on_frame[j]].tobytes())
             scored = selection
-            scores[key] = dataset_total(results, scoring_cfg)[0]
+            scores[key] = dataset_total(results)[0]
         if scores[key] > best_score:
             best_triple, best_score = triple, scores[key]
     best_thr = LevelThresholds(*best_triple)

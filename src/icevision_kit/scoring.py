@@ -11,8 +11,10 @@ ignore zones: detections landing on them earn and cost nothing.
 
 from __future__ import annotations
 
+import collections
 import enum
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass
 
 from .core import Detection, FrameAnnotations, GroundTruthSign, area, greedy_match, iou
 from .datastore import FORMAT_VERSION
@@ -185,18 +187,14 @@ def match_frame(
     signs = annotations.signs
     threshold, min_area = cfg.iou_threshold, cfg.min_area_px
     scoreable = [area(gt.box) >= min_area for gt in signs]
+    overlaps = [[iou(det.box, gt.box) for gt in signs] for det in detections]
 
-    candidates = []
-    for d_idx, det in enumerate(detections):
-        pred = det.code
-        for g_idx, gt in enumerate(signs):
-            if not scoreable[g_idx]:
-                continue
-            if not _class_acceptable(pred, gt.code, cfg):
-                continue
-            overlap = iou(det.box, gt.box)
-            if overlap >= threshold:
-                candidates.append((overlap, d_idx, g_idx))
+    candidates = [
+        (overlap, d_idx, g_idx)
+        for d_idx, (det, row) in enumerate(zip(detections, overlaps))
+        for g_idx, (gt, overlap) in enumerate(zip(signs, row))
+        if scoreable[g_idx] and overlap >= threshold and _class_acceptable(det.code, gt.code, cfg)
+    ]
     det_match = greedy_match(candidates)
     gt_match = {g_idx for g_idx, _ in det_match.values()}
     had_candidate = {d_idx for _, d_idx, _ in candidates}
@@ -209,17 +207,11 @@ def match_frame(
 
     false_positives = []
     ignored = []
-    for d_idx, det in enumerate(detections):
+    for d_idx, (det, row) in enumerate(zip(detections, overlaps)):
         if d_idx in det_match:
             continue
-        best_ignored = 0.0
-        best_scoreable = 0.0
-        for g_idx, gt in enumerate(signs):
-            overlap = iou(det.box, gt.box)
-            if scoreable[g_idx]:
-                best_scoreable = max(best_scoreable, overlap)
-            else:
-                best_ignored = max(best_ignored, overlap)
+        best_ignored = max((o for o, s in zip(row, scoreable) if not s), default=0.0)
+        best_scoreable = max((o for o, s in zip(row, scoreable) if s), default=0.0)
         if best_ignored >= threshold and best_ignored >= best_scoreable:
             ignored.append(det)
         elif d_idx in had_candidate:
@@ -241,26 +233,55 @@ def match_frame(
 
 @dataclass(frozen=True)
 class ClassScore:
-    tp_count: int = 0
-    tp_points: float = 0.0
-    missed: int = 0
-    fp_count: int = 0
+    tp_count: int
+    tp_points: float
+    missed: int
+    fp_count: int
 
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Dataset-level totals with per-class breakdowns and each scored
-    frame's :class:`MatchResult`, in frame order.
+    """Each scored frame's :class:`MatchResult`, in frame order.  The
+    totals and the per-class table are derived from them, once per report.
 
     ``total`` is exactly ``tp_points - fp_penalty * fp_count``.
     """
 
-    total: float
-    tp_points: float
-    fp_count: int
-    fp_penalty: float
-    frames: tuple[MatchResult, ...] = field(default_factory=tuple)
-    per_class: dict[ClassCode, ClassScore] = field(default_factory=dict)
+    frames: tuple[MatchResult, ...]
+
+    fp_penalty = ScoringConfig.fp_penalty
+
+    @functools.cached_property
+    def _totals(self) -> tuple[float, float, int]:
+        return dataset_total((f.tp_points, len(f.false_positives)) for f in self.frames)
+
+    @property
+    def total(self) -> float:
+        return self._totals[0]
+
+    @property
+    def tp_points(self) -> float:
+        return self._totals[1]
+
+    @property
+    def fp_count(self) -> int:
+        return self._totals[2]
+
+    @functools.cached_property
+    def per_class(self) -> dict[ClassCode, ClassScore]:
+        """TP count and points by sign class, misses by sign class, false
+        positives by detected class."""
+        rows = collections.defaultdict(lambda: [0, 0.0, 0, 0])  # as ClassScore's fields
+        for result in self.frames:
+            for tp in result.true_positives:
+                row = rows[tp.ground_truth.code]
+                row[0] += 1
+                row[1] += tp.score
+            for gt in result.missed:
+                rows[gt.code][2] += 1
+            for fp in result.false_positives:
+                rows[fp.detection.code][3] += 1
+        return {code: ClassScore(*row) for code, row in rows.items()}
 
 
 def scored_frames(annotations: list[FrameAnnotations]) -> list[FrameAnnotations]:
@@ -274,7 +295,7 @@ def scored_frames(annotations: list[FrameAnnotations]) -> list[FrameAnnotations]
     return sorted(annotations, key=lambda a: a.frame_index)
 
 
-def dataset_total(frame_totals, cfg: ScoringConfig) -> tuple[float, float, int]:
+def dataset_total(frame_totals) -> tuple[float, float, int]:
     """``(total, tp_points, fp_count)`` of per-frame ``(tp_points,
     fp_count)`` pairs, added left to right, less the flat penalty per
     false positive."""
@@ -282,7 +303,7 @@ def dataset_total(frame_totals, cfg: ScoringConfig) -> tuple[float, float, int]:
     for points, count in frame_totals:
         tp_points += points
         fp_count += count
-    return tp_points - cfg.fp_penalty * fp_count, tp_points, fp_count
+    return tp_points - ScoringConfig.fp_penalty * fp_count, tp_points, fp_count
 
 
 def score_dataset(
@@ -295,35 +316,10 @@ def score_dataset(
     Only listed frames contribute; detections on any other frame are
     silently discarded, per the sparse-annotation rule.
     """
-    frames = []
-    per_class: dict[ClassCode, ClassScore] = {}
-
-    def bump(code: ClassCode, **delta) -> None:
-        current = per_class.get(code, ClassScore())
-        per_class[code] = replace(
-            current, **{k: getattr(current, k) + v for k, v in delta.items()}
-        )
-
-    for anno in scored_frames(annotations):
-        result = match_frame(detections.get(anno.frame_index, []), anno, cfg)
-        frames.append(result)
-        for tp in result.true_positives:
-            bump(tp.ground_truth.code, tp_count=1, tp_points=tp.score)
-        for gt in result.missed:
-            bump(gt.code, missed=1)
-        for fp in result.false_positives:
-            bump(fp.detection.code, fp_count=1)
-
-    total, tp_points, fp_count = dataset_total(
-        ((f.tp_points, len(f.false_positives)) for f in frames), cfg)
-    return ScoreReport(
-        total=total,
-        tp_points=tp_points,
-        fp_count=fp_count,
-        fp_penalty=cfg.fp_penalty,
-        frames=tuple(frames),
-        per_class=per_class,
-    )
+    return ScoreReport(tuple(
+        match_frame(detections.get(anno.frame_index, []), anno, cfg)
+        for anno in scored_frames(annotations)
+    ))
 
 
 def format_report(report: ScoreReport) -> str:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import (BoundingBox, Detection, Source, greedy_match, index_value, iou, lerp_box,
-                   pixel_rect, search_area)
+from .core import (NCC_MARGIN_PX, BoundingBox, Detection, Source, greedy_match, index_value, iou,
+                   lerp_box, pixel_rect, search_area)
 from . import frames as frames_mod
 
 
@@ -155,7 +155,7 @@ def _linear_fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox
         yield lerp_box(start.box, end.box, t), start.ncc_degenerate, start.template_clipped
 
 
-def densify_ncc(track: Track, frame_images, *, margin: float = 20.0) -> Track:
+def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) -> Track:
     """Fill gap frames by template matching instead of pure interpolation.
 
     Box sizes are linearly interpolated, but each in-between position is

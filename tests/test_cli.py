@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes and parity with library calls."""
 
+import dataclasses
 import errno
+import inspect
 import os
 from dataclasses import replace
 
@@ -8,9 +10,9 @@ import frame_oracles
 import numpy as np
 import pytest
 
-from icevision_kit import datastore, frames, harness, refinement, tracking
+from icevision_kit import cli, datastore, frames, harness, refinement, tracking
 from icevision_kit.cli import EX_MALFORMED_INPUT, EX_MISSING_INPUT, EX_OK, EX_USAGE, main
-from icevision_kit.core import BoundingBox, Detection
+from icevision_kit.core import NCC_MARGIN_PX, BoundingBox, Detection
 from icevision_kit.datastore import FORMAT_VERSION
 from icevision_kit.scoring import FpReason, ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
@@ -373,6 +375,10 @@ class TestBadNumericFlag:
         ("bench", "--stride", "0"),
         ("bench", "--confusion", "-1"),
         ("bench", "--fp-per-frame", "nan"),
+        ("synth", "--fp-per-frame", "1e19"),
+        ("synth", "--jitter", "1e308"),
+        ("bench", "--fp-per-frame", "1e19"),
+        ("bench", "--jitter", "1e308"),
         ("interp", "--margin", "-100"),
         ("interp", "--margin", "inf"),
         ("interp", "--margin", "nan"),
@@ -389,6 +395,32 @@ class TestBadNumericFlag:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+
+class TestConfigFlags:
+    """Each config-backed flag sets the field its table names, with the
+    field's default."""
+
+    @pytest.mark.parametrize("argv, tables", [
+        (["track", "--detections", "d", "--output", "o"], [cli.TRACKER_FLAGS]),
+        (["synth", "--spec", "s", "--annotations", "a"], [cli.NOISE_FLAGS, cli.STRIDE_FLAGS]),
+        (["bench", "--spec", "s"], [cli.NOISE_FLAGS, cli.STRIDE_FLAGS, cli.PIPELINE_FLAGS]),
+    ])
+    def test_flags_set_real_fields_with_their_defaults(self, argv, tables):
+        parser = cli.build_parser()
+        defaults = parser.parse_args(argv)
+        for cls, flags in tables:
+            fields = {f.name: f.default for f in dataclasses.fields(cls)}
+            for flag, name in flags.items():
+                assert name in fields
+                assert getattr(defaults, name) == fields[name]
+                assert type(getattr(defaults, name)) is type(fields[name])
+                assert getattr(parser.parse_args(argv + [flag, "1"]), name) == 1
+
+    def test_ncc_margin_default_is_the_core_constant(self):
+        args = cli.build_parser().parse_args(["interp", "--tracks", "t", "--output", "o"])
+        margin = inspect.signature(tracking.densify_ncc).parameters["margin"].default
+        assert args.margin == margin == NCC_MARGIN_PX
 
 
 class TestFlagsThatChangedNothing:

@@ -61,11 +61,21 @@ class TestNoiseModel:
             {"fp_per_frame": -1.0},
             {"position_jitter_px": -2.0},
             {"class_confusion": 1.01},
+            # more than numpy's Poisson and uniform draws accept
+            {"fp_per_frame": 1e19},
+            {"position_jitter_px": 1e308},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NoiseModel(**kwargs)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("budget", [0.0, -5.0, float("nan"), float("inf")])
+    def test_budget_must_be_finite_and_positive(self, budget):
+        with pytest.raises(ValueError, match="budget_fps"):
+            PipelineConfig(budget_fps=budget)
 
 
 class TestSyntheticSign:

@@ -7,12 +7,17 @@ import math
 import random
 
 import pytest
+import scoring_oracles
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from icevision_kit import scoring
 from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, iou
 from icevision_kit.scoring import (
     FpReason,
     KCoefficients,
     MatchResult,
+    ScoreReport,
     ScoringConfig,
     Stage,
     TruePositive,
@@ -50,6 +55,36 @@ def gt(frame, box, code="3.24", data=None, temporary=False):
         associated_data=data,
         temporary=temporary,
     )
+
+
+BOXES = st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
+                  st.integers(0, 40), st.integers(0, 40), st.integers(4, 30), st.integers(4, 30))
+CODES = st.sampled_from(["3.24", "3.24.1", "3.25", "5.19.1", "5.19.2"])
+
+
+@st.composite
+def scored_sets(draw):
+    """Detections and annotations on frames 0-5 with overlapping boxes,
+    superclass codes, ignore-zone signs (under 100 px^2), float
+    probabilities and every k-rule input; some detected frames are not
+    annotated."""
+    anns = [
+        FrameAnnotations(f, tuple(
+            gt(f, box, code, data, temporary)
+            for box, code, data, temporary in draw(st.lists(
+                st.tuples(BOXES, CODES, st.sampled_from([None, "40"]), st.booleans()),
+                max_size=3))
+        ))
+        for f in draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
+    ]
+    dets = {
+        f: [det(f, box, code, prob, data, temporary)
+            for box, code, prob, data, temporary in draw(st.lists(st.tuples(
+                BOXES, CODES, st.floats(0.0, 1.0), st.sampled_from([None, "40", "50"]),
+                st.sampled_from([None, False, True])), max_size=4))]
+        for f in range(6)
+    }
+    return dets, anns
 
 
 class TestBaseScore:
@@ -452,6 +487,35 @@ class TestScoreDataset:
             {},
         ]
         assert report.fp_count == 4
+
+    def test_iou_taken_once_per_detection_and_sign(self, monkeypatch):
+        anns, dets = self.mixed_frames()
+        pairs = []
+
+        def counting(a, b):
+            pairs.append((a, b))
+            return iou(a, b)
+
+        monkeypatch.setattr(scoring, "iou", counting)
+        match_frame(dets[0], anns[1], ONLINE)
+        assert sorted(map(repr, pairs)) == sorted(
+            repr((d.box, g.box)) for d in dets[0] for g in anns[1].signs)
+
+    def test_report_has_only_its_frames(self):
+        assert [f.name for f in dataclasses.fields(ScoreReport)] == ["frames"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_sets(), st.sampled_from([ONLINE, OFFLINE]))
+    # six frames whose TP points sum to other bits when added right to left
+    @example(({f: [det(f, (0, 0, 20, 20))] for f in range(6)},
+              [FrameAnnotations(f, (gt(f, (d, 0, 20 + d, 20)),))
+               for f, d in enumerate(0.731 * (g + 1) % 4.5 for g in range(6))]), ONLINE)
+    def test_totals_and_per_class_are_a_fold_over_frames(self, case, cfg):
+        dets, anns = case
+        report = score_dataset(dets, anns, cfg)
+        total, tp_points, fp_count, per_class = scoring_oracles.tally(report.frames)
+        assert (report.total, report.tp_points, report.fp_count) == (total, tp_points, fp_count)
+        assert list(report.per_class.items()) == list(per_class.items())
 
     def test_report_renders(self):
         anns = [FrameAnnotations(frame_index=0, signs=(gt(0, (0, 0, 100, 100)),))]
