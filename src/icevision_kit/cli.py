@@ -22,6 +22,7 @@ from .datastore import DatastoreError, atomic_write_bytes, atomic_write_text
 from .frames import BayerPattern
 from .refinement import LevelThresholds
 from .scoring import ScoringConfig, Stage, format_report, report_records, score_dataset
+from .taxonomy import is_ascii_digits
 from .tracking import TrackerConfig
 
 EX_OK = 0
@@ -71,11 +72,20 @@ NOISE_FLAGS = (harness.NoiseModel, {
 PIPELINE_FLAGS = (harness.PipelineConfig, {"--budget-fps": "budget_fps"})
 
 
+def _integer(text: str) -> int:
+    """An ASCII decimal integer, optionally negative, so the command judges
+    its sign (``int`` would also read "٣", "1_0" and "+3")."""
+    if not is_ascii_digits(text.removeprefix("-")):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def _add_config_flags(p: argparse.ArgumentParser, *tables) -> None:
     for cls, flags in tables:
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         for flag, name in flags.items():
-            p.add_argument(flag, dest=name, type=type(defaults[name]), default=defaults[name])
+            parse = _integer if type(defaults[name]) is int else datastore.real_value
+            p.add_argument(flag, dest=name, type=parse, default=defaults[name])
 
 
 def _config(parser: _Parser, args, table, **given):
@@ -118,7 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--root", default=".", help="directory frame paths are relative to")
     p.add_argument("--pattern", choices=[b.value for b in BayerPattern],
                    help="treat frames as Bayer mosaics with this layout")
-    p.add_argument("--margin", type=float, default=NCC_MARGIN_PX)
+    p.add_argument("--margin", type=datastore.real_value, default=NCC_MARGIN_PX)
     p.add_argument("--format", choices=("tracks", "detections"), default="tracks",
                    dest="out_format", help="output as tracks or flattened detections")
 
@@ -145,8 +155,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sidecar", help="key=value conversion settings file")
     p.add_argument("--pattern", choices=[b.value for b in BayerPattern], default=None)
     p.add_argument("--equalize", action="store_true")
-    p.add_argument("--crop-keep", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
+    p.add_argument("--crop-keep", type=_integer, default=None)
+    p.add_argument("--jobs", type=_integer, default=1, help="accepted for compatibility")
 
     p = sub.add_parser("synth", help="generate a synthetic scenario on disk")
     p.set_defaults(run=_cmd_synth)
@@ -199,7 +209,7 @@ def _cmd_interp(args, parser: _Parser) -> int:
         pattern = BayerPattern(args.pattern) if args.pattern else None
         source = datastore.ManifestFrameSource(manifest, root=args.root, pattern=pattern)
         try:
-            dense = [tracking.densify_ncc(t, source, margin=args.margin) for t in tracks]
+            dense = tracking.densify_ncc_tracks(tracks, source, margin=args.margin)
         except KeyError as exc:
             raise FileNotFoundError(
                 errno.ENOENT, "missing input", f"frame {exc.args[0]} in manifest {args.manifest}"

@@ -512,8 +512,9 @@ def write_manifest(manifest: SequenceManifest, path) -> None:
 class ManifestFrameSource:
     """Frame loader indexed by frame number, for NCC interpolation.
 
-    Each access reads and decodes the frame's PGM; nothing is cached.
-    Every frame must have the size of the first one decoded.
+    Each access reads and decodes the frame's PGM; nothing is cached
+    (:func:`tracking.densify_ncc_tracks` asks for each frame once, in
+    ascending order).  Every frame must have the size of the first one decoded.
     With a ``pattern`` the frame stays the decoded mosaic
     (:class:`CfaImage`), validated over the whole frame like any other;
     readers take the gray signal of just the windows they need with

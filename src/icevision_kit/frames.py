@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -329,15 +330,16 @@ def crop_rows(image, keep_top: int):
 
 def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
     """Gray signal of the rectangle [x0, x1) x [y0, y1), which must lie inside
-    the frame: a plain crop of a gray image, or the interpolated green plane
-    of just that rectangle of a mosaic, equal to that rectangle of the whole
+    the frame, in an array of its own (so it keeps no frame alive): a copy
+    of a gray image's rectangle, or the interpolated green plane of just
+    that rectangle of a mosaic, equal to that rectangle of the whole
     frame's green plane: the window and its one-pixel context are read as
     four sub-lattices, as one band of :func:`demosaic_bilinear` is."""
     h, w = image.samples.shape
     if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
         raise ValueError(f"window ({x0},{y0},{x1},{y1}) outside {w}x{h}")
     if not isinstance(image, CfaImage):
-        return GrayImage(samples=image.samples[y0:y1, x0:x1], max_value=image.max_value)
+        return GrayImage(samples=image.samples[y0:y1, x0:x1].copy(), max_value=image.max_value)
     plane = np.empty((y1 - y0, x1 - x0), dtype=sample_dtype(image.max_value))
     pattern, lattices = _mosaic_context(image, x0, y0, x1, y1)
     _interpolate_channel(lattices, pattern, "G", plane)
@@ -364,10 +366,36 @@ class NccMatch:
 
 
 def _window_sums(values: np.ndarray, th: int, tw: int) -> np.ndarray:
-    """Sum of every th x tw window, from an exact integer summed-area table."""
-    table = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(values, axis=0, dtype=np.int64), axis=1, out=table[1:, 1:])
-    return table[th:, tw:] - table[:-th, tw:] - table[th:, :-tw] + table[:-th, :-tw]
+    """Sum of every th x tw window over the last two axes (leading axes
+    are a batch), from an exact integer summed-area table."""
+    table = np.zeros(values.shape[:-2] + (values.shape[-2] + 1, values.shape[-1] + 1), dtype=np.int64)
+    inner = table[..., 1:, 1:]
+    np.cumsum(values, axis=-2, out=inner)
+    np.cumsum(inner, axis=-1, out=inner)
+    sums = table[..., th:, tw:] - table[..., :-th, tw:]  # in place from here: no more temporaries
+    sums -= table[..., th:, :-tw]
+    sums += table[..., :-th, :-tw]
+    return sums
+
+
+@functools.cache  # one entry per window side length: at most a frame's width plus height
+def _fast_length(n: int) -> int:
+    """The least 2**a * 3**b * 5**c >= n (n >= 1): pocketfft's fast sizes,
+    where a prime side runs 2.5-3.5x slower."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # the least power of two that lifts p35 to n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_shape(shape: tuple[int, ...]) -> tuple[int, int]:
+    """FFT size for search windows of ``shape`` (the last two axes)."""
+    return _fast_length(shape[-2]), _fast_length(shape[-1])
 
 
 def _byte_planes(values: np.ndarray, split: bool) -> list[tuple[int, np.ndarray]]:
@@ -375,34 +403,45 @@ def _byte_planes(values: np.ndarray, split: bool) -> list[tuple[int, np.ndarray]
     return [(8 * k, (values >> 8 * k) & 0xFF) for k in (0, 1)] if split else [(0, values)]
 
 
-def _template_spectra(t: np.ndarray, shape: tuple[int, int], max_value: int) -> list:
-    """(shift, spectrum) per byte plane of the flipped template, at the size
-    of the search window.
+def _spectrum(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``rfft2(values, shape)``, taking the row transforms of ``values``'
+    own rows only: the padding rows are zero."""
+    return np.fft.fft(np.fft.rfft(values, shape[1], axis=-1), shape[0], axis=-2)
 
-    The cross term is a product of ``rfft2`` spectra at the search size;
-    the valid part has no wrap-around.  Its float64 error stays below
-    ``eps * log2(N) * sqrt(n * N) * max_value**2`` for n template and N
-    search pixels (the worst measured was 1/40 of that), so rounding is
-    exact while that is under 0.25.  Above it the samples are split into
-    high and low bytes, so each of the four products rounds exactly.
+
+def _template_spectra(t: np.ndarray, shape: tuple[int, int], max_value: int) -> list:
+    """(shift, spectrum) per byte plane of the flipped template, at the FFT
+    size ``shape`` (:func:`_fft_shape` of the search window).
+
+    The cross term is a product of ``rfft2`` spectra at that size, at least
+    the search window's on each side, so the valid part has no wrap-around.
+    Its float64 error stays below ``eps * log2(N) * sqrt(n * N) * max_value**2``
+    for n template pixels and an FFT of N (the worst measured was 1/40 of
+    that), so rounding is exact while that is under 0.25.  Above it the
+    samples are split into high and low bytes, so each of the four
+    products rounds exactly.
     """
     size = shape[0] * shape[1]
     error = np.finfo(np.float64).eps * math.log2(max(size, 2)) * math.sqrt(t.size * size)
     planes = _byte_planes(t, error * max_value**2 >= 0.25)
-    return [(shift, np.fft.rfft2(plane[::-1, ::-1], shape)) for shift, plane in planes]
+    return [(shift, _spectrum(plane[::-1, ::-1], shape)) for shift, plane in planes]
 
 
 def _cross_term(t: np.ndarray, s: np.ndarray, max_value: int, spectra=None) -> np.ndarray:
-    """Sum of window * template at every placement, in exact integers;
-    ``spectra`` are the template's :func:`_template_spectra`, when known."""
-    (th, tw), shape = t.shape, s.shape
+    """Sum of window * template at every placement, in exact integers, over
+    the last two axes of ``s`` (leading axes are a batch of windows);
+    ``spectra`` are the template's :func:`_template_spectra`, when known.
+    The inverse transform keeps the valid rows before its row transforms."""
+    (th, tw), (sh, sw) = t.shape, s.shape[-2:]
+    shape = _fft_shape(s.shape)
     spectra = spectra or _template_spectra(t, shape, max_value)
-    total = np.zeros((shape[0] - th + 1, shape[1] - tw + 1), dtype=np.int64)
+    total = 0
     for s_shift, plane in _byte_planes(s, len(spectra) > 1):
-        spectrum = np.fft.rfft2(plane, shape)
+        spectrum = _spectrum(plane, shape)
         for t_shift, t_spectrum in spectra:
-            valid = np.fft.irfft2(spectrum * t_spectrum, shape)[th - 1 :, tw - 1 :]
-            total += np.rint(valid).astype(np.int64) << (s_shift + t_shift)
+            rows = np.fft.ifft(spectrum * t_spectrum, axis=-2)[..., th - 1 : sh, :]
+            valid = np.fft.irfft(rows, shape[1], axis=-1)[..., tw - 1 : sw]
+            total = total + (np.rint(valid).astype(np.int64) << (s_shift + t_shift))
     return total
 
 
@@ -419,21 +458,25 @@ class NccTemplate:
             raise ValueError(f"template {tw}x{th} larger than search window {sw}x{sh}")
         self.max_value = max(template.max_value, search.max_value)
         self._sums = int(t.sum()), int((t * t).sum())
-        self._spectra = _template_spectra(t, self.shape, self.max_value)
+        self._spectra = _template_spectra(t, _fft_shape(self.shape), self.max_value)
 
-    def scores(self, search: GrayImage) -> np.ndarray:
-        """NCC of the template at every placement inside ``search``, which
-        must have the prepared shape and a sample range no larger.
+    def scores(self, search: GrayImage | list[GrayImage]) -> np.ndarray:
+        """NCC of the template at every placement inside ``search``, or inside
+        each window of a list, scored as one stack; every window must have
+        the prepared shape and a sample range no larger.
 
-        Returns an array of shape (search_h - t_h + 1, search_w - t_w + 1)
-        with -inf at degenerate (zero variance) placements.  The numerator
+        Returns an array of shape (search_h - t_h + 1, search_w - t_w + 1),
+        one per window along a leading axis for a list, with -inf at
+        degenerate (zero variance) placements.  The numerator
         ``n*Swt - St*Sw`` and the variances ``n*St2 - St**2`` and
         ``n*Sw2 - Sw**2`` are exact integers, so equal windows score exactly
         equal and a placement is degenerate exactly when a variance is 0.
         """
-        if search.samples.shape != self.shape or search.max_value > self.max_value:
+        single = isinstance(search, GrayImage)
+        windows = [search] if single else search
+        if any(w.samples.shape != self.shape or w.max_value > self.max_value for w in windows):
             raise ValueError(f"search window does not fit a template prepared for {self.shape}")
-        t, s = self._t, search.samples.astype(np.int64)
+        t, s = self._t, np.stack([w.samples for w in windows], dtype=np.int64)
         (th, tw), (sum_t, sq_t) = t.shape, self._sums
         n = th * tw
         sums = [_window_sums(s, th, tw), _window_sums(s * s, th, tw),
@@ -448,7 +491,7 @@ class NccTemplate:
             scores = numer / np.sqrt(var_w.astype(np.float64) * float(var_t))
         np.clip(scores, -1.0, 1.0, out=scores)
         scores[(var_w == 0) | (var_t == 0)] = -np.inf
-        return scores
+        return scores[0] if single else scores
 
 
 def ncc_match(
@@ -464,7 +507,11 @@ def ncc_match(
     surface yields a flagged result at the preferred offset rather than an
     error.  ``template`` is an :class:`NccTemplate` prepared for ``search``.
     """
-    scores = template.scores(search)
+    return _best_placement(template.scores(search), preferred_offset)
+
+
+def _best_placement(scores: np.ndarray, preferred_offset: tuple[float, float] | None) -> NccMatch:
+    """The pick of :func:`ncc_match` on one score surface."""
     oh, ow = scores.shape
     if preferred_offset is None:
         preferred_offset = ((ow - 1) / 2.0, (oh - 1) / 2.0)

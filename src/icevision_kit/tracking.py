@@ -171,48 +171,106 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
     plain dict).  Only the template and search windows are read, through
     :func:`frames.gray_window`, so a mosaic's green plane is interpolated
     over those windows alone.  ``margin`` must be finite and ``>= 0``.
+    This is :func:`densify_ncc_tracks` over the one track.
+    """
+    return densify_ncc_tracks([track], frame_images, margin=margin)[0]
+
+
+class _Segment:
+    """One keyframe gap of the NCC walk.  Its start keyframe gives the
+    template and the clipped search rectangle; each gap frame then gives a
+    search window, and the last one scores them all at once into ``fill``:
+    ``(box, ncc_degenerate, template_clipped)`` per gap frame."""
+
+    def __init__(self, start: Detection, end: Detection):
+        self.start, self.end = start, end
+        self.frames = range(start.frame_index + 1, end.frame_index)
+        self.template = None  # usable once read: a crop of at least two pixels
+        self.windows: list = []
+        self.fill: list[tuple[BoundingBox, bool, bool]] = []
+
+    def linear_boxes(self) -> Iterator[BoundingBox]:
+        span = self.end.frame_index - self.start.frame_index
+        for frame in self.frames:
+            yield lerp_box(self.start.box, self.end.box, (frame - self.start.frame_index) / span)
+
+    def read_keyframe(self, image, margin: float) -> None:
+        template, self.clipped = _crop_clipped(image, pixel_rect(self.start.box))
+        search_box = search_area(self.start.box, self.end.box, margin=margin)
+        self.rect = _clip_rect(pixel_rect(search_box), image.width, image.height)
+        if template is not None and template.samples.size >= 2:
+            self.template = template
+        else:
+            self.fill = [(box, True, self.clipped) for box in self.linear_boxes()]
+
+    def read_gap_frame(self, image) -> None:
+        # a margin >= 0 keeps the clipped template inside the clipped search area
+        self.windows.append(frames_mod.gray_window(image, *self.rect))
+        if len(self.windows) == len(self.frames):
+            self._score()
+
+    def _score(self) -> None:
+        """Prepare the template once, for the widest sample range among the
+        windows, and pick each window's placement as :func:`frames.ncc_match` does."""
+        widest = max(self.windows, key=lambda window: window.max_value)
+        surfaces = frames_mod.NccTemplate(self.template, widest).scores(self.windows)
+        th, tw = self.template.samples.shape
+        sx0, sy0 = self.rect[:2]
+        for linear_box, surface in zip(self.linear_boxes(), surfaces):
+            cx, cy = linear_box.center
+            match = frames_mod._best_placement(surface, (cx - tw / 2.0 - sx0, cy - th / 2.0 - sy0))
+            box = linear_box  # a degenerate surface keeps the linear position
+            if not match.degenerate:
+                mx = sx0 + match.offset_x + tw / 2.0
+                my = sy0 + match.offset_y + th / 2.0
+                width, height = linear_box.width, linear_box.height
+                box = BoundingBox(mx - width / 2.0, my - height / 2.0, mx + width / 2.0, my + height / 2.0)
+            self.fill.append((box, match.degenerate, self.clipped))
+        self.windows = []
+
+
+def densify_ncc_tracks(tracks: list[Track], frame_images, *,
+                       margin: float = NCC_MARGIN_PX) -> list[Track]:
+    """:func:`densify_ncc` of each track, in input order, by one walk over
+    every track's gap segments in ascending frame order.
+
+    Each frame is fetched from ``frame_images`` once, and only when some
+    segment needs it: the start keyframe of a segment with gap frames,
+    and the gap frames of a segment whose template is usable.  A frame's
+    windows are cut for every segment that needs them and the frame is
+    dropped before the next is fetched, so one decoded frame is held at a
+    time; a segment is scored once it has all of its windows.  A provider
+    error therefore names the lowest frame that raised it.
     """
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    segments = []  # per track, its segments in order
+    starting: dict[int, list[_Segment]] = {}  # frame -> segments it is the start keyframe of
+    spanning: dict[int, list[_Segment]] = {}  # frame -> segments it is a gap frame of
+    for track in tracks:
+        detected = track.detected_entries()
+        segments.append([_Segment(start, end) for start, end in zip(detected, detected[1:])])
+        for segment in segments[-1]:
+            if segment.frames:
+                starting.setdefault(segment.start.frame_index, []).append(segment)
+                for frame in segment.frames:
+                    spanning.setdefault(frame, []).append(segment)
 
-    def fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox, bool, bool]]:
-        span = end.frame_index - start.frame_index
-        gap_frames = range(start.frame_index + 1, end.frame_index)
-        if not gap_frames:
-            return
+    for frame in sorted(starting.keys() | spanning.keys()):
+        opening = starting.get(frame, [])
+        reading = [segment for segment in spanning.get(frame, []) if segment.template is not None]
+        if not (opening or reading):
+            continue
+        image = frame_images[frame]
+        for segment in opening:
+            segment.read_keyframe(image, margin)
+        for segment in reading:
+            segment.read_gap_frame(image)
+        del image  # so the next fetch does not hold two frames
 
-        key_image = frame_images[start.frame_index]
-        template, clipped = _crop_clipped(key_image, pixel_rect(start.box))
-        search_box = search_area(start.box, end.box, margin=margin)
-        sx0, sy0, sx1, sy1 = _clip_rect(pixel_rect(search_box), key_image.width, key_image.height)
-
-        scorer = None  # the template's spectrum, shared by the segment's frames
-        for frame in gap_frames:
-            t = (frame - start.frame_index) / span
-            linear_box = lerp_box(start.box, end.box, t)
-            width, height = linear_box.width, linear_box.height
-            box = linear_box
-            degenerate = True
-            # a margin >= 0 keeps the clipped template inside the clipped search area
-            if template is not None and template.samples.size >= 2:
-                search = frames_mod.gray_window(frame_images[frame], sx0, sy0, sx1, sy1)
-                th, tw = template.samples.shape
-                cx, cy = linear_box.center
-                preferred = (cx - tw / 2.0 - sx0, cy - th / 2.0 - sy0)
-                if scorer is None or search.max_value > scorer.max_value:
-                    scorer = frames_mod.NccTemplate(template, search)
-                match = frames_mod.ncc_match(scorer, search, preferred_offset=preferred)
-                if not match.degenerate:
-                    degenerate = False
-                    mx = sx0 + match.offset_x + tw / 2.0
-                    my = sy0 + match.offset_y + th / 2.0
-                    box = BoundingBox(
-                        mx - width / 2.0, my - height / 2.0,
-                        mx + width / 2.0, my + height / 2.0,
-                    )
-            yield box, degenerate, clipped
-
-    return _densify(track, fill)
+    # _densify asks for each segment's fill in the order the segments were built
+    return [_densify(track, lambda start, end, fills=iter(track_segments): next(fills).fill)
+            for track, track_segments in zip(tracks, segments)]
 
 
 def _clip_rect(rect: tuple[int, int, int, int], width: int, height: int):

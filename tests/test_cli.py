@@ -16,6 +16,7 @@ from icevision_kit.core import NCC_MARGIN_PX, BoundingBox, Detection
 from icevision_kit.datastore import FORMAT_VERSION
 from icevision_kit.scoring import FpReason, ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
+from icevision_kit.tracking import Track
 
 
 def keyframe_detections():
@@ -233,6 +234,36 @@ class TestTrackInterpRefine:
         err = capsys.readouterr().err
         assert "frame 3" in err and "manifest.txt" in err
 
+    @staticmethod
+    def two_track_fixture(tmp_path, frame_indices, pgm):
+        """``ncc_fixture`` over two tracks: track 0 over keyframes 5 and 9,
+        track 1 over keyframes 3 and 6; the per-track order reads frames 5-8
+        before frames 3-5."""
+        argv = TestTrackInterpRefine.ncc_fixture(tmp_path, frame_indices, pgm)
+        code = {parse_code("3.24"): 0.9}
+        tracks = [Track(0, [Detection(5, BoundingBox(60, 40, 100, 80), code),
+                            Detection(9, BoundingBox(72, 40, 112, 80), code)]),
+                  Track(1, [Detection(3, BoundingBox(54, 40, 94, 80), code),
+                            Detection(6, BoundingBox(63, 40, 103, 80), code)])]
+        datastore.write_tracks(tracks, tmp_path / "tracks.txt")
+        return argv
+
+    def test_interp_ncc_missing_frame_named_is_the_lowest_needed(self, tmp_path, capsys):
+        pgm = b"P5\n200 120\n255\n" + bytes(range(200)) * 120
+        argv = self.two_track_fixture(tmp_path, (3, 5, 6, 7, 9), pgm)
+        assert main(argv) == EX_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert "frame 4 " in err and "frame 8" not in err
+
+    @pytest.mark.parametrize("pattern", [[], ["--pattern", "RGGB"]])
+    def test_interp_ncc_size_judged_against_the_lowest_frame(self, tmp_path, capsys, pattern):
+        argv = self.two_track_fixture(tmp_path, range(10), b"P5\n200 120\n255\n" + bytes(200 * 120))
+        (tmp_path / "f3.pgm").write_bytes(b"P5\n160 120\n255\n" + bytes(160 * 120))
+        assert main(argv + pattern) == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert "f4.pgm: frame is 200x120, but" in err and "f3.pgm is 160x120" in err
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("pattern", [[], ["--pattern", "RGGB"]])
     def test_interp_ncc_frame_smaller_than_its_keyframe_is_malformed(self, tmp_path, capsys,
                                                                       pattern):
@@ -387,6 +418,19 @@ class TestBadNumericFlag:
         ("bench", "--budget-fps", "nan"),
         ("bench", "--budget-fps", "0"),
         ("bench", "--budget-fps", "-5"),
+        # argparse's int and float read non-ASCII digits and "_"; no file or grid flag does
+        ("track", "--max-missed", "\u0663"),
+        ("track", "--min-length", "1_0"),
+        ("track", "--iou-threshold", "\u0660.\u0665"),
+        ("synth", "--stride", "+3"),
+        ("synth", "--seed", "\uff17"),
+        ("bench", "--drop", "\u0660.\u0665"),
+        ("bench", "--fp-per-frame", "1_0"),
+        ("bench", "--budget-fps", "1_0"),
+        ("interp", "--margin", "\u0660.\u0665"),
+        ("interp", "--margin", "2_0"),
+        ("convert", "--crop-keep", "\u0663"),
+        ("convert", "--jobs", "1_0"),
     ])
     def test_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command, flag, value):
         argv = self.inputs(tmp_path)[command]
@@ -395,6 +439,17 @@ class TestBadNumericFlag:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("synth", "--stride", "--stride: keyframe_stride must be positive, got -1"),
+        ("track", "--max-missed", "--max-missed: max_missed_keyframes must be >= 0, got -1"),
+        ("convert", "--crop-keep", "--crop-keep must be >= 1, got -1"),
+    ])
+    def test_ascii_negative_reaches_the_range_check(self, tmp_path, capsys, command, flag, message):
+        argv = self.inputs(tmp_path)[command]
+        capsys.readouterr()
+        assert main(argv + [flag, "-1"]) == EX_USAGE
+        assert message in capsys.readouterr().err
 
 
 class TestConfigFlags:

@@ -761,6 +761,19 @@ class TestPreparedTemplate:
         for window in (gray(s), gray(shuffled), gray(shuffled, 4095)):
             assert np.array_equal(prepared.scores(window), ncc_surface(gray(t), window))
 
+    @given(clipped_ncc_cases(), st.randoms(use_true_random=False), st.integers(1, 4))
+    def test_stack_of_windows_scores_as_each_window_alone(self, case, rng, k):
+        # windows of mixed declared ranges, scored as one stack by a template
+        # prepared for the widest: each surface is that of a fresh template
+        t, s = case
+        windows = [gray(np.array(rng.sample(s.ravel().tolist(), s.size)).reshape(s.shape),
+                        rng.choice([255, 4095])) for _ in range(k)]
+        widest = max(windows, key=lambda w: w.max_value)
+        stacked = frames.NccTemplate(gray(t), widest).scores(windows)
+        assert stacked.shape == (k, s.shape[0] - t.shape[0] + 1, s.shape[1] - t.shape[1] + 1)
+        for surface, window in zip(stacked, windows):
+            assert np.array_equal(surface, ncc_surface(gray(t), window))
+
     def test_scores_at_full_scale_split_into_bytes(self):
         rng = np.random.default_rng(5)
         t = rng.integers(0, 65536, size=(80, 83))
@@ -768,13 +781,33 @@ class TestPreparedTemplate:
         prepared = frames.NccTemplate(gray(t, 65535), gray(first, 65535))
         surface = prepared.scores(gray(second, 65535))
         assert np.array_equal(surface, ncc_surface(gray(t, 65535), gray(second, 65535)))
+        assert np.array_equal(prepared.scores([gray(first, 65535), gray(second, 65535)])[1], surface)
         assert np.array_equal(frames._cross_term(t, second, 65535), exact_cross(t, second))
+        both = np.stack([first, second])
+        assert np.array_equal(frames._cross_term(t, both, 65535)[1], exact_cross(t, second))
 
     @pytest.mark.parametrize("shape, max_value", [((8, 9), 255), ((9, 9), 4095)])
     def test_window_it_does_not_fit_is_rejected(self, shape, max_value):
         prepared = frames.NccTemplate(gray(np.arange(9).reshape(3, 3)), gray(np.zeros((9, 9))))
         with pytest.raises(ValueError, match="does not fit"):
             prepared.scores(gray(np.ones(shape), max_value))
+        with pytest.raises(ValueError, match="does not fit"):
+            prepared.scores([gray(np.ones((9, 9))), gray(np.ones(shape), max_value)])
+
+
+class TestFftSize:
+    def test_fast_length_is_the_least_5_smooth_number_at_least_n(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 4097):
+            m = n
+            while not smooth(m):
+                m += 1
+            assert frames._fast_length(n) == m, n
 
 
 class TestNccScoresMatchEinsumOracle:

@@ -3,10 +3,12 @@
 import math
 import random
 import re
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+import tracking_oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -411,9 +413,10 @@ class TestDensifyNcc:
         for entry in dense.entries:
             assert entry.box.x_min == pytest.approx(positions[entry.frame_index][0], abs=1e-9)
 
-    def test_gap_frame_with_a_wider_sample_range_prepares_again(self, monkeypatch):
-        # NCC reads samples, not the declared range: a gap frame declaring a
-        # wider one prepares the template again and every box stays the same
+    def test_segment_prepares_once_for_its_widest_sample_range(self, monkeypatch):
+        # NCC reads samples, not the declared range: the segment's template is
+        # prepared once, for the widest range a gap frame declares, and every
+        # box stays the same
         positions = {f: (10 + 4 * f, 40) for f in range(6)}
         images = _render_patch(positions)
         wide = {f: GrayImage(samples=img.samples.astype(np.uint16), max_value=255 if f < 3 else 4095)
@@ -421,10 +424,106 @@ class TestDensifyNcc:
         track = make_track((0, (10, 40, 30, 60), "3.24"), (5, (30, 40, 50, 60), "3.24"))
         calls = self.count_template_spectra(monkeypatch)
         dense = densify_ncc(track, wide)
-        assert [args[2] for args in calls] == [255, 4095]
+        assert [args[2] for args in calls] == [4095]
         assert dense == densify_ncc(track, images)
         for entry in dense.entries:
             assert entry.box.x_min == pytest.approx(positions[entry.frame_index][0], abs=1e-9)
+
+
+@st.composite
+def ncc_scenes(draw):
+    """Frames of one size, gray or mosaic, each declaring 255 or 4095, textured
+    over few levels (ties) or flat, and tracks over them that overlap in
+    time, with boxes past the frame edge, thinner than two pixels or wholly
+    outside it, and keyframes next to each other (segments with no gap)."""
+    count, width, height = draw(st.integers(2, 8)), draw(st.integers(8, 32)), draw(st.integers(8, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mosaic = draw(st.booleans())
+    images = {}
+    for frame in range(count):
+        levels = draw(st.sampled_from([1, 3, 256]))  # 1: a flat frame
+        samples = rng.integers(0, levels, size=(height, width)).astype(np.uint16)
+        max_value = draw(st.sampled_from([255, 4095]))
+        images[frame] = (frames.CfaImage(samples, max_value=max_value) if mosaic
+                         else GrayImage(samples, max_value=max_value))
+
+    def box():
+        x0, y0 = draw(st.floats(-12.0, width + 4.0)), draw(st.floats(-12.0, height + 4.0))
+        return (x0, y0, x0 + draw(st.floats(0.5, 14.0)), y0 + draw(st.floats(0.5, 14.0)))
+
+    tracks = []
+    for track_id in range(draw(st.integers(1, 4))):
+        keyframes = sorted(draw(st.sets(st.integers(0, count - 1), min_size=1, max_size=4)))
+        tracks.append(Track(track_id, [det(frame, box()) for frame in keyframes]))
+    return tracks, images
+
+
+class CountingFrames:
+    """Frame provider that records each fetch; with ``one_held`` it also checks,
+    at each one, that no frame it handed out before is still alive."""
+
+    def __init__(self, images, one_held=False):
+        self.images, self.fetched, self.alive, self.one_held = images, [], [], one_held
+
+    def __getitem__(self, frame):
+        assert not (self.one_held and any(ref() for ref in self.alive)), "an earlier frame is held"
+        self.fetched.append(frame)
+        # new samples, so their lifetime is this fetch's; a view of them keeps them alive
+        image = replace(self.images[frame], samples=self.images[frame].samples.copy())
+        self.alive.append(weakref.ref(image.samples))
+        return image
+
+
+class TestNccWalk:
+    """densify_ncc_tracks against the track-by-track, frame-by-frame loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ncc_scenes(), st.sampled_from([0.0, 3.0, 20.0]))
+    def test_equals_the_per_frame_loop_entry_for_entry(self, scene, margin):
+        tracks, images = scene
+        oracle_frames = CountingFrames(images)
+        want = [tracking_oracles.densify_ncc(t, oracle_frames, margin=margin) for t in tracks]
+        walk_frames = CountingFrames(images, one_held=True)
+        assert tracking.densify_ncc_tracks(tracks, walk_frames, margin=margin) == want
+        # every frame the loop reads, once, in ascending order
+        assert walk_frames.fetched == sorted(set(oracle_frames.fetched))
+        assert [densify_ncc(t, images, margin=margin) for t in tracks] == want
+
+    def test_fetches_each_needed_frame_once(self):
+        # two tracks over frames 0-10 and 5-10, a third over 2-8 whose template
+        # lies outside the frame, and a gapless segment at frames 10-11
+        positions = {f: (10 + 2 * f, 40) for f in range(12)}
+        images = _render_patch(positions)
+        tracks = [
+            make_track((0, (10, 40, 30, 60), "3.24"), (5, (20, 40, 40, 60), "3.24"),
+                       (10, (30, 40, 50, 60), "3.24"), (11, (32, 40, 52, 60), "3.24")),
+            make_track((5, (20, 40, 40, 60), "3.24"), (10, (30, 40, 50, 60), "3.24"), track_id=1),
+            make_track((2, (-40, 40, -20, 60), "3.24"), (8, (-38, 40, -18, 60), "3.24"), track_id=2),
+        ]
+        provider = CountingFrames(images, one_held=True)
+        dense = tracking.densify_ncc_tracks(tracks, provider)
+        # frames 10 and 11 start no segment with a gap (an end keyframe is never
+        # read), frame 2 gives track 2's unusable template, its gap frames 3-7
+        # are read for the others only
+        assert provider.fetched == list(range(10))
+        assert dense == [tracking_oracles.densify_ncc(t, images) for t in tracks]
+        assert all(e.ncc_degenerate and e.template_clipped
+                   for e in dense[2].entries if e.source is Source.INTERPOLATED)
+
+    def test_error_names_the_lowest_frame_it_needs(self):
+        # the per-track order reaches frame 8 of track 0 before frame 4 of track 1
+        images = _render_patch({f: (10 + 2 * f, 40) for f in range(10) if f not in (4, 8)})
+        tracks = [
+            make_track((5, (20, 40, 40, 60), "3.24"), (9, (28, 40, 48, 60), "3.24")),
+            make_track((3, (16, 40, 36, 60), "3.24"), (6, (22, 40, 42, 60), "3.24"), track_id=1),
+        ]
+        with pytest.raises(KeyError, match="8"):
+            tracking_oracles.densify_ncc(tracks[0], images)
+        with pytest.raises(KeyError, match="4"):
+            tracking.densify_ncc_tracks(tracks, images)
+
+    def test_empty_track_list(self):
+        assert tracking.densify_ncc_tracks([], {}) == []
 
 
 class TestTracksToDetections:
