@@ -427,14 +427,13 @@ def _template_spectra(t: np.ndarray, shape: tuple[int, int], max_value: int) -> 
     return [(shift, _spectrum(plane[::-1, ::-1], shape)) for shift, plane in planes]
 
 
-def _cross_term(t: np.ndarray, s: np.ndarray, max_value: int, spectra=None) -> np.ndarray:
+def _cross_term(t: np.ndarray, s: np.ndarray, spectra: list) -> np.ndarray:
     """Sum of window * template at every placement, in exact integers, over
     the last two axes of ``s`` (leading axes are a batch of windows);
-    ``spectra`` are the template's :func:`_template_spectra`, when known.
+    ``spectra`` are the template's :func:`_template_spectra` for ``s``.
     The inverse transform keeps the valid rows before its row transforms."""
     (th, tw), (sh, sw) = t.shape, s.shape[-2:]
     shape = _fft_shape(s.shape)
-    spectra = spectra or _template_spectra(t, shape, max_value)
     total = 0
     for s_shift, plane in _byte_planes(s, len(spectra) > 1):
         spectrum = _spectrum(plane, shape)
@@ -460,27 +459,25 @@ class NccTemplate:
         self._sums = int(t.sum()), int((t * t).sum())
         self._spectra = _template_spectra(t, _fft_shape(self.shape), self.max_value)
 
-    def scores(self, search: GrayImage | list[GrayImage]) -> np.ndarray:
-        """NCC of the template at every placement inside ``search``, or inside
-        each window of a list, scored as one stack; every window must have
-        the prepared shape and a sample range no larger.
+    def scores(self, windows: list[GrayImage]) -> np.ndarray:
+        """NCC of the template at every placement inside each window, scored
+        as one stack; every window must have the prepared shape and a sample
+        range no larger.
 
-        Returns an array of shape (search_h - t_h + 1, search_w - t_w + 1),
-        one per window along a leading axis for a list, with -inf at
-        degenerate (zero variance) placements.  The numerator
-        ``n*Swt - St*Sw`` and the variances ``n*St2 - St**2`` and
-        ``n*Sw2 - Sw**2`` are exact integers, so equal windows score exactly
-        equal and a placement is degenerate exactly when a variance is 0.
+        Returns an array of shape (len(windows), search_h - t_h + 1,
+        search_w - t_w + 1), with -inf at degenerate (zero variance)
+        placements.  The numerator ``n*Swt - St*Sw`` and the variances
+        ``n*St2 - St**2`` and ``n*Sw2 - Sw**2`` are exact integers, so equal
+        windows score exactly equal and a placement is degenerate exactly
+        when a variance is 0.
         """
-        single = isinstance(search, GrayImage)
-        windows = [search] if single else search
         if any(w.samples.shape != self.shape or w.max_value > self.max_value for w in windows):
             raise ValueError(f"search window does not fit a template prepared for {self.shape}")
         t, s = self._t, np.stack([w.samples for w in windows], dtype=np.int64)
         (th, tw), (sum_t, sq_t) = t.shape, self._sums
         n = th * tw
         sums = [_window_sums(s, th, tw), _window_sums(s * s, th, tw),
-                _cross_term(t, s, self.max_value, self._spectra)]
+                _cross_term(t, s, self._spectra)]
         if n * n * self.max_value**2 >= 2**63:  # n * Sw2 could overflow int64
             sums = [a.astype(object) for a in sums]
         w_sum, w_sq, cross = sums
@@ -491,30 +488,18 @@ class NccTemplate:
             scores = numer / np.sqrt(var_w.astype(np.float64) * float(var_t))
         np.clip(scores, -1.0, 1.0, out=scores)
         scores[(var_w == 0) | (var_t == 0)] = -np.inf
-        return scores[0] if single else scores
+        return scores
 
 
-def ncc_match(
-    template: NccTemplate,
-    search: GrayImage,
-    *,
-    preferred_offset: tuple[float, float] | None = None,
-) -> NccMatch:
-    """Find the highest-NCC placement of the template in the search window.
+def best_placement(scores: np.ndarray, preferred_offset: tuple[float, float]) -> NccMatch:
+    """The highest-scoring placement on one surface of :meth:`NccTemplate.scores`.
 
     Ties are broken by smallest Euclidean distance to ``preferred_offset``
-    (the window center when not given), then row-major.  An all-degenerate
-    surface yields a flagged result at the preferred offset rather than an
-    error.  ``template`` is an :class:`NccTemplate` prepared for ``search``.
+    (x, y), then row-major.  An all-degenerate surface yields a flagged
+    result at the preferred offset, rounded and clamped to the surface,
+    rather than an error.
     """
-    return _best_placement(template.scores(search), preferred_offset)
-
-
-def _best_placement(scores: np.ndarray, preferred_offset: tuple[float, float] | None) -> NccMatch:
-    """The pick of :func:`ncc_match` on one score surface."""
     oh, ow = scores.shape
-    if preferred_offset is None:
-        preferred_offset = ((ow - 1) / 2.0, (oh - 1) / 2.0)
     px, py = preferred_offset
 
     best = scores.max()
@@ -524,6 +509,5 @@ def _best_placement(scores: np.ndarray, preferred_offset: tuple[float, float] | 
         return NccMatch(offset_x=ox, offset_y=oy, score=float("-inf"), degenerate=True)
     ys, xs = np.nonzero(scores == best)
     dist = (xs - px) ** 2 + (ys - py) ** 2
-    order = np.lexsort((xs, ys, dist))
-    pick = order[0]
+    pick = np.lexsort((xs, ys, dist))[0]
     return NccMatch(offset_x=int(xs[pick]), offset_y=int(ys[pick]), score=float(best))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable
 
 from .core import (NCC_MARGIN_PX, BoundingBox, Detection, Source, greedy_match, index_value, iou,
                    lerp_box, pixel_rect, search_area)
@@ -121,38 +121,42 @@ def run_tracker(
             if len(chain) >= cfg.min_track_length]
 
 
-def _densify(track: Track, fill: Callable[[Detection, Detection], Iterator[tuple]]) -> Track:
-    """The keyframe-gap loop of both densify functions: ``fill(start, end)``
-    yields ``(box, ncc_degenerate, template_clipped)`` per frame strictly
-    between two detected entries, each built into an interpolated copy of ``start``."""
+def _densify(track: Track, fills: Iterable[list[tuple]]) -> Track:
+    """The keyframe-gap loop of both densify functions: ``fills`` holds, for
+    each pair of consecutive detected entries in order, ``(box,
+    ncc_degenerate, template_clipped)`` per frame strictly between them,
+    each built into an interpolated copy of the earlier entry."""
     detected = track.detected_entries()
     entries = [detected[0]]
-    for start, end in zip(detected, detected[1:]):
+    for start, end, fill in zip(detected, detected[1:], fills):
         gap_frames = range(start.frame_index + 1, end.frame_index)
         # built directly: dataclasses.replace costs a fields() walk per entry
         entries += [Detection(frame, box, start.class_distribution, start.associated_data,
                               start.temporary, Source.INTERPOLATED, degenerate, clipped)
-                    for frame, (box, degenerate, clipped) in zip(gap_frames, fill(start, end))]
+                    for frame, (box, degenerate, clipped) in zip(gap_frames, fill)]
         entries.append(end)
     return Track(id=track.id, entries=entries)
+
+
+def _linear_boxes(start: Detection, end: Detection) -> list[BoundingBox]:
+    """The linearly interpolated box of each frame strictly between two entries."""
+    span = end.frame_index - start.frame_index
+    return [lerp_box(start.box, end.box, (frame - start.frame_index) / span)
+            for frame in range(start.frame_index + 1, end.frame_index)]
 
 
 def densify_linear(track: Track) -> Track:
     """Fill every integer frame between consecutive detected entries with a
     linearly interpolated box.
 
-    Interpolated entries copy the earlier keyframe's class distribution
-    and metadata.  No extrapolation happens before the first or after the
-    last detected frame.
+    Interpolated entries copy the earlier keyframe's class distribution,
+    metadata and NCC flags.  No extrapolation happens before the first or
+    after the last detected frame.
     """
-    return _densify(track, _linear_fill)
-
-
-def _linear_fill(start: Detection, end: Detection) -> Iterator[tuple[BoundingBox, bool, bool]]:
-    span = end.frame_index - start.frame_index
-    for frame in range(start.frame_index + 1, end.frame_index):
-        t = (frame - start.frame_index) / span
-        yield lerp_box(start.box, end.box, t), start.ncc_degenerate, start.template_clipped
+    detected = track.detected_entries()
+    return _densify(track, ([(box, start.ncc_degenerate, start.template_clipped)
+                             for box in _linear_boxes(start, end)]
+                            for start, end in zip(detected, detected[1:])))
 
 
 def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) -> Track:
@@ -161,10 +165,13 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
     Box sizes are linearly interpolated, but each in-between position is
     the peak of the normalized cross-correlation of the earlier keyframe's
     box content over a search area spanning both keyframe boxes plus
-    ``margin`` pixels.  Score ties prefer the placement closest to the
-    linear-interpolation position.  Degenerate correlation (flat template
-    or flat search area) falls back to the linear position and flags the
-    entry; a template partially outside the frame is clipped and flagged.
+    ``margin`` pixels, picked by :func:`frames.best_placement`: score ties
+    prefer the placement closest to the linear-interpolation position.
+    Degenerate correlation (flat template or flat search area) falls back
+    to the linear position and flags the entry.  A template partially
+    outside the frame is clipped and flagged, and the box keeps its offset
+    from the clipped template, so a sign that stays still at the frame
+    edge keeps its keyframe box.
 
     ``frame_images`` maps frame index to a :class:`frames.GrayImage` or
     a :class:`frames.CfaImage` (any ``__getitem__`` provider works, e.g. a
@@ -186,43 +193,50 @@ class _Segment:
         self.start, self.end = start, end
         self.frames = range(start.frame_index + 1, end.frame_index)
         self.template = None  # usable once read: a crop of at least two pixels
+        self.clipped = False  # whether the frame edge cut the template
+        self.shift = (0.0, 0.0)  # the template's centre minus its unclipped rect's
+        self.search = (0, 0, 0, 0)  # the search rectangle, clipped to the frame
         self.windows: list = []
         self.fill: list[tuple[BoundingBox, bool, bool]] = []
 
-    def linear_boxes(self) -> Iterator[BoundingBox]:
-        span = self.end.frame_index - self.start.frame_index
-        for frame in self.frames:
-            yield lerp_box(self.start.box, self.end.box, (frame - self.start.frame_index) / span)
-
     def read_keyframe(self, image, margin: float) -> None:
-        template, self.clipped = _crop_clipped(image, pixel_rect(self.start.box))
+        rect = pixel_rect(self.start.box)
+        x0, y0, x1, y1 = crop = _clip_rect(rect, image.width, image.height)
+        self.clipped = crop != rect or x1 <= x0 or y1 <= y0  # an empty crop is clipped
         search_box = search_area(self.start.box, self.end.box, margin=margin)
-        self.rect = _clip_rect(pixel_rect(search_box), image.width, image.height)
-        if template is not None and template.samples.size >= 2:
-            self.template = template
+        self.search = _clip_rect(pixel_rect(search_box), image.width, image.height)
+        if x1 > x0 and y1 > y0 and (x1 - x0) * (y1 - y0) >= 2:
+            self.template = frames_mod.gray_window(image, *crop)
+            self.shift = ((x0 + x1 - rect[0] - rect[2]) / 2.0, (y0 + y1 - rect[1] - rect[3]) / 2.0)
         else:
-            self.fill = [(box, True, self.clipped) for box in self.linear_boxes()]
+            self.fill = [(box, True, self.clipped) for box in _linear_boxes(self.start, self.end)]
 
     def read_gap_frame(self, image) -> None:
         # a margin >= 0 keeps the clipped template inside the clipped search area
-        self.windows.append(frames_mod.gray_window(image, *self.rect))
+        self.windows.append(frames_mod.gray_window(image, *self.search))
         if len(self.windows) == len(self.frames):
             self._score()
 
     def _score(self) -> None:
         """Prepare the template once, for the widest sample range among the
-        windows, and pick each window's placement as :func:`frames.ncc_match` does."""
+        windows, and place it in each by :func:`frames.best_placement`.  The
+        preferred placement centres the template at the linear box's centre
+        plus ``shift``, and a placed box is centred at the placed template's
+        centre minus ``shift``: a template the frame edge clipped keeps its
+        offset from the box."""
         widest = max(self.windows, key=lambda window: window.max_value)
         surfaces = frames_mod.NccTemplate(self.template, widest).scores(self.windows)
         th, tw = self.template.samples.shape
-        sx0, sy0 = self.rect[:2]
-        for linear_box, surface in zip(self.linear_boxes(), surfaces):
+        sx0, sy0 = self.search[:2]
+        dx, dy = self.shift
+        for linear_box, surface in zip(_linear_boxes(self.start, self.end), surfaces):
             cx, cy = linear_box.center
-            match = frames_mod._best_placement(surface, (cx - tw / 2.0 - sx0, cy - th / 2.0 - sy0))
+            match = frames_mod.best_placement(
+                surface, (cx + dx - tw / 2.0 - sx0, cy + dy - th / 2.0 - sy0))
             box = linear_box  # a degenerate surface keeps the linear position
             if not match.degenerate:
-                mx = sx0 + match.offset_x + tw / 2.0
-                my = sy0 + match.offset_y + th / 2.0
+                mx = sx0 + match.offset_x + tw / 2.0 - dx
+                my = sy0 + match.offset_y + th / 2.0 - dy
                 width, height = linear_box.width, linear_box.height
                 box = BoundingBox(mx - width / 2.0, my - height / 2.0, mx + width / 2.0, my + height / 2.0)
             self.fill.append((box, match.degenerate, self.clipped))
@@ -268,23 +282,13 @@ def densify_ncc_tracks(tracks: list[Track], frame_images, *,
             segment.read_gap_frame(image)
         del image  # so the next fetch does not hold two frames
 
-    # _densify asks for each segment's fill in the order the segments were built
-    return [_densify(track, lambda start, end, fills=iter(track_segments): next(fills).fill)
+    return [_densify(track, [segment.fill for segment in track_segments])
             for track, track_segments in zip(tracks, segments)]
 
 
 def _clip_rect(rect: tuple[int, int, int, int], width: int, height: int):
     x0, y0, x1, y1 = rect
     return (max(0, x0), max(0, y0), min(width, x1), min(height, y1))
-
-
-def _crop_clipped(image, rect: tuple[int, int, int, int]):
-    """Crop a rect that may extend outside the frame; reports clipping."""
-    x0, y0, x1, y1 = _clip_rect(rect, image.width, image.height)
-    clipped = (x0, y0, x1, y1) != rect
-    if x1 <= x0 or y1 <= y0:
-        return None, True
-    return frames_mod.gray_window(image, x0, y0, x1, y1), clipped
 
 
 def tracks_to_detections(tracks: list[Track]) -> list[Detection]:

@@ -1,5 +1,6 @@
-"""Each module is importable first, in a fresh interpreter, and takes
-each name of another package module from the module that defines it.
+"""Each module is importable first, in a fresh interpreter, takes each
+name of another package module from the module that defines it, and
+reads no underscore name of another package module.
 
 The package root imports nothing, so an import cycle between two modules
 shows when one of them is the first module a program imports.
@@ -57,11 +58,9 @@ def defined_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def foreign_names(trees: dict[str, ast.Module]) -> list[str]:
-    """``file:line module.name`` for every name one package module takes from
-    another (``from .m import name`` or ``m.name``) that ``m`` only imports."""
-    defined = {module: defined_names(tree) for module, tree in trees.items()}
-    found = []
+def imported_names(trees: dict[str, ast.Module]):
+    """``(module, line, m, name)`` for every name a package module takes from
+    another package module ``m``: ``from .m import name`` or ``m.name``."""
     for module, tree in trees.items():
         aliases = {}  # local name -> package module, from ``from . import m [as x]``
         for node in ast.walk(tree):
@@ -69,14 +68,29 @@ def foreign_names(trees: dict[str, ast.Module]) -> list[str]:
                 for alias in node.names:
                     if node.module is None:
                         aliases[alias.asname or alias.name] = alias.name
-                    elif alias.name not in defined[node.module]:
-                        found.append(f"{module}.py:{node.lineno} {node.module}.{alias.name}")
+                    else:
+                        yield module, node.lineno, node.module, alias.name
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                    and node.value.id in aliases
-                    and node.attr not in defined[aliases[node.value.id]]):
-                found.append(f"{module}.py:{node.lineno} {aliases[node.value.id]}.{node.attr}")
-    return sorted(found)
+                    and node.value.id in aliases):
+                yield module, node.lineno, aliases[node.value.id], node.attr
+
+
+def foreign_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line module.name`` for every name one package module takes from
+    another that the other only imports."""
+    defined = {module: defined_names(tree) for module, tree in trees.items()}
+    return sorted(f"{module}.py:{line} {source}.{name}"
+                  for module, line, source, name in imported_names(trees)
+                  if name not in defined[source])
+
+
+def private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line module._name`` for every underscore name one package
+    module reads from another."""
+    return sorted(f"{module}.py:{line} {source}.{name}"
+                  for module, line, source, name in imported_names(trees)
+                  if name.startswith("_"))
 
 
 def package_trees() -> dict[str, ast.Module]:
@@ -86,6 +100,16 @@ def package_trees() -> dict[str, ast.Module]:
 
 def test_each_name_is_taken_from_the_module_that_defines_it():
     assert foreign_names(package_trees()) == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_names(package_trees()) == []
+
+
+def test_private_names_are_found_in_both_import_forms():
+    trees = {"a": ast.parse("from . import b as bee\nfrom .b import _x, y\nbee._z(bee.w)\n"),
+             "b": ast.parse("_x = y = w = 1\ndef _z(v): return v\n")}
+    assert private_names(trees) == ["a.py:2 b._x", "a.py:3 b._z"]
 
 
 def exception_classes(trees: dict[str, ast.Module]) -> list[str]:

@@ -382,6 +382,24 @@ class TestDensifyNcc:
         interp = [e for e in dense.entries if e.source is Source.INTERPOLATED]
         assert interp and all(e.template_clipped for e in interp)
 
+    @pytest.mark.parametrize("patch, box", [
+        ((0, 40), (-8, 40, 20, 60)),       # left edge
+        ((180, 40), (180, 40, 208, 60)),   # right edge
+        ((60, 0), (60, -8, 80, 20)),       # top edge
+        ((60, 100), (60, 100, 80, 128)),   # bottom edge
+    ])
+    def test_static_patch_clipped_at_an_edge_keeps_its_box(self, patch, box):
+        # the frame cuts 8 pixels off the box: the template is the patch, and
+        # the box keeps its place around it instead of following its centre
+        images = _render_patch({f: patch for f in range(4)})
+        track = make_track((0, box, "3.24"), (3, box, "3.24"))
+        dense = densify_ncc(track, images)
+        interp = [e for e in dense.entries if e.source is Source.INTERPOLATED]
+        assert [e.frame_index for e in interp] == [1, 2]
+        for entry in interp:
+            assert entry.box == BoundingBox(*box)
+            assert entry.template_clipped and not entry.ncc_degenerate
+
     def test_detected_entries_never_altered(self):
         track, images = _jitter_track()
         dense = densify_ncc(track, images)
