@@ -32,7 +32,7 @@ from .core import (
     Source,
     index_value,
 )
-from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
+from .frames import BayerPattern, CfaImage, GrayImage, pnm_header, read_pnm
 from .taxonomy import ClassCode, is_ascii_digits
 from .tracking import Track
 
@@ -512,9 +512,15 @@ def write_manifest(manifest: SequenceManifest, path) -> None:
 class ManifestFrameSource:
     """Frame loader indexed by frame number, for NCC interpolation.
 
-    Each access reads and decodes the frame's PGM; nothing is cached
+    Each access reads and decodes the frame's PGM; no frame is cached
     (:func:`tracking.densify_ncc_tracks` asks for each frame once, in
-    ascending order).  Every frame must have the size of the first one decoded.
+    ascending order).  The file is read into one buffer the source keeps
+    and reuses, so one source serves one caller at a time.  The file is
+    placed so that a 16-bit payload starts on a 2-byte boundary when the
+    header has the previous frame's length parity (otherwise
+    :func:`frames.read_pnm` copies the payload); the decoded image is a
+    new array and never shares memory with the buffer.
+    Every frame must have the size of the first one decoded.
     With a ``pattern`` the frame stays the decoded mosaic
     (:class:`CfaImage`), validated over the whole frame like any other;
     readers take the gray signal of just the windows they need with
@@ -531,11 +537,21 @@ class ManifestFrameSource:
         self._root = Path(root)
         self._pattern = pattern
         self._first: tuple[int, int, Path] | None = None  # width, height, path
+        self._buffer = bytearray()
+        self._shift = 0  # buffer offset of the next file: the last header length's parity
 
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         path = self._root / self._paths[frame_index]
+        with open(path, "rb") as file:
+            size = os.fstat(file.fileno()).st_size
+            if len(self._buffer) < self._shift + size:
+                # a new buffer, not a resize: a view of the old one may still be alive
+                self._buffer = bytearray(size + 1)
+            view = memoryview(self._buffer)[self._shift : self._shift + size]
+            data = view[: file.readinto(view)]  # only the bytes read: none of an earlier frame
         try:
-            image = read_pnm(path.read_bytes(), self._pattern)
+            self._shift = pnm_header(data)[3] % 2
+            image = read_pnm(data, self._pattern)
         except ValueError as exc:
             raise DatastoreError(path, None, str(exc)) from None
         if self._first is None:

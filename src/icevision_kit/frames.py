@@ -102,38 +102,36 @@ class RgbImage(_Image):
 # PNM decoding / encoding
 
 _COMMENT = re.compile(rb"#[^\r\n]*")  # a comment runs to the end of its line
+_SPACE = b" \t\r\n\v\f"
+_DELIMITERS = _SPACE + b"#"
 
 
-def _pnm_tokens(data: bytes):
+def _pnm_tokens(data: memoryview):
     """Yield (token, separator_offset) per header token, honoring PNM
     whitespace and '#' comments: a comment right after a token runs to the
     end of its line, and that line end is the token's separator."""
     pos = 0
     n = len(data)
     while pos < n:
-        c = data[pos : pos + 1]
-        if c in b" \t\r\n\v\f":
+        c = data[pos]
+        if c in _SPACE:
             pos += 1
             continue
-        if c == b"#":
+        if c == ord("#"):
             pos = _COMMENT.match(data, pos).end()
             continue
         start = pos
-        while pos < n and data[pos : pos + 1] not in b" \t\r\n\v\f#":
+        while pos < n and data[pos] not in _DELIMITERS:
             pos += 1
         comment = _COMMENT.match(data, pos)
-        yield data[start:pos].decode("ascii", "replace"), comment.end() if comment else pos
+        yield str(data[start:pos], "ascii", "replace"), comment.end() if comment else pos
 
 
-def read_pnm(data: bytes | bytearray, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
-    """Decode a binary PGM (P5) from ``bytes`` or a ``bytearray``.
-
-    Samples are 1 byte each for max_value < 256, otherwise 2 bytes
-    big-endian.  Pass ``pattern`` to tag the result as a Bayer mosaic;
-    the PNM header itself cannot express the CFA layout.  A malformed
-    header or a short payload is a ``ValueError``.
-    """
-    tokens = _pnm_tokens(data)
+def pnm_header(data) -> tuple[int, int, int, int]:
+    """``(width, height, max_value, payload_offset)`` of a binary PGM (P5)
+    held in any contiguous bytes-like object; the payload starts at
+    ``payload_offset``.  A malformed header is a ``ValueError``."""
+    tokens = _pnm_tokens(memoryview(data).cast("B"))
     try:
         magic, _ = next(tokens)
     except StopIteration:
@@ -151,16 +149,29 @@ def read_pnm(data: bytes | bytearray, pattern: BayerPattern | None = None) -> Gr
         raise ValueError(f"bad PGM dimensions {width}x{height}")
     if not 0 < max_value <= 65535:
         raise ValueError(f"PGM max value {max_value} outside 1..65535")
-
     # exactly one whitespace byte (or a comment's line end) separates the header from the payload
-    start = header_end + 1
+    return width, height, max_value, header_end + 1
+
+
+def read_pnm(data, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
+    """Decode a binary PGM (P5) from any contiguous bytes-like object:
+    ``bytes``, a ``bytearray`` or a ``memoryview`` of one.
+
+    Samples are 1 byte each for max_value < 256, otherwise 2 bytes
+    big-endian.  Pass ``pattern`` to tag the result as a Bayer mosaic;
+    the PNM header itself cannot express the CFA layout.  A malformed
+    header or a short payload is a ``ValueError``.  The samples are a new
+    array: the image never shares memory with ``data``.
+    """
+    data = memoryview(data).cast("B")
+    width, height, max_value, start = pnm_header(data)
     dtype = _wire_dtype(max_value)
     need = width * height * dtype.itemsize
     if len(data) - start < need:
         raise ValueError(f"payload has {max(len(data) - start, 0)} bytes, need {need}")
     samples = np.frombuffer(data, dtype, width * height, offset=start)
-    if not samples.flags.aligned:  # an odd-length header: a misaligned cast runs at half speed
-        samples = np.frombuffer(data[start : start + need], dtype)
+    if not samples.flags.aligned:  # a misaligned cast runs at half speed: copy the payload first
+        samples = np.frombuffer(bytes(data[start : start + need]), dtype)
     samples = samples.reshape(height, width).astype(sample_dtype(max_value))
     if pattern is None:
         return GrayImage(samples=samples, max_value=max_value)
@@ -233,10 +244,13 @@ def _interpolate_channel(lattices: list, pattern: BayerPattern, name: str, plane
             plane[i::2, j::2] = total
 
 
-def _mosaic_context(cfa: CfaImage, x0: int, y0: int, x1: int, y1: int) -> tuple[BayerPattern, list]:
-    """The 2x2 pattern re-phased to start at (y0, x0), and the four contiguous
+def _mosaic_context(cfa: CfaImage, x0: int, y0: int, x1: int, y1: int,
+                    channels: str = "RGB") -> tuple[BayerPattern, list]:
+    """The 2x2 pattern re-phased to start at (y0, x0), and the four
     sub-lattices ``context[p::2, q::2]`` of the rectangle [x0, x1) x [y0, y1)
-    with one pixel of context, in an unsigned type that holds ``4 * max_value + 2``.
+    with one pixel of context: contiguous, in an unsigned type that holds
+    ``4 * max_value + 2``, for the sites of ``channels``, and None for the
+    others, which no tap of those channels reads.
     Context beyond the frame edge replicates the edge row or column."""
     h, w = cfa.samples.shape
     context = cfa.samples[max(y0 - 1, 0) : y1 + 1, max(x0 - 1, 0) : x1 + 1]
@@ -244,9 +258,11 @@ def _mosaic_context(cfa: CfaImage, x0: int, y0: int, x1: int, y1: int) -> tuple[
     if any(map(any, pad)):  # np.pad copies even when it pads nothing
         context = np.pad(context, pad, mode="edge")
     work = np.min_scalar_type(4 * cfa.max_value + 2)
-    lattices = [[np.ascontiguousarray(context[p::2, q::2], dtype=work) for q in (0, 1)] for p in (0, 1)]
     tile = cfa.pattern.value
     shifted = "".join(tile[(i + y0) % 2 * 2 + (j + x0) % 2] for i in (0, 1) for j in (0, 1))
+    # context[p, q] is the window's pixel (p - 1, q - 1): site shifted[(1 - p) * 2 + 1 - q]
+    lattices = [[np.ascontiguousarray(context[p::2, q::2], dtype=work)
+                 if shifted[(1 - p) * 2 + 1 - q] in channels else None for q in (0, 1)] for p in (0, 1)]
     return BayerPattern(shifted), lattices
 
 
@@ -334,14 +350,15 @@ def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int)
     of a gray image's rectangle, or the interpolated green plane of just
     that rectangle of a mosaic, equal to that rectangle of the whole
     frame's green plane: the window and its one-pixel context are read as
-    four sub-lattices, as one band of :func:`demosaic_bilinear` is."""
+    their two green sub-lattices, where one band of
+    :func:`demosaic_bilinear` reads all four."""
     h, w = image.samples.shape
     if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
         raise ValueError(f"window ({x0},{y0},{x1},{y1}) outside {w}x{h}")
     if not isinstance(image, CfaImage):
         return GrayImage(samples=image.samples[y0:y1, x0:x1].copy(), max_value=image.max_value)
     plane = np.empty((y1 - y0, x1 - x0), dtype=sample_dtype(image.max_value))
-    pattern, lattices = _mosaic_context(image, x0, y0, x1, y1)
+    pattern, lattices = _mosaic_context(image, x0, y0, x1, y1, "G")
     _interpolate_channel(lattices, pattern, "G", plane)
     return GrayImage(samples=plane, max_value=image.max_value)
 

@@ -31,9 +31,10 @@ from .tracking import TrackerConfig, densify_linear, run_tracker
 
 ANNOTATION_STEP_RANGE = (25, 35)
 SIGN_SIZE_RANGE = (20, 60)
-# the largest values the mock detector can draw from: numpy's Poisson
-# mean limit, and a jitter whose uniform range 2*j stays finite
-POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+# the mock detector builds one Detection per false positive, so its mean
+# rate per frame is capped where a run still ends; the jitter's uniform
+# range 2*j must stay finite
+FP_PER_FRAME_MAX = 100.0
 JITTER_MAX = sys.float_info.max / 2
 
 
@@ -45,7 +46,11 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Imperfections applied to ground truth to fake a detector."""
+    """Imperfections applied to ground truth to fake a detector.
+
+    ``fp_per_frame`` is the mean number of false positives drawn per frame,
+    at most ``FP_PER_FRAME_MAX`` (100).
+    """
 
     drop_probability: float = 0.0
     fp_per_frame: float = 0.0
@@ -56,8 +61,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError(f"drop_probability must be in [0, 1], got {self.drop_probability}")
-        if not 0.0 <= self.fp_per_frame <= POISSON_MEAN_MAX:
-            raise ValueError(f"fp_per_frame must be in [0, {POISSON_MEAN_MAX!r}], "
+        if not 0.0 <= self.fp_per_frame <= FP_PER_FRAME_MAX:
+            raise ValueError(f"fp_per_frame must be in [0, {FP_PER_FRAME_MAX!r}], "
                              f"got {self.fp_per_frame}")
         if not 0.0 <= self.position_jitter_px <= JITTER_MAX:
             raise ValueError(f"position_jitter_px must be in [0, {JITTER_MAX!r}], "

@@ -409,6 +409,8 @@ class TestBadNumericFlag:
         ("synth", "--fp-per-frame", "1e19"),
         ("synth", "--jitter", "1e308"),
         ("bench", "--fp-per-frame", "1e19"),
+        ("synth", "--fp-per-frame", "100.000001"),
+        ("bench", "--fp-per-frame", "101"),
         ("bench", "--jitter", "1e308"),
         ("interp", "--margin", "-100"),
         ("interp", "--margin", "inf"),
@@ -439,6 +441,18 @@ class TestBadNumericFlag:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists() and not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_false_positive_rate_above_the_cap_never_reaches_the_mock_detector(
+            self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        detect = harness.mock_detector
+        monkeypatch.setattr(harness, "mock_detector", lambda *args: calls.append(args) or detect(*args))
+        argv = self.inputs(tmp_path)[command]
+        assert main(argv + ["--fp-per-frame", "100.000001"]) == EX_USAGE
+        assert calls == []
+        assert main(argv + ["--fp-per-frame", "100"]) == EX_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command, flag, message", [
         ("synth", "--stride", "--stride: keyframe_stride must be positive, got -1"),

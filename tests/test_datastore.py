@@ -5,6 +5,7 @@ import stat
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import datastore_oracles as oracles
@@ -40,7 +41,7 @@ from icevision_kit.datastore import (
     write_manifest,
     write_tracks,
 )
-from icevision_kit.frames import BayerPattern, GrayImage
+from icevision_kit.frames import BayerPattern, CfaImage, GrayImage, read_pnm, sample_dtype, write_pnm
 from icevision_kit.taxonomy import parse_code
 from icevision_kit.tracking import Track
 
@@ -695,6 +696,102 @@ class TestManifestFrameSource:
         with pytest.raises(DatastoreError, match=r"frame is 10x6, but .*f1\.pgm is 8x6") as err:
             source[2]
         assert err.value.path.endswith("f2.pgm")
+
+
+@st.composite
+def frame_files(draw, width, height):
+    """One PGM file of a fixed size: header spacing and ``#`` comments (a
+    long one included), so the header length and its parity vary; 8- or
+    16-bit samples; trailing bytes after the payload."""
+    max_value = draw(st.sampled_from([255, 256, 4095, 65535]))
+    gap = st.sampled_from([b" ", b"\n", b"  ", b"\r\n", b" # c\n", b"\n#" + b"x" * 5000 + b"\n"])
+    header = b"P5" + draw(gap) + b"%d" % width + draw(gap) + b"%d" % height + draw(gap)
+    header += b"%d" % max_value + draw(st.sampled_from([b"\n", b"\t", b"# note\n"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, max_value + 1, size=(height, width))
+    wire = ">u2" if max_value > 255 else "u1"
+    return header + samples.astype(wire).tobytes() + draw(st.binary(max_size=3))
+
+
+@st.composite
+def frame_sequences(draw):
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    files = draw(st.lists(frame_files(width, height), min_size=1, max_size=6))
+    fetches = draw(st.lists(st.integers(0, len(files) - 1), min_size=1, max_size=10))
+    return files, fetches
+
+
+def fetch_peak_bytes(source, frame_index):
+    """(image, peak bytes allocated while ``source`` fetched it); tracemalloc
+    sees numpy's array buffers as well as Python objects."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        image = source[frame_index]
+        return image, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestManifestFrameSourceReadPath:
+    """One source reads every frame into one reused buffer; each image must
+    still equal a fresh decode of the file's bytes, and own its samples."""
+
+    @staticmethod
+    def sequence(root, files):
+        for index, data in enumerate(files):
+            (root / f"f{index}.pgm").write_bytes(data)
+        return SequenceManifest("s", tuple((i, f"f{i}.pgm") for i in range(len(files))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=frame_sequences(), pattern=st.sampled_from([None, BayerPattern.GRBG]))
+    def test_equals_a_fresh_decode_of_each_file(self, case, pattern):
+        files, fetches = case
+        with tempfile.TemporaryDirectory() as tmp:
+            source = ManifestFrameSource(self.sequence(Path(tmp), files), root=tmp, pattern=pattern)
+            for index in fetches:
+                got = source[index]
+                want = read_pnm(Path(tmp, f"f{index}.pgm").read_bytes(), pattern)
+                assert type(got) is type(want) and got.max_value == want.max_value
+                assert got.samples.dtype == want.samples.dtype
+                assert np.array_equal(got.samples, want.samples)
+
+    def test_truncated_frame_after_a_full_one(self, tmp_path):
+        header = b"P5\n64 48\n65535\n"  # 15 bytes
+        payload = np.arange(64 * 48, dtype=">u2").tobytes()
+        source = ManifestFrameSource(self.sequence(tmp_path, [header + payload, header + payload[:100]]),
+                                     root=tmp_path)
+        source[0]
+        with pytest.raises(DatastoreError) as err:
+            source[1]
+        assert str(err.value) == f"{tmp_path / 'f1.pgm'}: payload has 100 bytes, need {len(payload)}"
+        assert np.array_equal(source[0].samples, np.arange(64 * 48).reshape(48, 64))
+
+    @pytest.mark.parametrize("max_value", [255, 4095])
+    def test_an_image_never_shares_the_buffer(self, tmp_path, max_value):
+        rng = np.random.default_rng(max_value)
+        images = [GrayImage(rng.integers(0, max_value + 1, size=(6, 9)).astype(sample_dtype(max_value)),
+                            max_value) for _ in range(2)]
+        source = ManifestFrameSource(self.sequence(tmp_path, [write_pnm(i) for i in images]),
+                                     root=tmp_path)
+        first = source[0]
+        kept = first.samples.copy()
+        second = source[1]
+        assert np.array_equal(first.samples, kept) and np.array_equal(second.samples, images[1].samples)
+        assert not np.shares_memory(first.samples, second.samples)
+
+    def test_steady_state_fetch_allocates_one_decoded_frame(self, tmp_path):
+        rng = np.random.default_rng(26)
+        images = [CfaImage(rng.integers(0, 4096, size=(512, 1024)).astype(np.uint16),
+                           BayerPattern.RGGB, 4095) for _ in range(2)]
+        files = [bytes(write_pnm(i)) for i in images]
+        assert files[0].startswith(b"P5\n1024 512\n4095\n")  # 17 bytes: an odd-length header
+        source = ManifestFrameSource(self.sequence(tmp_path, files), root=tmp_path,
+                                     pattern=BayerPattern.RGGB)
+        source[0]
+        image, peak = fetch_peak_bytes(source, 1)
+        assert np.array_equal(image.samples, images[1].samples)
+        assert peak <= 1.25 * image.samples.nbytes + (64 << 10)
 
 
 class TestAtomicWrites:

@@ -63,6 +63,24 @@ def cfa(array, pattern=BayerPattern.RGGB, max_value=255):
     )
 
 
+# bytes-like objects read_pnm takes; the last is a view that starts at an odd offset
+CONTAINERS = (bytes, bytearray, lambda data: memoryview(bytearray(data)),
+              lambda data: memoryview(bytearray(b"\0" + data))[1:])
+
+
+@st.composite
+def pgm_files(draw):
+    """Small PGM files: header spacing and comments, 8- or 16-bit samples,
+    a payload that may be short or followed by trailing bytes."""
+    max_value = draw(st.sampled_from([1, 255, 256, 4095, 65535]))
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gap = st.sampled_from([b" ", b"\n", b"\t", b"  ", b"\r\n", b" # note\n", b"\n#\n"])
+    header = b"P5" + draw(gap) + b"%d" % width + draw(gap) + b"%d" % height + draw(gap)
+    header += b"%d" % max_value + draw(st.sampled_from([b"\n", b" ", b"# c\n", b"#\r"]))
+    size = width * height * (2 if max_value > 255 else 1)
+    return header + draw(st.binary(min_size=max(size - 2, 0), max_size=size + 3))
+
+
 class TestReadPnm:
     def test_basic_2x2(self):
         img = read_pnm(b"P5 2 2 255\n" + bytes([10, 20, 30, 40]))
@@ -107,25 +125,53 @@ class TestReadPnm:
         (b"P5  3 1 65535\n" + bytes(5), "payload has 5 bytes, need 6"),
     ])
     def test_truncation_message(self, data, message):
-        for container in (bytes, bytearray):
+        for container in CONTAINERS:
             with pytest.raises(ValueError) as exc:
                 read_pnm(container(data))
             assert str(exc.value) == message
 
-    def test_samples_do_not_depend_on_header_length_trailing_bytes_or_container(self):
-        # an odd-length header leaves the 2-byte payload view misaligned
+    def test_samples_do_not_depend_on_header_length_trailing_bytes_or_container(self, monkeypatch):
+        # an odd-length header, or a view at an odd address, leaves the 2-byte
+        # payload view misaligned: the payload is copied before the cast
+        cast_from = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def frombuffer(self, *args, **kwargs):
+                cast_from.append(np.frombuffer(*args, **kwargs))
+                return cast_from[-1]
+
+        monkeypatch.setattr(frames, "np", Numpy())
         samples = np.random.default_rng(5).integers(0, 4096, size=(3, 5)).astype(np.uint16)
         payload = samples.astype(">u2").tobytes()
         aligned = set()
         for pad in range(4):
             header = b"P5" + b" " * (pad + 1) + b"5 3\n4095\n"
             for trailing in (b"", b"\x07", bytes(6)):
-                for container in (bytes, bytearray):
+                for container in CONTAINERS:
+                    cast_from.clear()
                     img = read_pnm(container(header + payload + trailing), BayerPattern.BGGR)
                     assert img.samples.dtype == np.uint16 and np.array_equal(img.samples, samples)
                     assert img.samples.flags.writeable and img.samples.flags.c_contiguous
-                aligned.add(np.frombuffer(header + payload, ">u2", offset=len(header)).flags.aligned)
+                    assert cast_from[-1].flags.aligned
+                    aligned.add(cast_from[0].flags.aligned)
         assert aligned == {True, False}
+
+    @given(st.one_of(st.binary(max_size=24), pgm_files()))
+    def test_any_container_reads_like_bytes(self, data):
+        # the same samples, or the same ValueError message, from every container
+        def outcome(container):
+            try:
+                img = read_pnm(container(data))
+            except ValueError as exc:
+                return str(exc)
+            return type(img), img.max_value, img.samples.dtype, img.samples.tolist()
+
+        want = outcome(bytes)
+        for container in CONTAINERS[1:]:
+            assert outcome(container) == want
 
     def test_16bit_big_endian(self):
         payload = (300).to_bytes(2, "big") + (65535).to_bytes(2, "big")
@@ -316,6 +362,16 @@ class TestGrayWindowMatchesFullFramePlane:
                     for x1 in range(x0 + 1, 8):
                         got = gray_window(mosaic, x0, y0, x1, y1).samples
                         assert np.array_equal(got, full.samples[y0:y1, x0:x1])
+
+    @pytest.mark.parametrize("pattern", list(BayerPattern))
+    def test_only_green_sites_are_converted(self, pattern):
+        # green sites hold 1, the others 0; inner windows need no edge replication
+        green = np.array([[c == "G" for c in pattern.value[:2]], [c == "G" for c in pattern.value[2:]]])
+        mosaic = cfa(np.tile(green, (4, 4)), pattern)
+        for x0, y0 in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            _, lattices = frames._mosaic_context(mosaic, x0, y0, x0 + 4, y0 + 3, "G")
+            converted = [a for row in lattices for a in row if a is not None]
+            assert len(converted) == 2 and all(np.all(a == 1) for a in converted)
 
     def test_gray_image_window_is_crop(self):
         img = gray(np.arange(20).reshape(4, 5))

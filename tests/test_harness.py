@@ -1,5 +1,6 @@
 """Synthetic benchmark harness: scenarios, mock detector, scoring oracle."""
 
+import math
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from icevision_kit import core
 from icevision_kit.core import BoundingBox, FrameAnnotations
 from icevision_kit.datastore import DatastoreError
 from icevision_kit.harness import (
+    FP_PER_FRAME_MAX,
     BenchmarkReport,
     GeneratedScenario,
     NoiseModel,
@@ -61,7 +63,7 @@ class TestNoiseModel:
             {"fp_per_frame": -1.0},
             {"position_jitter_px": -2.0},
             {"class_confusion": 1.01},
-            # more than numpy's Poisson and uniform draws accept
+            # above the false-positive cap, and more than numpy's uniform draw accepts
             {"fp_per_frame": 1e19},
             {"position_jitter_px": 1e308},
         ],
@@ -69,6 +71,11 @@ class TestNoiseModel:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NoiseModel(**kwargs)
+
+    def test_false_positive_rate_is_capped(self):
+        assert NoiseModel(fp_per_frame=FP_PER_FRAME_MAX).fp_per_frame == FP_PER_FRAME_MAX == 100.0
+        with pytest.raises(ValueError, match=r"^fp_per_frame must be in \[0, 100\.0\], got 100\.00000000000001$"):
+            NoiseModel(fp_per_frame=math.nextafter(FP_PER_FRAME_MAX, math.inf))
 
 
 class TestPipelineConfig:
