@@ -542,14 +542,15 @@ class ManifestFrameSource:
 
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         path = self._root / self._paths[frame_index]
-        with open(path, "rb") as file:
-            size = os.fstat(file.fileno()).st_size
-            if len(self._buffer) < self._shift + size:
-                # a new buffer, not a resize: a view of the old one may still be alive
-                self._buffer = bytearray(size + 1)
-            view = memoryview(self._buffer)[self._shift : self._shift + size]
-            data = view[: file.readinto(view)]  # only the bytes read: none of an earlier frame
         try:
+            # open raises ValueError for a path with a NUL byte: malformed, not missing
+            with open(path, "rb") as file:
+                size = os.fstat(file.fileno()).st_size
+                if len(self._buffer) < self._shift + size:
+                    # a new buffer, not a resize: a view of the old one may still be alive
+                    self._buffer = bytearray(size + 1)
+                view = memoryview(self._buffer)[self._shift : self._shift + size]
+                data = view[: file.readinto(view)]  # only the bytes read: none of an earlier frame
             self._shift = pnm_header(data)[3] % 2
             image = read_pnm(data, self._pattern)
         except ValueError as exc:

@@ -668,6 +668,12 @@ class TestManifestFrameSource:
         with pytest.raises(KeyError):
             source[9]
 
+    def test_path_with_nul_byte_is_malformed(self, tmp_path):
+        manifest = SequenceManifest(sequence_id="s", frames=((0, "f\x000.pgm"),))
+        source = ManifestFrameSource(manifest, root=tmp_path)
+        with pytest.raises(DatastoreError, match="null byte"):
+            source[0]
+
     def test_bayer_frames_become_gray(self, tmp_path):
         # the source keeps the mosaic; its gray signal is the green plane
         from frame_oracles import gray_from_cfa
