@@ -32,7 +32,7 @@ from .core import (
     Source,
     index_value,
 )
-from .frames import BayerPattern, CfaImage, GrayImage, pnm_header, read_pnm
+from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
 from .taxonomy import ClassCode, is_ascii_digits
 from .tracking import Track
 
@@ -173,7 +173,8 @@ def read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        # bytes split lines at \r\n, \r and \n, as _body_lines does; the bad byte ends no line
+        lineno = len(data[: exc.start + 1].splitlines())
         raise DatastoreError(path, lineno, f"not UTF-8 text: {exc.reason}") from None
 
 
@@ -516,10 +517,12 @@ class ManifestFrameSource:
     (:func:`tracking.densify_ncc_tracks` asks for each frame once, in
     ascending order).  The file is read into one buffer the source keeps
     and reuses, so one source serves one caller at a time.  The file is
-    placed so that a 16-bit payload starts on a 2-byte boundary when the
-    header has the previous frame's length parity (otherwise
-    :func:`frames.read_pnm` copies the payload); the decoded image is a
-    new array and never shares memory with the buffer.
+    placed at the parity of the previous file's bytes outside its payload
+    (its length less the decoded samples' size), so a 16-bit payload
+    starts on a 2-byte boundary whenever this file's header has that
+    parity; otherwise :func:`frames.read_pnm` copies the payload, and no
+    sample changes.  Each fetch parses its header once, in ``read_pnm``.
+    The decoded image is a new array and never shares memory with the buffer.
     Every frame must have the size of the first one decoded.
     With a ``pattern`` the frame stays the decoded mosaic
     (:class:`CfaImage`), validated over the whole frame like any other;
@@ -538,7 +541,7 @@ class ManifestFrameSource:
         self._pattern = pattern
         self._first: tuple[int, int, Path] | None = None  # width, height, path
         self._buffer = bytearray()
-        self._shift = 0  # buffer offset of the next file: the last header length's parity
+        self._shift = 0  # buffer offset of the next file: the last file's non-payload parity
 
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         path = self._root / self._paths[frame_index]
@@ -551,10 +554,10 @@ class ManifestFrameSource:
                     self._buffer = bytearray(size + 1)
                 view = memoryview(self._buffer)[self._shift : self._shift + size]
                 data = view[: file.readinto(view)]  # only the bytes read: none of an earlier frame
-            self._shift = pnm_header(data)[3] % 2
             image = read_pnm(data, self._pattern)
         except ValueError as exc:
             raise DatastoreError(path, None, str(exc)) from None
+        self._shift = (len(data) - image.samples.nbytes) % 2  # the bytes outside the payload
         if self._first is None:
             self._first = (image.width, image.height, path)
         elif (image.width, image.height) != self._first[:2]:

@@ -101,56 +101,35 @@ class RgbImage(_Image):
 # --------------------------------------------------------------------------
 # PNM decoding / encoding
 
-_COMMENT = re.compile(rb"#[^\r\n]*")  # a comment runs to the end of its line
-_SPACE = b" \t\r\n\v\f"
-_DELIMITERS = _SPACE + b"#"
+# One header token: the whitespace and comments before it, the token, and a comment
+# right after it, whose line end (else the byte after the token) is the token's separator.
+# A skipped comment must end at a line end, so a failed match cannot backtrack into it.
+_PNM_TOKEN = re.compile(rb"[ \t\r\n\v\f]*(?:#[^\r\n]*(?![^\r\n])[ \t\r\n\v\f]*)*"
+                        rb"([^ \t\r\n\v\f#]+)(?:#[^\r\n]*)?")
 
 
-def _pnm_tokens(data: memoryview):
-    """Yield (token, separator_offset) per header token, honoring PNM
-    whitespace and '#' comments: a comment right after a token runs to the
-    end of its line, and that line end is the token's separator."""
-    pos = 0
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _SPACE:
-            pos += 1
-            continue
-        if c == ord("#"):
-            pos = _COMMENT.match(data, pos).end()
-            continue
-        start = pos
-        while pos < n and data[pos] not in _DELIMITERS:
-            pos += 1
-        comment = _COMMENT.match(data, pos)
-        yield str(data[start:pos], "ascii", "replace"), comment.end() if comment else pos
-
-
-def pnm_header(data) -> tuple[int, int, int, int]:
+def _pnm_header(data) -> tuple[int, int, int, int]:
     """``(width, height, max_value, payload_offset)`` of a binary PGM (P5)
-    held in any contiguous bytes-like object; the payload starts at
-    ``payload_offset``.  A malformed header is a ``ValueError``."""
-    tokens = _pnm_tokens(memoryview(data).cast("B"))
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise ValueError("empty input") from None
-    if magic != "P5":
-        raise ValueError(f"expected binary PGM magic 'P5', got {magic!r}")
-    try:
-        (width_s, _), (height_s, _), (maxval_s, header_end) = next(tokens), next(tokens), next(tokens)
-    except StopIteration:
-        raise ValueError("incomplete PGM header") from None
-    if not all(map(is_ascii_digits, (width_s, height_s, maxval_s))):  # int also reads "+3", "2_55"
-        raise ValueError(f"non-numeric PGM header field in {(width_s, height_s, maxval_s)}")
-    width, height, max_value = int(width_s), int(height_s), int(maxval_s)
+    header; a malformed header is a ``ValueError``."""
+    tokens, end = [], 0
+    while len(tokens) < 4 and (match := _PNM_TOKEN.match(data, end)):
+        tokens.append(match[1].decode("ascii", "replace"))
+        end = match.end()
+    if not tokens:
+        raise ValueError("empty input")
+    if tokens[0] != "P5":
+        raise ValueError(f"expected binary PGM magic 'P5', got {tokens[0]!r}")
+    if len(tokens) < 4:
+        raise ValueError("incomplete PGM header")
+    if not all(map(is_ascii_digits, tokens[1:])):  # int also reads "+3", "2_55"
+        raise ValueError(f"non-numeric PGM header field in {tuple(tokens[1:])}")
+    width, height, max_value = map(int, tokens[1:])
     if width <= 0 or height <= 0:
         raise ValueError(f"bad PGM dimensions {width}x{height}")
     if not 0 < max_value <= 65535:
         raise ValueError(f"PGM max value {max_value} outside 1..65535")
     # exactly one whitespace byte (or a comment's line end) separates the header from the payload
-    return width, height, max_value, header_end + 1
+    return width, height, max_value, end + 1
 
 
 def read_pnm(data, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
@@ -164,7 +143,7 @@ def read_pnm(data, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
     array: the image never shares memory with ``data``.
     """
     data = memoryview(data).cast("B")
-    width, height, max_value, start = pnm_header(data)
+    width, height, max_value, start = _pnm_header(data)
     dtype = _wire_dtype(max_value)
     need = width * height * dtype.itemsize
     if len(data) - start < need:

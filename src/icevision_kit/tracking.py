@@ -202,7 +202,7 @@ class _Segment:
     def read_keyframe(self, image, margin: float) -> None:
         rect = pixel_rect(self.start.box)
         x0, y0, x1, y1 = crop = _clip_rect(rect, image.width, image.height)
-        self.clipped = crop != rect or x1 <= x0 or y1 <= y0  # an empty crop is clipped
+        self.clipped = crop != rect
         search_box = search_area(self.start.box, self.end.box, margin=margin)
         self.search = _clip_rect(pixel_rect(search_box), image.width, image.height)
         if x1 > x0 and y1 > y0 and (x1 - x0) * (y1 - y0) >= 2:

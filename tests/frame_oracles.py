@@ -3,13 +3,16 @@
 The library computes the Bayer path in exact integer arithmetic on
 contiguous sub-lattices in bands of rows (the green plane one window at
 a time), NCC from summed-area tables and an FFT, PNM payloads one channel
-at a time, and histogram equalization in bands of rows; the versions here
-follow the textbook formulas in float64 (or the previous full-frame,
-sliding-window and whole-array forms) and serve as differential-test
+at a time, histogram equalization in bands of rows, and reads a PGM
+header with one token regex; the versions here follow the textbook
+formulas in float64 (or the previous full-frame, sliding-window,
+whole-array and byte-by-byte forms) and serve as differential-test
 oracles only.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from icevision_kit.frames import (
     RgbImage,
     sample_dtype,
 )
+from icevision_kit.taxonomy import is_ascii_digits
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -82,6 +86,57 @@ def demosaic_bilinear(cfa: CfaImage) -> RgbImage:
         out[:, :, channel] = plane
 
     return RgbImage(samples=round_half_up(out, cfa.max_value), max_value=cfa.max_value)
+
+
+_COMMENT = re.compile(rb"#[^\r\n]*")  # a comment runs to the end of its line
+_SPACE = b" \t\r\n\v\f"
+_DELIMITERS = _SPACE + b"#"
+
+
+def _pnm_tokens(data: memoryview):
+    """Yield (token, separator_offset) per header token, honoring PNM
+    whitespace and '#' comments: a comment right after a token runs to the
+    end of its line, and that line end is the token's separator."""
+    pos = 0
+    n = len(data)
+    while pos < n:
+        c = data[pos]
+        if c in _SPACE:
+            pos += 1
+            continue
+        if c == ord("#"):
+            pos = _COMMENT.match(data, pos).end()
+            continue
+        start = pos
+        while pos < n and data[pos] not in _DELIMITERS:
+            pos += 1
+        comment = _COMMENT.match(data, pos)
+        yield str(data[start:pos], "ascii", "replace"), comment.end() if comment else pos
+
+
+def pnm_header(data) -> tuple[int, int, int, int]:
+    """``(width, height, max_value, payload_offset)`` of a binary PGM (P5),
+    scanning the header byte by byte and reading tokens only as far as it
+    needs them; a malformed header is a ``ValueError``."""
+    tokens = _pnm_tokens(memoryview(data).cast("B"))
+    try:
+        magic, _ = next(tokens)
+    except StopIteration:
+        raise ValueError("empty input") from None
+    if magic != "P5":
+        raise ValueError(f"expected binary PGM magic 'P5', got {magic!r}")
+    try:
+        (width_s, _), (height_s, _), (maxval_s, header_end) = next(tokens), next(tokens), next(tokens)
+    except StopIteration:
+        raise ValueError("incomplete PGM header") from None
+    if not all(map(is_ascii_digits, (width_s, height_s, maxval_s))):
+        raise ValueError(f"non-numeric PGM header field in {(width_s, height_s, maxval_s)}")
+    width, height, max_value = int(width_s), int(height_s), int(maxval_s)
+    if width <= 0 or height <= 0:
+        raise ValueError(f"bad PGM dimensions {width}x{height}")
+    if not 0 < max_value <= 65535:
+        raise ValueError(f"PGM max value {max_value} outside 1..65535")
+    return width, height, max_value, header_end + 1
 
 
 def encode_pnm(image: GrayImage | CfaImage | RgbImage) -> bytes:

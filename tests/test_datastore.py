@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icevision_kit import datastore
+from icevision_kit import datastore, frames
 
 from icevision_kit.core import (
     BoundingBox,
@@ -762,6 +762,20 @@ class TestManifestFrameSourceReadPath:
                 assert got.samples.dtype == want.samples.dtype
                 assert np.array_equal(got.samples, want.samples)
 
+    def test_each_fetch_parses_its_header_once(self, tmp_path, monkeypatch):
+        samples = np.arange(24, dtype=np.uint16).reshape(4, 6) * 170
+        payload = samples.astype(">u2").tobytes()
+        # headers of 12, 13, 14 and 12 bytes; the third file has one byte after its payload
+        files = [b"P5\n6 4\n4095\n" + payload, b"P5\n6  4\n4095\n" + payload,
+                 b"P5\n#\n6 4\n4095\n" + payload + b"\x07", b"P5 6 4\r4095\n" + payload]
+        source = ManifestFrameSource(self.sequence(tmp_path, files), root=tmp_path)
+        parse, calls = frames._pnm_header, []
+        monkeypatch.setattr(frames, "_pnm_header", lambda data: calls.append(1) or parse(data))
+        for index in (0, 1, 2, 3, 1, 0):
+            calls.clear()
+            assert np.array_equal(source[index].samples, samples)
+            assert len(calls) == 1
+
     def test_truncated_frame_after_a_full_one(self, tmp_path):
         header = b"P5\n64 48\n65535\n"  # 15 bytes
         payload = np.arange(64 * 48, dtype=">u2").tobytes()
@@ -896,6 +910,15 @@ class TestTextEncoding:
     def test_undecodable_record_file_names_line(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_bytes(f"{FORMAT_VERSION} detections\n0 3.24 1 1 2 2\n0 \xff\n".encode("latin-1"))
+        with pytest.raises(DatastoreError, match=":3: not UTF-8 text: invalid start byte$") as err:
+            read_detections(path)
+        assert err.value.lineno == 3
+
+    @pytest.mark.parametrize("line_end", ["\r", "\r\n", "\n"])
+    def test_undecodable_byte_line_counts_every_line_end(self, tmp_path, line_end):
+        path = tmp_path / "d.txt"
+        text = line_end.join([f"{FORMAT_VERSION} detections", "0 3.24 1 1 2 2", "0 \xff", ""])
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DatastoreError, match=":3: not UTF-8 text: invalid start byte$") as err:
             read_detections(path)
         assert err.value.lineno == 3

@@ -5,7 +5,7 @@ import tracemalloc
 import frame_oracles
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frame_oracles import DegenerateCorrelation, ncc
@@ -79,6 +79,52 @@ def pgm_files(draw):
     header += b"%d" % max_value + draw(st.sampled_from([b"\n", b" ", b"# c\n", b"#\r"]))
     size = width * height * (2 if max_value > 255 else 1)
     return header + draw(st.binary(min_size=max(size - 2, 0), max_size=size + 3))
+
+
+# what PGM headers are built from: PNM whitespace bytes and comments, and fields of
+# digits and the bytes int() or a Unicode digit test would also read
+SEPARATORS = [b" ", b"\t", b"\r", b"\n", b"\v", b"\f", b"\r\n", b"#", b"# c", b"#\n", b"# c\r"]
+FIELDS = [b"0", b"1", b"7", b"12", b"255", b"4095", b"65535", b"65536", b"+", b"_", b"-",
+          b"\x80", b"\xff", b"\xd9\xa2", b"\xc2\xb2"]
+
+
+def joined(pieces, min_size, max_size):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=max_size).map(b"".join)
+
+
+# a magic, three fields after runs of separators and any tail, or any mix of the pieces
+PNM_HEADERS = st.one_of(
+    st.tuples(st.sampled_from([b"P5", b"", b"P6"]),
+              *[st.tuples(joined(SEPARATORS, 1, 3),
+                          st.sampled_from(FIELDS[:8]) | joined(FIELDS, 0, 2)).map(b"".join)] * 3,
+              joined(SEPARATORS + FIELDS, 0, 4)).map(b"".join),
+    joined([b"P5", b"P6"] + SEPARATORS + FIELDS, 0, 16),
+)
+
+
+def header_outcome(parse, data):
+    """``parse(data)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return parse(data)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestPnmHeader:
+    """The token-regex header parser against the byte-by-byte scanner."""
+
+    @settings(max_examples=600)
+    @given(PNM_HEADERS)
+    @example(b"P5 2 2 255# c\r")
+    # long runs, where a backtracking regex would take quadratic or exponential time
+    @example(b"P5" + b" " * 100_000)
+    @example(b"P5" + b"#\n" * 50_000 + b"2 2 255\n")
+    @example(b"P5 #" + b"\r" * 100_000)
+    @example(b"P5" + b" \n" * 50_000 + b"#")
+    @example(b"P5 2 2 #" + b"#" * 100_000)
+    @example(b"P5 " + b"1" * 5_000 + b" 1 255\n")  # past int's default digit limit
+    def test_matches_the_byte_scanner(self, data):
+        assert header_outcome(frames._pnm_header, data) == header_outcome(frame_oracles.pnm_header, data)
 
 
 class TestReadPnm:

@@ -382,6 +382,15 @@ class TestDensifyNcc:
         interp = [e for e in dense.entries if e.source is Source.INTERPOLATED]
         assert interp and all(e.template_clipped for e in interp)
 
+    def test_empty_template_inside_the_frame_is_degenerate_not_clipped(self):
+        # x 50.6...51.1 rounds to the empty pixel columns 51...51, all inside the 200x120 frame
+        images = _render_patch({f: (50, 40) for f in range(4)})
+        track = make_track((0, (50.6, 40, 51.1, 60), "3.24"), (3, (50.6, 40, 51.1, 60), "3.24"))
+        for dense in (densify_ncc(track, images), tracking_oracles.densify_ncc(track, images)):
+            interp = [e for e in dense.entries if e.source is Source.INTERPOLATED]
+            assert [e.frame_index for e in interp] == [1, 2]
+            assert all(e.ncc_degenerate and not e.template_clipped for e in interp)
+
     @pytest.mark.parametrize("patch, box", [
         ((0, 40), (-8, 40, 20, 60)),       # left edge
         ((180, 40), (180, 40, 208, 60)),   # right edge

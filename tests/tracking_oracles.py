@@ -42,8 +42,8 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
             width, height = key_image.width, key_image.height
             rect = pixel_rect(start.box)
             x0, y0, x1, y1 = inside(rect, width, height)
-            # clipped unless the whole template is inside the frame and not empty
-            clipped = not (0 <= rect[0] < rect[2] <= width and 0 <= rect[1] < rect[3] <= height)
+            # clipped when the frame edge cut the template; an empty one inside is only degenerate
+            clipped = not (0 <= rect[0] and rect[2] <= width and 0 <= rect[1] and rect[3] <= height)
             template = None
             if x1 > x0 and y1 > y0 and (x1 - x0) * (y1 - y0) >= 2:
                 template = frames.gray_window(key_image, x0, y0, x1, y1)
