@@ -4,6 +4,13 @@ Coordinates are continuous 64-bit reals in pixel units, origin top-left,
 x to the right, y down.  The max corner is exclusive for area purposes
 (width = x_max - x_min).  All types here are immutable values and all
 operations are pure functions.
+
+:class:`BoundingBox` and :class:`Detection`, built once per record line,
+track entry and refined detection, are frozen slotted dataclasses with a
+hand-written ``__init__``: it runs the type's checks and stores each field
+through its slot's descriptor, bound once at import, instead of one
+``object.__setattr__`` per field.  Equality, hashing, ``repr``,
+``dataclasses.replace`` and pickling are the dataclass's own.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .taxonomy import ClassCode
@@ -37,7 +44,16 @@ class Source(enum.Enum):
     INTERPOLATED = "interpolated"
 
 
-@dataclass(frozen=True)
+def _check_box(x0, y0, x1, y1) -> None:
+    """The box rule: finite coordinates, then min corner <= max corner."""
+    isfinite = math.isfinite
+    if not (isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)):
+        raise ValueError(f"box coordinates must be finite, got {(x0, y0, x1, y1)}")
+    if x0 > x1 or y0 > y1:
+        raise ValueError(f"box min corner must not exceed max corner, got {(x0, y0, x1, y1)}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class BoundingBox:
     """Axis-aligned rectangle in pixel coordinates."""
 
@@ -46,14 +62,17 @@ class BoundingBox:
     x_max: float
     y_max: float
 
-    def __post_init__(self) -> None:
-        # unrolled: one box is built per record line, entry and refined detection
-        x0, y0, x1, y1 = self.x_min, self.y_min, self.x_max, self.y_max
-        isfinite = math.isfinite
-        if not (isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)):
-            raise ValueError(f"box coordinates must be finite, got {(x0, y0, x1, y1)}")
-        if x0 > x1 or y0 > y1:
-            raise ValueError(f"box min corner must not exceed max corner, got {(x0, y0, x1, y1)}")
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
+        # one chained test passes exactly the finite, ordered boxes; the rule names the fault
+        try:
+            if not (-_INF < x_min <= x_max < _INF and -_INF < y_min <= y_max < _INF):
+                _check_box(x_min, y_min, x_max, y_max)
+        except TypeError:  # a coordinate that is no real number: the rule's own TypeError
+            _check_box(x_min, y_min, x_max, y_max)
+        _set_x_min(self, x_min)
+        _set_y_min(self, y_min)
+        _set_x_max(self, x_max)
+        _set_y_max(self, y_max)
 
     @property
     def width(self) -> float:
@@ -66,6 +85,10 @@ class BoundingBox:
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
+
+
+_set_x_min, _set_y_min, _set_x_max, _set_y_max = (
+    BoundingBox.__dict__[f.name].__set__ for f in fields(BoundingBox))
 
 
 def area(box: BoundingBox) -> float:
@@ -162,8 +185,7 @@ class Distribution(dict):
         return Distribution, (dict(self),)
 
 
-# slotted: one is built per box on every hot path (reading, densifying, refining)
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Detection:
     """A box on one frame: detector output, a track entry (detected or
     interpolated), or refined output.
@@ -183,16 +205,32 @@ class Detection:
     ncc_degenerate: bool = False
     template_clipped: bool = False
 
-    def __post_init__(self) -> None:
-        if type(self.frame_index) is not int or self.frame_index < 0:
-            object.__setattr__(self, "frame_index", index_value(self.frame_index, "frame index"))
-        if type(self.class_distribution) is not Distribution:
-            object.__setattr__(self, "class_distribution", Distribution(self.class_distribution))
+    def __init__(self, frame_index: int, box: BoundingBox, class_distribution: Distribution,
+                 associated_data: str | None = None, temporary: bool | None = None,
+                 source: Source = Source.DETECTED, ncc_degenerate: bool = False,
+                 template_clipped: bool = False) -> None:
+        if type(frame_index) is not int or frame_index < 0:
+            frame_index = index_value(frame_index, "frame index")
+        if type(class_distribution) is not Distribution:
+            class_distribution = Distribution(class_distribution)
+        _set_frame_index(self, frame_index)
+        _set_box(self, box)
+        _set_class_distribution(self, class_distribution)
+        _set_associated_data(self, associated_data)
+        _set_temporary(self, temporary)
+        _set_source(self, source)
+        _set_ncc_degenerate(self, ncc_degenerate)
+        _set_template_clipped(self, template_clipped)
 
     @property
     def code(self) -> ClassCode:
         """The predicted class: argmax of the distribution."""
         return best_class(self.class_distribution)[0]
+
+
+(_set_frame_index, _set_box, _set_class_distribution, _set_associated_data, _set_temporary,
+ _set_source, _set_ncc_degenerate, _set_template_clipped) = (
+    Detection.__dict__[f.name].__set__ for f in fields(Detection))
 
 
 def greedy_match(candidates: list[tuple[float, int, int]]) -> dict[int, tuple[int, float]]:

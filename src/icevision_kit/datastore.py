@@ -5,6 +5,9 @@ Record files are whitespace-separated text with a one-line versioned
 header (``icevision-kit/v1 <kind>``).  Readers are strict: malformed input
 is rejected, never repaired; the token parsers raise plain ``ValueError``,
 and a reader reports it as the error of the file and line it came from.
+The detections and tracks readers check and build their records column
+by column; when a column fails, they re-check the records in file order
+with the token parsers and report the first bad line.
 Writers are atomic (unique temp file, then rename) and byte-deterministic,
 and every writer's output re-reads to the value that was written: a value
 that would re-read as another is a ``ValueError`` and nothing is written.
@@ -17,11 +20,13 @@ from __future__ import annotations
 import errno
 import functools
 import io
+import itertools
+import operator
 import os
 import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 from .core import (
     BoundingBox,
@@ -30,6 +35,7 @@ from .core import (
     FrameAnnotations,
     GroundTruthSign,
     Source,
+    group_by_frame,
     index_value,
 )
 from .frames import BayerPattern, CfaImage, GrayImage, read_pnm
@@ -144,6 +150,10 @@ def _opt_text(token: str) -> str | None:
     return None if token == "-" else token
 
 
+_DASH_NONE = {"-": None}  # _DASH_NONE.get(token, token) is _opt_text(token)
+_OPT_FLAGS = {"-": None, "true": True, "false": False}  # what _parse_opt_flag reads
+
+
 def _text_or_dash(value: str | None) -> str:
     if value is None:
         return "-"
@@ -173,14 +183,14 @@ def read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # bytes split lines at \r\n, \r and \n, as _body_lines does; the bad byte ends no line
+        # bytes split lines at \r\n, \r and \n, as _record_lines does; the bad byte ends no line
         lineno = len(data[: exc.start + 1].splitlines())
         raise DatastoreError(path, lineno, f"not UTF-8 text: {exc.reason}") from None
 
 
-def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
-    """(lineno, stripped line) for the non-blank lines of a record file
-    after validating its ``icevision-kit/v1 <kind>`` header."""
+def _record_lines(path, kind: str) -> list[str]:
+    """A record file's lines after validating its ``icevision-kit/v1 <kind>``
+    header (line 1)."""
     # the same universal-newline split as iterating a file opened as text
     lines = io.StringIO(read_text(path), newline=None).readlines()
     if not lines:
@@ -189,19 +199,62 @@ def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
         raise DatastoreError(
             path, 1, f"expected header '{FORMAT_VERSION} {kind}', got {lines[0].strip()!r}"
         )
-    for lineno, raw in enumerate(lines[1:], start=2):
+    return lines
+
+
+def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
+    """(lineno, stripped line) for the non-blank lines after the header."""
+    for lineno, raw in enumerate(_record_lines(path, kind)[1:], start=2):
         line = raw.strip()
         if line:
             yield lineno, line
 
 
-def _open_records(path, kind: str) -> Iterator[tuple[int, list[str], bool]]:
-    """Generator over (lineno, fields, plain) of a record file's data lines;
-    ``plain`` lines are ASCII with no ``_``, so ``float`` reads their reals
-    as :func:`real_value` does."""
-    for lineno, line in _body_lines(path, kind):
-        if not line.startswith("#"):
-            yield lineno, line.split(), line.isascii() and "_" not in line
+def _records(path, kind: str) -> tuple[list[int], list[list[str]], bool]:
+    """The line numbers and fields of a record file's data lines (neither
+    blank nor a ``#`` comment), and whether the file is ASCII with no
+    ``_``, so that ``float`` reads its reals as :func:`real_value` does."""
+    lines = _record_lines(path, kind)
+    records = [(lineno, fields) for lineno, fields in enumerate(map(str.split, lines[1:]), start=2)
+               if fields and fields[0][0] != "#"]
+    linenos, rows = map(list, zip(*records)) if records else ([], [])
+    text = "".join(lines)
+    return linenos, rows, text.isascii() and "_" not in text
+
+
+def _columns(rows: list[list[str]], counts: tuple[int, ...]) -> list[tuple[str, ...]]:
+    """The fields of ``rows`` by column, each row padded to ``max(counts)``
+    fields with ``-`` (which reads as absent); a ``ValueError`` when a row
+    has a field count outside ``counts``."""
+    if not set(map(len, rows)).issubset(counts):
+        raise ValueError("field count")
+    columns = list(itertools.zip_longest(*rows, fillvalue="-"))
+    return columns + [("-",) * len(rows)] * (max(counts) - len(columns))
+
+
+def _indices(tokens: tuple[str, ...]) -> list[int]:
+    """A column of :func:`parse_index` tokens, read with one digit test."""
+    if tokens and not is_ascii_digits("".join(tokens)):
+        raise ValueError("not an index")
+    return list(map(int, tokens))
+
+
+def _boxes(coords: list[tuple[str, ...]], plain: bool) -> Iterator[BoundingBox]:
+    """The boxes of four coordinate columns; ``plain`` as :func:`_records`."""
+    real = float if plain else real_value
+    return map(BoundingBox, *(map(real, column) for column in coords))
+
+
+def _first_fault(path, linenos: list[int], rows: list[list[str]],
+                 check: Callable[[list[str]], None]) -> NoReturn:
+    """Raise the error of the first record that ``check`` rejects, at its
+    line: the reader's columns failed a check, so one record is bad."""
+    for lineno, fields in zip(linenos, rows):
+        try:
+            check(fields)
+        except ValueError as exc:
+            raise DatastoreError(path, lineno, str(exc)) from None
+    raise AssertionError(f"{path}: a column check failed, but no record")
 
 
 def atomic_write_bytes(path, data: bytes | bytearray | memoryview) -> None:
@@ -244,7 +297,8 @@ def read_annotations(path) -> list[FrameAnnotations]:
     """
     signs: dict[int, list[GroundTruthSign]] = {}
     seen: set[tuple[int, tuple[float, float, float, float], tuple[int, ...]]] = set()
-    for lineno, fields, plain in _open_records(path, "annotations"):
+    linenos, rows, plain = _records(path, "annotations")
+    for lineno, fields in zip(linenos, rows):
         try:
             if len(fields) == 1:
                 signs.setdefault(parse_index(fields[0], "frame index"), [])
@@ -301,25 +355,32 @@ def read_detections(path) -> dict[int, list[Detection]]:
 
     Record: ``frame dist x_min y_min x_max y_max [data] [temporary]``
     where dist is ``code:prob[,code:prob...]`` or a bare code meaning
-    probability 1.
+    probability 1.  The records are read column by column; when a column
+    fails its check, the first bad record is re-checked field by field
+    and reported at its line.
     """
-    out: dict[int, list[Detection]] = {}
+    linenos, rows, plain = _records(path, "detections")
     distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
-    for lineno, fields, plain in _open_records(path, "detections"):
-        try:
-            if len(fields) not in (6, 7, 8):
-                raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
-            det = Detection(
-                frame_index=parse_index(fields[0], "frame index"),
-                class_distribution=distribution(fields[1]),
-                box=_parse_box(fields[2:6], plain),
-                associated_data=_opt_text(fields[6]) if len(fields) >= 7 else None,
-                temporary=_parse_opt_flag(fields[7]) if len(fields) == 8 else None,
-            )
-        except ValueError as exc:
-            raise DatastoreError(path, lineno, str(exc)) from None
-        out.setdefault(det.frame_index, []).append(det)
-    return out
+    try:
+        frames, dists, *coords, data, temporary = _columns(rows, (6, 7, 8))
+        detections = list(map(Detection, _indices(frames), _boxes(coords, plain),
+                              map(distribution, dists), map(_DASH_NONE.get, data, data),
+                              map(_OPT_FLAGS.__getitem__, temporary)))
+    except (ValueError, KeyError):
+        _first_fault(path, linenos, rows,
+                     functools.partial(_check_detection, distribution=distribution))
+    return group_by_frame(detections)
+
+
+def _check_detection(fields: list[str], distribution: Callable) -> None:
+    """The checks of one detection record, field by field."""
+    if len(fields) not in (6, 7, 8):
+        raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
+    parse_index(fields[0], "frame index")
+    distribution(fields[1])
+    _parse_box(fields[2:6], plain=False)
+    if len(fields) == 8:
+        _parse_opt_flag(fields[7])
 
 
 def write_detections(detections: dict[int, list[Detection]], path) -> None:
@@ -354,56 +415,69 @@ def _entry_flags(entry: Detection) -> str:
     return ",".join(flag for flag in _NCC_FLAGS if getattr(entry, flag))
 
 
+def _entry_flag_values(token: str) -> tuple[bool, bool]:
+    """(ncc_degenerate, template_clipped) of a flags field."""
+    flags = set() if token == "-" else set(token.split(","))
+    unknown = flags - set(_NCC_FLAGS)
+    if unknown:
+        raise ValueError(f"unknown flags {sorted(unknown)}")
+    return "ncc_degenerate" in flags, "template_clipped" in flags
+
+
 def read_tracks(path) -> list[Track]:
     """Load tracks in id order.
 
     Record: ``track_id frame source x_min y_min x_max y_max dist data
     temporary flags`` (11 fields); flags is a comma list over
     {ncc_degenerate, template_clipped} or ``-``.  Every track needs at
-    least one ``detected`` entry.
+    least one ``detected`` entry.  Read column by column, as
+    :func:`read_detections` is.
     """
-    entries: dict[int, list[Detection]] = {}
-    first_lines: dict[int, int] = {}
+    linenos, rows, plain = _records(path, "tracks")
     distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
-    for lineno, fields, plain in _open_records(path, "tracks"):
-        try:
-            if len(fields) != 11:
-                raise ValueError(f"track record needs 11 fields, got {len(fields)}")
-            track_id = parse_index(fields[0], "track id")
-            frame = parse_index(fields[1], "frame index")
-            if fields[2] not in _TEXT_SOURCE:
-                raise ValueError(f"unknown source {fields[2]!r}")
-            box = _parse_box(fields[3:7], plain)
-            dist = distribution(fields[7])
-            temporary = _parse_opt_flag(fields[9])
-            flags = set() if fields[10] == "-" else set(fields[10].split(","))
-            unknown = flags - set(_NCC_FLAGS)
-            if unknown:
-                raise ValueError(f"unknown flags {sorted(unknown)}")
-            earlier = entries.setdefault(track_id, [])
-            if earlier and frame <= earlier[-1].frame_index:
-                raise ValueError(f"track {track_id} frame indices not strictly "
-                                 f"increasing ({earlier[-1].frame_index} -> {frame})")
-        except ValueError as exc:
-            raise DatastoreError(path, lineno, str(exc)) from None
-        earlier.append(Detection(
-            frame_index=frame,
-            box=box,
-            class_distribution=dist,
-            associated_data=_opt_text(fields[8]),
-            temporary=temporary,
-            source=_TEXT_SOURCE[fields[2]],
-            ncc_degenerate="ncc_degenerate" in flags,
-            template_clipped="template_clipped" in flags,
-        ))
-        first_lines.setdefault(track_id, lineno)
+    flag_values = functools.cache(_entry_flag_values)
+    try:
+        ids, frames, sources, *coords, dists, data, temporary, flags = _columns(rows, (11,))
+        ids, frames = _indices(ids), _indices(frames)
+        entries = list(map(Detection, frames, _boxes(coords, plain), map(distribution, dists),
+                           map(_DASH_NONE.get, data, data), map(_OPT_FLAGS.__getitem__, temporary),
+                           map(_TEXT_SOURCE.__getitem__, sources),
+                           *zip(*map(flag_values, flags))))
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: file order in a track
+        keys = list(zip(map(ids.__getitem__, order), map(frames.__getitem__, order)))
+        if not all(map(operator.lt, keys, keys[1:])):  # a track's frames increase
+            raise ValueError("frame order")
+    except (ValueError, KeyError):
+        _first_fault(path, linenos, rows,
+                     functools.partial(_check_track, distribution=distribution, last_frames={}))
     tracks = []
-    for track_id in sorted(entries):
+    for track_id, members in itertools.groupby(order, ids.__getitem__):
+        members = list(members)
         try:
-            tracks.append(Track(id=track_id, entries=entries[track_id]))
+            tracks.append(Track(id=track_id, entries=tuple(map(entries.__getitem__, members))))
         except ValueError as exc:
-            raise DatastoreError(path, first_lines[track_id], str(exc)) from None
+            raise DatastoreError(path, linenos[members[0]], str(exc)) from None
     return tracks
+
+
+def _check_track(fields: list[str], distribution: Callable, last_frames: dict[int, int]) -> None:
+    """The checks of one track record, field by field, then of its frame
+    against the last one ``last_frames`` holds for its track."""
+    if len(fields) != 11:
+        raise ValueError(f"track record needs 11 fields, got {len(fields)}")
+    track_id = parse_index(fields[0], "track id")
+    frame = parse_index(fields[1], "frame index")
+    if fields[2] not in _TEXT_SOURCE:
+        raise ValueError(f"unknown source {fields[2]!r}")
+    _parse_box(fields[3:7], plain=False)
+    distribution(fields[7])
+    _parse_opt_flag(fields[9])
+    _entry_flag_values(fields[10])
+    last = last_frames.get(track_id)
+    if last is not None and frame <= last:
+        raise ValueError(f"track {track_id} frame indices not strictly "
+                         f"increasing ({last} -> {frame})")
+    last_frames[track_id] = frame
 
 
 def write_tracks(tracks: list[Track], path) -> None:
@@ -573,11 +647,12 @@ class ManifestFrameSource:
 
 def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]]) -> dict:
     """Parse ``key = value`` lines (``#`` starts a comment) with one reader
-    per allowed key.  An unknown or repeated key, a line without ``=``, or
+    per allowed key; lines end at ``\\r\\n``, ``\\r`` or ``\\n``, as in a
+    record file.  An unknown or repeated key, a line without ``=``, or
     a value its reader rejects (ValueError, KeyError) is a
     :class:`DatastoreError` naming ``path`` and the line."""
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

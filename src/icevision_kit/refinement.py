@@ -11,6 +11,8 @@ thresholds, which a grid search tunes against a validation set.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections import Counter
 from dataclasses import astuple, dataclass
 from typing import Iterator
@@ -42,8 +44,21 @@ class LevelThresholds:
 def _majority(values: list):
     """Most frequent non-None value, None when there is none; ties go to
     the value seen earliest."""
-    present = [v for v in values if v is not None]
-    return Counter(present).most_common(1)[0][0] if present else None
+    counts = Counter(values)
+    counts.pop(None, None)
+    # max keeps the first of equal counts, and a Counter iterates in first-seen order
+    return max(counts, key=counts.__getitem__) if counts else None
+
+
+def _votes(values: list, starts: list[int]) -> list:
+    """:func:`_majority` of each slice ``values[starts[i]:starts[i + 1]]``;
+    only the slices that hold a value are voted on, the others are None."""
+    votes = [None] * (len(starts) - 1)
+    held = np.fromiter(map(operator.is_not, values, itertools.repeat(None)), bool, len(values))
+    held_before = np.concatenate(([0], np.cumsum(held)))[starts]
+    for i in np.flatnonzero(np.diff(held_before)).tolist():
+        votes[i] = _majority(values[starts[i]:starts[i + 1]])
+    return votes
 
 
 def _best_per_track(pairs: np.ndarray, values: np.ndarray, width: int, count: int):
@@ -106,8 +121,10 @@ def _summarize(tracks: list[Track]) -> tuple[list[tuple[ClassCode, ...]], np.nda
         bests.append(_best_per_track(pooled, pooled_means, width, len(tracks)))
     best_cols, probs = (np.stack(level_bests, axis=1) for level_bests in zip(*bests))
     codes = [(code_of[a], code_of[b], code_of[c]) for a, b, c in best_cols.tolist()]
-    data = [_majority([e.associated_data for e in track.entries]) for track in tracks]
-    temporary = [_majority([e.temporary for e in track.entries]) for track in tracks]
+    entries = list(itertools.chain.from_iterable(track.entries for track in tracks))
+    starts = [0, *itertools.accumulate(len(track.entries) for track in tracks)]
+    data, temporary = (_votes(list(map(operator.attrgetter(name), entries)), starts)
+                       for name in ("associated_data", "temporary"))
     return codes, probs, data, temporary
 
 
@@ -141,7 +158,7 @@ def refine_tracks(tracks: list[Track], thr: LevelThresholds) -> list[Detection]:
         if level != _NO_LEVEL:
             detections += _assign(tracks[i].entries, codes[i][level], values[level],
                                   data[i], temporary[i])
-    detections.sort(key=lambda d: d.frame_index)
+    detections.sort(key=operator.attrgetter("frame_index"))
     return detections
 
 

@@ -1,9 +1,13 @@
 """Oracles for ``core``: the distribution check exactly as
 ``Detection.__post_init__`` ran it for every detection built, before the
-check moved into the distribution type and ran once per distribution; and
-the greedy assignment taken one best free candidate at a time."""
+check moved into the distribution type and ran once per distribution; the
+box check exactly as ``BoundingBox.__post_init__`` ran it, before one
+chained comparison passed the good boxes; and the greedy assignment taken
+one best free candidate at a time."""
 
 from __future__ import annotations
+
+import math
 
 from icevision_kit.taxonomy import ClassCode
 
@@ -23,6 +27,15 @@ def check_distribution(dist) -> None:
         total += prob
     if total > 1.0 + PROB_SUM_SLACK:
         raise ValueError(f"distribution probabilities sum to {total} > 1")
+
+
+def check_box(x0, y0, x1, y1) -> None:
+    """Raise what a box with these coordinates raised; return None otherwise."""
+    isfinite = math.isfinite
+    if not (isfinite(x0) and isfinite(y0) and isfinite(x1) and isfinite(y1)):
+        raise ValueError(f"box coordinates must be finite, got {(x0, y0, x1, y1)}")
+    if x0 > x1 or y0 > y1:
+        raise ValueError(f"box min corner must not exceed max corner, got {(x0, y0, x1, y1)}")
 
 
 def greedy_match(candidates) -> dict:

@@ -1,17 +1,34 @@
 """Reference record-file codec for detections and tracks.
 
-The library parses and formats each distinct distribution once per file
-and formats a box in one operation; the versions here format every
-coordinate on its own and parse every line afresh, as the codec first
-did.  They read valid files only and serve as differential-test oracles.
+The library parses and formats each distinct distribution once per file,
+formats a box in one operation, and reads records column by column; the
+versions here format every coordinate on its own and parse every line
+afresh, as the codec first did.  ``read_detections`` and ``read_tracks``
+read valid files only; ``read_detections_by_line`` and
+``read_tracks_by_line`` are the strict readers as they were before the
+column-wise ones, checking and building one record per line, and name the
+same ``file:line`` and message for any bad file.  All serve as
+differential-test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 from icevision_kit.core import BoundingBox, Detection, Source
-from icevision_kit.datastore import FORMAT_VERSION
+from icevision_kit.datastore import (
+    _NCC_FLAGS,
+    _TEXT_SOURCE,
+    FORMAT_VERSION,
+    DatastoreError,
+    _body_lines,
+    _opt_text,
+    _parse_box,
+    _parse_distribution,
+    _parse_opt_flag,
+    parse_index,
+)
 from icevision_kit.taxonomy import ClassCode
 from icevision_kit.tracking import Track
 
@@ -120,3 +137,77 @@ def read_tracks(path) -> list[Track]:
             )
         )
     return [Track(id=track_id, entries=entries[track_id]) for track_id in sorted(entries)]
+
+
+def _open_records(path, kind: str):
+    """(lineno, fields, plain) of a record file's data lines; ``plain``
+    lines are ASCII with no ``_``, so ``float`` reads their reals as
+    ``real_value`` does."""
+    for lineno, line in _body_lines(path, kind):
+        if not line.startswith("#"):
+            yield lineno, line.split(), line.isascii() and "_" not in line
+
+
+def read_detections_by_line(path) -> dict[int, list[Detection]]:
+    out: dict[int, list[Detection]] = {}
+    distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
+    for lineno, fields, plain in _open_records(path, "detections"):
+        try:
+            if len(fields) not in (6, 7, 8):
+                raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
+            det = Detection(
+                frame_index=parse_index(fields[0], "frame index"),
+                class_distribution=distribution(fields[1]),
+                box=_parse_box(fields[2:6], plain),
+                associated_data=_opt_text(fields[6]) if len(fields) >= 7 else None,
+                temporary=_parse_opt_flag(fields[7]) if len(fields) == 8 else None,
+            )
+        except ValueError as exc:
+            raise DatastoreError(path, lineno, str(exc)) from None
+        out.setdefault(det.frame_index, []).append(det)
+    return out
+
+
+def read_tracks_by_line(path) -> list[Track]:
+    entries: dict[int, list[Detection]] = {}
+    first_lines: dict[int, int] = {}
+    distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
+    for lineno, fields, plain in _open_records(path, "tracks"):
+        try:
+            if len(fields) != 11:
+                raise ValueError(f"track record needs 11 fields, got {len(fields)}")
+            track_id = parse_index(fields[0], "track id")
+            frame = parse_index(fields[1], "frame index")
+            if fields[2] not in _TEXT_SOURCE:
+                raise ValueError(f"unknown source {fields[2]!r}")
+            box = _parse_box(fields[3:7], plain)
+            dist = distribution(fields[7])
+            temporary = _parse_opt_flag(fields[9])
+            flags = set() if fields[10] == "-" else set(fields[10].split(","))
+            unknown = flags - set(_NCC_FLAGS)
+            if unknown:
+                raise ValueError(f"unknown flags {sorted(unknown)}")
+            earlier = entries.setdefault(track_id, [])
+            if earlier and frame <= earlier[-1].frame_index:
+                raise ValueError(f"track {track_id} frame indices not strictly "
+                                 f"increasing ({earlier[-1].frame_index} -> {frame})")
+        except ValueError as exc:
+            raise DatastoreError(path, lineno, str(exc)) from None
+        earlier.append(Detection(
+            frame_index=frame,
+            box=box,
+            class_distribution=dist,
+            associated_data=_opt_text(fields[8]),
+            temporary=temporary,
+            source=_TEXT_SOURCE[fields[2]],
+            ncc_degenerate="ncc_degenerate" in flags,
+            template_clipped="template_clipped" in flags,
+        ))
+        first_lines.setdefault(track_id, lineno)
+    tracks = []
+    for track_id in sorted(entries):
+        try:
+            tracks.append(Track(id=track_id, entries=entries[track_id]))
+        except ValueError as exc:
+            raise DatastoreError(path, first_lines[track_id], str(exc)) from None
+    return tracks

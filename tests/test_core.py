@@ -1,8 +1,12 @@
 """Geometry primitives and the shared detection/ground-truth types."""
 
 import copy
+import dataclasses
+import inspect
 import math
 import pickle
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +202,95 @@ class TestLerpBox:
             lerp_box(a, a, -0.1)
         with pytest.raises(ValueError):
             lerp_box(a, a, 1.1)
+
+
+# the coordinates a box may meet: every float kind, signed zeros and infinities
+ANY_COORD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 5e-324,
+                     sys.float_info.max]),
+)
+
+
+class TestBoxRule:
+    @given(st.tuples(ANY_COORD, ANY_COORD, ANY_COORD, ANY_COORD))
+    @example((math.nan, 0.0, -1.0, 1.0))  # both faults: finiteness is named
+    @example((-0.0, 0.0, 0.0, -0.0))  # -0.0 == 0.0: ordered
+    @example((1.0, -math.inf, 0.0, 1.0))
+    def test_raises_exactly_as_the_post_init_rule(self, coords):
+        try:
+            core_oracles.check_box(*coords)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                BoundingBox(*coords)
+        else:
+            assert repr(dataclasses.astuple(BoundingBox(*coords))) == repr(coords)
+
+    @pytest.mark.parametrize("coords", [("a", 0, 1, 1), (0, None, 1, 1), (0, 0, 1j, 1)])
+    def test_a_coordinate_that_is_no_real_number(self, coords):
+        with pytest.raises(TypeError) as want:
+            core_oracles.check_box(*coords)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+            BoundingBox(*coords)
+
+
+def fields_of(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+@pytest.mark.parametrize("cls, sentinels, others", [
+    (BoundingBox, dict(x_min=1.5, y_min=2.5, x_max=3.5, y_max=4.5),
+     dict(x_min=0.5, y_min=0.25, x_max=8.0, y_max=9.0)),
+    # Detection checks only the frame and the distribution; any object passes the rest
+    (Detection, dict(frame_index=7, box=BoundingBox(0, 0, 1, 1),
+                     class_distribution=Distribution({parse_code("3.24"): 0.5}),
+                     associated_data="data", temporary=object(), source=object(),
+                     ncc_degenerate=object(), template_clipped=object()),
+     dict(frame_index=8, box=BoundingBox(1, 1, 2, 2),
+          class_distribution=Distribution({parse_code("1"): 1.0}), associated_data="other",
+          temporary=False, source=Source.INTERPOLATED, ncc_degenerate=True,
+          template_clipped=True)),
+], ids=["BoundingBox", "Detection"])
+class TestHandWrittenInit:
+    """Each hand-written ``__init__`` against the dataclass it stands in for."""
+
+    def test_parameters_are_the_fields(self, cls, sentinels, others):
+        params = list(inspect.signature(cls).parameters.values())
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields]
+        assert all(f.default_factory is dataclasses.MISSING for f in fields)
+
+    def test_every_field_reads_back(self, cls, sentinels, others):
+        by_name, by_place = cls(**sentinels), cls(*sentinels.values())
+        for obj in (by_name, by_place):
+            assert all(a is b for a, b in zip(fields_of(obj), sentinels.values(), strict=True))
+        if cls is BoundingBox:
+            assert dataclasses.astuple(by_name) == tuple(sentinels.values())
+
+    def test_every_field_is_frozen(self, cls, sentinels, others):
+        obj = cls(**sentinels)
+        for name, value in others.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert fields_of(obj) == tuple(sentinels.values())
+
+    def test_replace_round_trips(self, cls, sentinels, others):
+        obj = cls(**sentinels)
+        assert dataclasses.replace(obj) == obj
+        for name, value in others.items():
+            changed = dataclasses.replace(obj, **{name: value})
+            assert fields_of(changed) == tuple({**sentinels, name: value}.values())
+            assert dataclasses.replace(changed, **{name: sentinels[name]}) == obj
+
+    def test_pickle_round_trips(self, cls, sentinels, others):
+        obj = cls(**others)
+        assert pickle.loads(pickle.dumps(obj)) == obj
 
 
 class TestBestClass:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icevision_kit import datastore, frames
+from icevision_kit import datastore, frames, harness
 
 from icevision_kit.core import (
     BoundingBox,
@@ -979,6 +979,22 @@ class TestKeyValueSettings:
             parse_sidecar("pattern = RGGB\n\ncolour = red\n", "conv.cfg")
         assert err.value.path == "conv.cfg" and err.value.lineno == 3
 
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+    def test_only_cr_and_lf_end_a_line(self, sep):
+        # str.splitlines would also break at these, as a record file does not
+        with pytest.raises(DatastoreError, match="^conv.cfg:2: unknown key 'colour'$"):
+            parse_sidecar(f"equalize = true  # on{sep}off\ncolour = red\n", "conv.cfg")
+        value = f"3{sep}bogus = 1"
+        with pytest.raises(DatastoreError, match=re.escape(
+                f"sc.txt:1: bad value for frame_count: {value!r}") + "$"):
+            harness.parse_scenario(f"frame_count = {value}", "sc.txt")
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+    def test_line_ends(self, end):
+        with pytest.raises(DatastoreError, match="^conv.cfg:3: unknown key 'colour'$"):
+            parse_sidecar(f"pattern = RGGB{end}{end}colour = red{end}", "conv.cfg")
+
     REJECTED = {
         "equalize = true\nequalize = false\n": "repeated key 'equalize'",
         "equalize = banana\n": "bad value for equalize: 'banana'",
@@ -1181,3 +1197,116 @@ class TestDistributionMemo:
         with pytest.raises(DatastoreError, match=f":{at}: {message}") as err:
             read(put(tmp_path, "f.txt", f"{FORMAT_VERSION} {kind}\n{body}"))
         assert err.value.lineno == at
+
+
+# --------------------------------------------------------------------------
+# The column-wise readers against the per-line readers, on broken files
+
+
+INDEX_TOKENS = ["x", "-1", "٣", "1_0", "+7", "3.0", "0", "3", "7", "60"]
+REAL_TOKENS = ["nan", "inf", "-inf", "٣.5", "1_0.5", "abc", "0x10", "1e400", "1e9", "-1e9", "0.5"]
+DIST_TOKENS = ["3.x:0.5", "3.24:0.8,5.19.1:0.4", "3.24", "3.24:0.5", "3.24:-0.1", "3.24:0_5",
+               "3.24:nan", "3.24:0.5,3.24:0.25", "3.24;0.5"]
+OPT_FLAG_TOKENS = ["-", "true", "false", "maybe", "True"]
+TRACK_FIELD_TOKENS = [
+    INDEX_TOKENS, INDEX_TOKENS, ["guessed", "interpolated", "detected", "Detected"],
+    *[REAL_TOKENS] * 4, DIST_TOKENS, ["-", "x", "40"], OPT_FLAG_TOKENS,
+    ["-", "wobbly", "ncc_degenerate,", "template_clipped,ncc_degenerate", "ncc_degenerate,wobbly"],
+]
+DETECTION_FIELD_TOKENS = [INDEX_TOKENS, DIST_TOKENS, *[REAL_TOKENS] * 4, ["-", "x"],
+                          OPT_FLAG_TOKENS]
+
+
+def mutate(draw, lines: list[str], field_tokens: list[list[str]]) -> list[str]:
+    """``lines`` (data lines) with 1-3 faults drawn at random lines: a
+    field replaced, dropped or added, or a track's entries all made
+    interpolated."""
+    rows = [line.split() for line in lines]
+    for _ in range(draw(st.integers(1, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["replace"] * 6 + ["drop", "add", "undetect"]))
+        if kind == "replace":
+            field = draw(st.integers(0, min(len(row), len(field_tokens)) - 1))
+            row[field] = draw(st.sampled_from(field_tokens[field]))
+        elif kind == "drop":
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif kind == "add":
+            row.append(draw(st.sampled_from(["-", "true", "extra"])))
+        elif field_tokens is TRACK_FIELD_TOKENS and row:
+            for other in rows:
+                if other[:1] == row[:1] and len(other) > 2:
+                    other[2] = "interpolated"
+    return [" ".join(row) + "\n" for row in rows]
+
+
+@st.composite
+def broken_files(draw, kind):
+    """A valid record file's text with faults, and maybe a non-ASCII
+    comment (so the reals are read as real_value reads them) or blank lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "f.txt")
+        if kind == "tracks":
+            tracks = draw(track_lists().filter(lambda ts: any(t.entries for t in ts)))
+            write_tracks(tracks, path)
+        else:
+            detections = draw(detection_maps().filter(bool))
+            write_detections(detections, path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+    fields = TRACK_FIELD_TOKENS if kind == "tracks" else DETECTION_FIELD_TOKENS
+    lines = mutate(draw, lines, fields)
+    extra = draw(st.sampled_from(["", "# ¿comentario?\n", "\n  \n", "# a_b\n"]))
+    lines.insert(draw(st.integers(0, len(lines))), extra)
+    return header + "".join(lines)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except DatastoreError as exc:
+        return exc.path, exc.lineno, str(exc)
+
+
+class TestColumnReadersMatchByLine:
+    """Every broken file gives the per-line reader's path, line and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=broken_files("tracks"))
+    @example(text=f"{FORMAT_VERSION} tracks\n"
+                  "0 5 detected 1 1 2 2 3.24 - - -\n"
+                  "0 4 detected 1 1 2 2 3.24 - - -\n"
+                  "0 6 guessed 1 1 2 2 3.24 - - -\n")
+    @example(text=f"{FORMAT_VERSION} tracks\n"
+                  "0 5 detected 1 1 2 2 3.24 - - x\n"
+                  "0 6 guessed 1 1 2 2 3.24 - - -\n")
+    @example(text=f"{FORMAT_VERSION} tracks\n"
+                  "1 5 detected 1 1 2 2 3.24 - - -\n"
+                  "0 6 interpolated 1 1 2 2 3.24 - - -\n")
+    def test_tracks(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "t.txt")
+            path.write_text(text, encoding="utf-8")
+            assert outcome(read_tracks, path) == outcome(oracles.read_tracks_by_line, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=broken_files("detections"))
+    @example(text=f"{FORMAT_VERSION} detections\n"
+                  "0 3.24 1 1 2 2 - true\n"
+                  "1 3.24 1 nan 2 2 - maybe\n"
+                  "x 3.24 1 1 2 2\n")
+    @example(text=f"{FORMAT_VERSION} detections\n"
+                  "0 3.24 1 1 2 2 - true extra\n"
+                  "0 3.x 1 1 2 2\n")
+    def test_detections(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "d.txt")
+            path.write_text(text, encoding="utf-8")
+            assert outcome(read_detections, path) == outcome(oracles.read_detections_by_line, path)
+
+    @pytest.mark.parametrize("kind, read, oracle", [
+        ("tracks", read_tracks, oracles.read_tracks_by_line),
+        ("detections", read_detections, oracles.read_detections_by_line),
+    ])
+    @pytest.mark.parametrize("body", ["", "# only a comment\n", "\n\n"])
+    def test_files_without_records(self, tmp_path, kind, read, oracle, body):
+        path = put(tmp_path, "f.txt", f"{FORMAT_VERSION} {kind}\n{body}")
+        assert read(path) == oracle(path) == ([] if kind == "tracks" else {})

@@ -166,6 +166,19 @@ class TestVotes:
         )
         assert self.vote(t) == "40"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([["40", "60", "x"], [True, False]]).flatmap(
+        lambda kinds: st.lists(st.lists(st.one_of(st.none(), st.sampled_from(kinds)), max_size=6),
+                               max_size=8)))
+    @example([["40", "60", "60", "40"], [None, None], ["x"], []])  # a tie, no value, one value
+    @example([[None, False, True], [True, None, False, False], [None]])
+    def test_one_walk_matches_the_per_track_vote(self, slices):
+        values = [v for values in slices for v in values]
+        starts = [0, *itertools.accumulate(map(len, slices))]
+        votes = refinement._votes(values, starts)
+        assert votes == [refinement._majority(values) for values in slices]
+        assert votes == [oracle._majority(values) for values in slices]
+
 
 class TestRefineTracks:
     def test_accepted_track_emits_every_entry(self):
