@@ -5,9 +5,10 @@ Record files are whitespace-separated text with a one-line versioned
 header (``icevision-kit/v1 <kind>``).  Readers are strict: malformed input
 is rejected, never repaired; the token parsers raise plain ``ValueError``,
 and a reader reports it as the error of the file and line it came from.
-The detections and tracks readers check and build their records column
-by column; when a column fails, they re-check the records in file order
-with the token parsers and report the first bad line.
+Each record field has one rule, a token parser.  The detections and
+tracks readers run each rule over a whole column, in field order, and
+report the first bad record's leftmost bad field after at most one
+re-read per check (see :func:`_read_records`).
 Writers are atomic (unique temp file, then rename) and byte-deterministic,
 and every writer's output re-reads to the value that was written: a value
 that would re-read as another is a ``ValueError`` and nothing is written.
@@ -26,7 +27,7 @@ import os
 import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterator
 
 from .core import (
     BoundingBox,
@@ -81,23 +82,21 @@ def parse_index(token: str, what: str = "value") -> int:
     return int(token)
 
 
-def _parse_box(tokens: list[str], plain: bool) -> BoundingBox:
+_coordinate = functools.partial(_parse_real, what="box coordinate")
+_frame_index = functools.partial(parse_index, what="frame index")
+
+
+def _box(x_min: float, y_min: float, x_max: float, y_max: float) -> BoundingBox:
     try:
-        coords = [float(t) for t in tokens] if plain else [real_value(t) for t in tokens]
-    except ValueError:  # again token by token, to name the bad one
-        coords = [_parse_real(t, "box coordinate") for t in tokens]
-    try:
-        return BoundingBox(*coords)
+        return BoundingBox(x_min, y_min, x_max, y_max)
     except ValueError as exc:
         raise ValueError(f"bad box: {exc}") from None
 
 
 def _parse_flag(token: str) -> bool:
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    raise ValueError(f"expected true/false, got {token!r}")
+    if token != "true" and token != "false":
+        raise ValueError(f"expected true/false, got {token!r}")
+    return token == "true"
 
 
 def _parse_opt_flag(token: str) -> bool | None:
@@ -146,12 +145,9 @@ def _memo_by_object(fmt: Callable[[object], str]) -> Callable:
     return cached
 
 
-def _opt_text(token: str) -> str | None:
-    return None if token == "-" else token
-
-
-_DASH_NONE = {"-": None}  # _DASH_NONE.get(token, token) is _opt_text(token)
+_DASH_NONE = {"-": None}  # _DASH_NONE.get(token, token): optional text, "-" when absent
 _OPT_FLAGS = {"-": None, "true": True, "false": False}  # what _parse_opt_flag reads
+_opt_flags = functools.partial(map, _OPT_FLAGS.__getitem__)
 
 
 def _text_or_dash(value: str | None) -> str:
@@ -202,59 +198,75 @@ def _record_lines(path, kind: str) -> list[str]:
     return lines
 
 
-def _body_lines(path, kind: str) -> Iterator[tuple[int, str]]:
-    """(lineno, stripped line) for the non-blank lines after the header."""
-    for lineno, raw in enumerate(_record_lines(path, kind)[1:], start=2):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
-def _records(path, kind: str) -> tuple[list[int], list[list[str]], bool]:
-    """The line numbers and fields of a record file's data lines (neither
-    blank nor a ``#`` comment), and whether the file is ASCII with no
-    ``_``, so that ``float`` reads its reals as :func:`real_value` does."""
+def _read_records(path, kind: str, read: Callable[[list[list[str]]], object]):
+    """(line numbers, ``read(rows)``) for the fields of a record file's
+    data lines (neither blank nor a ``#`` comment).  ``read`` fails with
+    ``ValueError(message, i)``, ``i`` the first record its failing check
+    rejects; the records before ``i`` are then read again until a read
+    passes.  A re-read fails on a strictly later check, if at all, so there
+    is at most one per check, and the error is the first bad record's
+    leftmost bad field, at its line."""
     lines = _record_lines(path, kind)
     records = [(lineno, fields) for lineno, fields in enumerate(map(str.split, lines[1:]), start=2)
                if fields and fields[0][0] != "#"]
     linenos, rows = map(list, zip(*records)) if records else ([], [])
-    text = "".join(lines)
-    return linenos, rows, text.isascii() and "_" not in text
+    fault = None
+    while True:
+        try:
+            result = read(rows)
+            break
+        except ValueError as exc:
+            message, index = exc.args
+            fault, rows = (linenos[index], message), rows[:index]
+    if fault:
+        raise DatastoreError(path, *fault)
+    return linenos, result
 
 
-def _columns(rows: list[list[str]], counts: tuple[int, ...]) -> list[tuple[str, ...]]:
-    """The fields of ``rows`` by column, each row padded to ``max(counts)``
-    fields with ``-`` (which reads as absent); a ``ValueError`` when a row
-    has a field count outside ``counts``."""
+def _columns(rows: list[list[str]], counts: tuple[int, ...], needs: str) -> list[tuple[str, ...]]:
+    """The fields of ``rows`` by column, padded with ``-`` (read as absent)
+    to ``max(counts)``; the first row with another field count fails."""
     if not set(map(len, rows)).issubset(counts):
-        raise ValueError("field count")
+        i = next(i for i, row in enumerate(rows) if len(row) not in counts)
+        raise ValueError(f"{needs}, got {len(rows[i])}", i)
     columns = list(itertools.zip_longest(*rows, fillvalue="-"))
     return columns + [("-",) * len(rows)] * (max(counts) - len(columns))
 
 
-def _indices(tokens: tuple[str, ...]) -> list[int]:
-    """A column of :func:`parse_index` tokens, read with one digit test."""
+def _column(rule: Callable, *columns, quick: Callable | None = None) -> list:
+    """``rule`` over the records' tokens in ``columns``, as ``quick(*columns)``
+    (the rule in C-level calls) when given; on a failure, ``rule`` words a
+    ``ValueError(message, i)`` for the first record ``i`` it rejects."""
+    try:
+        return list(quick(*columns) if quick else map(rule, *columns))
+    except (ValueError, KeyError):
+        for i, tokens in enumerate(zip(*columns)):
+            try:
+                rule(*tokens)
+            except ValueError as exc:
+                raise ValueError(str(exc), i) from None
+        raise  # the quick form rejected a column its rule accepts
+
+
+def _digits(tokens: tuple[str, ...]) -> Iterator[int]:
+    """:func:`parse_index` over a column: one ASCII-digit test, then ``int``."""
     if tokens and not is_ascii_digits("".join(tokens)):
         raise ValueError("not an index")
-    return list(map(int, tokens))
+    return map(int, tokens)
 
 
-def _boxes(coords: list[tuple[str, ...]], plain: bool) -> Iterator[BoundingBox]:
-    """The boxes of four coordinate columns; ``plain`` as :func:`_records`."""
-    real = float if plain else real_value
-    return map(BoundingBox, *(map(real, column) for column in coords))
+def _floats(tokens: tuple[str, ...]) -> Iterator[float]:
+    """:func:`real_value` over a column: ``float`` once the column is ASCII with no ``_``."""
+    text = "".join(tokens)
+    if not text.isascii() or "_" in text:
+        raise ValueError("not ASCII, or holds '_'")
+    return map(float, tokens)
 
 
-def _first_fault(path, linenos: list[int], rows: list[list[str]],
-                 check: Callable[[list[str]], None]) -> NoReturn:
-    """Raise the error of the first record that ``check`` rejects, at its
-    line: the reader's columns failed a check, so one record is bad."""
-    for lineno, fields in zip(linenos, rows):
-        try:
-            check(fields)
-        except ValueError as exc:
-            raise DatastoreError(path, lineno, str(exc)) from None
-    raise AssertionError(f"{path}: a column check failed, but no record")
+def _boxes(coords: list[tuple[str, ...]]) -> list[BoundingBox]:
+    """The boxes of four coordinate columns, each checked as a column in turn."""
+    reals = [_column(_coordinate, column, quick=_floats) for column in coords]
+    return _column(_box, *reals, quick=functools.partial(map, BoundingBox))
 
 
 def atomic_write_bytes(path, data: bytes | bytearray | memoryview) -> None:
@@ -295,38 +307,32 @@ def read_annotations(path) -> list[FrameAnnotations]:
     data ``-`` when absent.  A line holding just a frame number marks an
     annotated-but-empty frame.  Two signs alike in frame, code and box are rejected.
     """
+    _, signs = _read_records(path, "annotations", _annotation_signs)
+    return [FrameAnnotations(frame, tuple(signs[frame])) for frame in sorted(signs)]
+
+
+def _annotation_signs(rows: list[list[str]]) -> dict[int, list[GroundTruthSign]]:
     signs: dict[int, list[GroundTruthSign]] = {}
     seen: set[tuple[int, tuple[float, float, float, float], tuple[int, ...]]] = set()
-    linenos, rows, plain = _records(path, "annotations")
-    for lineno, fields in zip(linenos, rows):
+    for i, fields in enumerate(rows):
         try:
-            if len(fields) == 1:
-                signs.setdefault(parse_index(fields[0], "frame index"), [])
-                continue
-            if len(fields) != 8:
+            if len(fields) not in (1, 8):
                 raise ValueError(f"annotation record needs 1 or 8 fields, got {len(fields)}")
-            frame = parse_index(fields[0], "frame index")
+            frame = _frame_index(fields[0])
+            frame_signs = signs.setdefault(frame, [])  # a 1-field record: annotated, maybe empty
+            if len(fields) == 1:
+                continue
             code = _parse_code(fields[1])
-            box = _parse_box(fields[2:6], plain)
+            box = _box(*map(_coordinate, fields[2:6]))
             key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
             if key in seen:
                 raise ValueError(f"duplicate annotation for frame {frame}, {code}")
             seen.add(key)
-            signs.setdefault(frame, []).append(
-                GroundTruthSign(
-                    frame_index=frame,
-                    box=box,
-                    code=code,
-                    associated_data=_opt_text(fields[6]),
-                    temporary=_parse_flag(fields[7]),
-                )
-            )
+            frame_signs.append(GroundTruthSign(
+                frame, box, code, _DASH_NONE.get(fields[6], fields[6]), _parse_flag(fields[7])))
         except ValueError as exc:
-            raise DatastoreError(path, lineno, str(exc)) from None
-    return [
-        FrameAnnotations(frame_index=frame, signs=tuple(signs[frame]))
-        for frame in sorted(signs)
-    ]
+            raise ValueError(str(exc), i) from None
+    return signs
 
 
 def write_annotations(annotations: list[FrameAnnotations], path) -> None:
@@ -355,32 +361,23 @@ def read_detections(path) -> dict[int, list[Detection]]:
 
     Record: ``frame dist x_min y_min x_max y_max [data] [temporary]``
     where dist is ``code:prob[,code:prob...]`` or a bare code meaning
-    probability 1.  The records are read column by column; when a column
-    fails its check, the first bad record is re-checked field by field
-    and reported at its line.
+    probability 1.  Read column by column, each column checked in field
+    order by its field's one rule; a bad file is reported at the first bad
+    record's line with its leftmost bad field's message, after at most
+    one re-read per check (see :func:`_read_records`).
     """
-    linenos, rows, plain = _records(path, "detections")
-    distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
-    try:
-        frames, dists, *coords, data, temporary = _columns(rows, (6, 7, 8))
-        detections = list(map(Detection, _indices(frames), _boxes(coords, plain),
-                              map(distribution, dists), map(_DASH_NONE.get, data, data),
-                              map(_OPT_FLAGS.__getitem__, temporary)))
-    except (ValueError, KeyError):
-        _first_fault(path, linenos, rows,
-                     functools.partial(_check_detection, distribution=distribution))
-    return group_by_frame(detections)
+    return group_by_frame(_read_records(path, "detections", _detection_columns)[1])
 
 
-def _check_detection(fields: list[str], distribution: Callable) -> None:
-    """The checks of one detection record, field by field."""
-    if len(fields) not in (6, 7, 8):
-        raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
-    parse_index(fields[0], "frame index")
-    distribution(fields[1])
-    _parse_box(fields[2:6], plain=False)
-    if len(fields) == 8:
-        _parse_opt_flag(fields[7])
+def _detection_columns(rows: list[list[str]]) -> list[Detection]:
+    frames, dists, *coords, data, temporary = _columns(
+        rows, (6, 7, 8), "detection record needs 6-8 fields")
+    frames = _column(_frame_index, frames, quick=_digits)
+    # each distinct token is parsed once; a bad one fails on each line
+    dists = _column(functools.cache(_parse_distribution), dists)
+    boxes = _boxes(coords)
+    temporary = _column(_parse_opt_flag, temporary, quick=_opt_flags)
+    return list(map(Detection, frames, boxes, dists, map(_DASH_NONE.get, data, data), temporary))
 
 
 def write_detections(detections: dict[int, list[Detection]], path) -> None:
@@ -405,7 +402,8 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
 
 
 _SOURCE_TEXT = {Source.DETECTED: "detected", Source.INTERPOLATED: "interpolated"}
-_TEXT_SOURCE = {v: k for k, v in _SOURCE_TEXT.items()}
+_TEXT_SOURCE = {v: k for k, v in _SOURCE_TEXT.items()}  # what _parse_source reads
+_sources = functools.partial(map, _TEXT_SOURCE.__getitem__)
 _NCC_FLAGS = ("ncc_degenerate", "template_clipped")
 
 
@@ -424,32 +422,24 @@ def _entry_flag_values(token: str) -> tuple[bool, bool]:
     return "ncc_degenerate" in flags, "template_clipped" in flags
 
 
+def _parse_source(token: str) -> Source:
+    try:
+        return Source(token)
+    except ValueError:
+        raise ValueError(f"unknown source {token!r}") from None
+
+
 def read_tracks(path) -> list[Track]:
     """Load tracks in id order.
 
     Record: ``track_id frame source x_min y_min x_max y_max dist data
     temporary flags`` (11 fields); flags is a comma list over
-    {ncc_degenerate, template_clipped} or ``-``.  Every track needs at
-    least one ``detected`` entry.  Read column by column, as
-    :func:`read_detections` is.
+    {ncc_degenerate, template_clipped} or ``-``.  Read column by column,
+    as :func:`read_detections` is, then each entry's frame against its
+    track's previous one.  Every track needs a ``detected`` entry; once
+    every record is good, a track without one is reported at its first line.
     """
-    linenos, rows, plain = _records(path, "tracks")
-    distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
-    flag_values = functools.cache(_entry_flag_values)
-    try:
-        ids, frames, sources, *coords, dists, data, temporary, flags = _columns(rows, (11,))
-        ids, frames = _indices(ids), _indices(frames)
-        entries = list(map(Detection, frames, _boxes(coords, plain), map(distribution, dists),
-                           map(_DASH_NONE.get, data, data), map(_OPT_FLAGS.__getitem__, temporary),
-                           map(_TEXT_SOURCE.__getitem__, sources),
-                           *zip(*map(flag_values, flags))))
-        order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: file order in a track
-        keys = list(zip(map(ids.__getitem__, order), map(frames.__getitem__, order)))
-        if not all(map(operator.lt, keys, keys[1:])):  # a track's frames increase
-            raise ValueError("frame order")
-    except (ValueError, KeyError):
-        _first_fault(path, linenos, rows,
-                     functools.partial(_check_track, distribution=distribution, last_frames={}))
+    linenos, (ids, order, entries) = _read_records(path, "tracks", _track_columns)
     tracks = []
     for track_id, members in itertools.groupby(order, ids.__getitem__):
         members = list(members)
@@ -460,24 +450,29 @@ def read_tracks(path) -> list[Track]:
     return tracks
 
 
-def _check_track(fields: list[str], distribution: Callable, last_frames: dict[int, int]) -> None:
-    """The checks of one track record, field by field, then of its frame
-    against the last one ``last_frames`` holds for its track."""
-    if len(fields) != 11:
-        raise ValueError(f"track record needs 11 fields, got {len(fields)}")
-    track_id = parse_index(fields[0], "track id")
-    frame = parse_index(fields[1], "frame index")
-    if fields[2] not in _TEXT_SOURCE:
-        raise ValueError(f"unknown source {fields[2]!r}")
-    _parse_box(fields[3:7], plain=False)
-    distribution(fields[7])
-    _parse_opt_flag(fields[9])
-    _entry_flag_values(fields[10])
-    last = last_frames.get(track_id)
-    if last is not None and frame <= last:
-        raise ValueError(f"track {track_id} frame indices not strictly "
-                         f"increasing ({last} -> {frame})")
-    last_frames[track_id] = frame
+def _track_columns(rows: list[list[str]]) -> tuple[list[int], list[int], list[Detection]]:
+    """The records' track ids, their order by id (stable) and their entries."""
+    ids, frames, sources, *coords, dists, data, temporary, flags = _columns(
+        rows, (11,), "track record needs 11 fields")
+    ids = _column(functools.partial(parse_index, what="track id"), ids, quick=_digits)
+    frames = _column(_frame_index, frames, quick=_digits)
+    sources = _column(_parse_source, sources, quick=_sources)
+    boxes = _boxes(coords)
+    dists = _column(functools.cache(_parse_distribution), dists)  # as in _detection_columns
+    temporary = _column(_parse_opt_flag, temporary, quick=_opt_flags)
+    flags = _column(functools.cache(_entry_flag_values), flags)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    keys = list(zip(map(ids.__getitem__, order), map(frames.__getitem__, order)))
+    if not all(map(operator.lt, keys, keys[1:])):  # name the first frame out of its track's order
+        last: dict[int, int] = {}
+        for i, (track_id, frame) in enumerate(zip(ids, frames)):
+            if frame <= last.get(track_id, -1):
+                raise ValueError(f"track {track_id} frame indices not strictly "
+                                 f"increasing ({last[track_id]} -> {frame})", i)
+            last[track_id] = frame
+    entries = list(map(Detection, frames, boxes, dists, map(_DASH_NONE.get, data, data), temporary,
+                       sources, *zip(*flags)))
+    return ids, order, entries
 
 
 def write_tracks(tracks: list[Track], path) -> None:
@@ -530,7 +525,10 @@ def read_manifest(path) -> SequenceManifest:
     sequence_id = None
     frames: list[tuple[int, str]] = []
     annotation_paths: list[str] = []
-    for lineno, line in _body_lines(path, "manifest"):
+    for lineno, raw in enumerate(_record_lines(path, "manifest")[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
         try:
             if line.startswith("#"):
                 name, sep, value = line[1:].partition(":")

@@ -1,14 +1,16 @@
-"""Reference record-file codec for detections and tracks.
+"""Reference record-file codec for annotations, detections and tracks.
 
 The library parses and formats each distinct distribution once per file,
 formats a box in one operation, and reads records column by column; the
 versions here format every coordinate on its own and parse every line
 afresh, as the codec first did.  ``read_detections`` and ``read_tracks``
-read valid files only; ``read_detections_by_line`` and
-``read_tracks_by_line`` are the strict readers as they were before the
-column-wise ones, checking and building one record per line, and name the
-same ``file:line`` and message for any bad file.  All serve as
-differential-test oracles.
+read valid files only; ``read_annotations_by_line``,
+``read_detections_by_line`` and ``read_tracks_by_line`` are strict
+readers that check and build one record per line, fields left to right,
+and name the ``file:line`` and message of the first bad record.  They
+state their own rules for optional text, flags, boxes, sources and NCC
+flags, so a difference from the library shows a fault in one of two
+statements of a rule.  All serve as differential-test oracles.
 """
 
 from __future__ import annotations
@@ -16,18 +18,14 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 
-from icevision_kit.core import BoundingBox, Detection, Source
+from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, Source
 from icevision_kit.datastore import (
-    _NCC_FLAGS,
-    _TEXT_SOURCE,
     FORMAT_VERSION,
     DatastoreError,
-    _body_lines,
-    _opt_text,
-    _parse_box,
     _parse_distribution,
-    _parse_opt_flag,
+    _record_lines,
     parse_index,
+    real_value,
 )
 from icevision_kit.taxonomy import ClassCode
 from icevision_kit.tracking import Track
@@ -96,14 +94,6 @@ def _records(path, kind: str):
             yield lineno, line.split()
 
 
-def _opt(token: str) -> str | None:
-    return None if token == "-" else token
-
-
-def _opt_flag(token: str) -> bool | None:
-    return None if token == "-" else token == "true"
-
-
 def read_detections(path) -> dict[int, list[Detection]]:
     out: dict[int, list[Detection]] = {}
     for _, fields in _records(path, "detections"):
@@ -113,8 +103,8 @@ def read_detections(path) -> dict[int, list[Detection]]:
                 frame_index=frame,
                 box=BoundingBox(*(float(t) for t in fields[2:6])),
                 class_distribution=parse_distribution(fields[1]),
-                associated_data=_opt(fields[6]) if len(fields) >= 7 else None,
-                temporary=_opt_flag(fields[7]) if len(fields) == 8 else None,
+                associated_data=opt_text(fields[6]) if len(fields) >= 7 else None,
+                temporary=opt_flag(fields[7]) if len(fields) == 8 else None,
             )
         )
     return out
@@ -129,8 +119,8 @@ def read_tracks(path) -> list[Track]:
                 frame_index=int(fields[1]),
                 box=BoundingBox(*(float(t) for t in fields[3:7])),
                 class_distribution=parse_distribution(fields[7]),
-                associated_data=_opt(fields[8]),
-                temporary=_opt_flag(fields[9]),
+                associated_data=opt_text(fields[8]),
+                temporary=opt_flag(fields[9]),
                 source=Source(fields[2]),
                 ncc_degenerate="ncc_degenerate" in flags,
                 template_clipped="template_clipped" in flags,
@@ -140,27 +130,89 @@ def read_tracks(path) -> list[Track]:
 
 
 def _open_records(path, kind: str):
-    """(lineno, fields, plain) of a record file's data lines; ``plain``
-    lines are ASCII with no ``_``, so ``float`` reads their reals as
-    ``real_value`` does."""
-    for lineno, line in _body_lines(path, kind):
-        if not line.startswith("#"):
-            yield lineno, line.split(), line.isascii() and "_" not in line
+    """(lineno, fields) of a record file's data lines."""
+    for lineno, line in enumerate(_record_lines(path, kind)[1:], start=2):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
+def opt_text(token: str) -> str | None:
+    return None if token == "-" else token
+
+
+def flag(token: str) -> bool:
+    if token not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {token!r}")
+    return token == "true"
+
+
+def opt_flag(token: str) -> bool | None:
+    return None if token == "-" else flag(token)
+
+
+def parse_box(tokens: list[str]) -> BoundingBox:
+    coords = []
+    for token in tokens:
+        try:
+            coords.append(real_value(token))
+        except ValueError:
+            raise ValueError(f"box coordinate is not a number: {token!r}") from None
+    try:
+        return BoundingBox(*coords)
+    except ValueError as exc:
+        raise ValueError(f"bad box: {exc}") from None
+
+
+def parse_code(token: str) -> ClassCode:
+    try:
+        return ClassCode.parse(token)
+    except ValueError as exc:
+        raise ValueError(f"bad class code: {exc}") from None
+
+
+SOURCES = {"detected": Source.DETECTED, "interpolated": Source.INTERPOLATED}
+NCC_FLAGS = {"ncc_degenerate", "template_clipped"}
+
+
+def read_annotations_by_line(path) -> list[FrameAnnotations]:
+    signs: dict[int, list[GroundTruthSign]] = {}
+    seen = set()
+    for lineno, fields in _open_records(path, "annotations"):
+        try:
+            if len(fields) == 1:
+                signs.setdefault(parse_index(fields[0], "frame index"), [])
+                continue
+            if len(fields) != 8:
+                raise ValueError(f"annotation record needs 1 or 8 fields, got {len(fields)}")
+            frame = parse_index(fields[0], "frame index")
+            code = parse_code(fields[1])
+            box = parse_box(fields[2:6])
+            key = (frame, (box.x_min, box.y_min, box.x_max, box.y_max), code.segments)
+            if key in seen:
+                raise ValueError(f"duplicate annotation for frame {frame}, {code}")
+            seen.add(key)
+            sign = GroundTruthSign(frame_index=frame, box=box, code=code,
+                                   associated_data=opt_text(fields[6]), temporary=flag(fields[7]))
+        except ValueError as exc:
+            raise DatastoreError(path, lineno, str(exc)) from None
+        signs.setdefault(frame, []).append(sign)
+    return [FrameAnnotations(frame_index=frame, signs=tuple(signs[frame])) for frame in sorted(signs)]
 
 
 def read_detections_by_line(path) -> dict[int, list[Detection]]:
     out: dict[int, list[Detection]] = {}
     distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
-    for lineno, fields, plain in _open_records(path, "detections"):
+    for lineno, fields in _open_records(path, "detections"):
         try:
             if len(fields) not in (6, 7, 8):
                 raise ValueError(f"detection record needs 6-8 fields, got {len(fields)}")
             det = Detection(
                 frame_index=parse_index(fields[0], "frame index"),
                 class_distribution=distribution(fields[1]),
-                box=_parse_box(fields[2:6], plain),
-                associated_data=_opt_text(fields[6]) if len(fields) >= 7 else None,
-                temporary=_parse_opt_flag(fields[7]) if len(fields) == 8 else None,
+                box=parse_box(fields[2:6]),
+                associated_data=opt_text(fields[6]) if len(fields) >= 7 else None,
+                temporary=opt_flag(fields[7]) if len(fields) == 8 else None,
             )
         except ValueError as exc:
             raise DatastoreError(path, lineno, str(exc)) from None
@@ -172,19 +224,19 @@ def read_tracks_by_line(path) -> list[Track]:
     entries: dict[int, list[Detection]] = {}
     first_lines: dict[int, int] = {}
     distribution = functools.cache(_parse_distribution)  # a bad token fails on each line
-    for lineno, fields, plain in _open_records(path, "tracks"):
+    for lineno, fields in _open_records(path, "tracks"):
         try:
             if len(fields) != 11:
                 raise ValueError(f"track record needs 11 fields, got {len(fields)}")
             track_id = parse_index(fields[0], "track id")
             frame = parse_index(fields[1], "frame index")
-            if fields[2] not in _TEXT_SOURCE:
+            if fields[2] not in SOURCES:
                 raise ValueError(f"unknown source {fields[2]!r}")
-            box = _parse_box(fields[3:7], plain)
+            box = parse_box(fields[3:7])
             dist = distribution(fields[7])
-            temporary = _parse_opt_flag(fields[9])
+            temporary = opt_flag(fields[9])
             flags = set() if fields[10] == "-" else set(fields[10].split(","))
-            unknown = flags - set(_NCC_FLAGS)
+            unknown = flags - NCC_FLAGS
             if unknown:
                 raise ValueError(f"unknown flags {sorted(unknown)}")
             earlier = entries.setdefault(track_id, [])
@@ -197,9 +249,9 @@ def read_tracks_by_line(path) -> list[Track]:
             frame_index=frame,
             box=box,
             class_distribution=dist,
-            associated_data=_opt_text(fields[8]),
+            associated_data=opt_text(fields[8]),
             temporary=temporary,
-            source=_TEXT_SOURCE[fields[2]],
+            source=SOURCES[fields[2]],
             ncc_degenerate="ncc_degenerate" in flags,
             template_clipped="template_clipped" in flags,
         ))

@@ -11,7 +11,7 @@ from pathlib import Path
 import datastore_oracles as oracles
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from icevision_kit import datastore, frames, harness
@@ -1215,6 +1215,9 @@ TRACK_FIELD_TOKENS = [
 ]
 DETECTION_FIELD_TOKENS = [INDEX_TOKENS, DIST_TOKENS, *[REAL_TOKENS] * 4, ["-", "x"],
                           OPT_FLAG_TOKENS]
+CODE_TOKENS = ["3.x", "3..24", ".", "٣", "0", "3.24", "5.19.1", "2.4"]
+ANNOTATION_FIELD_TOKENS = [INDEX_TOKENS, CODE_TOKENS, *[REAL_TOKENS] * 4, ["-", "x", "40"],
+                           OPT_FLAG_TOKENS]
 
 
 def mutate(draw, lines: list[str], field_tokens: list[list[str]]) -> list[str]:
@@ -1254,6 +1257,54 @@ def broken_files(draw, kind):
         header, *lines = path.read_text().splitlines(keepends=True)
     fields = TRACK_FIELD_TOKENS if kind == "tracks" else DETECTION_FIELD_TOKENS
     lines = mutate(draw, lines, fields)
+    extra = draw(st.sampled_from(["", "# ¿comentario?\n", "\n  \n", "# a_b\n"]))
+    lines.insert(draw(st.integers(0, len(lines))), extra)
+    return header + "".join(lines)
+
+
+@st.composite
+def annotation_lists(draw):
+    annotations = []
+    for frame in draw(st.lists(st.integers(0, 60), min_size=1, max_size=4, unique=True)):
+        signs = [GroundTruthSign(frame_index=frame, box=draw(boxes()), code=draw(st.sampled_from(CODES)),
+                                 associated_data=draw(st.sampled_from([None, "40", "x"])),
+                                 temporary=draw(st.booleans()))
+                 for _ in range(draw(st.integers(0, 3)))]
+        annotations.append(FrameAnnotations(frame_index=frame, signs=tuple(signs)))
+    return annotations
+
+
+@st.composite
+def broken_annotation_files(draw):
+    """A valid annotations file's text with 1-3 faults at random lines: a
+    field replaced, dropped or added, a line repeated (a duplicate sign) or
+    a frame marker put in; and maybe a non-ASCII or ``_`` comment or blank
+    lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "a.txt")
+        try:
+            write_annotations(draw(annotation_lists()), path)
+        except ValueError:  # two signs that would re-read as one
+            assume(False)
+        header, *lines = path.read_text().splitlines(keepends=True)
+    rows = [line.split() for line in lines]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["replace"] * 5 + ["drop", "add", "repeat", "marker"]))
+        at = draw(st.integers(0, len(rows)))
+        if kind == "marker" or not rows:
+            rows.insert(at, [draw(st.sampled_from(INDEX_TOKENS))])
+        elif kind == "repeat":
+            rows.insert(at, list(draw(st.sampled_from(rows))))
+        else:
+            row = rows[min(at, len(rows) - 1)]
+            if kind == "add" or not row:
+                row.append(draw(st.sampled_from(["-", "true", "extra", "3.24"])))
+            elif kind == "drop":
+                del row[draw(st.integers(0, len(row) - 1))]
+            else:
+                field = draw(st.integers(0, min(len(row), len(ANNOTATION_FIELD_TOKENS)) - 1))
+                row[field] = draw(st.sampled_from(ANNOTATION_FIELD_TOKENS[field]))
+    lines = [" ".join(row) + "\n" for row in rows]
     extra = draw(st.sampled_from(["", "# ¿comentario?\n", "\n  \n", "# a_b\n"]))
     lines.insert(draw(st.integers(0, len(lines))), extra)
     return header + "".join(lines)
@@ -1302,6 +1353,26 @@ class TestColumnReadersMatchByLine:
             path.write_text(text, encoding="utf-8")
             assert outcome(read_detections, path) == outcome(oracles.read_detections_by_line, path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=broken_annotation_files())
+    @example(text=f"{FORMAT_VERSION} annotations\n"
+                  "3\n"
+                  "3 3.24 1 1 2 2 - maybe\n"
+                  "3 3.24 1 1 2 2 - true\n"
+                  "x\n")
+    @example(text=f"{FORMAT_VERSION} annotations\n"
+                  "3 3.24 1 1 2 2 - true\n"
+                  "3 3.24 1 1 2 2 40 maybe\n"
+                  "3 3.24 1 1 1_0 2 - true\n")
+    @example(text=f"{FORMAT_VERSION} annotations\n"
+                  "3 3.24 1 1 2 2 - true\n"
+                  "4 3.x 1 1 nan 2 - maybe\n")
+    def test_annotations(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "a.txt")
+            path.write_text(text, encoding="utf-8")
+            assert outcome(read_annotations, path) == outcome(oracles.read_annotations_by_line, path)
+
     @pytest.mark.parametrize("kind, read, oracle", [
         ("tracks", read_tracks, oracles.read_tracks_by_line),
         ("detections", read_detections, oracles.read_detections_by_line),
@@ -1310,3 +1381,68 @@ class TestColumnReadersMatchByLine:
     def test_files_without_records(self, tmp_path, kind, read, oracle, body):
         path = put(tmp_path, "f.txt", f"{FORMAT_VERSION} {kind}\n{body}")
         assert read(path) == oracle(path) == ([] if kind == "tracks" else {})
+
+
+def verdict(read):
+    """The values ``read()`` gives, or that it rejected its input."""
+    try:
+        return repr(list(read()))  # repr: a nan equals a nan, and -0.0 is not 0.0
+    except (ValueError, KeyError):
+        return "rejected"
+
+
+TOKENS = st.text(min_size=1, max_size=6).filter(lambda t: t.split() == [t])
+
+
+class TestQuickFormsMatchTheirRules:
+    """Each C-level column form accepts exactly the tokens its rule accepts,
+    with equal values; a disagreement would leak a raw ``KeyError`` or
+    ``ValueError`` from a reader."""
+
+    FORMS = {
+        "index": (datastore._digits, datastore.parse_index, st.one_of(
+            st.sampled_from(INDEX_TOKENS + ["\u0663", "+7", "1_0", "\u00b2", "1" * 5000, "007", "٣٠"]),
+            st.integers(0, 10**30).map(str), TOKENS)),
+        "real": (datastore._floats, datastore.real_value, st.one_of(
+            st.sampled_from(REAL_TOKENS + ["+4.", "-0", "Infinity", "nAn", "\u0661", "\uff11", "1e-400"]),
+            st.floats().map(repr), TOKENS)),
+        "opt_flag": (datastore._opt_flags, datastore._parse_opt_flag, st.one_of(
+            st.sampled_from(OPT_FLAG_TOKENS + ["TRUE", "0", "1", "--"]), TOKENS)),
+        "source": (datastore._sources, datastore._parse_source, st.one_of(
+            st.sampled_from(["detected", "interpolated", "Detected", "DETECTED", "guessed"]), TOKENS)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_same_verdict_and_values(self, kind, data):
+        quick, rule, tokens = self.FORMS[kind]
+        column = tuple(data.draw(st.lists(tokens, max_size=5)))
+        assert verdict(lambda: quick(column)) == verdict(lambda: map(rule, column))
+
+
+class TestReReadBound:
+    def test_one_read_per_check(self, tmp_path, monkeypatch):
+        """The last records break one check each, in reverse field order:
+        each read names a record one check to the left, and the flags fault,
+        first in the file, is reported."""
+        good = [f"{i // 100} {i % 100} detected 1.5 1 2 2 3.24:0.5 - - -\n" for i in range(19_992)]
+        faults = ["900 0 detected 1 1 2 2 3.24 - - wobbly\n",  # flags
+                  "900 1 detected 1 1 2 2 3.24 - maybe -\n",  # temporary
+                  "900 2 detected 1 1 2 2 3.x - - -\n",  # distribution
+                  "900 3 detected 1 1 nan 2 3.24 - - -\n",  # box
+                  "900 4 guessed 1 1 2 2 3.24 - - -\n",  # source
+                  "900 x detected 1 1 2 2 3.24 - - -\n",  # frame
+                  "y 6 detected 1 1 2 2 3.24 - - -\n",  # id
+                  "900 7 detected 1 1 2 2 3.24 - - - -\n"]  # 12 fields
+        path = put(tmp_path, "t.txt", f"{FORMAT_VERSION} tracks\n" + "".join(good + faults))
+        calls = []
+        read = datastore._track_columns
+        monkeypatch.setattr(datastore, "_track_columns",
+                            lambda rows: calls.append(len(rows)) or read(rows))
+        with pytest.raises(DatastoreError, match=r"unknown flags \['wobbly'\]$") as err:
+            read_tracks(path)
+        assert err.value.lineno == 1 + len(good) + 1
+        assert outcome(oracles.read_tracks_by_line, path) == (str(path), err.value.lineno, str(err.value))
+        assert len(calls) <= 10
+        assert calls == sorted(calls, reverse=True) and len(set(calls)) == len(calls)
