@@ -69,7 +69,6 @@ STRIDE_FLAGS = (TrackerConfig, {"--stride": "keyframe_stride"})
 NOISE_FLAGS = (harness.NoiseModel, {
     "--seed": "seed", "--drop": "drop_probability", "--fp-per-frame": "fp_per_frame",
     "--jitter": "position_jitter_px", "--confusion": "class_confusion"})
-PIPELINE_FLAGS = (harness.PipelineConfig, {"--budget-fps": "budget_fps"})
 
 
 def _integer(text: str) -> int:
@@ -100,6 +99,10 @@ def _config(parser: _Parser, args, table, **given):
     return cls(**given, **{name: getattr(args, name) for name in flags.values()})
 
 
+def _add_stage_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--stage", choices=[s.value for s in Stage], default=Stage.OFFLINE.value)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="icevision-kit", description=__doc__.splitlines()[0])
     # dest names the subcommand in the message a missing one gets
@@ -109,7 +112,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_score)
     p.add_argument("--detections", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--stage", choices=("online", "offline"), default="offline")
+    _add_stage_flag(p)
     p.add_argument("--output", help="write the human-readable report here")
     p.add_argument("--records", help="write machine-readable per-class records here")
 
@@ -145,7 +148,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid-specific", required=True, help="comma list, e.g. 0.3,0.5,0.7")
     p.add_argument("--grid-level2", required=True)
     p.add_argument("--grid-top", required=True)
-    p.add_argument("--stage", choices=("online", "offline"), default="offline")
+    _add_stage_flag(p)
     p.add_argument("--output", help="write the winning threshold triple here")
 
     p = sub.add_parser("convert", help="decode Bayer PGM frames to RGB PPM")
@@ -170,8 +173,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_bench)
     p.add_argument("--spec", required=True)
     _add_config_flags(p, NOISE_FLAGS, STRIDE_FLAGS)
-    p.add_argument("--stage", choices=("online", "offline"), default="offline")
-    _add_config_flags(p, PIPELINE_FLAGS)
+    _add_stage_flag(p)
     p.add_argument("--records", help="write machine-readable results here")
 
     return parser
@@ -199,12 +201,13 @@ def _cmd_track(args, parser: _Parser) -> int:
 
 
 def _cmd_interp(args, parser: _Parser) -> int:
-    tracks = datastore.read_tracks(_require(args.tracks))
     if args.method == "ncc":
         if not args.manifest:
             parser.error("--method ncc requires --manifest")
         if not 0.0 <= args.margin < math.inf:
             parser.error(f"--margin must be finite and >= 0, got {args.margin}")
+    tracks = datastore.read_tracks(_require(args.tracks))
+    if args.method == "ncc":
         manifest = datastore.read_manifest(_require(args.manifest))
         pattern = BayerPattern(args.pattern) if args.pattern else None
         source = datastore.ManifestFrameSource(manifest, root=args.root, pattern=pattern)
@@ -242,13 +245,13 @@ def _cmd_refine(args, parser: _Parser) -> int:
 
 
 def _cmd_tune(args, parser: _Parser) -> int:
-    tracks = datastore.read_tracks(_require(args.tracks))
-    annotations = datastore.read_annotations(_require(args.annotations))
     grid = (
         _grid_values(parser, args.grid_specific, "--grid-specific"),
         _grid_values(parser, args.grid_level2, "--grid-level2"),
         _grid_values(parser, args.grid_top, "--grid-top"),
     )
+    tracks = datastore.read_tracks(_require(args.tracks))
+    annotations = datastore.read_annotations(_require(args.annotations))
     best, best_score = refinement.grid_search_thresholds(
         tracks, annotations, grid, ScoringConfig(Stage(args.stage))
     )
@@ -335,8 +338,8 @@ def _cmd_synth(args, parser: _Parser) -> int:
 
 def _cmd_bench(args, parser: _Parser) -> int:
     noise = _config(parser, args, NOISE_FLAGS)
-    pipeline = _config(parser, args, PIPELINE_FLAGS, scoring=ScoringConfig(Stage(args.stage)),
-                       tracker=_config(parser, args, STRIDE_FLAGS))
+    pipeline = harness.PipelineConfig(tracker=_config(parser, args, STRIDE_FLAGS),
+                                      scoring=ScoringConfig(Stage(args.stage)))
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
     report = harness.run_benchmark(generated, noise, pipeline)

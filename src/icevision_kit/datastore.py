@@ -401,7 +401,7 @@ def write_detections(detections: dict[int, list[Detection]], path) -> None:
 # Tracks
 
 
-_SOURCE_TEXT = {Source.DETECTED: "detected", Source.INTERPOLATED: "interpolated"}
+_SOURCE_TEXT = {source: source.value for source in Source}  # a dict reads faster than .value
 _TEXT_SOURCE = {v: k for k, v in _SOURCE_TEXT.items()}  # what _parse_source reads
 _sources = functools.partial(map, _TEXT_SOURCE.__getitem__)
 _NCC_FLAGS = ("ncc_degenerate", "template_clipped")

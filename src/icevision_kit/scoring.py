@@ -244,12 +244,10 @@ class ScoreReport:
     """Each scored frame's :class:`MatchResult`, in frame order.  The
     totals and the per-class table are derived from them, once per report.
 
-    ``total`` is exactly ``tp_points - fp_penalty * fp_count``.
+    ``total`` is exactly ``tp_points - ScoringConfig.fp_penalty * fp_count``.
     """
 
     frames: tuple[MatchResult, ...]
-
-    fp_penalty = ScoringConfig.fp_penalty
 
     @functools.cached_property
     def _totals(self) -> tuple[float, float, int]:
@@ -344,7 +342,7 @@ def format_report(report: ScoreReport) -> str:
         lines.append("")
     lines.append(
         f"tp_points {report.tp_points:.6f}  false_positives {report.fp_count}"
-        f"  penalty {report.fp_penalty:.6f}"
+        f"  penalty {ScoringConfig.fp_penalty:.6f}"
     )
     lines.append(f"total {report.total:.6f}")
     return "\n".join(lines)

@@ -105,6 +105,15 @@ class TestScore:
         err = capsys.readouterr().err
         assert "bad.txt:2" in err
 
+    def test_distribution_entry_without_colon_is_malformed(self, tmp_path, capsys):
+        det_path = tmp_path / "bad.txt"
+        det_path.write_text(f"{FORMAT_VERSION} detections\n0 3.24:0.5,1.1 1 1 5 5\n")
+        _, ann_path = write_fixture_files(tmp_path)
+        code = main(["score", "--detections", str(det_path), "--annotations", str(ann_path)])
+        assert code == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert err == f"icevision-kit: {det_path}:2: distribution entry missing ':': '1.1'\n"
+
     def test_unknown_flag(self, tmp_path, capsys):
         code = main(["score", "--wat"])
         assert code == EX_USAGE
@@ -473,7 +482,7 @@ class TestConfigFlags:
     @pytest.mark.parametrize("argv, tables", [
         (["track", "--detections", "d", "--output", "o"], [cli.TRACKER_FLAGS]),
         (["synth", "--spec", "s", "--annotations", "a"], [cli.NOISE_FLAGS, cli.STRIDE_FLAGS]),
-        (["bench", "--spec", "s"], [cli.NOISE_FLAGS, cli.STRIDE_FLAGS, cli.PIPELINE_FLAGS]),
+        (["bench", "--spec", "s"], [cli.NOISE_FLAGS, cli.STRIDE_FLAGS]),
     ])
     def test_flags_set_real_fields_with_their_defaults(self, argv, tables):
         parser = cli.build_parser()
@@ -493,14 +502,18 @@ class TestConfigFlags:
 
 
 class TestFlagsThatChangedNothing:
-    """``score --jobs`` and ``track --stride`` were read by nothing; both are gone."""
+    """``score --jobs`` and ``track --stride`` were read by nothing, and
+    ``bench --budget-fps`` set what the competition fixes; all are gone."""
 
-    @pytest.mark.parametrize("command, flag, value",
-                             [("score", "--jobs", "2"), ("track", "--stride", "3")])
+    @pytest.mark.parametrize("command, flag, value", [
+        ("score", "--jobs", "2"), ("track", "--stride", "3"), ("bench", "--budget-fps", "5")])
     def test_is_an_unrecognized_argument(self, tmp_path, capsys, command, flag, value):
         det_path, ann_path = write_fixture_files(tmp_path)
+        spec = tmp_path / "scenario.cfg"
+        spec.write_text("frame_count = 30\n")
         argv = {"score": ["score", "--detections", str(det_path), "--annotations", str(ann_path)],
-                "track": ["track", "--detections", str(det_path), "--output", str(tmp_path / "o")]}
+                "track": ["track", "--detections", str(det_path), "--output", str(tmp_path / "o")],
+                "bench": ["bench", "--spec", str(spec), "--records", str(tmp_path / "o")]}
         assert main(argv[command] + [flag, value]) == EX_USAGE
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and flag in captured.err
@@ -690,6 +703,15 @@ class TestTune:
                      "--grid-specific", "x", "--grid-level2", "0.5", "--grid-top", "0.5"])
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    def test_grid_without_a_value(self, tmp_path, capsys, value):
+        _, ann_path = write_fixture_files(tmp_path)
+        code = main(["tune", "--tracks", str(tmp_path / "none.txt"), "--annotations", str(ann_path),
+                     "--grid-specific", value, "--grid-level2", "0.5", "--grid-top", "0.5"])
+        assert code == EX_USAGE
+        err = capsys.readouterr().err
+        assert "--grid-specific needs at least one value" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["1.5", "nan", "-0.1", "inf"])
     @pytest.mark.parametrize("flag", ["--grid-specific", "--grid-level2", "--grid-top"])
     def test_grid_value_outside_unit_interval(self, tmp_path, capsys, flag, value):
@@ -703,6 +725,31 @@ class TestTune:
         assert code == EX_USAGE
         err = capsys.readouterr().err
         assert f"{flag} holds a value outside [0, 1]" in err and "Traceback" not in err
+
+
+class TestFlagsCheckedBeforeFiles:
+    """A misused flag is a usage error even when the files it would act on
+    are missing or malformed."""
+
+    MISUSE = {
+        "interp without manifest": ["interp", "--output", "o", "--method", "ncc"],
+        "interp bad margin": ["interp", "--output", "o", "--method", "ncc", "--manifest", "m",
+                              "--margin", "nan"],
+        "tune bad grid": ["tune", "--annotations", "a", "--grid-specific", "0.5",
+                          "--grid-level2", "0.5", "--grid-top", "2"],
+    }
+
+    @pytest.mark.parametrize("tracks", [None, f"{FORMAT_VERSION} tracks\nnot a record\n"],
+                             ids=["missing", "malformed"])
+    @pytest.mark.parametrize("misuse", MISUSE)
+    def test_is_a_usage_error(self, tmp_path, capsys, monkeypatch, misuse, tracks):
+        monkeypatch.chdir(tmp_path)
+        if tracks is not None:
+            (tmp_path / "t").write_text(tracks)
+        assert main(self.MISUSE[misuse] + ["--tracks", "t"]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert "error: --" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if tracks is None else ["t"])
 
 
 class TestConvert:
@@ -904,6 +951,17 @@ class TestSynthAndBench:
         out = capsys.readouterr().out
         assert "frames per second" in out
         assert records.read_text().startswith("icevision-kit/v1 bench\n")
+
+    @pytest.mark.parametrize("command", ["synth", "bench"])
+    def test_zero_frame_count_is_malformed(self, tmp_path, capsys, command):
+        spec = self.spec_file(tmp_path, frame_count=0)
+        argv = [command, "--spec", str(spec)]
+        if command == "synth":
+            argv += ["--annotations", str(tmp_path / "ann.txt")]
+        assert main(argv) == EX_MALFORMED_INPUT
+        err = capsys.readouterr().err
+        assert err == f"icevision-kit: {spec}: frame_count, width, and height must be positive\n"
+        assert not (tmp_path / "ann.txt").exists()
 
     def test_bench_malformed_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.cfg"

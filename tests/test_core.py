@@ -121,6 +121,12 @@ class TestIou:
         a = BoundingBox(0, 0, 0, 10)
         assert iou(a, a) == 0.0
 
+    def test_union_that_underflows_to_zero_after_rescaling(self):
+        # both products underflow, and so do the rescaled areas: the union is 0
+        a = BoundingBox(0, 0, 1e300, 1e-200)
+        b = BoundingBox(0, 0, 1e-200, 1e300)
+        assert iou(a, b) == iou(b, a) == 0.0
+
     @given(boxes(), boxes())
     def test_symmetric_and_bounded(self, a, b):
         ab, ba = iou(a, b), iou(b, a)

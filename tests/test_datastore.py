@@ -644,6 +644,23 @@ class TestManifest:
         assert str(err.value) == f"{path}:3: repeated '# sequence:' directive"
         assert err.value.lineno == 3
 
+    @pytest.mark.parametrize("sequence_id, frames, annotation_paths, message", [
+        ("", ((0, "f0.pnm"),), (), "sequence id must be non-empty"),
+        ("s", ((3, "a.pnm"), (2, "b.pnm")), (), "frame indices not strictly increasing at 2"),
+        ("s", ((3, "a.pnm"), (3, "b.pnm")), (), "frame indices not strictly increasing at 3"),
+        ("s", ((0, "f0.pnm"), (1, "")), (), "empty path for frame 1"),
+        ("s", ((0, "f0.pnm"),), ("gt.txt", ""), "empty annotation path"),
+    ])
+    def test_built_manifest_keeps_its_invariant(self, sequence_id, frames, annotation_paths,
+                                                message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SequenceManifest(sequence_id, frames, annotation_paths)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = put(tmp_path, "m.txt",
+                   f"{FORMAT_VERSION} manifest\n\n# sequence: s\n  \n0\tf0.pnm\n\t\n2\tf2.pnm\n")
+        assert read_manifest(path) == SequenceManifest("s", ((0, "f0.pnm"), (2, "f2.pnm")))
+
     def test_missing_tab(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# sequence: s\n5 a.pnm\n")
         with pytest.raises(DatastoreError, match=":3: expected frame_index<TAB>path$") as err:

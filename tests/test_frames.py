@@ -280,6 +280,24 @@ class TestSampleRange:
         image = CfaImage(np.array([[0, 1], [99, 100]], dtype=dtype), max_value=100)
         assert image.samples.min() == 0 and image.samples.max() == 100
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GrayImage(np.zeros((2, 2, 1), np.uint8), 255),
+         r"^expected 2-d sample array, got shape \(2, 2, 1\)$"),
+        (lambda: RgbImage(np.zeros((2, 2), np.uint8), 255),
+         r"^expected 3-d sample array, got shape \(2, 2\)$"),
+        (lambda: RgbImage(np.zeros((2, 2, 4), np.uint8), 255),
+         r"^expected 3 channels, got shape \(2, 2, 4\)$"),
+        (lambda: GrayImage(np.zeros((2, 2), np.float64), 255),
+         r"^samples must be integers, got dtype float64$"),
+        (lambda: CfaImage(np.zeros((2, 2), np.uint8), max_value=0),
+         r"^max_value must be in 1..65535, got 0$"),
+        (lambda: GrayImage(np.zeros((2, 2), np.uint16), 65536),
+         r"^max_value must be in 1..65535, got 65536$"),
+    ])
+    def test_sample_array_shape_dtype_and_max_value_are_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestDemosaic:
     def test_constant_cfa(self):

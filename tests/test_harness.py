@@ -10,6 +10,7 @@ from icevision_kit import core
 from icevision_kit.core import BoundingBox, FrameAnnotations
 from icevision_kit.datastore import DatastoreError
 from icevision_kit.harness import (
+    BUDGET_FPS,
     FP_PER_FRAME_MAX,
     BenchmarkReport,
     GeneratedScenario,
@@ -78,13 +79,6 @@ class TestNoiseModel:
             NoiseModel(fp_per_frame=math.nextafter(FP_PER_FRAME_MAX, math.inf))
 
 
-class TestPipelineConfig:
-    @pytest.mark.parametrize("budget", [0.0, -5.0, float("nan"), float("inf")])
-    def test_budget_must_be_finite_and_positive(self, budget):
-        with pytest.raises(ValueError, match="budget_fps"):
-            PipelineConfig(budget_fps=budget)
-
-
 class TestSyntheticSign:
     def test_box_at_linear_motion(self):
         s = sign(entry=10, exit=20, x=100, y=50, vx=2.0, vy=-1.0)
@@ -116,6 +110,18 @@ class TestScenario:
     def test_sign_must_end_before_last_frame(self):
         with pytest.raises(ValueError):
             SyntheticScenario(frame_count=20, signs=(sign(exit=25),))
+
+    @pytest.mark.parametrize("cls", [SyntheticScenario, ScenarioSpec])
+    @pytest.mark.parametrize("size", [{"frame_count": 0}, {"frame_count": -1},
+                                      {"frame_count": 40, "width": 0},
+                                      {"frame_count": 40, "height": -768}])
+    def test_size_must_be_positive(self, cls, size):
+        with pytest.raises(ValueError, match="^frame_count, width, and height must be positive$"):
+            cls(**size)
+
+    def test_spec_sign_count_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="^sign_count must be >= 0, got -1$"):
+            ScenarioSpec(frame_count=40, sign_count=-1)
 
     def test_valid(self):
         sc = SyntheticScenario(frame_count=40, signs=(sign(),))
@@ -371,20 +377,20 @@ class TestBenchmark:
     def test_report_properties(self):
         report = BenchmarkReport(
             frame_count=100, raw_score=1.0, refined_score=2.0,
-            max_attainable=3.0, elapsed_seconds=2.0, budget_fps=5.56,
+            max_attainable=3.0, elapsed_seconds=2.0,
         )
         assert report.frames_per_second == pytest.approx(50.0)
         assert report.meets_budget
         slow = BenchmarkReport(
             frame_count=10, raw_score=0.0, refined_score=0.0,
-            max_attainable=0.0, elapsed_seconds=10.0, budget_fps=5.56,
+            max_attainable=0.0, elapsed_seconds=10.0,
         )
         assert not slow.meets_budget
 
     def test_records_format(self):
         report = BenchmarkReport(
             frame_count=100, raw_score=1.0, refined_score=2.0,
-            max_attainable=3.0, elapsed_seconds=2.0, budget_fps=5.56,
+            max_attainable=3.0, elapsed_seconds=2.0,
         )
         records = benchmark_records(report)
         assert records.startswith("icevision-kit/v1 bench\n")
@@ -392,6 +398,15 @@ class TestBenchmark:
         assert "meets_budget=true" in records
         human = format_benchmark(report)
         assert "frames per second" in human
+
+    def test_budget_is_the_competitions_100k_frames_in_5_hours(self):
+        report = BenchmarkReport(
+            frame_count=100, raw_score=1.0, refined_score=2.0,
+            max_attainable=3.0, elapsed_seconds=2.0,
+        )
+        assert BUDGET_FPS == 100000.0 / (5 * 3600.0)
+        assert "throughput budget     5.56 fps (met)\n" in format_benchmark(report)
+        assert "budget_fps=5.555556\n" in benchmark_records(report)
 
 
 class TestGroupByFrame:

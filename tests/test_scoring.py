@@ -156,6 +156,14 @@ class TestKMultiplier:
             d = det(0, (0, 0, 10, 10), data=data, temporary=temporary)
             assert k_multiplier(d, g, cfg) == 1.0
 
+    @pytest.mark.parametrize("stage", list(Stage))
+    @pytest.mark.parametrize("pred, truth", [("3.24", "5.19.1"), ("3.24", "3"), ("3.2", "3.24")])
+    def test_class_that_does_not_match_is_refused(self, stage, pred, truth):
+        with pytest.raises(ValueError,
+                           match=f"^detection class {pred} does not match ground truth {truth}$"):
+            k_multiplier(det(0, (0, 0, 10, 10), code=pred), gt(0, (0, 0, 10, 10), code=truth),
+                         ScoringConfig(stage))
+
     def test_exact_match_all_fields(self):
         d = det(0, (0, 0, 10, 10), data="40", temporary=True)
         g = gt(0, (0, 0, 10, 10), data="40", temporary=True)

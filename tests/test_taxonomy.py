@@ -75,6 +75,11 @@ class TestHierarchy:
         assert parse_code("5.19.1").prefix(1) == parse_code("5")
         assert parse_code("5.19.1").prefix(3) == parse_code("5.19.1")
 
+    @pytest.mark.parametrize("level", [0, -1, 4])
+    def test_prefix_out_of_range(self, level):
+        with pytest.raises(ValueError, match=f"^level {level} out of range for 5.19.1$"):
+            parse_code("5.19.1").prefix(level)
+
     def test_repeated_codes_are_one_instance(self):
         code = parse_code("5.19.1")
         assert parse_code("5.19.1") == code and parse_code("5.19.1") is code

@@ -62,6 +62,13 @@ class TestTrackRules:
         with pytest.raises(ValueError, match="track 3 has no detected entry"):
             Track(3, gaps)
 
+    @pytest.mark.parametrize("frames, step", [((3, 0), "3 -> 0"), ((0, 4, 4), "4 -> 4")])
+    def test_frames_must_strictly_increase(self, frames, step):
+        entries = [(f, (0, 0, 30, 30), "3.24") for f in frames]
+        with pytest.raises(ValueError,
+                           match=f"^track 7 frame indices not strictly increasing \\({step}\\)$"):
+            make_track(*entries, track_id=7)
+
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError, match="track id must be a non-negative integer, got -1"):
             make_track((0, (0, 0, 30, 30), "3.24"), track_id=-1)
