@@ -126,12 +126,15 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_interp)
     p.add_argument("--tracks", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--method", choices=("linear", "ncc"), default="linear")
-    p.add_argument("--manifest", help="frame manifest (required for --method ncc)")
-    p.add_argument("--root", default=".", help="directory frame paths are relative to")
+    p.add_argument("--manifest", help="fill gaps by NCC on this manifest's frames "
+                                      "(without it, linearly)")
+    # the flags only NCC reads default to None, so interp can tell one given without --manifest
+    p.add_argument("--root", help="directory the manifest's frame paths are relative to "
+                                  "(default: .)")
     p.add_argument("--pattern", choices=[b.value for b in BayerPattern],
-                   help="treat frames as Bayer mosaics with this layout")
-    p.add_argument("--margin", type=datastore.real_value, default=NCC_MARGIN_PX)
+                   help="read the manifest's frames as Bayer mosaics with this layout")
+    p.add_argument("--margin", type=datastore.real_value,
+                   help=f"NCC search margin in pixels (default: {NCC_MARGIN_PX:g})")
     p.add_argument("--format", choices=("tracks", "detections"), default="tracks",
                    dest="out_format", help="output as tracks or flattened detections")
 
@@ -155,11 +158,10 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_convert)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--sidecar", help="key=value conversion settings file")
-    p.add_argument("--pattern", choices=[b.value for b in BayerPattern], default=None)
+    p.add_argument("--pattern", choices=[b.value for b in BayerPattern],
+                   default=BayerPattern.RGGB.value)
     p.add_argument("--equalize", action="store_true")
-    p.add_argument("--crop-keep", type=_integer, default=None)
-    p.add_argument("--jobs", type=_integer, default=1, help="accepted for compatibility")
+    p.add_argument("--crop-keep", type=_integer)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario on disk")
     p.set_defaults(run=_cmd_synth)
@@ -201,24 +203,26 @@ def _cmd_track(args, parser: _Parser) -> int:
 
 
 def _cmd_interp(args, parser: _Parser) -> int:
-    if args.method == "ncc":
-        if not args.manifest:
-            parser.error("--method ncc requires --manifest")
-        if not 0.0 <= args.margin < math.inf:
-            parser.error(f"--margin must be finite and >= 0, got {args.margin}")
+    if args.manifest is None:
+        for flag in ("--root", "--pattern", "--margin"):
+            if getattr(args, flag.removeprefix("--")) is not None:
+                parser.error(f"{flag} requires --manifest")
+    elif args.margin is not None and not 0.0 <= args.margin < math.inf:
+        parser.error(f"--margin must be finite and >= 0, got {args.margin}")
     tracks = datastore.read_tracks(_require(args.tracks))
-    if args.method == "ncc":
+    if args.manifest is None:
+        dense = [tracking.densify_linear(t) for t in tracks]
+    else:
         manifest = datastore.read_manifest(_require(args.manifest))
         pattern = BayerPattern(args.pattern) if args.pattern else None
-        source = datastore.ManifestFrameSource(manifest, root=args.root, pattern=pattern)
+        source = datastore.ManifestFrameSource(manifest, root=args.root or ".", pattern=pattern)
+        margin = NCC_MARGIN_PX if args.margin is None else args.margin
         try:
-            dense = tracking.densify_ncc_tracks(tracks, source, margin=args.margin)
+            dense = tracking.densify_ncc_tracks(tracks, source, margin=margin)
         except KeyError as exc:
             raise FileNotFoundError(
                 errno.ENOENT, "missing input", f"frame {exc.args[0]} in manifest {args.manifest}"
             ) from None
-    else:
-        dense = [tracking.densify_linear(t) for t in tracks]
     if args.out_format == "detections":
         datastore.write_detections(
             group_by_frame(tracking.tracks_to_detections(dense)), args.output
@@ -273,12 +277,7 @@ def _cmd_convert(args, parser: _Parser) -> int:
         if out_path in sources:
             parser.error(f"inputs {sources[out_path]} and {input_path} both convert to {out_path}")
         sources[out_path] = input_path
-    sidecar = datastore.SidecarConfig()
-    if args.sidecar:
-        sidecar = datastore.parse_sidecar(datastore.read_text(_require(args.sidecar)), args.sidecar)
-    pattern = BayerPattern(args.pattern) if args.pattern else sidecar.pattern
-    equalize = args.equalize or sidecar.equalize
-    crop_keep = args.crop_keep if args.crop_keep is not None else sidecar.crop_keep
+    pattern, crop_keep = BayerPattern(args.pattern), args.crop_keep
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for out_path, input_path in sources.items():
@@ -291,7 +290,7 @@ def _cmd_convert(args, parser: _Parser) -> int:
             rgb = frames.demosaic_bilinear(cfa)
             if crop_keep is not None:
                 rgb = frames.crop_rows(rgb, crop_keep)
-            if equalize:
+            if args.equalize:
                 rgb = frames.equalize_rgb(rgb)
         except ValueError as exc:
             raise DatastoreError(input_path, None, str(exc)) from None

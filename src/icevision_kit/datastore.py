@@ -1,5 +1,5 @@
 """On-disk formats for annotations, detections, tracks, manifests, and the
-``key = value`` settings files (scenario specs, conversion sidecars).
+``key = value`` scenario specs.
 
 Record files are whitespace-separated text with a one-line versioned
 header (``icevision-kit/v1 <kind>``).  Readers are strict: malformed input
@@ -647,7 +647,7 @@ def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]
     """Parse ``key = value`` lines (``#`` starts a comment) with one reader
     per allowed key; lines end at ``\\r\\n``, ``\\r`` or ``\\n``, as in a
     record file.  An unknown or repeated key, a line without ``=``, or
-    a value its reader rejects (ValueError, KeyError) is a
+    a value its reader rejects with ``ValueError`` is a
     :class:`DatastoreError` naming ``path`` and the line."""
     values: dict = {}
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
@@ -664,7 +664,7 @@ def parse_key_values(text: str, path, readers: dict[str, Callable[[str], object]
             raise DatastoreError(path, lineno, f"repeated key {key!r}")
         try:
             values[key] = readers[key](value)
-        except (ValueError, KeyError):
+        except ValueError:
             raise DatastoreError(path, lineno, f"bad value for {key}: {value!r}") from None
     return values
 
@@ -674,31 +674,3 @@ def real_value(text: str) -> float:
     if not text.isascii() or "_" in text:
         raise ValueError(f"expected an ASCII decimal number, got {text!r}")
     return float(text)
-
-
-_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-             **dict.fromkeys(("0", "false", "no", "off"), False)}
-
-
-@dataclass(frozen=True)
-class SidecarConfig:
-    """Per-sequence conversion settings the PNM header cannot carry."""
-
-    pattern: BayerPattern = BayerPattern.RGGB
-    equalize: bool = False
-    crop_keep: int | None = None
-
-
-def parse_sidecar(text: str, path="<sidecar>") -> SidecarConfig:
-    """Parse a sidecar file (keys: pattern, equalize, crop_keep)."""
-    readers = {"pattern": lambda v: BayerPattern(v.upper()),
-               "equalize": lambda v: _BOOLEANS[v.lower()],
-               "crop_keep": _crop_keep}
-    return SidecarConfig(**parse_key_values(text, path, readers))
-
-
-def _crop_keep(token: str) -> int:
-    keep = parse_index(token, "crop_keep")
-    if keep < 1:
-        raise ValueError(f"crop_keep must be >= 1, got {keep}")
-    return keep

@@ -82,7 +82,7 @@ class GrayImage(_Image):
 
 @dataclass(frozen=True)
 class CfaImage(_Image):
-    """Undemosaiced sensor readout; the pattern is sidecar metadata."""
+    """Undemosaiced sensor readout; the caller names the pattern, which a PGM header cannot carry."""
 
     samples: np.ndarray
     pattern: BayerPattern = BayerPattern.RGGB

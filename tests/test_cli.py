@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes and parity with library calls."""
 
+import argparse
 import dataclasses
 import errno
 import inspect
@@ -186,14 +187,47 @@ class TestTrackInterpRefine:
         datastore.write_detections(harness.group_by_frame(plain), expect)
         assert (tmp_path / "out.txt").read_bytes() == expect.read_bytes()
 
-    def test_interp_ncc_needs_manifest(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--root", "."), ("--pattern", "RGGB"),
+                                             ("--margin", "20")])
+    def test_interp_ncc_flag_needs_manifest(self, tmp_path, capsys, flag, value):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)
         tracks_path = tmp_path / "tracks.txt"
         main(["track", "--detections", str(det_path), "--output", str(tracks_path)])
+        capsys.readouterr()
         code = main(["interp", "--tracks", str(tracks_path),
-                     "--output", str(tmp_path / "x.txt"), "--method", "ncc"])
+                     "--output", str(tmp_path / "x.txt"), flag, value])
         assert code == EX_USAGE
+        captured = capsys.readouterr()
+        assert f"error: {flag} requires --manifest" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_interp_ncc_root_defaults_to_the_working_directory(self, tmp_path, capsys,
+                                                               monkeypatch):
+        pgm = b"P5\n200 160\n255\n" + bytes(range(200)) * 160
+        argv = self.ncc_fixture(tmp_path, range(7), pgm)
+        monkeypatch.chdir(tmp_path)
+        argv = argv[:argv.index("--root")]  # the frames sit in the working directory
+        assert main(argv) == EX_OK
+        left_out = (tmp_path / "out.txt").read_bytes()
+        assert main(argv + ["--root", "."]) == EX_OK
+        assert (tmp_path / "out.txt").read_bytes() == left_out
+
+    def test_interp_ncc_flags_without_manifest_are_not_ignored(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # without --manifest interp fills gaps linearly, which reads none of these
+        det_path = tmp_path / "dets.txt"
+        datastore.write_detections(keyframe_detections(), det_path)
+        monkeypatch.chdir(tmp_path)
+        main(["track", "--detections", str(det_path), "--output", "t.txt"])
+        capsys.readouterr()
+        code = main(["interp", "--tracks", "t.txt", "--output", "o.txt", "--margin", "nan",
+                     "--pattern", "RGGB", "--root", "/nonexistent"])
+        assert code == EX_USAGE
+        err = capsys.readouterr().err
+        assert "requires --manifest" in err and "Traceback" not in err
+        assert not (tmp_path / "o.txt").exists()
 
     @staticmethod
     def ncc_fixture(tmp_path, frame_indices, pgm):
@@ -212,7 +246,7 @@ class TestTrackInterpRefine:
             datastore.SequenceManifest(sequence_id="s", frames=tuple(entries)), manifest_path
         )
         return ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "out.txt"),
-                "--method", "ncc", "--manifest", str(manifest_path), "--root", str(tmp_path)]
+                "--manifest", str(manifest_path), "--root", str(tmp_path)]
 
     def test_interp_ncc_sample_above_maxval_is_malformed(self, tmp_path, capsys):
         pgm = b"P5\n200 160\n100\n" + bytes([200]) * (200 * 160)
@@ -400,8 +434,7 @@ class TestBadNumericFlag:
             "bench": ["bench", "--spec", str(spec)],
             "convert": ["convert", str(tmp_path / "f0.pgm"), "--output-dir", str(tmp_path / "o")],
             "interp": ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "o"),
-                       "--method", "ncc", "--manifest", str(tmp_path / "manifest.txt"),
-                       "--root", str(tmp_path)],
+                       "--manifest", str(tmp_path / "manifest.txt"), "--root", str(tmp_path)],
         }
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -495,25 +528,75 @@ class TestConfigFlags:
                 assert type(getattr(defaults, name)) is type(fields[name])
                 assert getattr(parser.parse_args(argv + [flag, "1"]), name) == 1
 
-    def test_ncc_margin_default_is_the_core_constant(self):
+    def test_ncc_margin_default_is_the_core_constant(self, tmp_path, capsys, monkeypatch):
         args = cli.build_parser().parse_args(["interp", "--tracks", "t", "--output", "o"])
+        assert args.margin is None  # so interp can tell a --margin given without --manifest
+        margins = []
+        densify = tracking.densify_ncc_tracks
+        monkeypatch.setattr(tracking, "densify_ncc_tracks", lambda tracks, source, margin:
+                            margins.append(margin) or densify(tracks, source, margin=margin))
+        argv = TestTrackInterpRefine.ncc_fixture(tmp_path, range(7),
+                                                 b"P5\n200 160\n255\n" + bytes(200 * 160))
+        assert main(argv) == EX_OK
         margin = inspect.signature(tracking.densify_ncc).parameters["margin"].default
-        assert args.margin == margin == NCC_MARGIN_PX
+        assert margins == [margin] == [NCC_MARGIN_PX]
+
+
+class TestFlagInventory:
+    """Every subcommand's settable values, by argparse dest, so a flag added
+    or removed is an edit here."""
+
+    DESTS = {
+        "score": ["detections", "annotations", "stage", "output", "records"],
+        "track": ["detections", "output", "iou_threshold", "max_missed_keyframes",
+                  "min_track_length"],
+        "interp": ["tracks", "output", "manifest", "root", "pattern", "margin", "out_format"],
+        "refine": ["tracks", "output", "thresholds"],
+        "tune": ["tracks", "annotations", "grid_specific", "grid_level2", "grid_top", "stage",
+                 "output"],
+        "convert": ["inputs", "output_dir", "pattern", "equalize", "crop_keep"],
+        "synth": ["spec", "seed", "drop_probability", "fp_per_frame", "position_jitter_px",
+                  "class_confusion", "keyframe_stride", "annotations", "detections",
+                  "render_dir"],
+        "bench": ["spec", "seed", "drop_probability", "fp_per_frame", "position_jitter_px",
+                  "class_confusion", "keyframe_stride", "stage", "records"],
+    }
+
+    def test_each_subcommand_has_exactly_these_flags(self):
+        parser = cli.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {name: [a.dest for a in command._actions if a.dest != "help"]
+                 for name, command in sub.choices.items()}
+        assert dests == self.DESTS
+        assert sum(map(len, dests.values())) == 51
 
 
 class TestFlagsThatChangedNothing:
-    """``score --jobs`` and ``track --stride`` were read by nothing, and
-    ``bench --budget-fps`` set what the competition fixes; all are gone."""
+    """``score --jobs``, ``track --stride`` and ``convert --jobs`` were read
+    by nothing, ``bench --budget-fps`` set what the competition fixes,
+    ``convert --sidecar`` said again what ``convert``'s flags say, and
+    ``interp --method`` said again whether ``--manifest`` was given; all
+    are gone."""
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("score", "--jobs", "2"), ("track", "--stride", "3"), ("bench", "--budget-fps", "5")])
+        ("score", "--jobs", "2"), ("track", "--stride", "3"), ("bench", "--budget-fps", "5"),
+        ("convert", "--sidecar", "f"), ("convert", "--jobs", "2"), ("interp", "--method", "ncc"),
+        ("interp", "--method", "linear")])
     def test_is_an_unrecognized_argument(self, tmp_path, capsys, command, flag, value):
         det_path, ann_path = write_fixture_files(tmp_path)
         spec = tmp_path / "scenario.cfg"
         spec.write_text("frame_count = 30\n")
+        frame = tmp_path / "f.pgm"
+        frame.write_bytes(frames.write_pnm(frames.CfaImage(np.zeros((4, 4), np.uint8))))
+        (tmp_path / "f").write_text("pattern = RGGB\n")
+        tracks = tmp_path / "tracks.txt"
+        datastore.write_tracks(tracking.run_tracker(keyframe_detections(),
+                                                    tracking.TrackerConfig()), tracks)
         argv = {"score": ["score", "--detections", str(det_path), "--annotations", str(ann_path)],
                 "track": ["track", "--detections", str(det_path), "--output", str(tmp_path / "o")],
-                "bench": ["bench", "--spec", str(spec), "--records", str(tmp_path / "o")]}
+                "bench": ["bench", "--spec", str(spec), "--records", str(tmp_path / "o")],
+                "convert": ["convert", str(frame), "--output-dir", str(tmp_path / "o")],
+                "interp": ["interp", "--tracks", str(tracks), "--output", str(tmp_path / "o")]}
         assert main(argv[command] + [flag, value]) == EX_USAGE
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and flag in captured.err
@@ -544,20 +627,12 @@ class TestNonAsciiDigits:
     @pytest.mark.parametrize("command, text, lineno", [
         ("synth", "frame_count = \u0663\u0660\n", 1),  # Arabic-Indic "30", which int() reads
         ("bench", "frame_count = 30\nwidth = 3_20\n", 2),
-        ("convert", "pattern = RGGB\ncrop_keep = \u0661\u0660\n", 2),
-        ("convert", "pattern = RGGB\ncrop_keep = 0\n", 2),
     ])
     def test_settings_integers_are_ascii_decimal(self, tmp_path, capsys, command, text, lineno):
         settings = tmp_path / "settings.cfg"
         settings.write_text(text, encoding="utf-8")
-        if command == "convert":
-            frame = tmp_path / "f.pgm"
-            frame.write_bytes(b"P5\n4 4\n255\n" + bytes(range(16)))
-            argv = ["convert", str(frame), "--output-dir", str(tmp_path / "o"),
-                    "--sidecar", str(settings)]
-        else:
-            argv = [command, "--spec", str(settings)]
-            argv += ["--annotations", str(tmp_path / "a")] if command == "synth" else []
+        argv = [command, "--spec", str(settings)]
+        argv += ["--annotations", str(tmp_path / "a")] if command == "synth" else []
         assert main(argv) == EX_MALFORMED_INPUT
         err = capsys.readouterr().err
         assert f"{settings}:{lineno}:" in err and "Traceback" not in err
@@ -732,9 +807,10 @@ class TestFlagsCheckedBeforeFiles:
     are missing or malformed."""
 
     MISUSE = {
-        "interp without manifest": ["interp", "--output", "o", "--method", "ncc"],
-        "interp bad margin": ["interp", "--output", "o", "--method", "ncc", "--manifest", "m",
-                              "--margin", "nan"],
+        "interp without manifest": ["interp", "--output", "o", "--pattern", "RGGB"],
+        "interp root without manifest": ["interp", "--output", "o", "--root", "."],
+        "interp margin without manifest": ["interp", "--output", "o", "--margin", "20"],
+        "interp bad margin": ["interp", "--output", "o", "--manifest", "m", "--margin", "nan"],
         "tune bad grid": ["tune", "--annotations", "a", "--grid-specific", "0.5",
                           "--grid-level2", "0.5", "--grid-top", "2"],
     }
@@ -802,36 +878,16 @@ class TestConvert:
         oracle = frames.write_ppm(frames.crop_rows(frame_oracles.demosaic_bilinear(cfa), keep))
         assert (out_dir / "raw.ppm").read_bytes() == oracle
 
-    def test_sidecar_settings(self, tmp_path, capsys):
+    def test_pattern_defaults_to_rggb(self, tmp_path, capsys):
         rng = np.random.default_rng(22)
-        samples = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
         src = tmp_path / "f.pgm"
-        src.write_bytes(frames.write_pnm(frames.CfaImage(samples=samples)))
-        sidecar = tmp_path / "convert.cfg"
-        sidecar.write_text("pattern = BGGR\ncrop_keep = 2\n")
-        out_dir = tmp_path / "out"
-        assert main(["convert", str(src), "--output-dir", str(out_dir),
-                     "--sidecar", str(sidecar)]) == EX_OK
-        manual = frames.write_ppm(
-            frames.crop_rows(
-                frames.demosaic_bilinear(
-                    frames.CfaImage(samples=samples, pattern=frames.BayerPattern.BGGR)
-                ),
-                2,
-            )
-        )
-        assert (out_dir / "f.ppm").read_bytes() == manual
-
-    @pytest.mark.parametrize("text", ["equalize = yes\nequalize = no\n", "equalize = banana\n"])
-    def test_bad_sidecar_is_malformed(self, tmp_path, capsys, text):
-        src = tmp_path / "f.pgm"
-        src.write_bytes(frames.write_pnm(frames.CfaImage(samples=np.zeros((4, 4), np.uint8))))
-        sidecar = tmp_path / "convert.cfg"
-        sidecar.write_text(text)
-        code = main(["convert", str(src), "--output-dir", str(tmp_path / "out"),
-                     "--sidecar", str(sidecar)])
-        assert code == EX_MALFORMED_INPUT
-        assert f"convert.cfg:{text.count(chr(10))}:" in capsys.readouterr().err
+        src.write_bytes(frames.write_pnm(frames.CfaImage(rng.integers(0, 256, (4, 4), np.uint8))))
+        outputs = {}
+        for pattern in ([], ["--pattern", "RGGB"], ["--pattern", "BGGR"]):
+            out_dir = tmp_path / "_".join(["out", *pattern])
+            assert main(["convert", str(src), "--output-dir", str(out_dir), *pattern]) == EX_OK
+            outputs[tuple(pattern)] = (out_dir / "f.ppm").read_bytes()
+        assert outputs[()] == outputs[("--pattern", "RGGB")] != outputs[("--pattern", "BGGR")]
 
     def test_bad_magic(self, tmp_path, capsys):
         src = tmp_path / "color.ppm"
@@ -924,8 +980,7 @@ class TestSynthAndBench:
         dense_path = tmp_path / "dense.txt"
         main(["track", "--detections", str(det), "--output", str(tracks_path)])
         code = main(["interp", "--tracks", str(tracks_path), "--output", str(dense_path),
-                     "--method", "ncc", "--manifest", str(render / "manifest.txt"),
-                     "--root", str(render)])
+                     "--manifest", str(render / "manifest.txt"), "--root", str(render)])
         assert code == EX_OK
         assert datastore.read_tracks(dense_path)
 

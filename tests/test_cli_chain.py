@@ -31,10 +31,10 @@ STEPS = {
               "--max-missed", "1", "--iou-threshold", "0.2"],
     "interp_linear": ["interp", "--tracks", "tracks.txt", "--output", "linear.txt"],
     "interp_ncc": ["interp", "--tracks", "tracks.txt", "--output", "ncc.txt",
-                   "--method", "ncc", "--manifest", "render/manifest.txt",
+                   "--manifest", "render/manifest.txt",
                    "--root", "render", "--pattern", "RGGB", "--margin", "12"],
     "interp_ncc_flat": ["interp", "--tracks", "tracks.txt", "--output", "ncc_flat.txt",
-                        "--method", "ncc", "--manifest", "render/manifest.txt",
+                        "--manifest", "render/manifest.txt",
                         "--root", "render", "--format", "detections"],
     "refine_linear": ["refine", "--tracks", "linear.txt", "--output", "refined_linear.txt"],
     "tune": ["tune", "--tracks", "ncc.txt", "--annotations", "ann.txt",

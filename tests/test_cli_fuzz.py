@@ -31,26 +31,23 @@ COMMANDS = {
     ],
     "tracks": [
         ["interp", "--tracks", "X", "--output", "O", "--format", "detections"],
-        ["interp", "--tracks", "X", "--output", "O", "--method", "ncc",
+        ["interp", "--tracks", "X", "--output", "O",
          "--manifest", "render/manifest.txt", "--root", "render"],
         ["refine", "--tracks", "X", "--output", "O"],
         ["tune", "--tracks", "X", "--annotations", "ann.txt", *GRID],
     ],
     "manifest": [
-        ["interp", "--tracks", "tracks.txt", "--output", "O", "--method", "ncc",
+        ["interp", "--tracks", "tracks.txt", "--output", "O",
          "--manifest", "X", "--root", "render"],
     ],
     "frame": [
         ["convert", "X", "--output-dir", "O"],
-        ["interp", "--tracks", "tracks.txt", "--output", "O", "--method", "ncc",
+        ["interp", "--tracks", "tracks.txt", "--output", "O",
          "--manifest", "render/manifest.txt", "--root", "R", "--pattern", "RGGB"],
     ],
     "spec": [
         ["synth", "--spec", "X", "--annotations", "O", "--detections", "O"],
         ["bench", "--spec", "X"],
-    ],
-    "sidecar": [
-        ["convert", f"render/{FRAME}", "--output-dir", "O", "--sidecar", "X"],
     ],
     "thresholds": [
         ["refine", "--tracks", "tracks.txt", "--output", "O", "--thresholds", "X"],
@@ -64,7 +61,7 @@ WRITERS = [
     ["track", "--detections", "det.txt", "--output", "O"],
     ["interp", "--tracks", "tracks.txt", "--output", "O"],
     ["interp", "--tracks", "tracks.txt", "--output", "O", "--format", "detections"],
-    ["interp", "--tracks", "tracks.txt", "--output", "O", "--method", "ncc",
+    ["interp", "--tracks", "tracks.txt", "--output", "O",
      "--manifest", "render/manifest.txt", "--root", "render"],
     ["refine", "--tracks", "tracks.txt", "--output", "O"],
     ["tune", "--tracks", "tracks.txt", "--annotations", "ann.txt", *GRID, "--output", "O"],
@@ -86,7 +83,6 @@ SOURCES = {
     "manifest": "render/manifest.txt",
     "frame": f"render/{FRAME}",
     "spec": "scenario.cfg",
-    "sidecar": "convert.cfg",
     "thresholds": "thresholds.txt",
 }
 
@@ -101,12 +97,11 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @pytest.fixture(scope="module")
 def base(tmp_path_factory) -> Path:
     """A small synthetic sequence on disk: spec, annotations, detections,
-    rendered frames with a manifest, tracks, a sidecar and thresholds."""
+    rendered frames with a manifest, tracks and thresholds."""
     root = tmp_path_factory.mktemp("fuzz")
     (root / "scenario.cfg").write_text(
         "frame_count = 12\nwidth = 80\nheight = 80\nsign_count = 2\n"
     )
-    (root / "convert.cfg").write_text("pattern = GBRG\nequalize = true\ncrop_keep = 40\n")
     (root / "thresholds.txt").write_text("0.500000 0.400000 0.300000\n")
     argv = ["synth", "--spec", str(root / "scenario.cfg"), "--seed", "3",
             "--annotations", str(root / "ann.txt"), "--detections", str(root / "det.txt"),

@@ -29,9 +29,7 @@ from icevision_kit.datastore import (
     DatastoreError,
     ManifestFrameSource,
     SequenceManifest,
-    SidecarConfig,
     atomic_write_bytes,
-    parse_sidecar,
     read_annotations,
     read_detections,
     read_manifest,
@@ -991,17 +989,20 @@ class TestAsciiReals:
 
 
 class TestKeyValueSettings:
+    """``parse_key_values``, the one ``key = value`` parser, through the
+    scenario spec reader."""
+
     def test_error_names_file_and_line(self):
-        with pytest.raises(DatastoreError, match="^conv.cfg:3: unknown key 'colour'$") as err:
-            parse_sidecar("pattern = RGGB\n\ncolour = red\n", "conv.cfg")
-        assert err.value.path == "conv.cfg" and err.value.lineno == 3
+        with pytest.raises(DatastoreError, match="^sc.cfg:3: unknown key 'colour'$") as err:
+            harness.parse_scenario("frame_count = 3\n\ncolour = red\n", "sc.cfg")
+        assert err.value.path == "sc.cfg" and err.value.lineno == 3
 
     @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                                      "\u2029"])
     def test_only_cr_and_lf_end_a_line(self, sep):
         # str.splitlines would also break at these, as a record file does not
-        with pytest.raises(DatastoreError, match="^conv.cfg:2: unknown key 'colour'$"):
-            parse_sidecar(f"equalize = true  # on{sep}off\ncolour = red\n", "conv.cfg")
+        with pytest.raises(DatastoreError, match="^sc.cfg:2: unknown key 'colour'$"):
+            harness.parse_scenario(f"frame_count = 3  # few{sep}many\ncolour = red\n", "sc.cfg")
         value = f"3{sep}bogus = 1"
         with pytest.raises(DatastoreError, match=re.escape(
                 f"sc.txt:1: bad value for frame_count: {value!r}") + "$"):
@@ -1009,38 +1010,34 @@ class TestKeyValueSettings:
 
     @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
     def test_line_ends(self, end):
-        with pytest.raises(DatastoreError, match="^conv.cfg:3: unknown key 'colour'$"):
-            parse_sidecar(f"pattern = RGGB{end}{end}colour = red{end}", "conv.cfg")
+        with pytest.raises(DatastoreError, match="^sc.cfg:3: unknown key 'colour'$"):
+            harness.parse_scenario(f"frame_count = 3{end}{end}colour = red{end}", "sc.cfg")
 
     REJECTED = {
-        "equalize = true\nequalize = false\n": "repeated key 'equalize'",
-        "equalize = banana\n": "bad value for equalize: 'banana'",
-        "crop_keep = many\n": "bad value for crop_keep: 'many'",
+        "width = 640\nwidth = 320\n": "repeated key 'width'",
+        "width = many\n": "bad value for width: 'many'",
         # Arabic-Indic "10", which int() reads
-        "crop_keep = \u0661\u0660\n": "bad value for crop_keep: '\u0661\u0660'",
-        "crop_keep = 1_0\n": "bad value for crop_keep: '1_0'",
-        "crop_keep = +5\n": "bad value for crop_keep: '+5'",
-        "crop_keep = 0\n": "bad value for crop_keep: '0'",
-        "pattern = XYZW\n": "bad value for pattern: 'XYZW'",
-        "pattern\n": "expected key = value, got 'pattern'",
-        "= RGGB\n": "unknown key ''",
+        "width = \u0661\u0660\n": "bad value for width: '\u0661\u0660'",
+        "width = 1_0\n": "bad value for width: '1_0'",
+        "width = +5\n": "bad value for width: '+5'",
+        "width = -3\n": "bad value for width: '-3'",
+        "width = 1.5\n": "bad value for width: '1.5'",
+        "width = 0x10\n": "bad value for width: '0x10'",
+        "width =\n": "bad value for width: ''",
+        "width\n": "expected key = value, got 'width'",
+        "= 640\n": "unknown key ''",
     }
 
     @pytest.mark.parametrize("text", list(REJECTED))
     def test_rejected(self, text):
-        message = f"conv.cfg:{text.count(chr(10))}: {self.REJECTED[text]}"
+        message = f"sc.cfg:{text.count(chr(10))}: {self.REJECTED[text]}"
         with pytest.raises(DatastoreError, match=f"^{re.escape(message)}$") as err:
-            parse_sidecar(text, "conv.cfg")
+            harness.parse_scenario(text, "sc.cfg")
         assert err.value.lineno == text.count("\n")
 
-    @pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("on", True),
-                                             ("0", False), ("FALSE", False), ("off", False)])
-    def test_boolean_spellings(self, word, value):
-        assert parse_sidecar(f"equalize = {word}\n").equalize is value
-
     def test_inline_comment(self):
-        cfg = parse_sidecar("crop_keep = 12  # rows kept\n")
-        assert cfg == SidecarConfig(crop_keep=12)
+        spec = harness.parse_scenario("frame_count = 12  # frames kept\n")
+        assert spec == harness.ScenarioSpec(frame_count=12)
 
 
 # --------------------------------------------------------------------------

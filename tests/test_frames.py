@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from frame_oracles import DegenerateCorrelation, ncc
 from icevision_kit import frames
 from icevision_kit.core import BoundingBox, search_area
-from icevision_kit.datastore import SidecarConfig, parse_sidecar
 from icevision_kit.frames import (
     BayerPattern,
     CfaImage,
@@ -1114,20 +1113,3 @@ class TestNccMatch:
         surface = ncc_surface(t, gray(s))
         assert surface[0, 0] == -np.inf
         assert np.isfinite(surface[0, 4])
-
-
-class TestSidecar:
-    def test_defaults(self):
-        assert parse_sidecar("") == SidecarConfig()
-
-    def test_full_config(self):
-        cfg = parse_sidecar("pattern = gbrg\nequalize = true\ncrop_keep = 1448\n# comment\n")
-        assert cfg == SidecarConfig(pattern=BayerPattern.GBRG, equalize=True, crop_keep=1448)
-
-    def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            parse_sidecar("colour = red\n")
-
-    def test_missing_equals(self):
-        with pytest.raises(ValueError):
-            parse_sidecar("pattern RGGB\n")
