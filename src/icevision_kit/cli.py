@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Every subcommand is a thin composition of library calls; nothing here has
-behavior of its own beyond argument handling and exit codes.
+Every subcommand is a thin composition of library calls (``convert`` is one
+``frames.convert_frame`` per input); the rest is argument handling and exit codes.
 
-Exit codes: 0 success, 2 missing input file or output directory,
-3 malformed input, 64 usage error or an output path that cannot be written.
+Exit codes: 0 success, 2 missing input file or output directory, 3 malformed
+input, 64 usage error (under its subcommand's usage line) or unwritable output.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", help="score detections against annotations")
-    p.set_defaults(run=_cmd_score)
+    p.set_defaults(run=_cmd_score, parser=p)
     p.add_argument("--detections", required=True)
     p.add_argument("--annotations", required=True)
     _add_stage_flag(p)
@@ -117,13 +117,13 @@ def build_parser() -> _Parser:
     p.add_argument("--records", help="write machine-readable per-class records here")
 
     p = sub.add_parser("track", help="chain keyframe detections into tracks")
-    p.set_defaults(run=_cmd_track)
+    p.set_defaults(run=_cmd_track, parser=p)
     p.add_argument("--detections", required=True)
     p.add_argument("--output", required=True)
     _add_config_flags(p, TRACKER_FLAGS)
 
     p = sub.add_parser("interp", help="densify tracks across non-keyframe frames")
-    p.set_defaults(run=_cmd_interp)
+    p.set_defaults(run=_cmd_interp, parser=p)
     p.add_argument("--tracks", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--manifest", help="fill gaps by NCC on this manifest's frames "
@@ -139,13 +139,13 @@ def build_parser() -> _Parser:
                    dest="out_format", help="output as tracks or flattened detections")
 
     p = sub.add_parser("refine", help="average, select, and assign track classes")
-    p.set_defaults(run=_cmd_refine)
+    p.set_defaults(run=_cmd_refine, parser=p)
     p.add_argument("--tracks", required=True)
     p.add_argument("--output", required=True, help="refined detections file")
     p.add_argument("--thresholds", help="threshold file from 'tune'")
 
     p = sub.add_parser("tune", help="grid-search refinement thresholds")
-    p.set_defaults(run=_cmd_tune)
+    p.set_defaults(run=_cmd_tune, parser=p)
     p.add_argument("--tracks", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--grid-specific", required=True, help="comma list, e.g. 0.3,0.5,0.7")
@@ -155,7 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--output", help="write the winning threshold triple here")
 
     p = sub.add_parser("convert", help="decode Bayer PGM frames to RGB PPM")
-    p.set_defaults(run=_cmd_convert)
+    p.set_defaults(run=_cmd_convert, parser=p)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--pattern", choices=[b.value for b in BayerPattern],
@@ -164,7 +164,7 @@ def build_parser() -> _Parser:
     p.add_argument("--crop-keep", type=_integer)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario on disk")
-    p.set_defaults(run=_cmd_synth)
+    p.set_defaults(run=_cmd_synth, parser=p)
     p.add_argument("--spec", required=True, help="key=value scenario spec file")
     _add_config_flags(p, NOISE_FLAGS, STRIDE_FLAGS)
     p.add_argument("--annotations", required=True, help="output annotations path")
@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("--render-dir", help="also render frames as PGM plus a manifest")
 
     p = sub.add_parser("bench", help="run the end-to-end synthetic benchmark")
-    p.set_defaults(run=_cmd_bench)
+    p.set_defaults(run=_cmd_bench, parser=p)
     p.add_argument("--spec", required=True)
     _add_config_flags(p, NOISE_FLAGS, STRIDE_FLAGS)
     _add_stage_flag(p)
@@ -277,24 +277,15 @@ def _cmd_convert(args, parser: _Parser) -> int:
         if out_path in sources:
             parser.error(f"inputs {sources[out_path]} and {input_path} both convert to {out_path}")
         sources[out_path] = input_path
-    pattern, crop_keep = BayerPattern(args.pattern), args.crop_keep
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for out_path, input_path in sources.items():
-        data = _require(input_path).read_bytes()
         try:
-            cfa = frames.read_pnm(data, pattern)
-            if crop_keep is not None and 0 < crop_keep < cfa.height:
-                # the band's last row interpolates from one row below it, no further
-                cfa = frames.crop_rows(cfa, crop_keep + 1)
-            rgb = frames.demosaic_bilinear(cfa)
-            if crop_keep is not None:
-                rgb = frames.crop_rows(rgb, crop_keep)
-            if args.equalize:
-                rgb = frames.equalize_rgb(rgb)
+            cfa = frames.read_pnm(_require(input_path).read_bytes(), BayerPattern(args.pattern))
+            ppm = frames.convert_frame(cfa, args.crop_keep, args.equalize)
         except ValueError as exc:
             raise DatastoreError(input_path, None, str(exc)) from None
-        atomic_write_bytes(out_path, frames.write_ppm(rgb))
+        atomic_write_bytes(out_path, ppm)
         print(out_path)
     return EX_OK
 
@@ -351,8 +342,10 @@ def _cmd_bench(args, parser: _Parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.run(args, parser)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # the subcommand's parser reports them, under its own usage line
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args.run(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except OSError as exc:

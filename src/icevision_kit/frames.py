@@ -1,10 +1,10 @@
 """Raw-frame ingestion and the image primitives the pipelines need.
 
 Covers binary PGM (P5) decoding of the camera's Bayer mosaics, bilinear
-demosaicing to RGB, histogram equalization for under-exposed night
-frames, row cropping, and normalized cross-correlation for position
-matching between keyframes.  All operations are pure; images wrap numpy
-arrays of unsigned integers.
+demosaicing to RGB, histogram equalization for under-exposed night frames,
+row cropping, their one sequence from mosaic to PPM (:func:`convert_frame`),
+and normalized cross-correlation for position matching between keyframes.
+All operations are pure; images wrap numpy arrays of unsigned integers.
 """
 
 from __future__ import annotations
@@ -321,6 +321,15 @@ def crop_rows(image, keep_top: int):
     cropped = copy.copy(image)
     object.__setattr__(cropped, "samples", image.samples[:keep_top])
     return cropped
+
+
+def convert_frame(cfa: CfaImage, crop_keep: int | None, equalize: bool) -> bytearray:
+    """The PPM bytes of ``demosaic_bilinear(cfa)``, cropped to ``crop_keep`` rows unless None, then
+    equalized if asked; it demosaics only the kept rows and the one below, all their taps read."""
+    if crop_keep is not None and 0 < crop_keep < cfa.height:
+        cfa = crop_rows(cfa, crop_keep + 1)
+    rgb = demosaic_bilinear(cfa) if crop_keep is None else crop_rows(demosaic_bilinear(cfa), crop_keep)
+    return write_ppm(equalize_rgb(rgb) if equalize else rgb)
 
 
 def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:

@@ -828,6 +828,30 @@ class TestFlagsCheckedBeforeFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if tracks is None else ["t"])
 
 
+class TestUsageErrorsNameTheSubcommand:
+    """A usage error, whether a handler's check or an argument argparse does
+    not know, prints the subcommand's usage line and prog, not the top
+    level's."""
+
+    @pytest.mark.parametrize("argv", [
+        ["interp", "--tracks", "t", "--output", "o", "--root", "."],
+        ["convert", "a.pgm", "--output-dir", "o", "--crop-keep", "0"],
+        ["track", "--detections", "d", "--output", "o", "--iou-threshold", "2"],
+        ["tune", "--tracks", "t", "--annotations", "a", "--grid-specific", "0.5,x",
+         "--grid-level2", "0.5", "--grid-top", "0.5"],
+        ["convert", "a/f.pgm", "b/f.pgm", "--output-dir", "o"],
+        ["convert", "a.pgm", "--output-dir", "o", "--jobs", "2"],
+    ])
+    def test_usage_line_and_prog_are_the_subcommands(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: icevision-kit {argv[0]} ")
+        assert f"\nicevision-kit {argv[0]}: error: " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConvert:
     def test_constant_cfa_to_constant_ppm(self, tmp_path, capsys):
         src = tmp_path / "f0.pgm"

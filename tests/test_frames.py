@@ -16,6 +16,7 @@ from icevision_kit.frames import (
     CfaImage,
     GrayImage,
     RgbImage,
+    convert_frame,
     crop_rows,
     demosaic_bilinear,
     equalize_histogram,
@@ -548,6 +549,38 @@ class TestCrop:
         assert checks == []
         assert images[0].samples.shape == (5, 4)
 
+
+class TestConvertFrame:
+    """``convert_frame`` demosaics only the kept rows and the one below them;
+    its bytes must equal the primitives run on the whole frame, with the
+    kept rows ending anywhere in a band, and a crop past the frame must
+    raise what ``crop_rows`` raises."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(band=st.sampled_from([1, 2, 3, 5]), h=st.integers(1, 13), w=st.integers(1, 7),
+           equalize=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @pytest.mark.parametrize("max_value", [255, 4095, 65535])
+    @pytest.mark.parametrize("pattern", list(BayerPattern))
+    def test_equals_the_primitives_on_the_whole_frame(self, pattern, max_value, band, h, w,
+                                                      equalize, seed, data):
+        keep = data.draw(st.none() | st.integers(1, h + 2), label="keep")
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, max_value + 1, size=(h, w))
+        values[rng.random((h, w)) < 0.3] = max_value
+        mosaic = cfa(values, pattern, max_value)
+        rgb = demosaic_bilinear(mosaic)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frames, "_DEMOSAIC_BAND", band)
+            if keep is not None and keep > h:
+                with pytest.raises(ValueError) as want:
+                    crop_rows(rgb, keep)
+                with pytest.raises(ValueError) as got:
+                    convert_frame(mosaic, keep, equalize)
+                assert str(got.value) == str(want.value)
+                return
+            got = convert_frame(mosaic, keep, equalize)
+        rgb = rgb if keep is None else crop_rows(rgb, keep)
+        assert got == write_ppm(equalize_rgb(rgb) if equalize else rgb)
 
 
 def layouts(array: np.ndarray) -> dict[str, np.ndarray]:
