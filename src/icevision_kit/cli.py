@@ -56,7 +56,19 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
         parser.error(f"{flag} holds a non-number: {text!r}")
     if not all(0.0 <= v <= 1.0 for v in numbers):
         parser.error(f"{flag} holds a value outside [0, 1]: {text!r}")
+    try:  # the search scores each value as the thresholds file will hold it
+        list(map(refinement.threshold_text, numbers))
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
     return numbers
+
+
+def _distinct_outputs(parser: _Parser, outputs: dict[str, str | Path | None]) -> None:
+    """Two given outputs, by flag, that name one path: a usage error naming both."""
+    flag_of: dict[Path, str] = {}
+    for flag, path in outputs.items():
+        if path and flag_of.setdefault(Path(path), flag) != flag:
+            parser.error(f"{flag_of[Path(path)]} and {flag} both write {path}")
 
 
 # Each flag that sets a config field, as (config class, {flag: field name}),
@@ -182,6 +194,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_score(args, parser: _Parser) -> int:
+    _distinct_outputs(parser, {"--output": args.output, "--records": args.records})
     detections = datastore.read_detections(_require(args.detections))
     annotations = datastore.read_annotations(_require(args.annotations))
     report = score_dataset(detections, annotations, ScoringConfig(Stage(args.stage)))
@@ -297,6 +310,9 @@ def _load_spec(path) -> harness.ScenarioSpec:
 def _cmd_synth(args, parser: _Parser) -> int:
     noise = _config(parser, args, NOISE_FLAGS)
     tracker = _config(parser, args, STRIDE_FLAGS)
+    _distinct_outputs(parser, {
+        "--annotations": args.annotations, "--detections": args.detections,
+        "--render-dir": Path(args.render_dir) / "manifest.txt" if args.render_dir else None})
     spec = _load_spec(args.spec)
     generated = harness.generate_scenario(spec, args.seed)
     if args.render_dir:

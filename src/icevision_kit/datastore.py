@@ -9,9 +9,10 @@ Each record field has one rule, a token parser.  The detections and
 tracks readers run each rule over a whole column, in field order, and
 report the first bad record's leftmost bad field after at most one
 re-read per check (see :func:`_read_records`).
-Writers are atomic (unique temp file, then rename) and byte-deterministic,
-and every writer's output re-reads to the value that was written: a value
-that would re-read as another is a ``ValueError`` and nothing is written.
+Writers are atomic (unique temp file, then rename) and byte-deterministic.
+Reals are written with six decimals; every other field re-reads to the
+value that was written: a value that would re-read as another is a
+``ValueError`` and nothing is written.
 Equal detection records on one frame read as separate detections, which
 the scorer charges as duplicates.
 """

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BoundingBox, Detection, FrameAnnotations, GroundTruthSign, area, group_by_frame,
+from .core import (BoundingBox, Detection, FrameAnnotations, GroundTruthSign, group_by_frame,
                    pixel_rect)
 from .datastore import FORMAT_VERSION, DatastoreError, parse_index, parse_key_values
 from .frames import GrayImage, sample_dtype
 from .refinement import LevelThresholds, refine_tracks
-from .scoring import ScoringConfig, Stage, score_dataset
+from .scoring import ScoringConfig, max_attainable_score, score_dataset
 from .taxonomy import ClassCode, Taxonomy
 from .tracking import TrackerConfig, densify_linear, run_tracker
 
@@ -351,35 +351,7 @@ def mock_detector(
 
 
 # --------------------------------------------------------------------------
-# Scoring oracle and benchmark
-
-
-def max_attainable_score(
-    annotations: list[FrameAnnotations], cfg: ScoringConfig
-) -> float:
-    """Upper bound on the dataset score, independent of any pipeline.
-
-    Per scoreable sign, the best reachable multiplier: exact class, the
-    better of matching or omitting each optional field, full IoU.  Signs
-    below the ignore-zone area bound contribute nothing.
-    """
-    total = 0.0
-    for ann in annotations:
-        for sign in ann.signs:
-            if area(sign.box) < cfg.min_area_px:
-                continue
-            if cfg.stage is Stage.ONLINE:
-                total += 1.0
-                continue
-            k = cfg.k_rules
-            k1 = max(k.k1_exact, k.k1_superclass)
-            if sign.associated_data is None:
-                k2 = max(k.k2_absent, k.k2_mismatch)
-            else:
-                k2 = max(k.k2_match, k.k2_absent, k.k2_mismatch)
-            k3 = max(k.k3_match, k.k3_absent, k.k3_mismatch)
-            total += max(0.0, 1.0 + k1 + k2 + k3)
-    return total
+# Benchmark
 
 
 @dataclass(frozen=True)

@@ -250,9 +250,17 @@ def grid_search_thresholds(
     return best_thr, best_score
 
 
+def threshold_text(value: float) -> str:
+    """A threshold as its record holds it; ``ValueError`` if it would not read back."""
+    text = f"{value:.6f}"
+    if float(text) != value:
+        raise ValueError(f"{value!r} has more than six decimals: it would be written as {text}")
+    return text
+
+
 def format_thresholds(thr: LevelThresholds) -> str:
     """Serialize as the 3-field config record used by the CLI."""
-    return f"{thr.thr_specific:.6f} {thr.thr_level2:.6f} {thr.thr_top:.6f}\n"
+    return " ".join(map(threshold_text, astuple(thr))) + "\n"
 
 
 def parse_thresholds(text: str) -> LevelThresholds:

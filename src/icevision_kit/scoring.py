@@ -3,10 +3,11 @@
 Two stages share one engine.  Online: IoU >= 0.5, exact class required,
 base score ((IoU - 0.5)/0.35)^0.25, capped at 1 above IoU 0.85.  Offline:
 IoU >= 0.3, superclass codes accepted, base score ((IoU - 0.3)/0.55)^0.25
-multiplied by (1 + k1 + k2 + k3) with the k terms configured per rule and
-the multiplier clamped below at zero.  Every false positive costs a flat
+multiplied by (1 + k1 + k2 + k3), clamped below at zero, for class,
+associated data and temporary flag.  Every false positive costs a flat
 penalty (2 points) and ground-truth boxes under 100 px^2 are
-ignore zones: detections landing on them earn and cost nothing.
+ignore zones: detections landing on them earn and cost nothing.  Each
+rule is a :class:`ScoringConfig` constant; only the stage is chosen.
 """
 
 from __future__ import annotations
@@ -27,36 +28,26 @@ class Stage(enum.Enum):
 
 
 @dataclass(frozen=True)
-class KCoefficients:
-    """Offline-stage score adjustments for class, associated data, temporary.
-
-    Defaults are placeholders, not competition values: the engine treats
-    them purely as configuration.
-    """
-
-    k1_exact: float = 0.3
-    k1_superclass: float = 0.0
-    k2_match: float = 0.4
-    k2_mismatch: float = -0.5
-    k2_absent: float = 0.0
-    k3_match: float = 0.3
-    k3_mismatch: float = -0.5
-    k3_absent: float = 0.0
-
-
-@dataclass(frozen=True)
 class ScoringConfig:
-    """A stage and the k table that only the offline stage applies.  The
-    other rules are the competition's constants (see the module
-    docstring); ``iou_threshold`` follows the stage."""
+    """A stage.  The other rules are the competition's constants (see the
+    module docstring); ``iou_threshold`` follows the stage, and only the
+    offline stage applies the k terms, whose values are placeholders."""
 
     stage: Stage
-    k_rules: KCoefficients = KCoefficients()
 
     full_score_iou = 0.85
     formula_exponent = 0.25
     fp_penalty = 2.0
     min_area_px = 100.0
+    # k1 by class, k2 by associated data, k3 by temporary flag
+    k1_exact = 0.3
+    k1_superclass = 0.0
+    k2_match = 0.4
+    k2_mismatch = -0.5
+    k2_absent = 0.0
+    k3_match = 0.3
+    k3_mismatch = -0.5
+    k3_absent = 0.0
 
     @property
     def iou_threshold(self) -> float:
@@ -67,8 +58,8 @@ class ScoringConfig:
         return cls(Stage.ONLINE)
 
     @classmethod
-    def offline(cls, k_rules: KCoefficients = KCoefficients()) -> ScoringConfig:
-        return cls(Stage.OFFLINE, k_rules)
+    def offline(cls) -> ScoringConfig:
+        return cls(Stage.OFFLINE)
 
 
 class FpReason(enum.Enum):
@@ -140,30 +131,42 @@ def _text_matches(a: str, b: str) -> bool:
 def k_multiplier(det: Detection, gt: GroundTruthSign, cfg: ScoringConfig) -> float:
     """The (1 + k1 + k2 + k3) factor, clamped below at 0.
 
-    The online stage always returns 1, whatever k table it holds.  The
-    detection's class must already be an exact or superclass match for
-    the sign.
+    The online stage always returns 1.  The detection's class must
+    already be an exact or superclass match for the sign.
     """
     pred = det.code
     if not _class_acceptable(pred, gt.code, cfg):
         raise ValueError(f"detection class {pred} does not match ground truth {gt.code}")
     if cfg.stage is Stage.ONLINE:
         return 1.0
-    k = cfg.k_rules
-    k1 = k.k1_exact if pred == gt.code else k.k1_superclass
+    k1 = cfg.k1_exact if pred == gt.code else cfg.k1_superclass
     if det.associated_data is None:
-        k2 = k.k2_absent
+        k2 = cfg.k2_absent
     elif gt.associated_data is not None and _text_matches(det.associated_data, gt.associated_data):
-        k2 = k.k2_match
+        k2 = cfg.k2_match
     else:
-        k2 = k.k2_mismatch
+        k2 = cfg.k2_mismatch
     if det.temporary is None:
-        k3 = k.k3_absent
+        k3 = cfg.k3_absent
     elif det.temporary == gt.temporary:
-        k3 = k.k3_match
+        k3 = cfg.k3_match
     else:
-        k3 = k.k3_mismatch
+        k3 = cfg.k3_mismatch
     return max(0.0, 1.0 + k1 + k2 + k3)
+
+
+def max_attainable_score(annotations: list[FrameAnnotations], cfg: ScoringConfig) -> float:
+    """Upper bound on the dataset score: per sign outside the ignore zones,
+    the score of its own perfect detection (its box, class, associated data
+    and temporary flag), added left to right."""
+    total = 0.0
+    for anno in annotations:
+        for gt in anno.signs:
+            if area(gt.box) >= cfg.min_area_px:
+                perfect = Detection(gt.frame_index, gt.box, {gt.code: 1.0}, gt.associated_data,
+                                    gt.temporary)
+                total += tp_base_score(1.0, cfg) * k_multiplier(perfect, gt, cfg)
+    return total
 
 
 def match_frame(

@@ -17,7 +17,7 @@ from icevision_kit.core import NCC_MARGIN_PX, BoundingBox, Detection
 from icevision_kit.datastore import FORMAT_VERSION
 from icevision_kit.scoring import FpReason, ScoringConfig, score_dataset
 from icevision_kit.taxonomy import parse_code
-from icevision_kit.tracking import Track
+from icevision_kit.tracking import Track, TrackerConfig
 
 
 def keyframe_detections():
@@ -571,6 +571,29 @@ class TestFlagInventory:
         assert sum(map(len, dests.values())) == 51
 
 
+class TestConfigFieldInventory:
+    """Every config dataclass's fields, so a knob added to or removed from a
+    config is an edit here."""
+
+    FIELDS = {
+        "TrackerConfig": ["iou_threshold", "keyframe_stride", "max_missed_keyframes",
+                          "min_track_length"],
+        "NoiseModel": ["drop_probability", "fp_per_frame", "position_jitter_px",
+                       "class_confusion", "seed"],
+        "ScenarioSpec": ["frame_count", "width", "height", "sign_count"],
+        "ScoringConfig": ["stage"],
+        "LevelThresholds": ["thr_specific", "thr_level2", "thr_top"],
+        "PipelineConfig": ["tracker", "scoring"],
+    }
+
+    def test_each_config_has_exactly_these_fields(self):
+        configs = (TrackerConfig, harness.NoiseModel, harness.ScenarioSpec, ScoringConfig,
+                   refinement.LevelThresholds, harness.PipelineConfig)
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in configs}
+        assert fields == self.FIELDS
+        assert sum(map(len, fields.values())) == 19
+
+
 class TestFlagsThatChangedNothing:
     """``score --jobs``, ``track --stride`` and ``convert --jobs`` were read
     by nothing, ``bench --budget-fps`` set what the competition fixes,
@@ -800,6 +823,96 @@ class TestTune:
         assert code == EX_USAGE
         err = capsys.readouterr().err
         assert f"{flag} holds a value outside [0, 1]" in err and "Traceback" not in err
+
+
+class TestTuneWritesWhatItScored:
+    """The search scores each grid value exactly, and the thresholds file
+    holds six decimals, so a grid value must read back as itself."""
+
+    @staticmethod
+    def one_track_files(tmp_path):
+        """A one-entry track at 3.24.1 with probability 0.1234572 and the
+        sign it finds."""
+        entry = Detection(0, BoundingBox(100.0, 100.0, 140.0, 140.0),
+                          {parse_code("3.24.1"): 0.1234572})
+        tracks_path, ann_path = tmp_path / "tracks.txt", tmp_path / "anns.txt"
+        datastore.write_tracks([Track(0, [entry])], tracks_path)
+        ann_path.write_text(f"{FORMAT_VERSION} annotations\n0 3.24.1 100 100 140 140 - false\n")
+        return tracks_path, ann_path
+
+    @pytest.mark.parametrize("flag", ["--grid-specific", "--grid-level2", "--grid-top"])
+    def test_a_value_with_more_than_six_decimals_is_a_usage_error(self, tmp_path, capsys, flag):
+        tracks_path, ann_path = self.one_track_files(tmp_path)
+        grid = {"--grid-specific": "0.5", "--grid-level2": "1", "--grid-top": "1"}
+        grid[flag] = "0.5,0.1234574"
+        thr_path = tmp_path / "thr.txt"
+        code = main(["tune", "--tracks", str(tracks_path), "--annotations", str(ann_path),
+                     *(part for item in grid.items() for part in item),
+                     "--output", str(thr_path)])
+        assert code == EX_USAGE
+        captured = capsys.readouterr()
+        assert (f"icevision-kit tune: error: {flag}: 0.1234574 has more than six decimals: "
+                "it would be written as 0.123457\n") in captured.err
+        assert captured.out == "" and not thr_path.exists()
+
+    def test_a_value_with_more_than_six_decimals_is_refused_before_any_file_is_read(
+            self, tmp_path, capsys):
+        code = main(["tune", "--tracks", str(tmp_path / "none.txt"),
+                     "--annotations", str(tmp_path / "none.txt"),
+                     "--grid-specific", "0.1234574", "--grid-level2", "1", "--grid-top", "1"])
+        assert code == EX_USAGE
+
+    def test_tuned_score_is_the_score_of_the_written_thresholds(self, tmp_path, capsys):
+        tracks_path, ann_path = self.one_track_files(tmp_path)
+        thr_path, refined_path = tmp_path / "thr.txt", tmp_path / "refined.txt"
+        assert main(["tune", "--tracks", str(tracks_path), "--annotations", str(ann_path),
+                     "--grid-specific", "0.123457", "--grid-level2", "1", "--grid-top", "1",
+                     "--output", str(thr_path)]) == EX_OK
+        assert thr_path.read_text() == "0.123457 1.000000 1.000000\n"
+        assert capsys.readouterr().out.splitlines()[1] == "score 1.300000"
+        assert main(["refine", "--tracks", str(tracks_path), "--thresholds", str(thr_path),
+                     "--output", str(refined_path)]) == EX_OK
+        assert main(["score", "--detections", str(refined_path),
+                     "--annotations", str(ann_path)]) == EX_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "total 1.300000"
+
+
+class TestOutputsThatNameOnePath:
+    """Two outputs of one run that name one path are a usage error naming
+    both flags, found before any file is read or written."""
+
+    CASES = {
+        "score output and records": (["score", "--detections", "d", "--annotations", "a",
+                                      "--output", "same.txt", "--records", "./same.txt"],
+                                     "--output and --records"),
+        "synth annotations and detections": (["synth", "--spec", "s", "--annotations", "x.txt",
+                                              "--detections", "x.txt"],
+                                             "--annotations and --detections"),
+        "synth annotations and manifest": (["synth", "--spec", "s", "--annotations",
+                                            "r/manifest.txt", "--render-dir", "r"],
+                                           "--annotations and --render-dir"),
+        "synth detections and manifest": (["synth", "--spec", "s", "--annotations", "a.txt",
+                                           "--detections", "r/manifest.txt", "--render-dir",
+                                           "r/"], "--detections and --render-dir"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_is_a_usage_error_naming_both_flags(self, tmp_path, capsys, monkeypatch, case):
+        argv, flags = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EX_USAGE  # the inputs are missing: nothing was read
+        captured = capsys.readouterr()
+        assert f"icevision-kit {argv[0]}: error: {flags} both write " in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_distinct_outputs_are_each_written(self, tmp_path, capsys):
+        det_path, ann_path = write_fixture_files(tmp_path)
+        report, records = tmp_path / "report.txt", tmp_path / "records.txt"
+        assert main(["score", "--detections", str(det_path), "--annotations", str(ann_path),
+                     "--output", str(report), "--records", str(records)]) == EX_OK
+        assert report.read_text().startswith("   frame")
+        assert records.read_text().startswith(f"{FORMAT_VERSION} score\n")
 
 
 class TestFlagsCheckedBeforeFiles:

@@ -31,7 +31,7 @@ from icevision_kit.harness import (
     parse_scenario,
     run_benchmark,
 )
-from icevision_kit.scoring import KCoefficients, ScoringConfig, Stage
+from icevision_kit.scoring import ScoringConfig
 from icevision_kit.taxonomy import parse_code
 from icevision_kit.tracking import TrackerConfig
 
@@ -334,14 +334,16 @@ class TestMaxAttainable:
         gen = truth_for_scenario(sc, seed=0)
         assert max_attainable_score(gen.annotations, ScoringConfig.online()) == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("k_rules", [KCoefficients(), KCoefficients(*[-1.0] * 8),
-                                         KCoefficients(*[2.0] * 8)])
-    def test_online_counts_one_per_sign_whatever_its_k_table(self, k_rules):
+    @pytest.mark.parametrize("k_value", [None, -1.0, 2.0])
+    def test_online_counts_one_per_sign_whatever_the_k_values(self, monkeypatch, k_value):
+        if k_value is not None:
+            for name in ("k1_exact", "k1_superclass", "k2_match", "k2_mismatch", "k2_absent",
+                         "k3_match", "k3_mismatch", "k3_absent"):
+                monkeypatch.setattr(ScoringConfig, name, k_value)
         sc = SyntheticScenario(frame_count=5, signs=(sign(exit=4, associated_data="40"),
                                                      sign(exit=4, x=300)))
         gen = truth_for_scenario(sc, seed=0)
-        cfg = ScoringConfig(Stage.ONLINE, k_rules)
-        assert max_attainable_score(gen.annotations, cfg) == 2.0
+        assert max_attainable_score(gen.annotations, ScoringConfig.online()) == 2.0
 
     def test_ignore_zone_excluded(self):
         sc = SyntheticScenario(

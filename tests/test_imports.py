@@ -1,6 +1,7 @@
 """Each module is importable first, in a fresh interpreter, takes each
-name of another package module from the module that defines it, and
-reads no underscore name of another package module.
+name of another package module from the module that defines it, reads
+no underscore name of another package module, and reads every name it
+imports.
 
 The package root imports nothing, so an import cycle between two modules
 shows when one of them is the first module a program imports.
@@ -110,6 +111,44 @@ def test_private_names_are_found_in_both_import_forms():
     trees = {"a": ast.parse("from . import b as bee\nfrom .b import _x, y\nbee._z(bee.w)\n"),
              "b": ast.parse("_x = y = w = 1\ndef _z(v): return v\n")}
     assert private_names(trees) == ["a.py:2 b._x", "a.py:3 b._z"]
+
+
+def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line name`` for every name an import binds that its module
+    never reads; a read in an annotation counts, a string annotation
+    included.  ``from __future__`` imports bind nothing."""
+    unused = []
+    for module, tree in trees.items():
+        bound = {}  # name -> line of the import that binds it
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    # ``import a.b`` binds ``a``
+                    bound.update((alias.asname or alias.name.partition(".")[0], node.lineno)
+                                 for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                    read.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+        unused += [f"{module}.py:{line} {name}" for name, line in bound.items()
+                   if name not in read]
+    return sorted(unused)
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports(package_trees()) == []
+
+
+def test_unused_imports_are_found_in_every_import_form():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, os.path as osp, numpy.linalg\n"
+                     "from . import core as c, frames\n"
+                     "from .core import area, iou\n"
+                     "def f(x: 'area', y: c.Box) -> iou:\n    return numpy\n")
+    assert unused_imports({"m": tree}) == ["m.py:2 os", "m.py:2 osp", "m.py:3 frames"]
 
 
 def exception_classes(trees: dict[str, ast.Module]) -> list[str]:

@@ -658,6 +658,26 @@ class TestThresholdRecord:
         with pytest.raises(ValueError):
             parse_thresholds("0.5 0.5\n")
 
+    @given(st.integers(0, 10**6), st.sampled_from(range(3)))
+    def test_six_decimals_are_written_as_before_and_read_back(self, millionths, field):
+        values = [0.5, 0.5, 0.5]
+        values[field] = millionths / 10**6  # the double nearest the six-decimal value
+        thr = LevelThresholds(*values)
+        line = format_thresholds(thr)
+        assert line == f"{values[0]:.6f} {values[1]:.6f} {values[2]:.6f}\n"
+        assert parse_thresholds(line) == thr
+
+    @pytest.mark.parametrize("value", [0.1234574, 0.1234565, 1e-7, 0.9999999, 0.1 + 0.2 - 0.3])
+    @pytest.mark.parametrize("field", range(3))
+    def test_a_value_that_would_not_read_back_is_refused(self, value, field):
+        values = [0.5, 0.5, 0.5]
+        values[field] = value
+        with pytest.raises(ValueError, match=f"^{value!r} has more than six decimals: "
+                                             f"it would be written as {value:.6f}$"):
+            format_thresholds(LevelThresholds(*values))
+        with pytest.raises(ValueError, match=f"^{value!r} has more than six decimals"):
+            refinement.threshold_text(value)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             LevelThresholds(1.5, 0.5, 0.5)

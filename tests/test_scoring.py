@@ -15,7 +15,6 @@ from icevision_kit import scoring
 from icevision_kit.core import BoundingBox, Detection, FrameAnnotations, GroundTruthSign, iou
 from icevision_kit.scoring import (
     FpReason,
-    KCoefficients,
     MatchResult,
     ScoreReport,
     ScoringConfig,
@@ -24,6 +23,7 @@ from icevision_kit.scoring import (
     format_report,
     k_multiplier,
     match_frame,
+    max_attainable_score,
     report_records,
     score_dataset,
     tp_base_score,
@@ -130,6 +130,17 @@ class TestBaseScore:
         assert tp_base_score(0.8500001, ONLINE) == 1.0
 
 
+K_NAMES = ("k1_exact", "k1_superclass", "k2_match", "k2_mismatch", "k2_absent",
+           "k3_match", "k3_mismatch", "k3_absent")
+
+
+def set_k_values(monkeypatch, *values):
+    """Patch the eight ``ScoringConfig`` k constants, in ``K_NAMES`` order."""
+    assert len(values) == len(K_NAMES)
+    for name, value in zip(K_NAMES, values):
+        monkeypatch.setattr(ScoringConfig, name, value)
+
+
 class TestScoringConfig:
     def test_fixed_rules_and_stage_thresholds(self):
         for cfg, threshold in ((ONLINE, 0.5), (OFFLINE, 0.3)):
@@ -137,24 +148,32 @@ class TestScoringConfig:
                      cfg.fp_penalty, cfg.min_area_px)
             assert rules == (threshold, 0.85, 0.25, 2.0, 100.0)
 
-    def test_only_stage_and_k_rules_are_settable(self):
-        assert [f.name for f in dataclasses.fields(ScoringConfig)] == ["stage", "k_rules"]
+    def test_only_stage_is_settable(self):
+        assert [f.name for f in dataclasses.fields(ScoringConfig)] == ["stage"]
         with pytest.raises(TypeError):
             ScoringConfig(Stage.ONLINE, iou_threshold=0.4)
+        with pytest.raises(TypeError):  # the k values are constants, not a table
+            ScoringConfig(Stage.OFFLINE, None)
+        with pytest.raises(TypeError):
+            ScoringConfig.offline(None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ONLINE.iou_threshold = 0.4
-        assert ScoringConfig.offline(KCoefficients(*[0.0] * 8)).iou_threshold == 0.3
+        assert ScoringConfig.offline().iou_threshold == 0.3
+
+    def test_k_values_are_the_placeholders(self):
+        assert [getattr(OFFLINE, name) for name in K_NAMES] == [
+            0.3, 0.0, 0.4, -0.5, 0.0, 0.3, -0.5, 0.0]
 
 
 class TestKMultiplier:
-    @pytest.mark.parametrize("k_rules", [KCoefficients(), KCoefficients(*[-1.0] * 8),
-                                         KCoefficients(*[2.0] * 8)])
-    def test_online_applies_no_k_terms_whatever_its_table(self, k_rules):
-        cfg = ScoringConfig(Stage.ONLINE, k_rules)
+    @pytest.mark.parametrize("k_value", [None, -1.0, 2.0])
+    def test_online_applies_no_k_terms_whatever_the_k_values(self, monkeypatch, k_value):
+        if k_value is not None:
+            set_k_values(monkeypatch, *[k_value] * 8)
         g = gt(0, (0, 0, 10, 10), data="40", temporary=True)
         for data, temporary in ((None, None), ("40", True), ("60", False)):
             d = det(0, (0, 0, 10, 10), data=data, temporary=temporary)
-            assert k_multiplier(d, g, cfg) == 1.0
+            assert k_multiplier(d, g, ONLINE) == 1.0
 
     @pytest.mark.parametrize("stage", list(Stage))
     @pytest.mark.parametrize("pred, truth", [("3.24", "5.19.1"), ("3.24", "3"), ("3.2", "3.24")])
@@ -169,31 +188,18 @@ class TestKMultiplier:
         g = gt(0, (0, 0, 10, 10), data="40", temporary=True)
         assert k_multiplier(d, g, OFFLINE) == pytest.approx(1 + 0.3 + 0.4 + 0.3)
 
-    def test_zero_rules_give_identity(self):
-        cfg = ScoringConfig.offline(
-            k_rules=KCoefficients(0, 0, 0, 0, 0, 0, 0, 0)
-        )
+    def test_zero_rules_give_identity(self, monkeypatch):
+        set_k_values(monkeypatch, 0, 0, 0, 0, 0, 0, 0, 0)
         d = det(0, (0, 0, 10, 10), data="x", temporary=True)
         g = gt(0, (0, 0, 10, 10), data="y", temporary=False)
-        assert k_multiplier(d, g, cfg) == 1.0
+        assert k_multiplier(d, g, OFFLINE) == 1.0
 
-    def test_negative_sum_clamped_to_zero(self):
-        cfg = ScoringConfig.offline(
-            k_rules=KCoefficients(
-                k1_exact=-0.4,
-                k1_superclass=0.0,
-                k2_match=0.0,
-                k2_mismatch=-0.5,
-                k2_absent=-0.3,
-                k3_match=0.0,
-                k3_mismatch=-0.5,
-                k3_absent=-0.5,
-            )
-        )
+    def test_negative_sum_clamped_to_zero(self, monkeypatch):
+        set_k_values(monkeypatch, -0.4, 0.0, 0.0, -0.5, -0.3, 0.0, -0.5, -0.5)
         d = det(0, (0, 0, 10, 10))
         g = gt(0, (0, 0, 10, 10))
         # 1 - 0.4 - 0.3 - 0.5 = -0.2 -> clamped
-        assert k_multiplier(d, g, cfg) == 0.0
+        assert k_multiplier(d, g, OFFLINE) == 0.0
 
     def test_superclass_term(self):
         d = det(0, (0, 0, 10, 10), code="3.24")
@@ -224,6 +230,64 @@ class TestKMultiplier:
         d = det(0, (0, 0, 10, 10), data="40", temporary=True)
         g = gt(0, (0, 0, 10, 10), data="40", temporary=True)
         assert k_multiplier(d, g, ONLINE) == 1.0
+
+
+@st.composite
+def ceiling_sets(draw):
+    """Annotations on up to 30 frames of up to 6 signs each: real boxes,
+    some under the 100 px^2 ignore bound, every code level, associated
+    data absent or present (in any case and spacing), either temporary
+    flag."""
+    real = st.floats(0.0, 50.0, allow_nan=False)
+    boxes = st.builds(lambda x, y, w, h: (x, y, x + w, y + h), real, real, real, real)
+    signs = st.tuples(boxes, st.sampled_from(["3", "3.24", "3.24.1", "5.19.1", "8.2.1"]),
+                      st.sampled_from([None, "40", " Stop ", ""]), st.booleans())
+    return [FrameAnnotations(f, tuple(gt(f, *sign) for sign in draw(st.lists(signs, max_size=6))))
+            for f in draw(st.lists(st.integers(0, 1000), unique=True, max_size=30))]
+
+
+def detection_variants(sign, stage):
+    """Every detection of ``sign``'s box whose class the stage accepts for
+    it (the sign's, or offline also a superclass of it), with associated
+    data and temporary flag each absent, matching or mismatching."""
+    lowest = 1 if stage is Stage.OFFLINE else sign.code.level
+    codes = [sign.code.prefix(level) for level in range(lowest, sign.code.level + 1)]
+    data = (None, sign.associated_data, f"not {sign.associated_data}")
+    for code, text, temporary in itertools.product(codes, data,
+                                                   (None, sign.temporary, not sign.temporary)):
+        yield Detection(sign.frame_index, sign.box, {code: 1.0}, text, temporary)
+
+
+class TestMaxAttainable:
+    @settings(max_examples=200, deadline=None)
+    @given(ceiling_sets(), st.sampled_from(list(Stage)))
+    @example([FrameAnnotations(0, (gt(0, (0, 0, 10, 10), data="40", temporary=True),
+                                   gt(0, (0, 0, 9, 9)), gt(0, (20, 0, 30, 10), "3.24.1")))],
+             Stage.OFFLINE)
+    def test_equals_the_k_formula(self, annotations, stage):
+        cfg = ScoringConfig(stage)
+        assert (repr(max_attainable_score(annotations, cfg))
+                == repr(scoring_oracles.max_attainable_score(annotations, cfg)))
+
+    @pytest.mark.parametrize("stage", list(Stage))
+    def test_no_detection_variant_beats_the_perfect_one(self, stage):
+        cfg = ScoringConfig(stage)
+        signs = [gt(0, (0, 0, 10, 10), code, data, temporary)
+                 for code in ("3", "3.24", "3.24.1") for data in (None, "40")
+                 for temporary in (False, True)]
+        for sign in signs:
+            ceiling = max_attainable_score([FrameAnnotations(0, (sign,))], cfg)
+            variants = list(detection_variants(sign, stage))
+            assert len(variants) == 9 * (sign.code.level if stage is Stage.OFFLINE else 1)
+            assert max(k_multiplier(d, sign, cfg) for d in variants) == ceiling
+
+    def test_a_negative_k_sum_adds_nothing(self, monkeypatch):
+        set_k_values(monkeypatch, -0.4, 0.0, 0.0, -0.5, -0.3, -0.5, -0.5, -0.5)
+        annotations = [FrameAnnotations(0, (gt(0, (0, 0, 10, 10)),
+                                            gt(0, (0, 0, 10, 10), data="40")))]
+        # 1 - 0.4 - 0.3 - 0.5 = -0.2 and 1 - 0.4 + 0 - 0.5 = 0.1
+        assert max_attainable_score(annotations, OFFLINE) == pytest.approx(0.1, abs=1e-12)
+        assert max_attainable_score(annotations, ONLINE) == 2.0
 
 
 class TestMatchFrame:
