@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -63,12 +65,18 @@ def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     return numbers
 
 
-def _distinct_outputs(parser: _Parser, outputs: dict[str, str | Path | None]) -> None:
-    """Two given outputs, by flag, that name one path: a usage error naming both."""
-    flag_of: dict[Path, str] = {}
-    for flag, path in outputs.items():
-        if path and flag_of.setdefault(Path(path), flag) != flag:
-            parser.error(f"{flag_of[Path(path)]} and {flag} both write {path}")
+def _distinct_outputs(parser: _Parser, outputs: list[tuple[str, str | Path | None]]) -> None:
+    """Two of the ``(name, path)`` outputs that write one directory entry (one
+    name in one resolved directory; the name itself is not resolved, since a
+    write replaces a symlink there): a usage error naming both."""
+    name_of: dict[tuple[str, str], str] = {}
+    resolve = functools.cache(os.path.realpath)  # each directory once
+    for name, path in outputs:
+        if path:
+            entry = (resolve(Path(path).parent), Path(path).name)
+            if entry in name_of:
+                parser.error(f"{name_of[entry]} and {name} both write {path}")
+            name_of[entry] = name
 
 
 # Each flag that sets a config field, as (config class, {flag: field name}),
@@ -194,7 +202,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_score(args, parser: _Parser) -> int:
-    _distinct_outputs(parser, {"--output": args.output, "--records": args.records})
+    _distinct_outputs(parser, [("--output", args.output), ("--records", args.records)])
     detections = datastore.read_detections(_require(args.detections))
     annotations = datastore.read_annotations(_require(args.annotations))
     report = score_dataset(detections, annotations, ScoringConfig(Stage(args.stage)))
@@ -284,15 +292,12 @@ def _cmd_convert(args, parser: _Parser) -> int:
     if args.crop_keep is not None and args.crop_keep < 1:
         parser.error(f"--crop-keep must be >= 1, got {args.crop_keep}")
     out_dir = Path(args.output_dir)
-    sources: dict[Path, str] = {}  # output path -> input, in input order
-    for input_path in args.inputs:
-        out_path = out_dir / (Path(input_path).stem + ".ppm")
-        if out_path in sources:
-            parser.error(f"inputs {sources[out_path]} and {input_path} both convert to {out_path}")
-        sources[out_path] = input_path
+    outputs = [(input_path, out_dir / (Path(input_path).stem + ".ppm"))
+               for input_path in args.inputs]
+    _distinct_outputs(parser, outputs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    for out_path, input_path in sources.items():
+    for input_path, out_path in outputs:
         try:
             cfa = frames.read_pnm(_require(input_path).read_bytes(), BayerPattern(args.pattern))
             ppm = frames.convert_frame(cfa, args.crop_keep, args.equalize)
@@ -310,33 +315,29 @@ def _load_spec(path) -> harness.ScenarioSpec:
 def _cmd_synth(args, parser: _Parser) -> int:
     noise = _config(parser, args, NOISE_FLAGS)
     tracker = _config(parser, args, STRIDE_FLAGS)
-    _distinct_outputs(parser, {
-        "--annotations": args.annotations, "--detections": args.detections,
-        "--render-dir": Path(args.render_dir) / "manifest.txt" if args.render_dir else None})
+    render_dir = Path(args.render_dir) if args.render_dir else None
+    outputs = [("--annotations", args.annotations), ("--detections", args.detections),
+               ("--render-dir", render_dir and render_dir / "manifest.txt")]
+    _distinct_outputs(parser, outputs)
     spec = _load_spec(args.spec)
+    if render_dir:  # the frames are checked once the spec gives their number
+        names = [f"frame_{frame:06d}.pgm" for frame in range(spec.frame_count)]
+        _distinct_outputs(parser, outputs + [("--render-dir", render_dir / name) for name in names])
+        render_dir.mkdir(parents=True, exist_ok=True)
     generated = harness.generate_scenario(spec, args.seed)
-    if args.render_dir:
-        names = [f"frame_{frame:06d}.pgm" for frame in range(generated.scenario.frame_count)]
-        # built first, so a path the manifest cannot hold stops the command before any write
-        manifest = datastore.SequenceManifest(f"synth-{args.seed}", tuple(enumerate(names)),
-                                              (str(args.annotations),))
-        try:
-            manifest_text = datastore.format_manifest(manifest)
-        except ValueError as exc:
-            parser.error(f"--annotations: {exc}")
     datastore.write_annotations(generated.annotations, args.annotations)
     if args.detections:
         detections = harness.mock_detector(
             generated.dense, noise, tracker.keyframe_stride, generated.scenario
         )
         datastore.write_detections(detections, args.detections)
-    if args.render_dir:
-        render_dir = Path(args.render_dir)
-        render_dir.mkdir(parents=True, exist_ok=True)
+    if render_dir:
         renderer = harness.SyntheticRenderer(generated.scenario, texture_seed=args.seed)
         for frame, name in enumerate(names):
             atomic_write_bytes(render_dir / name, frames.write_pnm(renderer[frame]))
-        atomic_write_text(render_dir / "manifest.txt", manifest_text)
+        datastore.write_manifest(
+            datastore.SequenceManifest(f"synth-{args.seed}", tuple(enumerate(names))),
+            render_dir / "manifest.txt")
     print(f"frames {generated.scenario.frame_count} "
           f"annotated {len(generated.annotations)}")
     return EX_OK

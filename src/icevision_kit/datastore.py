@@ -26,7 +26,7 @@ import itertools
 import operator
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -496,16 +496,15 @@ def write_tracks(tracks: list[Track], path) -> None:
 
 @dataclass(frozen=True)
 class SequenceManifest:
-    """Binds a sequence's frame indices to image files on disk."""
+    """Binds a sequence's frame indices to image files on disk; annotations
+    reach each command as a file of their own."""
 
     sequence_id: str
     frames: tuple[tuple[int, str], ...]
-    annotation_paths: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "frames",
                            tuple((index_value(i, "frame index"), str(p)) for i, p in self.frames))
-        object.__setattr__(self, "annotation_paths", tuple(self.annotation_paths))
         if not self.sequence_id:
             raise ValueError("sequence id must be non-empty")
         last = None
@@ -515,17 +514,14 @@ class SequenceManifest:
             if not frame_path:
                 raise ValueError(f"empty path for frame {index}")
             last = index
-        if any(not p for p in self.annotation_paths):
-            raise ValueError("empty annotation path")
 
 
 def read_manifest(path) -> SequenceManifest:
-    """Parse ``frame_index<TAB>path`` lines plus ``# sequence:`` and
-    ``# annotation:`` directives (whitespace around the name is ignored);
-    any other ``#`` line is a comment."""
+    """Parse ``frame_index<TAB>path`` lines plus one ``# sequence:`` directive
+    (whitespace around the name is ignored); any other ``#`` line, such as
+    the ``# annotation:`` line of an older manifest, is a comment."""
     sequence_id = None
     frames: list[tuple[int, str]] = []
-    annotation_paths: list[str] = []
     for lineno, raw in enumerate(_record_lines(path, "manifest")[1:], start=2):
         line = raw.strip()
         if not line:
@@ -533,18 +529,14 @@ def read_manifest(path) -> SequenceManifest:
         try:
             if line.startswith("#"):
                 name, sep, value = line[1:].partition(":")
-                name = name.strip()
-                if not sep or name not in ("sequence", "annotation"):
+                if not sep or name.strip() != "sequence":
                     continue  # a comment
                 value = value.strip()
                 if not value:
-                    raise ValueError(f"empty '# {name}:' directive")
-                if name == "annotation":
-                    annotation_paths.append(value)
-                elif sequence_id is not None:
+                    raise ValueError("empty '# sequence:' directive")
+                if sequence_id is not None:
                     raise ValueError("repeated '# sequence:' directive")
-                else:
-                    sequence_id = value
+                sequence_id = value
                 continue
             index_s, sep, frame_path = line.partition("\t")
             if not sep:
@@ -558,7 +550,7 @@ def read_manifest(path) -> SequenceManifest:
     if sequence_id is None:
         raise DatastoreError(path, None, "missing '# sequence: <id>' directive")
     # every rule SequenceManifest checks is checked above at its line
-    return SequenceManifest(sequence_id, tuple(frames), tuple(annotation_paths))
+    return SequenceManifest(sequence_id, tuple(frames))
 
 
 def _line_text(value: str) -> str:
@@ -569,18 +561,11 @@ def _line_text(value: str) -> str:
     return value
 
 
-def format_manifest(manifest: SequenceManifest) -> str:
-    """The manifest file's text; ``ValueError`` on a value it would not re-read."""
-    lines = [f"{FORMAT_VERSION} manifest\n", f"# sequence: {_line_text(manifest.sequence_id)}\n"]
-    for ann_path in manifest.annotation_paths:
-        lines.append(f"# annotation: {_line_text(ann_path)}\n")
-    for index, frame_path in manifest.frames:
-        lines.append(f"{index}\t{_line_text(frame_path)}\n")
-    return "".join(lines)
-
-
 def write_manifest(manifest: SequenceManifest, path) -> None:
-    atomic_write_text(path, format_manifest(manifest))
+    """``ValueError``, and nothing written, on a value that would not re-read."""
+    lines = [f"{FORMAT_VERSION} manifest\n", f"# sequence: {_line_text(manifest.sequence_id)}\n"]
+    lines += (f"{index}\t{_line_text(frame_path)}\n" for index, frame_path in manifest.frames)
+    atomic_write_text(path, "".join(lines))
 
 
 class ManifestFrameSource:

@@ -262,13 +262,22 @@ class TestTrackInterpRefine:
         assert main(argv) == EX_MALFORMED_INPUT
         assert "manifest.txt:10: repeated '# sequence:'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("directive", ["sequence", "annotation"])
-    def test_interp_ncc_empty_directive(self, tmp_path, capsys, directive):
+    def test_interp_ncc_empty_directive(self, tmp_path, capsys):
         argv = self.ncc_fixture(tmp_path, range(7), b"P5\n200 160\n255\n" + bytes(200 * 160))
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text(manifest.read_text() + f"# {directive}:\n")
+        manifest.write_text(manifest.read_text() + "# sequence:\n")
         assert main(argv) == EX_MALFORMED_INPUT
-        assert f"manifest.txt:10: empty '# {directive}:' directive" in capsys.readouterr().err
+        assert "manifest.txt:10: empty '# sequence:' directive" in capsys.readouterr().err
+
+    def test_interp_ncc_empty_annotation_line_is_a_comment(self, tmp_path, capsys):
+        pgm = b"P5\n200 160\n255\n" + bytes(range(200)) * 160
+        argv = self.ncc_fixture(tmp_path, range(7), pgm)
+        assert main(argv) == EX_OK
+        without = (tmp_path / "out.txt").read_bytes()
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "# annotation:\n")
+        assert main(argv) == EX_OK
+        assert (tmp_path / "out.txt").read_bytes() == without
 
     def test_interp_ncc_frame_missing_from_manifest(self, tmp_path, capsys):
         pgm = b"P5\n200 160\n255\n" + bytes(200 * 160)
@@ -915,6 +924,113 @@ class TestOutputsThatNameOnePath:
         assert records.read_text().startswith(f"{FORMAT_VERSION} score\n")
 
 
+class TestOutputsThatNameOneEntry:
+    """Two outputs of one run name one directory entry when their names match
+    in one resolved directory, however each path is spelled; the entry's own
+    name is not resolved, since a write replaces a symlink there.  Every input
+    here is missing, so the error comes before any file is read or written."""
+
+    # each pair's argv, its first output given as ``a`` and its second as ``b``,
+    # and the two names the error gives; a render directory writes <dir>/manifest.txt
+    PAIRS = {
+        "score output, records": (
+            lambda a, b: ["score", "--detections", "d", "--annotations", "g",
+                          "--output", a("x"), "--records", b("x")], "--output", "--records"),
+        "synth annotations, detections": (
+            lambda a, b: ["synth", "--spec", "s", "--annotations", a("x"),
+                          "--detections", b("x")], "--annotations", "--detections"),
+        "synth annotations, manifest": (
+            lambda a, b: ["synth", "--spec", "s", "--annotations", a("r/manifest.txt"),
+                          "--render-dir", b("r")], "--annotations", "--render-dir"),
+        "synth detections, manifest": (
+            lambda a, b: ["synth", "--spec", "s", "--annotations", "g", "--detections",
+                          a("r/manifest.txt"), "--render-dir", b("r")],
+            "--detections", "--render-dir"),
+        "convert inputs": (
+            lambda a, b: ["convert", a("f.pgm"), b("f.pgm"), "--output-dir", "o"], None, None),
+    }
+    SPELLINGS = ["plain", "dot", "absolute", "up", "link"]
+
+    @staticmethod
+    def spell(tmp_path, way: str, path: str) -> str:
+        """``path``, relative to the working directory ``tmp_path``, spelled ``way``."""
+        return {"plain": path, "dot": f"./{path}", "absolute": str(tmp_path / path),
+                "up": f"sub/../{path}", "link": f"link/{path}"}[way]
+
+    @pytest.mark.parametrize("way", SPELLINGS)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_is_a_usage_error_naming_both(self, tmp_path, capsys, monkeypatch, pair, way):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        # the first output is absolute, or plain when the second is: never one spelling
+        first = "plain" if way == "absolute" else "absolute"
+        build, first_name, second_name = self.PAIRS[pair]
+        argv = build(lambda p: self.spell(tmp_path, first, p),
+                     lambda p: self.spell(tmp_path, way, p))
+        if first_name is None:  # convert: the two inputs name themselves
+            first_name, second_name = argv[1], argv[2]
+        assert main(argv) == EX_USAGE
+        captured = capsys.readouterr()
+        assert f"icevision-kit {argv[0]}: error: {first_name} and {second_name} both write " \
+            in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub"]
+
+    def test_symlinked_file_is_replaced_not_followed(self, tmp_path, capsys, monkeypatch):
+        det_path, ann_path = write_fixture_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gt2.txt").write_text("old\n")
+        (tmp_path / "link.txt").symlink_to("gt2.txt")
+        assert main(["score", "--detections", str(det_path), "--annotations", str(ann_path),
+                     "--output", "link.txt", "--records", "gt2.txt"]) == EX_OK
+        assert not (tmp_path / "link.txt").is_symlink()
+        assert (tmp_path / "link.txt").read_text().startswith("   frame")
+        assert (tmp_path / "gt2.txt").read_text().startswith(f"{FORMAT_VERSION} score\n")
+
+    @pytest.mark.parametrize("flag, frame_path", [("--annotations", "r/frame_000000.pgm"),
+                                                  ("--detections", "./r/frame_000002.pgm")])
+    def test_synth_output_at_a_rendered_frame(self, tmp_path, capsys, monkeypatch, flag,
+                                              frame_path):
+        spec = TestSynthAndBench.spec_file(tmp_path, frame_count=3, sign_count=1, width=320,
+                                           height=240)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r").mkdir()
+        outputs = {"--annotations": "ann.txt", flag: frame_path}
+        argv = ["synth", "--spec", str(spec), "--render-dir", "r"]
+        assert main(argv + [arg for item in outputs.items() for arg in item]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert f"error: {flag} and --render-dir both write r/frame_00000" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "scenario.cfg"]
+        assert list((tmp_path / "r").iterdir()) == []
+
+    def test_synth_frame_check_resolves_the_render_dir_once(self, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = []
+        realpath = os.path.realpath
+        monkeypatch.setattr(os.path, "realpath", lambda p: calls.append(p) or realpath(p))
+        counts = []
+        for frame_count in (3, 30):
+            spec = TestSynthAndBench.spec_file(tmp_path, frame_count, sign_count=0)
+            calls.clear()
+            assert main(["synth", "--spec", str(spec), "--annotations", str(tmp_path / "a.txt"),
+                         "--render-dir", str(tmp_path / f"r{frame_count}")]) == EX_OK
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4
+
+    def test_synth_render_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        spec = TestSynthAndBench.spec_file(tmp_path, frame_count=3, sign_count=1, width=320,
+                                           height=240)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        assert main(["synth", "--spec", str(spec), "--annotations", "a2.txt",
+                     "--detections", "d2.txt", "--render-dir", "afile"]) == EX_USAGE
+        assert "File exists: afile" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "scenario.cfg"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 class TestFlagsCheckedBeforeFiles:
     """A misused flag is a usage error even when the files it would act on
     are missing or malformed."""
@@ -1062,7 +1178,7 @@ class TestConvert:
         assert code == EX_USAGE
         captured = capsys.readouterr()
         first, second = str(inputs[0]), str(inputs[-1])
-        assert f"inputs {first} and {second} both convert to {out_dir / 'f.ppm'}" in captured.err
+        assert f"{first} and {second} both write {out_dir / 'f.ppm'}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out_dir.exists()
 
@@ -1122,17 +1238,20 @@ class TestSynthAndBench:
         assert datastore.read_tracks(dense_path)
 
     @pytest.mark.parametrize("name", ["a.txt ", " a.txt", "a\nb.txt", "a\rb.txt"])
-    def test_synth_annotations_path_the_manifest_cannot_hold(self, tmp_path, capsys,
-                                                             monkeypatch, name):
-        spec = self.spec_file(tmp_path, frame_count=30, sign_count=2, width=320, height=240)
+    def test_synth_manifest_holds_no_annotations_path(self, tmp_path, capsys, monkeypatch,
+                                                      name):
+        # the annotations reach each command as a file of their own, so any
+        # path the file system takes is written, and the manifest never names it
+        spec = self.spec_file(tmp_path, frame_count=3, sign_count=2, width=320, height=240)
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
         assert main(["synth", "--spec", str(spec), "--annotations", name,
-                     "--detections", "det.txt", "--render-dir", "render"]) == EX_USAGE
-        err = capsys.readouterr().err
-        assert "--annotations" in err and repr(name) in err and "Traceback" not in err
-        assert list(work.iterdir()) == []
+                     "--detections", "det.txt", "--render-dir", "render"]) == EX_OK
+        assert datastore.read_annotations(work / name)
+        assert (work / "render" / "manifest.txt").read_text() == (
+            f"{FORMAT_VERSION} manifest\n# sequence: synth-0\n"
+            "0\tframe_000000.pgm\n1\tframe_000001.pgm\n2\tframe_000002.pgm\n")
 
     def test_bench_runs_and_writes_records(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, frame_count=60)

@@ -3,8 +3,7 @@ convert`` on fixed seeds, with every output file and each command's
 stdout pinned by SHA-256.
 
 The chain runs in a temporary working directory with relative paths, so
-the manifest's annotation path and ``convert``'s printed paths are the
-same on every machine.  NCC interpolation reads the rendered frames as
+``convert``'s printed paths are the same on every machine.  NCC interpolation reads the rendered frames as
 RGGB mosaics.  The digests were recorded once; a change that moves one
 changes a byte of the CLI's output and must say why.
 """
@@ -53,7 +52,7 @@ DIGESTS = {
     "stdout": "1ee3aa8ce79429c85ee2219774c617c3c5056211056c7c11fd8fb3c1aae58610",
     "ann.txt": "e3794ce1adc1683f15653312c52967f9608a2bad24a9d07964166f0912450050",
     "det.txt": "053619d4cc256c19dd2bedb7dc04fb9b4e0cf5b4febfd58df0b5a6e6329d1fcc",
-    "render/manifest.txt": "834795bc691d33c22eea98db3ec93f94def73965a0fcac27341c7e23ca245ea8",
+    "render/manifest.txt": "a29f98744a44354a53f5eedc6b646a93f4aa0b06357a9cc1e1c76a9a7f83eca6",
     "render/*.pgm": "a0afc20066afe50ab1b1579594ae3cf6b37c5d8e81577a4d572c7f038912eca4",
     "tracks.txt": "9ea117d8ae7fdac8f7c2068a25103faa61225166b99a2a2b37717a61a28fc98a",
     "linear.txt": "9d97c7e8d4aac04c8fa48ffe904d7187ee48f31b38ca461975b1a428dbd9beb2",

@@ -1,5 +1,6 @@
 """Wire formats: annotations, detections, tracks, manifests, settings."""
 
+import dataclasses
 import re
 import stat
 import sys
@@ -554,7 +555,6 @@ class TestManifest:
         manifest = SequenceManifest(
             sequence_id="2018-02-13_1418_left",
             frames=((0, "frames/000000.pnm"), (3, "frames/000003.pnm")),
-            annotation_paths=("ann/a.txt",),
         )
         path = tmp_path / "m.txt"
         write_manifest(manifest, path)
@@ -570,10 +570,18 @@ class TestManifest:
             "0\tf0.pnm\n"
             "5\tf5.pnm\n",
         )
-        manifest = read_manifest(path)
-        assert manifest.sequence_id == "seq-1"
-        assert manifest.annotation_paths == ("gt.txt",)
-        assert manifest.frames == ((0, "f0.pnm"), (5, "f5.pnm"))
+        assert read_manifest(path) == SequenceManifest("seq-1", ((0, "f0.pnm"), (5, "f5.pnm")))
+
+    def test_fields_are_the_sequence_and_its_frames(self):
+        assert [f.name for f in dataclasses.fields(SequenceManifest)] == ["sequence_id", "frames"]
+
+    @pytest.mark.parametrize("line", ["# annotation: gt.txt", "# annotation:", "#annotation :  "])
+    def test_annotation_line_of_an_older_manifest_is_a_comment(self, tmp_path, line):
+        body = "# sequence: s\n0\tf0.pnm\n2\tf2.pnm\n"
+        with_line = put(tmp_path, "with.txt", f"{FORMAT_VERSION} manifest\n{line}\n{body}")
+        without = put(tmp_path, "without.txt", f"{FORMAT_VERSION} manifest\n{body}")
+        assert read_manifest(with_line) == read_manifest(without) == SequenceManifest(
+            "s", ((0, "f0.pnm"), (2, "f2.pnm")))
 
     def test_missing_sequence_directive(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n0\tf0.pnm\n")
@@ -591,19 +599,15 @@ class TestManifest:
             read_manifest(path)
         assert err.value.lineno == 4
 
-    @pytest.mark.parametrize("sequence_id, frame_path, annotation_path", [
-        ("a\nb", "f.pgm", "gt.txt"),
-        ("s\r", "f.pgm", "gt.txt"),
-        ("s", " f.pgm", "gt.txt"),
-        ("s", "f.pgm\n", "gt.txt"),
-        ("s", "f.pgm", "gt.txt "),
-        ("s", "f.pgm", "a\rb.txt"),
+    @pytest.mark.parametrize("sequence_id, frame_path", [
+        ("a\nb", "f.pgm"),
+        ("s\r", "f.pgm"),
+        ("s", " f.pgm"),
+        ("s", "f.pgm\n"),
     ])
-    def test_write_rejects_what_would_not_re_read(self, tmp_path, sequence_id, frame_path,
-                                                   annotation_path):
-        manifest = SequenceManifest(sequence_id=sequence_id, frames=((0, frame_path),),
-                                    annotation_paths=(annotation_path,))
-        bad = next(v for v in (sequence_id, frame_path, annotation_path) if v != v.strip()
+    def test_write_rejects_what_would_not_re_read(self, tmp_path, sequence_id, frame_path):
+        manifest = SequenceManifest(sequence_id=sequence_id, frames=((0, frame_path),))
+        bad = next(v for v in (sequence_id, frame_path) if v != v.strip()
                    or "\n" in v or "\r" in v)
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             write_manifest(manifest, tmp_path / "m.txt")
@@ -616,24 +620,22 @@ class TestManifest:
             read_manifest(path)
         assert err.value.lineno == 4
 
-    @pytest.mark.parametrize("directive, before", [("sequence", "0\tf0.pnm"),
-                                                   ("annotation", "# sequence: s")])
-    def test_empty_directive_reports_its_line(self, tmp_path, directive, before):
-        path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n{before}\n#  {directive}:  \n")
+    def test_empty_directive_reports_its_line(self, tmp_path):
+        path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n0\tf0.pnm\n#  sequence:  \n")
         with pytest.raises(DatastoreError) as err:
             read_manifest(path)
-        assert str(err.value) == f"{path}:3: empty '# {directive}:' directive"
+        assert str(err.value) == f"{path}:3: empty '# sequence:' directive"
         assert err.value.lineno == 3
 
     def test_other_comments_are_not_directives(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# note: x\n# sequences:\n"
                    "# sequence s\n#annotation:a:b\n# sequence:s\n")
-        assert read_manifest(path) == SequenceManifest("s", (), ("a:b",))
+        assert read_manifest(path) == SequenceManifest("s", ())
 
     def test_whitespace_around_directive_name_is_ignored(self, tmp_path):
         path = put(tmp_path, "m.txt",
-                   f"{FORMAT_VERSION} manifest\n# sequence : s1\n#annotation :gt.txt\n0\tf0.pnm\n")
-        assert read_manifest(path) == SequenceManifest("s1", ((0, "f0.pnm"),), ("gt.txt",))
+                   f"{FORMAT_VERSION} manifest\n#sequence :s1\n0\tf0.pnm\n")
+        assert read_manifest(path) == SequenceManifest("s1", ((0, "f0.pnm"),))
 
     def test_spaced_directive_is_repeated_by_the_next(self, tmp_path):
         path = put(tmp_path, "m.txt", f"{FORMAT_VERSION} manifest\n# sequence : a\n# sequence: b\n")
@@ -642,17 +644,15 @@ class TestManifest:
         assert str(err.value) == f"{path}:3: repeated '# sequence:' directive"
         assert err.value.lineno == 3
 
-    @pytest.mark.parametrize("sequence_id, frames, annotation_paths, message", [
-        ("", ((0, "f0.pnm"),), (), "sequence id must be non-empty"),
-        ("s", ((3, "a.pnm"), (2, "b.pnm")), (), "frame indices not strictly increasing at 2"),
-        ("s", ((3, "a.pnm"), (3, "b.pnm")), (), "frame indices not strictly increasing at 3"),
-        ("s", ((0, "f0.pnm"), (1, "")), (), "empty path for frame 1"),
-        ("s", ((0, "f0.pnm"),), ("gt.txt", ""), "empty annotation path"),
+    @pytest.mark.parametrize("sequence_id, frames, message", [
+        ("", ((0, "f0.pnm"),), "sequence id must be non-empty"),
+        ("s", ((3, "a.pnm"), (2, "b.pnm")), "frame indices not strictly increasing at 2"),
+        ("s", ((3, "a.pnm"), (3, "b.pnm")), "frame indices not strictly increasing at 3"),
+        ("s", ((0, "f0.pnm"), (1, "")), "empty path for frame 1"),
     ])
-    def test_built_manifest_keeps_its_invariant(self, sequence_id, frames, annotation_paths,
-                                                message):
+    def test_built_manifest_keeps_its_invariant(self, sequence_id, frames, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            SequenceManifest(sequence_id, frames, annotation_paths)
+            SequenceManifest(sequence_id, frames)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = put(tmp_path, "m.txt",

@@ -6,6 +6,9 @@ imports.
 The package root imports nothing, so an import cycle between two modules
 shows when one of them is the first module a program imports.
 
+Every ``.py`` file of ``src/``, ``tests/`` and ``perfbench/`` parses with
+the grammar of Python 3.10, the oldest version ``pyproject.toml`` supports.
+
 The package defines one exception class, ``DatastoreError``: a bad value
 raises ``ValueError``, and a bad file raises ``DatastoreError`` naming
 the file and line.
@@ -20,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(p.stem for p in (SRC / "icevision_kit").glob("*.py") if p.stem != "__init__")
 
 
@@ -41,6 +45,22 @@ def test_package_root_exports_nothing():
                         "print(sorted(n for n in vars(kit) if not n.startswith('__')))")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("path", sorted(p.relative_to(ROOT).as_posix() for folder in
+                                         ("src", "tests", "perfbench")
+                                         for p in (ROOT / folder).rglob("*.py")))
+def test_grammar_is_python_3_10(path):
+    # the oldest Python the package supports: grammar added later (``except*``,
+    # a ``type`` statement) would first fail on that interpreter
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), path, feature_version=(3, 10))
+
+
+def test_grammar_check_rejects_newer_grammar():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)  # the running interpreter (3.11 or later) takes it
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse(source, feature_version=(3, 10))
 
 
 def defined_names(tree: ast.Module) -> set[str]:
