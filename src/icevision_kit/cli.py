@@ -41,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _require(path) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(errno.ENOENT, "missing input", str(p))
-    return p
-
-
 def _grid_values(parser: _Parser, text: str, flag: str) -> list[float]:
     values = [v for v in (part.strip() for part in text.split(",")) if v]
     if not values:
@@ -146,11 +139,9 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_interp, parser=p)
     p.add_argument("--tracks", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--manifest", help="fill gaps by NCC on this manifest's frames "
-                                      "(without it, linearly)")
+    p.add_argument("--manifest", help="fill gaps by NCC on this manifest's frames, their "
+                                      "paths relative to its directory (without it, linearly)")
     # the flags only NCC reads default to None, so interp can tell one given without --manifest
-    p.add_argument("--root", help="directory the manifest's frame paths are relative to "
-                                  "(default: .)")
     p.add_argument("--pattern", choices=[b.value for b in BayerPattern],
                    help="read the manifest's frames as Bayer mosaics with this layout")
     p.add_argument("--margin", type=datastore.real_value,
@@ -203,8 +194,8 @@ def build_parser() -> _Parser:
 
 def _cmd_score(args, parser: _Parser) -> int:
     _distinct_outputs(parser, [("--output", args.output), ("--records", args.records)])
-    detections = datastore.read_detections(_require(args.detections))
-    annotations = datastore.read_annotations(_require(args.annotations))
+    detections = datastore.read_detections(args.detections)
+    annotations = datastore.read_annotations(args.annotations)
     report = score_dataset(detections, annotations, ScoringConfig(Stage(args.stage)))
     if args.output:
         atomic_write_text(args.output, format_report(report))
@@ -216,7 +207,7 @@ def _cmd_score(args, parser: _Parser) -> int:
 
 def _cmd_track(args, parser: _Parser) -> int:
     cfg = _config(parser, args, TRACKER_FLAGS)
-    detections = datastore.read_detections(_require(args.detections))
+    detections = datastore.read_detections(args.detections)
     tracks = tracking.run_tracker(detections, cfg)
     datastore.write_tracks(tracks, args.output)
     print(f"tracks {len(tracks)}")
@@ -225,18 +216,18 @@ def _cmd_track(args, parser: _Parser) -> int:
 
 def _cmd_interp(args, parser: _Parser) -> int:
     if args.manifest is None:
-        for flag in ("--root", "--pattern", "--margin"):
+        for flag in ("--pattern", "--margin"):
             if getattr(args, flag.removeprefix("--")) is not None:
                 parser.error(f"{flag} requires --manifest")
     elif args.margin is not None and not 0.0 <= args.margin < math.inf:
         parser.error(f"--margin must be finite and >= 0, got {args.margin}")
-    tracks = datastore.read_tracks(_require(args.tracks))
+    tracks = datastore.read_tracks(args.tracks)
     if args.manifest is None:
         dense = [tracking.densify_linear(t) for t in tracks]
     else:
-        manifest = datastore.read_manifest(_require(args.manifest))
+        manifest = datastore.read_manifest(args.manifest)
         pattern = BayerPattern(args.pattern) if args.pattern else None
-        source = datastore.ManifestFrameSource(manifest, root=args.root or ".", pattern=pattern)
+        source = datastore.ManifestFrameSource(manifest, Path(args.manifest).parent, pattern)
         margin = NCC_MARGIN_PX if args.margin is None else args.margin
         try:
             dense = tracking.densify_ncc_tracks(tracks, source, margin=margin)
@@ -255,10 +246,10 @@ def _cmd_interp(args, parser: _Parser) -> int:
 
 
 def _cmd_refine(args, parser: _Parser) -> int:
-    tracks = datastore.read_tracks(_require(args.tracks))
+    tracks = datastore.read_tracks(args.tracks)
     thresholds = LevelThresholds()
     if args.thresholds:
-        text = datastore.read_text(_require(args.thresholds))
+        text = datastore.read_text(args.thresholds)
         try:
             thresholds = refinement.parse_thresholds(text)
         except ValueError as exc:
@@ -275,8 +266,8 @@ def _cmd_tune(args, parser: _Parser) -> int:
         _grid_values(parser, args.grid_level2, "--grid-level2"),
         _grid_values(parser, args.grid_top, "--grid-top"),
     )
-    tracks = datastore.read_tracks(_require(args.tracks))
-    annotations = datastore.read_annotations(_require(args.annotations))
+    tracks = datastore.read_tracks(args.tracks)
+    annotations = datastore.read_annotations(args.annotations)
     best, best_score = refinement.grid_search_thresholds(
         tracks, annotations, grid, ScoringConfig(Stage(args.stage))
     )
@@ -299,7 +290,7 @@ def _cmd_convert(args, parser: _Parser) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for input_path, out_path in outputs:
         try:
-            cfa = frames.read_pnm(_require(input_path).read_bytes(), BayerPattern(args.pattern))
+            cfa = frames.read_pnm(Path(input_path).read_bytes(), BayerPattern(args.pattern))
             ppm = frames.convert_frame(cfa, args.crop_keep, args.equalize)
         except ValueError as exc:
             raise DatastoreError(input_path, None, str(exc)) from None
@@ -309,7 +300,7 @@ def _cmd_convert(args, parser: _Parser) -> int:
 
 
 def _load_spec(path) -> harness.ScenarioSpec:
-    return harness.parse_scenario(datastore.read_text(_require(path)), path)
+    return harness.parse_scenario(datastore.read_text(path), path)
 
 
 def _cmd_synth(args, parser: _Parser) -> int:
@@ -317,6 +308,7 @@ def _cmd_synth(args, parser: _Parser) -> int:
     tracker = _config(parser, args, STRIDE_FLAGS)
     render_dir = Path(args.render_dir) if args.render_dir else None
     outputs = [("--annotations", args.annotations), ("--detections", args.detections),
+               ("--render-dir", render_dir),  # the directory, then the manifest in it
                ("--render-dir", render_dir and render_dir / "manifest.txt")]
     _distinct_outputs(parser, outputs)
     spec = _load_spec(args.spec)

@@ -571,6 +571,7 @@ def write_manifest(manifest: SequenceManifest, path) -> None:
 class ManifestFrameSource:
     """Frame loader indexed by frame number, for NCC interpolation.
 
+    A frame path is relative to ``root``, and an absolute one is read as it is.
     Each access reads and decodes the frame's PGM; no frame is cached
     (:func:`tracking.densify_ncc_tracks` asks for each frame once, in
     ascending order).  The file is read into one buffer the source keeps
@@ -578,8 +579,8 @@ class ManifestFrameSource:
     placed at the parity of the previous file's bytes outside its payload
     (its length less the decoded samples' size), so a 16-bit payload
     starts on a 2-byte boundary whenever this file's header has that
-    parity; otherwise :func:`frames.read_pnm` copies the payload, and no
-    sample changes.  Each fetch parses its header once, in ``read_pnm``.
+    parity; otherwise :func:`frames.read_pnm` casts it misaligned, at about
+    twice the cost.  Each fetch parses its header once, in ``read_pnm``.
     The decoded image is a new array and never shares memory with the buffer.
     Every frame must have the size of the first one decoded.
     With a ``pattern`` the frame stays the decoded mosaic
@@ -591,7 +592,7 @@ class ManifestFrameSource:
     def __init__(
         self,
         manifest: SequenceManifest,
-        root: str | os.PathLike = ".",
+        root: str | os.PathLike,
         pattern: BayerPattern | None = None,
     ):
         self._paths = {index: frame_path for index, frame_path in manifest.frames}

@@ -149,8 +149,6 @@ def read_pnm(data, pattern: BayerPattern | None = None) -> GrayImage | CfaImage:
     if len(data) - start < need:
         raise ValueError(f"payload has {max(len(data) - start, 0)} bytes, need {need}")
     samples = np.frombuffer(data, dtype, width * height, offset=start)
-    if not samples.flags.aligned:  # a misaligned cast runs at half speed: copy the payload first
-        samples = np.frombuffer(bytes(data[start : start + need]), dtype)
     samples = samples.reshape(height, width).astype(sample_dtype(max_value))
     if pattern is None:
         return GrayImage(samples=samples, max_value=max_value)

@@ -9,6 +9,7 @@ prefixes.
 from __future__ import annotations
 
 import functools
+import io
 from dataclasses import dataclass
 from importlib import resources
 
@@ -98,9 +99,10 @@ def parse_code(text: str) -> ClassCode:
 class Taxonomy:
     """The set of concrete sign codes: their canonical order and siblings.
 
-    Loaded from a plain-text registry: UTF-8, one code per line, ``#``
-    comments.  Wildcards are not supported; every concrete code is listed.
-    Immutable after construction.
+    Loaded from a plain-text registry: UTF-8, one code per line (lines end
+    at ``\\r\\n``, ``\\r`` or ``\\n``, as in a record file), ``#`` comments.
+    Wildcards are not supported; every concrete code is listed.  Immutable
+    after construction.
     """
 
     def __init__(self, leaves: list[ClassCode]):
@@ -117,7 +119,7 @@ class Taxonomy:
     @classmethod
     def from_text(cls, text: str) -> Taxonomy:
         leaves = []
-        for raw in text.splitlines():
+        for raw in io.StringIO(text, newline=None):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -3,9 +3,12 @@
 import argparse
 import dataclasses
 import errno
+import glob
 import inspect
 import os
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import frame_oracles
 import numpy as np
@@ -95,7 +98,7 @@ class TestScore:
         code = main(["score", "--detections", str(tmp_path / "nope.txt"),
                      "--annotations", str(ann_path)])
         assert code == EX_MISSING_INPUT
-        assert "missing input" in capsys.readouterr().err
+        assert f"No such file or directory: {tmp_path / 'nope.txt'}" in capsys.readouterr().err
 
     def test_malformed_detections_reports_line(self, tmp_path, capsys):
         det_path = tmp_path / "bad.txt"
@@ -187,8 +190,7 @@ class TestTrackInterpRefine:
         datastore.write_detections(harness.group_by_frame(plain), expect)
         assert (tmp_path / "out.txt").read_bytes() == expect.read_bytes()
 
-    @pytest.mark.parametrize("flag, value", [("--root", "."), ("--pattern", "RGGB"),
-                                             ("--margin", "20")])
+    @pytest.mark.parametrize("flag, value", [("--pattern", "RGGB"), ("--margin", "20")])
     def test_interp_ncc_flag_needs_manifest(self, tmp_path, capsys, flag, value):
         det_path = tmp_path / "dets.txt"
         datastore.write_detections(keyframe_detections(), det_path)
@@ -203,16 +205,38 @@ class TestTrackInterpRefine:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "x.txt").exists()
 
-    def test_interp_ncc_root_defaults_to_the_working_directory(self, tmp_path, capsys,
-                                                               monkeypatch):
+    def test_interp_ncc_reads_frames_relative_to_the_manifest(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # synth writes frame names relative to the render directory that holds the manifest
+        spec = TestSynthAndBench.spec_file(tmp_path, frame_count=12, sign_count=2, width=160,
+                                           height=120)
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--spec", str(spec), "--annotations", "gt.txt",
+                     "--detections", "dets.txt", "--render-dir", "frames"]) == EX_OK
+        assert main(["track", "--detections", "dets.txt", "--output", "tracks.txt"]) == EX_OK
+        assert main(["interp", "--tracks", "tracks.txt", "--output", "dense.txt",
+                     "--manifest", "frames/manifest.txt"]) == EX_OK
+        source = datastore.ManifestFrameSource(
+            datastore.read_manifest("frames/manifest.txt"), root=tmp_path / "frames")
+        tracks = datastore.read_tracks("tracks.txt")
+        dense = tracking.densify_ncc_tracks(tracks, source)
+        assert sum(len(t.entries) for t in dense) > sum(len(t.entries) for t in tracks)
+        datastore.write_tracks(dense, "expect.txt")
+        assert (tmp_path / "dense.txt").read_bytes() == (tmp_path / "expect.txt").read_bytes()
+
+    def test_interp_ncc_keeps_an_absolute_frame_path(self, tmp_path, capsys):
         pgm = b"P5\n200 160\n255\n" + bytes(range(200)) * 160
         argv = self.ncc_fixture(tmp_path, range(7), pgm)
-        monkeypatch.chdir(tmp_path)
-        argv = argv[:argv.index("--root")]  # the frames sit in the working directory
         assert main(argv) == EX_OK
-        left_out = (tmp_path / "out.txt").read_bytes()
-        assert main(argv + ["--root", "."]) == EX_OK
-        assert (tmp_path / "out.txt").read_bytes() == left_out
+        relative = (tmp_path / "out.txt").read_bytes()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        frames_at = tuple((f, str(tmp_path / f"f{f}.pgm")) for f in range(7))
+        datastore.write_manifest(datastore.SequenceManifest("s", frames_at),
+                                 elsewhere / "manifest.txt")
+        argv[argv.index("--manifest") + 1] = str(elsewhere / "manifest.txt")
+        assert main(argv) == EX_OK
+        assert (tmp_path / "out.txt").read_bytes() == relative
 
     def test_interp_ncc_flags_without_manifest_are_not_ignored(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -223,7 +247,7 @@ class TestTrackInterpRefine:
         main(["track", "--detections", str(det_path), "--output", "t.txt"])
         capsys.readouterr()
         code = main(["interp", "--tracks", "t.txt", "--output", "o.txt", "--margin", "nan",
-                     "--pattern", "RGGB", "--root", "/nonexistent"])
+                     "--pattern", "RGGB"])
         assert code == EX_USAGE
         err = capsys.readouterr().err
         assert "requires --manifest" in err and "Traceback" not in err
@@ -246,7 +270,7 @@ class TestTrackInterpRefine:
             datastore.SequenceManifest(sequence_id="s", frames=tuple(entries)), manifest_path
         )
         return ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "out.txt"),
-                "--manifest", str(manifest_path), "--root", str(tmp_path)]
+                "--manifest", str(manifest_path)]
 
     def test_interp_ncc_sample_above_maxval_is_malformed(self, tmp_path, capsys):
         pgm = b"P5\n200 160\n100\n" + bytes([200]) * (200 * 160)
@@ -443,7 +467,7 @@ class TestBadNumericFlag:
             "bench": ["bench", "--spec", str(spec)],
             "convert": ["convert", str(tmp_path / "f0.pgm"), "--output-dir", str(tmp_path / "o")],
             "interp": ["interp", "--tracks", str(tracks_path), "--output", str(tmp_path / "o"),
-                       "--manifest", str(tmp_path / "manifest.txt"), "--root", str(tmp_path)],
+                       "--manifest", str(tmp_path / "manifest.txt")],
         }
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -559,7 +583,7 @@ class TestFlagInventory:
         "score": ["detections", "annotations", "stage", "output", "records"],
         "track": ["detections", "output", "iou_threshold", "max_missed_keyframes",
                   "min_track_length"],
-        "interp": ["tracks", "output", "manifest", "root", "pattern", "margin", "out_format"],
+        "interp": ["tracks", "output", "manifest", "pattern", "margin", "out_format"],
         "refine": ["tracks", "output", "thresholds"],
         "tune": ["tracks", "annotations", "grid_specific", "grid_level2", "grid_top", "stage",
                  "output"],
@@ -577,7 +601,7 @@ class TestFlagInventory:
         dests = {name: [a.dest for a in command._actions if a.dest != "help"]
                  for name, command in sub.choices.items()}
         assert dests == self.DESTS
-        assert sum(map(len, dests.values())) == 51
+        assert sum(map(len, dests.values())) == 50
 
 
 class TestConfigFieldInventory:
@@ -606,14 +630,14 @@ class TestConfigFieldInventory:
 class TestFlagsThatChangedNothing:
     """``score --jobs``, ``track --stride`` and ``convert --jobs`` were read
     by nothing, ``bench --budget-fps`` set what the competition fixes,
-    ``convert --sidecar`` said again what ``convert``'s flags say, and
-    ``interp --method`` said again whether ``--manifest`` was given; all
-    are gone."""
+    ``convert --sidecar`` said again what ``convert``'s flags say,
+    ``interp --method`` said again whether ``--manifest`` was given, and
+    ``interp --root`` said again where the manifest is; all are gone."""
 
     @pytest.mark.parametrize("command, flag, value", [
         ("score", "--jobs", "2"), ("track", "--stride", "3"), ("bench", "--budget-fps", "5"),
         ("convert", "--sidecar", "f"), ("convert", "--jobs", "2"), ("interp", "--method", "ncc"),
-        ("interp", "--method", "linear")])
+        ("interp", "--method", "linear"), ("interp", "--root", ".")])
     def test_is_an_unrecognized_argument(self, tmp_path, capsys, command, flag, value):
         det_path, ann_path = write_fixture_files(tmp_path)
         spec = tmp_path / "scenario.cfg"
@@ -946,6 +970,12 @@ class TestOutputsThatNameOneEntry:
             lambda a, b: ["synth", "--spec", "s", "--annotations", "g", "--detections",
                           a("r/manifest.txt"), "--render-dir", b("r")],
             "--detections", "--render-dir"),
+        "synth annotations, render dir": (
+            lambda a, b: ["synth", "--spec", "s", "--annotations", a("r"),
+                          "--render-dir", b("r")], "--annotations", "--render-dir"),
+        "synth detections, render dir": (
+            lambda a, b: ["synth", "--spec", "s", "--annotations", "g", "--detections", a("r"),
+                          "--render-dir", b("r")], "--detections", "--render-dir"),
         "convert inputs": (
             lambda a, b: ["convert", a("f.pgm"), b("f.pgm"), "--output-dir", "o"], None, None),
     }
@@ -1030,6 +1060,19 @@ class TestOutputsThatNameOneEntry:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "scenario.cfg"]
         assert (tmp_path / "afile").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("flag", ["--annotations", "--detections"])
+    def test_synth_output_at_the_render_dir(self, tmp_path, capsys, monkeypatch, flag):
+        spec = TestSynthAndBench.spec_file(tmp_path, frame_count=3, sign_count=1, width=320,
+                                           height=240)
+        monkeypatch.chdir(tmp_path)
+        outputs = {"--annotations": "a.txt", flag: "r"}
+        argv = ["synth", "--spec", str(spec), "--render-dir", "r"]
+        assert main(argv + [arg for item in outputs.items() for arg in item]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert f"error: {flag} and --render-dir both write r\n" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
+
 
 class TestFlagsCheckedBeforeFiles:
     """A misused flag is a usage error even when the files it would act on
@@ -1037,7 +1080,6 @@ class TestFlagsCheckedBeforeFiles:
 
     MISUSE = {
         "interp without manifest": ["interp", "--output", "o", "--pattern", "RGGB"],
-        "interp root without manifest": ["interp", "--output", "o", "--root", "."],
         "interp margin without manifest": ["interp", "--output", "o", "--margin", "20"],
         "interp bad margin": ["interp", "--output", "o", "--manifest", "m", "--margin", "nan"],
         "tune bad grid": ["tune", "--annotations", "a", "--grid-specific", "0.5",
@@ -1233,7 +1275,7 @@ class TestSynthAndBench:
         dense_path = tmp_path / "dense.txt"
         main(["track", "--detections", str(det), "--output", str(tracks_path)])
         code = main(["interp", "--tracks", str(tracks_path), "--output", str(dense_path),
-                     "--manifest", str(render / "manifest.txt"), "--root", str(render)])
+                     "--manifest", str(render / "manifest.txt")])
         assert code == EX_OK
         assert datastore.read_tracks(dense_path)
 
@@ -1294,3 +1336,81 @@ class TestSynthAndBench:
         spec.write_text("frame_count = 30\nframe_count = 40\n")
         assert main(["bench", "--spec", str(spec)]) == EX_MALFORMED_INPUT
         assert "scenario.cfg:2:" in capsys.readouterr().err
+
+
+class TestInputPaths:
+    """Each input is opened once, by the code that reads it: a missing input
+    exits 2, and one whose path runs through a regular file or a symlink
+    loop exits 64, as that path does as an output; the message names it."""
+
+    GRID = ["--grid-specific", "0.5", "--grid-level2", "0.5", "--grid-top", "0.5"]
+    # P is the input probed; every other input is valid
+    READERS = {
+        "score detections": ["score", "--detections", "P", "--annotations", "anns.txt"],
+        "score annotations": ["score", "--detections", "dets.txt", "--annotations", "P"],
+        "track detections": ["track", "--detections", "P", "--output", "o.txt"],
+        "interp tracks": ["interp", "--tracks", "P", "--output", "o.txt"],
+        "interp manifest": ["interp", "--tracks", "t.txt", "--output", "o.txt",
+                            "--manifest", "P"],
+        "refine tracks": ["refine", "--tracks", "P", "--output", "o.txt"],
+        "refine thresholds": ["refine", "--tracks", "t.txt", "--output", "o.txt",
+                              "--thresholds", "P"],
+        "tune tracks": ["tune", "--tracks", "P", "--annotations", "anns.txt", *GRID],
+        "tune annotations": ["tune", "--tracks", "t.txt", "--annotations", "P", *GRID],
+        "convert input": ["convert", "P", "--output-dir", "rgb"],
+        "synth spec": ["synth", "--spec", "P", "--annotations", "o.txt"],
+        "bench spec": ["bench", "--spec", "P"],
+    }
+    PATHS = {
+        "missing": ("nope.txt", EX_MISSING_INPUT, "No such file or directory"),
+        "through a file": ("afile/x.txt", EX_USAGE, "Not a directory"),
+        "through a loop": ("loop/x.txt", EX_USAGE, "Too many levels of symbolic links"),
+    }
+
+    @staticmethod
+    def workdir(tmp_path, monkeypatch) -> None:
+        write_fixture_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["track", "--detections", "dets.txt", "--output", "t.txt"]) == EX_OK
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "loop").symlink_to("loop")
+
+    @pytest.mark.parametrize("kind", PATHS)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_exit_code_names_the_input(self, tmp_path, capsys, monkeypatch, reader, kind):
+        self.workdir(tmp_path, monkeypatch)
+        path, code, strerror = self.PATHS[kind]
+        capsys.readouterr()
+        assert main([path if arg == "P" else arg for arg in self.READERS[reader]]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"icevision-kit: {strerror}: {path}\n"
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("kind", ["through a file", "through a loop"])
+    def test_the_same_path_as_an_output(self, tmp_path, capsys, monkeypatch, kind):
+        self.workdir(tmp_path, monkeypatch)
+        path, code, strerror = self.PATHS[kind]
+        capsys.readouterr()
+        assert main(["track", "--detections", "dets.txt", "--output", path]) == code
+        assert capsys.readouterr().err == f"icevision-kit: {strerror}: {path}\n"
+
+
+class TestReadmeCli:
+    """The README's CLI section runs top to bottom in an empty directory."""
+
+    def test_every_command_exits_0(self, tmp_path, capsys, monkeypatch):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        spec = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        script = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scenario.cfg").write_text(spec)
+        commands = [argv for line in script.replace("\\\n", " ").splitlines()
+                    if (argv := shlex.split(line, comments=True))]
+        assert len(commands) == 10
+        for prog, *argv in commands:
+            assert prog == "icevision-kit"
+            argv = [path for arg in argv for path in (sorted(glob.glob(arg)) if "*" in arg
+                                                       else [arg])]
+            assert main(argv) == EX_OK, (argv, capsys.readouterr().err)
+        assert len(list((tmp_path / "rgb").iterdir())) == 30

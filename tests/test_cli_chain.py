@@ -30,11 +30,9 @@ STEPS = {
               "--max-missed", "1", "--iou-threshold", "0.2"],
     "interp_linear": ["interp", "--tracks", "tracks.txt", "--output", "linear.txt"],
     "interp_ncc": ["interp", "--tracks", "tracks.txt", "--output", "ncc.txt",
-                   "--manifest", "render/manifest.txt",
-                   "--root", "render", "--pattern", "RGGB", "--margin", "12"],
+                   "--manifest", "render/manifest.txt", "--pattern", "RGGB", "--margin", "12"],
     "interp_ncc_flat": ["interp", "--tracks", "tracks.txt", "--output", "ncc_flat.txt",
-                        "--manifest", "render/manifest.txt",
-                        "--root", "render", "--format", "detections"],
+                        "--manifest", "render/manifest.txt", "--format", "detections"],
     "refine_linear": ["refine", "--tracks", "linear.txt", "--output", "refined_linear.txt"],
     "tune": ["tune", "--tracks", "ncc.txt", "--annotations", "ann.txt",
              "--grid-specific", "0.3,0.5,0.7", "--grid-level2", "0.4,0.6",

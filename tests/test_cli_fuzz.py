@@ -18,8 +18,9 @@ DOCUMENTED_EXITS = {EX_OK, EX_MISSING_INPUT, EX_MALFORMED_INPUT, EX_USAGE}
 FRAME = "frame_000003.pgm"
 GRID = ["--grid-specific", "0.5", "--grid-level2", "0.5", "--grid-top", "0.5"]
 
-# each input kind -> the argv tails that read it; X is the mutated file,
-# O an output path, and the other names are the valid files in the base dir
+# each input kind -> the argv tails that read it; X is the mutated file, R the
+# manifest of a copy of the rendered frames with the mutated file in it under its
+# own name, O an output path, and the other names are the valid files in the base dir
 COMMANDS = {
     "detections": [
         ["score", "--detections", "X", "--annotations", "ann.txt"],
@@ -31,19 +32,17 @@ COMMANDS = {
     ],
     "tracks": [
         ["interp", "--tracks", "X", "--output", "O", "--format", "detections"],
-        ["interp", "--tracks", "X", "--output", "O",
-         "--manifest", "render/manifest.txt", "--root", "render"],
+        ["interp", "--tracks", "X", "--output", "O", "--manifest", "render/manifest.txt"],
         ["refine", "--tracks", "X", "--output", "O"],
         ["tune", "--tracks", "X", "--annotations", "ann.txt", *GRID],
     ],
     "manifest": [
-        ["interp", "--tracks", "tracks.txt", "--output", "O",
-         "--manifest", "X", "--root", "render"],
+        ["interp", "--tracks", "tracks.txt", "--output", "O", "--manifest", "R"],
     ],
     "frame": [
         ["convert", "X", "--output-dir", "O"],
-        ["interp", "--tracks", "tracks.txt", "--output", "O",
-         "--manifest", "render/manifest.txt", "--root", "R", "--pattern", "RGGB"],
+        ["interp", "--tracks", "tracks.txt", "--output", "O", "--manifest", "R",
+         "--pattern", "RGGB"],
     ],
     "spec": [
         ["synth", "--spec", "X", "--annotations", "O", "--detections", "O"],
@@ -61,8 +60,7 @@ WRITERS = [
     ["track", "--detections", "det.txt", "--output", "O"],
     ["interp", "--tracks", "tracks.txt", "--output", "O"],
     ["interp", "--tracks", "tracks.txt", "--output", "O", "--format", "detections"],
-    ["interp", "--tracks", "tracks.txt", "--output", "O",
-     "--manifest", "render/manifest.txt", "--root", "render"],
+    ["interp", "--tracks", "tracks.txt", "--output", "O", "--manifest", "render/manifest.txt"],
     ["refine", "--tracks", "tracks.txt", "--output", "O"],
     ["tune", "--tracks", "tracks.txt", "--annotations", "ann.txt", *GRID, "--output", "O"],
     ["convert", f"render/{FRAME}", "--output-dir", "O"],
@@ -132,9 +130,10 @@ def test_mutated_inputs_exit_cleanly(base, kind, truncate, where, value):
         mutated.write_bytes(bytes(data))
         frames_root = tmp / "frames"
         shutil.copytree(base / "render", frames_root)
-        (frames_root / FRAME).write_bytes(bytes(data))
+        (frames_root / mutated.name).write_bytes(bytes(data))
         for i, tail in enumerate(COMMANDS[kind]):
-            names = {"X": str(mutated), "O": str(tmp / f"out{i}"), "R": str(frames_root)}
+            names = {"X": str(mutated), "O": str(tmp / f"out{i}"),
+                     "R": str(frames_root / "manifest.txt")}
             argv = [names.get(a) or (str(base / a) if (base / a).exists() else a) for a in tail]
             code, err = _run(argv)
             assert code in DOCUMENTED_EXITS, (argv, code, err)

@@ -123,6 +123,21 @@ class TestTaxonomy:
         assert parse_code("5.19.1") in tax.leaves
         assert parse_code("9.9.9") not in tax.leaves
 
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+    def test_only_cr_and_lf_end_a_line(self, sep):
+        # str.splitlines would also break at these, as a record file does not
+        tax = Taxonomy.from_text(f"3.24  # speed{sep}5.19.1\n5.20\n")
+        assert tax.leaves == (parse_code("3.24"), parse_code("5.20"))
+        entry = f"3.24{sep}5.19.1"
+        with pytest.raises(ValueError, match=re.escape(f"bad registry entry {entry!r}: ")):
+            Taxonomy.from_text(entry)
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
+    def test_line_ends(self, end):
+        tax = Taxonomy.from_text(f"3.24{end}{end}5.19.1  # note{end}5.20")
+        assert tax.leaves == tuple(map(parse_code, ("3.24", "5.19.1", "5.20")))
+
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="^duplicate registry entry 3.24$"):
             Taxonomy.from_text("3.24\n3.24\n")
