@@ -100,16 +100,15 @@ def _add_config_flags(p: argparse.ArgumentParser, *tables) -> None:
             p.add_argument(flag, dest=name, type=parse, default=defaults[name])
 
 
-def _config(parser: _Parser, args, table, **given):
-    """The table's config class built from its flags' values and ``given``;
-    a value the class rejects is a usage error naming its flag."""
+def _config(parser: _Parser, args, table):
+    """The table's config built from its flags; a value it rejects is a usage error naming its flag."""
     cls, flags = table
     for flag, name in flags.items():
         try:
             cls(**{name: getattr(args, name)})
         except ValueError as exc:
             parser.error(f"{flag}: {exc}")
-    return cls(**given, **{name: getattr(args, name) for name in flags.values()})
+    return cls(**{name: getattr(args, name) for name in flags.values()})
 
 
 def _add_stage_flag(p: argparse.ArgumentParser) -> None:
@@ -354,6 +353,10 @@ def main(argv=None) -> int:
         args, extra = parser.parse_known_args(argv)
         if extra:  # the subcommand's parser reports them, under its own usage line
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        for action in args.parser._actions:  # refuse a NUL byte before any file is used
+            value = getattr(args, action.dest, None)
+            if "\0" in (" ".join(value) if action.nargs == "+" else str(value)):
+                args.parser.error(f"{(action.option_strings or [action.dest])[0]}: NUL byte in {value!r}")
         return args.run(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -574,14 +574,12 @@ class ManifestFrameSource:
     A frame path is relative to ``root``, and an absolute one is read as it is.
     Each access reads and decodes the frame's PGM; no frame is cached
     (:func:`tracking.densify_ncc_tracks` asks for each frame once, in
-    ascending order).  The file is read into one buffer the source keeps
-    and reuses, so one source serves one caller at a time.  The file is
-    placed at the parity of the previous file's bytes outside its payload
-    (its length less the decoded samples' size), so a 16-bit payload
-    starts on a 2-byte boundary whenever this file's header has that
-    parity; otherwise :func:`frames.read_pnm` casts it misaligned, at about
-    twice the cost.  Each fetch parses its header once, in ``read_pnm``.
-    The decoded image is a new array and never shares memory with the buffer.
+    ascending order).  Each file is read into one buffer the source keeps
+    (so one source serves one caller at a time), placed to end on an even
+    offset: a 16-bit payload that ends its file starts on a 2-byte boundary
+    whatever its header's length; one followed by an odd number of bytes is
+    cast misaligned, at about twice the cost.  :func:`frames.read_pnm` parses
+    the header once per fetch and returns a new array, never the buffer's.
     Every frame must have the size of the first one decoded.
     With a ``pattern`` the frame stays the decoded mosaic
     (:class:`CfaImage`), validated over the whole frame like any other;
@@ -600,7 +598,6 @@ class ManifestFrameSource:
         self._pattern = pattern
         self._first: tuple[int, int, Path] | None = None  # width, height, path
         self._buffer = bytearray()
-        self._shift = 0  # buffer offset of the next file: the last file's non-payload parity
 
     def __getitem__(self, frame_index: int) -> GrayImage | CfaImage:
         path = self._root / self._paths[frame_index]
@@ -608,15 +605,15 @@ class ManifestFrameSource:
             # open raises ValueError for a path with a NUL byte: malformed, not missing
             with open(path, "rb") as file:
                 size = os.fstat(file.fileno()).st_size
-                if len(self._buffer) < self._shift + size:
+                start = size % 2  # so the file, and a payload that ends it, ends on an even offset
+                if len(self._buffer) < start + size:
                     # a new buffer, not a resize: a view of the old one may still be alive
                     self._buffer = bytearray(size + 1)
-                view = memoryview(self._buffer)[self._shift : self._shift + size]
+                view = memoryview(self._buffer)[start : start + size]
                 data = view[: file.readinto(view)]  # only the bytes read: none of an earlier frame
             image = read_pnm(data, self._pattern)
         except ValueError as exc:
             raise DatastoreError(path, None, str(exc)) from None
-        self._shift = (len(data) - image.samples.nbytes) % 2  # the bytes outside the payload
         if self._first is None:
             self._first = (image.width, image.height, path)
         elif (image.width, image.height) != self._first[:2]:

@@ -1123,6 +1123,33 @@ class TestUsageErrorsNameTheSubcommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNulByteInPath:
+    """A path argument holding a NUL byte, input or output, is a usage error
+    under the subcommand's usage line that names the argument, before any
+    file is read or written."""
+
+    RUNS = {
+        "track input": (["track", "--detections", "a\0b", "--output", "o.txt"], "--detections"),
+        "track output": (["track", "--detections", "dets.txt", "--output", "o\0.txt"], "--output"),
+        "score records": (["score", "--detections", "dets.txt", "--annotations", "anns.txt",
+                           "--records", "r\0"], "--records"),
+        "synth spec": (["synth", "--spec", "s\0.cfg", "--annotations", "o.txt"], "--spec"),
+        "convert input": (["convert", "x\0.pgm", "--output-dir", "rgb"], "inputs"),
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_is_a_usage_error_naming_the_argument(self, tmp_path, capsys, monkeypatch, run):
+        write_fixture_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv, name = self.RUNS[run]
+        assert main(argv) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: icevision-kit {argv[0]} ")
+        assert f"\nicevision-kit {argv[0]}: error: {name}: NUL byte in " in captured.err
+        assert "\0" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["anns.txt", "dets.txt"]
+
+
 class TestConvert:
     def test_constant_cfa_to_constant_ppm(self, tmp_path, capsys):
         src = tmp_path / "f0.pgm"

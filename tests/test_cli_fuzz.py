@@ -1,6 +1,7 @@
 """Truncated and byte-flipped input files through every CLI subcommand that
-reads them, and every output pointed where it cannot be written: the exit
-code stays one of the documented ones and no exception escapes ``main``."""
+reads them, every output pointed where it cannot be written, and a NUL byte
+in any path argument: the exit code stays one of the documented ones and no
+exception escapes ``main``."""
 
 import contextlib
 import io
@@ -170,3 +171,28 @@ def test_unwritable_outputs_exit_cleanly(base, tail, where):
         assert code in DOCUMENTED_EXITS, (argv, code, err)
         assert "Traceback" not in err, (argv, err)
         assert list(tmp.rglob("*.tmp")) == [], argv
+
+
+ARGVS = [(kind, tail) for kind, tails in COMMANDS.items() for tail in tails]
+ARGVS += [(None, tail) for tail in WRITERS]
+
+
+@pytest.mark.parametrize("kind, tail", ARGVS,
+                         ids=[f"{kind or 'writer'}-{i}" for i, (kind, _) in enumerate(ARGVS)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_nul_byte_in_a_path_argument_is_a_usage_error(base, kind, tail, data):
+    """X, R and the base files are valid inputs, O and A outputs; one of them gets the NUL."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        names = {"X": str(base / SOURCES[kind]) if kind else None, "O": str(tmp / "out"),
+                 "R": str(base / "render/manifest.txt"), "A": str(tmp / "ann.txt")}
+        argv = [names.get(a) or (str(base / a) if (base / a).exists() else a) for a in tail]
+        paths = [i for i, a in enumerate(tail) if a in names or (base / a).exists()]
+        i = data.draw(st.sampled_from(paths), label="argument")
+        at = data.draw(st.integers(0, len(argv[i])), label="position")
+        argv[i] = argv[i][:at] + "\0" + argv[i][at:]
+        code, err = _run(argv)
+        assert code == EX_USAGE, (argv, code, err)
+        assert "NUL byte" in err and "Traceback" not in err, (argv, err)
+        assert list(tmp.iterdir()) == [], argv

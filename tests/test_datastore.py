@@ -828,6 +828,35 @@ class TestManifestFrameSourceReadPath:
         assert np.array_equal(image.samples, images[1].samples)
         assert peak <= 1.25 * image.samples.nbytes + (64 << 10)
 
+    def test_every_fetch_reads_an_aligned_payload(self, tmp_path, monkeypatch):
+        samples = np.arange(24, dtype=np.uint16).reshape(4, 6) * 170
+        payload = samples.astype(">u2").tobytes()
+        # headers of 12, 13, 14 and 17 bytes, each file ending at its payload
+        headers = [b"P5\n6 4\n4095\n", b"P5\n6  4\n4095\n", b"P5\n#\n6 4\n4095\n",
+                   b"P5\n#odd\n6 4\n4095\n"]
+        assert [len(header) for header in headers] == [12, 13, 14, 17]
+        manifest = self.sequence(tmp_path, [header + payload for header in headers])
+        addresses = []
+
+        def spy(data, pattern=None):
+            image = read_pnm(data, pattern)
+            start = np.frombuffer(data, np.uint8).ctypes.data  # the address of data[0]
+            addresses.append(start + len(data) - image.samples.nbytes)
+            return image
+
+        monkeypatch.setattr(datastore, "read_pnm", spy)
+        for first in range(len(headers)):  # each file as a fresh source's first fetch
+            source = ManifestFrameSource(manifest, root=tmp_path)
+            kept = dict(vars(source))
+            addresses.clear()
+            for index in (first, *range(len(headers)), first):
+                assert np.array_equal(source[index].samples, samples)
+            assert [address % 2 for address in addresses] == [0] * (len(headers) + 2)
+            # the fetches leave no placement state: only the buffer and the first frame change
+            changed = {name for name, value in vars(source).items()
+                       if name not in kept or value is not kept[name]}
+            assert changed == {"_buffer", "_first"}
+
 
 class TestAtomicWrites:
     def test_bytes_replace(self, tmp_path):
