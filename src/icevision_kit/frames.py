@@ -3,7 +3,9 @@
 Covers binary PGM (P5) decoding of the camera's Bayer mosaics, bilinear
 demosaicing to RGB, histogram equalization for under-exposed night frames,
 row cropping, their one sequence from mosaic to PPM (:func:`convert_frame`),
-and normalized cross-correlation for position matching between keyframes.
+and normalized cross-correlation for position matching between keyframes:
+one call scores a template over a stack of search windows
+(:func:`ncc_surfaces`), and :func:`best_placement` picks a surface's peak.
 All operations are pure; images wrap numpy arrays of unsigned integers.
 """
 
@@ -353,21 +355,6 @@ def gray_window(image: GrayImage | CfaImage, x0: int, y0: int, x1: int, y1: int)
 # Normalized cross-correlation
 
 
-@dataclass(frozen=True)
-class NccMatch:
-    """Best template placement inside a search window.
-
-    ``degenerate`` means every placement (or the template itself) had zero
-    variance; the offsets then fall back to the tie-break preference and
-    the score is -inf.
-    """
-
-    offset_x: int
-    offset_y: int
-    score: float
-    degenerate: bool = False
-
-
 def _window_sums(values: np.ndarray, th: int, tw: int) -> np.ndarray:
     """Sum of every th x tw window over the last two axes (leading axes
     are a batch), from an exact integer summed-area table."""
@@ -396,11 +383,6 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _fft_shape(shape: tuple[int, ...]) -> tuple[int, int]:
-    """FFT size for search windows of ``shape`` (the last two axes)."""
-    return _fast_length(shape[-2]), _fast_length(shape[-1])
-
-
 def _byte_planes(values: np.ndarray, split: bool) -> list[tuple[int, np.ndarray]]:
     """(shift, plane) pairs that add up to ``values``: itself, or its two bytes."""
     return [(8 * k, (values >> 8 * k) & 0xFF) for k in (0, 1)] if split else [(0, values)]
@@ -412,105 +394,81 @@ def _spectrum(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.fft(np.fft.rfft(values, shape[1], axis=-1), shape[0], axis=-2)
 
 
-def _template_spectra(t: np.ndarray, shape: tuple[int, int], max_value: int) -> list:
-    """(shift, spectrum) per byte plane of the flipped template, at the FFT
-    size ``shape`` (:func:`_fft_shape` of the search window).
+def _cross_term(t: np.ndarray, s: np.ndarray, max_value: int) -> np.ndarray:
+    """Sum of window * template at every placement, in exact integers, over
+    the last two axes of ``s`` (leading axes are a batch of windows) with
+    samples up to ``max_value``.
 
-    The cross term is a product of ``rfft2`` spectra at that size, at least
-    the search window's on each side, so the valid part has no wrap-around.
-    Its float64 error stays below ``eps * log2(N) * sqrt(n * N) * max_value**2``
-    for n template pixels and an FFT of N (the worst measured was 1/40 of
-    that), so rounding is exact while that is under 0.25.  Above it the
-    samples are split into high and low bytes, so each of the four
-    products rounds exactly.
+    The cross term is a product of ``rfft2`` spectra at an FFT size at least
+    the window's on each side (the least :func:`_fast_length`), so the valid
+    part has no wrap-around.  Its float64 error stays below
+    ``eps * log2(N) * sqrt(n * N) * max_value**2`` for n template pixels and
+    an FFT of N (the worst measured was 1/40 of that), so rounding is exact
+    while that is under 0.25.  Above it the samples are split into high and
+    low bytes, so each of the four products rounds exactly.  The inverse
+    transform keeps the valid rows before its row transforms.
     """
+    (th, tw), (sh, sw) = t.shape, s.shape[-2:]
+    shape = _fast_length(sh), _fast_length(sw)
     size = shape[0] * shape[1]
     error = np.finfo(np.float64).eps * math.log2(max(size, 2)) * math.sqrt(t.size * size)
-    planes = _byte_planes(t, error * max_value**2 >= 0.25)
-    return [(shift, _spectrum(plane[::-1, ::-1], shape)) for shift, plane in planes]
-
-
-def _cross_term(t: np.ndarray, s: np.ndarray, spectra: list) -> np.ndarray:
-    """Sum of window * template at every placement, in exact integers, over
-    the last two axes of ``s`` (leading axes are a batch of windows);
-    ``spectra`` are the template's :func:`_template_spectra` for ``s``.
-    The inverse transform keeps the valid rows before its row transforms."""
-    (th, tw), (sh, sw) = t.shape, s.shape[-2:]
-    shape = _fft_shape(s.shape)
+    split = error * max_value**2 >= 0.25
+    t_spectra = [(shift, _spectrum(plane[::-1, ::-1], shape))
+                 for shift, plane in _byte_planes(t, split)]
     total = 0
-    for s_shift, plane in _byte_planes(s, len(spectra) > 1):
+    for s_shift, plane in _byte_planes(s, split):
         spectrum = _spectrum(plane, shape)
-        for t_shift, t_spectrum in spectra:
+        for t_shift, t_spectrum in t_spectra:
             rows = np.fft.ifft(spectrum * t_spectrum, axis=-2)[..., th - 1 : sh, :]
             valid = np.fft.irfft(rows, shape[1], axis=-1)[..., tw - 1 : sw]
             total = total + (np.rint(valid).astype(np.int64) << (s_shift + t_shift))
     return total
 
 
-class NccTemplate:
-    """A template prepared for search windows of the shape and sample range
-    of ``search``: its sums and spectra are computed once, so the gap
-    frames of a segment share them."""
+def ncc_surfaces(template: GrayImage, windows: list[GrayImage]) -> np.ndarray:
+    """NCC of ``template`` at every placement inside each of ``windows``, which
+    share one shape (numpy's ``ValueError`` otherwise), scored as one stack
+    with the template's sums and spectra computed once.
 
-    def __init__(self, template: GrayImage, search: GrayImage):
-        t = self._t = template.samples.astype(np.int64)
-        self.shape = search.samples.shape
-        (th, tw), (sh, sw) = t.shape, self.shape
-        if th > sh or tw > sw:
-            raise ValueError(f"template {tw}x{th} larger than search window {sw}x{sh}")
-        self.max_value = max(template.max_value, search.max_value)
-        self._sums = int(t.sum()), int((t * t).sum())
-        self._spectra = _template_spectra(t, _fft_shape(self.shape), self.max_value)
-
-    def scores(self, windows: list[GrayImage]) -> np.ndarray:
-        """NCC of the template at every placement inside each window, scored
-        as one stack; every window must have the prepared shape and a sample
-        range no larger.
-
-        Returns an array of shape (len(windows), search_h - t_h + 1,
-        search_w - t_w + 1), with -inf at degenerate (zero variance)
-        placements.  The numerator ``n*Swt - St*Sw`` and the variances
-        ``n*St2 - St**2`` and ``n*Sw2 - Sw**2`` are exact integers, so equal
-        windows score exactly equal and a placement is degenerate exactly
-        when a variance is 0.
-        """
-        if any(w.samples.shape != self.shape or w.max_value > self.max_value for w in windows):
-            raise ValueError(f"search window does not fit a template prepared for {self.shape}")
-        t, s = self._t, np.stack([w.samples for w in windows], dtype=np.int64)
-        (th, tw), (sum_t, sq_t) = t.shape, self._sums
-        n = th * tw
-        sums = [_window_sums(s, th, tw), _window_sums(s * s, th, tw),
-                _cross_term(t, s, self._spectra)]
-        if n * n * self.max_value**2 >= 2**63:  # n * Sw2 could overflow int64
-            sums = [a.astype(object) for a in sums]
-        w_sum, w_sq, cross = sums
-        var_t = n * sq_t - sum_t * sum_t
-        var_w = n * w_sq - w_sum * w_sum
-        numer = (n * cross - sum_t * w_sum).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = numer / np.sqrt(var_w.astype(np.float64) * float(var_t))
-        np.clip(scores, -1.0, 1.0, out=scores)
-        scores[(var_w == 0) | (var_t == 0)] = -np.inf
-        return scores
+    Returns an array of shape (len(windows), search_h - t_h + 1,
+    search_w - t_w + 1), with -inf at degenerate (zero variance)
+    placements.  The numerator ``n*Swt - St*Sw`` and the variances
+    ``n*St2 - St**2`` and ``n*Sw2 - Sw**2`` are exact integers, so equal
+    windows score exactly equal and a placement is degenerate exactly when
+    a variance is 0.
+    """
+    t, s = template.samples.astype(np.int64), np.stack([w.samples for w in windows], dtype=np.int64)
+    (th, tw), (sh, sw) = t.shape, s.shape[1:]
+    if th > sh or tw > sw:
+        raise ValueError(f"template {tw}x{th} larger than search window {sw}x{sh}")
+    max_value = max([template.max_value] + [w.max_value for w in windows])
+    n, sum_t, sq_t = th * tw, int(t.sum()), int((t * t).sum())
+    sums = [_window_sums(s, th, tw), _window_sums(s * s, th, tw), _cross_term(t, s, max_value)]
+    if n * n * max_value**2 >= 2**63:  # n * Sw2 could overflow int64
+        sums = [a.astype(object) for a in sums]
+    w_sum, w_sq, cross = sums
+    var_t = n * sq_t - sum_t * sum_t
+    var_w = n * w_sq - w_sum * w_sum
+    numer = (n * cross - sum_t * w_sum).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = numer / np.sqrt(var_w.astype(np.float64) * float(var_t))
+    np.clip(scores, -1.0, 1.0, out=scores)
+    scores[(var_w == 0) | (var_t == 0)] = -np.inf
+    return scores
 
 
-def best_placement(scores: np.ndarray, preferred_offset: tuple[float, float]) -> NccMatch:
-    """The highest-scoring placement on one surface of :meth:`NccTemplate.scores`.
+def best_placement(surface: np.ndarray, preferred_offset: tuple[float, float]) -> tuple[int, int] | None:
+    """The (x, y) of the highest-scoring placement on one surface of
+    :func:`ncc_surfaces`, or None when every placement is degenerate.
 
     Ties are broken by smallest Euclidean distance to ``preferred_offset``
-    (x, y), then row-major.  An all-degenerate surface yields a flagged
-    result at the preferred offset, rounded and clamped to the surface,
-    rather than an error.
+    (x, y), then row-major.
     """
-    oh, ow = scores.shape
-    px, py = preferred_offset
-
-    best = scores.max()
+    best = surface.max()
     if best == -np.inf:
-        ox = min(max(int(round(px)), 0), ow - 1)
-        oy = min(max(int(round(py)), 0), oh - 1)
-        return NccMatch(offset_x=ox, offset_y=oy, score=float("-inf"), degenerate=True)
-    ys, xs = np.nonzero(scores == best)
+        return None
+    px, py = preferred_offset
+    ys, xs = np.nonzero(surface == best)
     dist = (xs - px) ** 2 + (ys - py) ** 2
     pick = np.lexsort((xs, ys, dist))[0]
-    return NccMatch(offset_x=int(xs[pick]), offset_y=int(ys[pick]), score=float(best))
+    return int(xs[pick]), int(ys[pick])

@@ -165,10 +165,12 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
     Box sizes are linearly interpolated, but each in-between position is
     the peak of the normalized cross-correlation of the earlier keyframe's
     box content over a search area spanning both keyframe boxes plus
-    ``margin`` pixels, picked by :func:`frames.best_placement`: score ties
-    prefer the placement closest to the linear-interpolation position.
-    Degenerate correlation (flat template or flat search area) falls back
-    to the linear position and flags the entry.  A template partially
+    ``margin`` pixels.  A gap's search windows are scored in one
+    :func:`frames.ncc_surfaces` call, and :func:`frames.best_placement`
+    picks each peak: score ties prefer the placement closest to the
+    linear-interpolation position.  A surface with no placement of nonzero
+    variance (flat template or flat search area) has none, so its entry
+    keeps the linear position and is flagged.  A template partially
     outside the frame is clipped and flagged, and the box keeps its offset
     from the clipped template, so a sign that stays still at the frame
     edge keeps its keyframe box.
@@ -186,7 +188,8 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
 class _Segment:
     """One keyframe gap of the NCC walk.  Its start keyframe gives the
     template and the clipped search rectangle; each gap frame then gives a
-    search window, and the last one scores them all at once into ``fill``:
+    search window, and the last one scores them all in one
+    :func:`frames.ncc_surfaces` call into ``fill``:
     ``(box, ncc_degenerate, template_clipped)`` per gap frame."""
 
     def __init__(self, start: Detection, end: Detection):
@@ -218,28 +221,27 @@ class _Segment:
             self._score()
 
     def _score(self) -> None:
-        """Prepare the template once, for the widest sample range among the
-        windows, and place it in each by :func:`frames.best_placement`.  The
-        preferred placement centres the template at the linear box's centre
-        plus ``shift``, and a placed box is centred at the placed template's
-        centre minus ``shift``: a template the frame edge clipped keeps its
-        offset from the box."""
-        widest = max(self.windows, key=lambda window: window.max_value)
-        surfaces = frames_mod.NccTemplate(self.template, widest).scores(self.windows)
+        """Score the template over all the windows in one
+        :func:`frames.ncc_surfaces` call, and place it in each by
+        :func:`frames.best_placement`.  The preferred placement centres the
+        template at the linear box's centre plus ``shift``, and a placed box
+        is centred at the placed template's centre minus ``shift``: a
+        template the frame edge clipped keeps its offset from the box."""
+        surfaces = frames_mod.ncc_surfaces(self.template, self.windows)
         th, tw = self.template.samples.shape
         sx0, sy0 = self.search[:2]
         dx, dy = self.shift
         for linear_box, surface in zip(_linear_boxes(self.start, self.end), surfaces):
             cx, cy = linear_box.center
-            match = frames_mod.best_placement(
+            placed = frames_mod.best_placement(
                 surface, (cx + dx - tw / 2.0 - sx0, cy + dy - th / 2.0 - sy0))
             box = linear_box  # a degenerate surface keeps the linear position
-            if not match.degenerate:
-                mx = sx0 + match.offset_x + tw / 2.0 - dx
-                my = sy0 + match.offset_y + th / 2.0 - dy
+            if placed is not None:
+                mx = sx0 + placed[0] + tw / 2.0 - dx
+                my = sy0 + placed[1] + th / 2.0 - dy
                 width, height = linear_box.width, linear_box.height
                 box = BoundingBox(mx - width / 2.0, my - height / 2.0, mx + width / 2.0, my + height / 2.0)
-            self.fill.append((box, match.degenerate, self.clipped))
+            self.fill.append((box, placed is None, self.clipped))
         self.windows = []
 
 

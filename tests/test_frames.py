@@ -36,22 +36,16 @@ def gray(array, max_value=255):
 
 def ncc_surface(template, search):
     """The library's NCC of ``template`` at every placement in ``search``."""
-    return frames.NccTemplate(template, search).scores([search])[0]
+    return frames.ncc_surfaces(template, [search])[0]
 
 
 def ncc_match(template, search, preferred_offset=None):
-    """The library's best placement of ``template`` in ``search``, preferring
-    ``preferred_offset`` (x, y), or the centre of the surface when not given."""
+    """The library's best placement (x, y) of ``template`` in ``search``, or None,
+    preferring ``preferred_offset`` (x, y), or the centre of the surface when not given."""
     surface = ncc_surface(template, search)
     if preferred_offset is None:
         preferred_offset = ((surface.shape[1] - 1) / 2.0, (surface.shape[0] - 1) / 2.0)
     return frames.best_placement(surface, preferred_offset)
-
-
-def cross_term(t, s, max_value):
-    """The library's exact cross term of template ``t`` over window(s) ``s``."""
-    spectra = frames._template_spectra(t, frames._fft_shape(s.shape), max_value)
-    return frames._cross_term(t, s, spectra)
 
 
 def cfa(array, pattern=BayerPattern.RGGB, max_value=255):
@@ -925,25 +919,17 @@ def clipped_ncc_cases(draw):
     return clip(t), clip(s)
 
 
-class TestPreparedTemplate:
-    @given(clipped_ncc_cases(), st.randoms(use_true_random=False))
-    def test_scores_each_window_it_fits_as_a_fresh_template(self, case, rng):
-        t, s = case
-        shuffled = np.array(rng.sample(s.ravel().tolist(), s.size), dtype=np.uint8).reshape(s.shape)
-        prepared = frames.NccTemplate(gray(t), gray(s, 4095))
-        for window in (gray(s), gray(shuffled), gray(shuffled, 4095)):
-            assert np.array_equal(prepared.scores([window])[0], ncc_surface(gray(t), window))
-
-    @given(clipped_ncc_cases(), st.randoms(use_true_random=False), st.integers(1, 4))
+class TestStackedSurfaces:
+    @given(clipped_ncc_cases(), st.randoms(use_true_random=False), st.integers(0, 3))
     def test_stack_of_windows_scores_as_each_window_alone(self, case, rng, k):
-        # windows of mixed declared ranges, scored as one stack by a template
-        # prepared for the widest: each surface is that of a fresh template
+        # windows of mixed declared ranges, the first two always 255 and 4095,
+        # scored as one stack: each surface is that of the window alone
         t, s = case
-        windows = [gray(np.array(rng.sample(s.ravel().tolist(), s.size)).reshape(s.shape),
-                        rng.choice([255, 4095])) for _ in range(k)]
-        widest = max(windows, key=lambda w: w.max_value)
-        stacked = frames.NccTemplate(gray(t), widest).scores(windows)
-        assert stacked.shape == (k, s.shape[0] - t.shape[0] + 1, s.shape[1] - t.shape[1] + 1)
+        windows = [gray(s), gray(s, 4095)] + [
+            gray(np.array(rng.sample(s.ravel().tolist(), s.size)).reshape(s.shape),
+                 rng.choice([255, 4095])) for _ in range(k)]
+        stacked = frames.ncc_surfaces(gray(t), windows)
+        assert stacked.shape == (k + 2, s.shape[0] - t.shape[0] + 1, s.shape[1] - t.shape[1] + 1)
         for surface, window in zip(stacked, windows):
             assert np.array_equal(surface, ncc_surface(gray(t), window))
 
@@ -951,21 +937,18 @@ class TestPreparedTemplate:
         rng = np.random.default_rng(5)
         t = rng.integers(0, 65536, size=(80, 83))
         first, second = (rng.integers(0, 65536, size=(240, 235)) for _ in range(2))
-        prepared = frames.NccTemplate(gray(t, 65535), gray(first, 65535))
-        surface = prepared.scores([gray(second, 65535)])[0]
-        assert np.array_equal(surface, ncc_surface(gray(t, 65535), gray(second, 65535)))
-        assert np.array_equal(prepared.scores([gray(first, 65535), gray(second, 65535)])[1], surface)
-        assert np.array_equal(cross_term(t, second, 65535), exact_cross(t, second))
+        surface = ncc_surface(gray(t, 65535), gray(second, 65535))
+        stacked = frames.ncc_surfaces(gray(t, 65535), [gray(first, 65535), gray(second, 65535)])
+        assert np.array_equal(stacked[1], surface)
+        assert np.array_equal(frames._cross_term(t, second, 65535), exact_cross(t, second))
         both = np.stack([first, second])
-        assert np.array_equal(cross_term(t, both, 65535)[1], exact_cross(t, second))
+        assert np.array_equal(frames._cross_term(t, both, 65535)[1], exact_cross(t, second))
 
-    @pytest.mark.parametrize("shape, max_value", [((8, 9), 255), ((9, 9), 4095)])
-    def test_window_it_does_not_fit_is_rejected(self, shape, max_value):
-        prepared = frames.NccTemplate(gray(np.arange(9).reshape(3, 3)), gray(np.zeros((9, 9))))
-        with pytest.raises(ValueError, match="does not fit"):
-            prepared.scores([gray(np.ones(shape), max_value)])
-        with pytest.raises(ValueError, match="does not fit"):
-            prepared.scores([gray(np.ones((9, 9))), gray(np.ones(shape), max_value)])
+    @pytest.mark.parametrize("shape", [(8, 9), (9, 8)])
+    def test_windows_of_two_shapes_are_rejected(self, shape):
+        windows = [gray(np.arange(81).reshape(9, 9)), gray(np.ones(shape), 4095)]
+        with pytest.raises(ValueError, match="same shape"):  # numpy's own, from np.stack
+            frames.ncc_surfaces(gray(np.arange(9).reshape(3, 3)), windows)
 
 
 class TestFftSize:
@@ -997,15 +980,15 @@ class TestNccScoresMatchEinsumOracle:
     @given(clipped_ncc_cases(), st.none() | st.tuples(st.floats(-2, 9), st.floats(-2, 9)))
     def test_match_offsets(self, case, preferred):
         t, s = case
-        m = ncc_match(gray(t), gray(s), preferred_offset=preferred)
+        placed = ncc_match(gray(t), gray(s), preferred_offset=preferred)
         want = frame_oracles.ncc_scores(gray(t), gray(s))
         if np.all(want == -np.inf):
-            assert m.degenerate
+            assert placed is None
             return
         ranked = np.sort(want, axis=None)[::-1]
         if ranked.size == 1 or ranked[0] - ranked[1] > 1e-9:
             y, x = np.unravel_index(np.argmax(want), want.shape)
-            assert (m.offset_x, m.offset_y) == (x, y) and not m.degenerate
+            assert placed == (x, y)
 
 
 def exact_cross(t, s):
@@ -1021,16 +1004,16 @@ class TestFftCrossTermIsExact:
         flat = np.full((size, size), top, dtype=np.int64)
         checker = np.indices((size, size)).sum(axis=0) % 2 * top
         n = size * size
-        assert cross_term(flat, flat, top).tolist() == [[n * top * top]]
-        assert cross_term(checker, checker, top).tolist() == [[n // 2 * top * top]]
-        assert cross_term(checker, flat, top).tolist() == [[n // 2 * top * top]]
+        assert frames._cross_term(flat, flat, top).tolist() == [[n * top * top]]
+        assert frames._cross_term(checker, checker, top).tolist() == [[n // 2 * top * top]]
+        assert frames._cross_term(checker, flat, top).tolist() == [[n // 2 * top * top]]
 
     @pytest.mark.parametrize("th, sh", [(40, 120), (80, 240)])  # 80/240: split into bytes
     def test_random_full_scale(self, th, sh):
         rng = np.random.default_rng(th)
         t = rng.integers(0, 65536, size=(th, th + 3))
         s = rng.integers(0, 65536, size=(sh, sh - 5))
-        assert np.array_equal(cross_term(t, s, 65535), exact_cross(t, s))
+        assert np.array_equal(frames._cross_term(t, s, 65535), exact_cross(t, s))
 
     def test_scores_at_full_scale(self):
         # binary 16-bit 320 x 320 windows: n * Sw2 - Sw**2 itself passes int64
@@ -1074,67 +1057,51 @@ def placement_cases(draw):
 
 
 def brute_placement(surface, preferred):
-    """(x, y, degenerate) by the tie rule, cell by cell: the highest score,
-    then the smallest squared distance to ``preferred``, then row, then
-    column; with every cell -inf, the cell nearest the rounded offset."""
+    """(x, y) by the tie rule, cell by cell: the highest score, then the
+    smallest squared distance to ``preferred``, then row, then column;
+    None with every cell -inf."""
     px, py = preferred
     h, w = surface.shape
     best = max(surface.flat)
     if best == -np.inf:
-        x = min(range(w), key=lambda col: abs(col - round(px)))
-        y = min(range(h), key=lambda row: abs(row - round(py)))
-        return x, y, True
+        return None
     _, y, x = min(((x - px) ** 2 + (y - py) ** 2, y, x)
                   for y in range(h) for x in range(w) if surface[y, x] == best)
-    return x, y, False
+    return x, y
 
 
-class TestNccMatch:
+class TestBestPlacement:
     @settings(max_examples=500)
     @given(placement_cases())
     def test_best_placement_follows_the_tie_rule(self, case):
         surface, preferred = case
-        m = frames.best_placement(surface, preferred)
-        assert (m.offset_x, m.offset_y, m.degenerate) == brute_placement(surface, preferred)
-        assert m.score == surface.max()
+        assert frames.best_placement(surface, preferred) == brute_placement(surface, preferred)
 
     def test_planted_template(self):
         rng = np.random.default_rng(13)
         search = rng.integers(0, 256, size=(20, 30))
         template = rng.integers(0, 256, size=(8, 8))
         search[3:11, 7:15] = template
-        m = ncc_match(gray(template), gray(search))
-        assert (m.offset_x, m.offset_y) == (7, 3)
-        assert m.score == pytest.approx(1.0)
-        assert not m.degenerate
+        assert ncc_match(gray(template), gray(search)) == (7, 3)
+        surface = ncc_surface(gray(template), gray(search))
+        assert surface[3, 7] == pytest.approx(1.0) == surface.max()
 
     def test_equal_sizes_single_placement(self):
         rng = np.random.default_rng(14)
         t = gray(rng.integers(0, 256, size=(5, 5)))
-        m = ncc_match(t, t)
-        assert (m.offset_x, m.offset_y) == (0, 0)
-        assert m.score == pytest.approx(1.0)
+        assert ncc_match(t, t) == (0, 0)
+        assert ncc_surface(t, t)[0, 0] == pytest.approx(1.0)
 
-    def test_all_degenerate_falls_back_to_preference(self):
+    def test_all_degenerate_gives_none(self):
         t = gray(np.arange(9).reshape(3, 3))
         flat = gray(np.full((9, 9), 50))
-        m = ncc_match(t, flat, preferred_offset=(4.0, 2.0))
-        assert m.degenerate
-        assert (m.offset_x, m.offset_y) == (4, 2)
-        assert m.score == float("-inf")
-
-    def test_degenerate_fallback_clamps(self):
-        t = gray(np.arange(9).reshape(3, 3))
-        flat = gray(np.full((5, 5), 50))
-        m = ncc_match(t, flat, preferred_offset=(99.0, -5.0))
-        assert (m.offset_x, m.offset_y) == (2, 0)
+        assert ncc_match(t, flat, preferred_offset=(4.0, 2.0)) is None
 
     def test_tie_prefers_center(self):
         # periodic search: the template matches at every period; center wins
         t = gray([[0, 255], [255, 0]])
         search = gray(np.indices((7, 7)).sum(axis=0) % 2 * 255)
-        m = ncc_match(t, search)
-        assert (m.offset_x, m.offset_y) == (2, 2)  # closest scoring cell to center (2.5, 2.5)
+        assert ncc_match(t, search) == (2, 2)  # closest scoring cell to center (2.5, 2.5)
 
     def test_template_larger_than_search(self):
         search = gray(np.zeros((3, 3)))

@@ -4,11 +4,12 @@ The library densifies every track in one walk over the frames in
 ascending order, fetching each frame once and scoring each gap segment's
 search windows as one stack.  The version here is the earlier
 track-by-track, frame-by-frame loop: it fetches a frame for every segment
-that reads it and scores one window at a time, preparing the template
-again whenever a gap frame declares a wider sample range.  It clips,
-crops and builds its entries itself, through public ``core`` and
-``frames`` calls only, so a fault in the library's own helpers shows as a
-difference.  It serves as a differential-test oracle only.
+that reads it and scores each window alone, at that window's own sample
+range, where the library scores a gap's windows as one stack at the
+widest range among them.  It clips, crops and builds its entries itself,
+through public ``core`` and ``frames`` calls only, so a fault in the
+library's own helpers shows as a difference.  It serves as a
+differential-test oracle only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import replace
 
 from icevision_kit import frames
-from icevision_kit.core import (NCC_MARGIN_PX, BoundingBox, Source, lerp_box, pixel_rect,
+from icevision_kit.core import (NCC_MARGIN_PX, BoundingBox, Source, iou, lerp_box, pixel_rect,
                                 search_area)
 from icevision_kit.tracking import Track
 
@@ -53,7 +54,6 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
             sx0, sy0, sx1, sy1 = inside(pixel_rect(search_area(start.box, end.box, margin=margin)),
                                         width, height)
 
-        scorer = None
         for frame in gap_frames:
             linear_box = lerp_box(start.box, end.box, (frame - start.frame_index) / span)
             box, degenerate = linear_box, True
@@ -62,16 +62,28 @@ def densify_ncc(track: Track, frame_images, *, margin: float = NCC_MARGIN_PX) ->
                 th, tw = template.samples.shape
                 cx, cy = linear_box.center
                 preferred = (cx + dx - tw / 2.0 - sx0, cy + dy - th / 2.0 - sy0)
-                if scorer is None or search.max_value > scorer.max_value:
-                    scorer = frames.NccTemplate(template, search)
-                match = frames.best_placement(scorer.scores([search])[0], preferred)
-                if not match.degenerate:
+                placed = frames.best_placement(frames.ncc_surfaces(template, [search])[0], preferred)
+                if placed is not None:
                     degenerate = False
-                    mx = sx0 + match.offset_x + tw / 2.0 - dx
-                    my = sy0 + match.offset_y + th / 2.0 - dy
+                    mx = sx0 + placed[0] + tw / 2.0 - dx
+                    my = sy0 + placed[1] + th / 2.0 - dy
                     w, h = linear_box.width, linear_box.height
                     box = BoundingBox(mx - w / 2.0, my - h / 2.0, mx + w / 2.0, my + h / 2.0)
             entries.append(replace(start, frame_index=frame, box=box, source=Source.INTERPOLATED,
                                    ncc_degenerate=degenerate, template_clipped=clipped))
         entries.append(end)
     return Track(id=track.id, entries=entries)
+
+
+def centre_errors(tracks: list[Track], dense) -> list[float]:
+    """The distance, in pixels, from the centre of each interpolated entry of
+    ``tracks`` to the centre of the sign of ``dense`` (frame -> ground-truth
+    signs, as ``GeneratedScenario.dense``) that its box overlaps best."""
+    errors = []
+    for track in tracks:
+        for entry in track.entries:
+            if entry.source is Source.INTERPOLATED:
+                truth = max(dense[entry.frame_index], key=lambda sign: iou(entry.box, sign.box))
+                (x, y), (tx, ty) = entry.box.center, truth.box.center
+                errors.append(math.hypot(x - tx, y - ty))
+    return errors
